@@ -156,9 +156,9 @@ public:
   /// ProveUnbounded pass; null until it ran.
   const sat::PdrResult* pdrResult() const { return pdr_ ? &*pdr_ : nullptr; }
   void setPdrResult(sat::PdrResult r) { pdr_ = std::move(r); }
-  /// BDD proof footprint, accumulated across every equivalence check the
-  /// passes ran for this design (AIG proof, encoding proofs); null until
-  /// the first one reports in.
+  /// SAT proof footprint, accumulated across every equivalence check the
+  /// passes ran for this design (AIG proof, encoding proofs, sweep
+  /// soundness proof); null until the first one reports in.
   const netlist::ProofStats* proofStats() const {
     return hasProof_ ? &proof_ : nullptr;
   }
@@ -172,7 +172,7 @@ public:
   void setVerilog(std::string v) { verilog_ = std::move(v); }
 
   /// Per-config metrics registry, filled by the passes that ran on this
-  /// design (aig.*, cosim.*, fault.*, bdd.*, ...) and serialized by the
+  /// design (aig.*, cosim.*, fault.*, proof.*, ...) and serialized by the
   /// Report pass / the bench. Single-writer like the other pass-produced
   /// artifacts: exactly one pipeline task owns a Design at a time.
   obs::Registry& metrics() { return *metrics_; }

@@ -117,7 +117,7 @@ void OptimizeAig::run(Design& design, PassContext& ctx) {
     if (proof.degraded) {
       ctx.warning(design.name() + ": equivalence degraded to " +
                   std::string(netlist::equivMethodName(proof.method)) +
-                  " screen (BDD budget exceeded), confidence " +
+                  " screen (SAT budget exceeded), confidence " +
                   std::to_string(proof.confidence));
     }
   }
@@ -221,11 +221,12 @@ void ProveEncodingEquiv::run(Design& design, PassContext& ctx) {
   }
   ctx.metric("proofs", static_cast<double>(specs.size()));
   if (const netlist::ProofStats* p = design.proofStats()) {
-    design.metrics().set("bdd.nodes", static_cast<double>(p->bddNodes));
-    design.metrics().set("bdd.apply_calls",
-                         static_cast<double>(p->applyCalls));
-    design.metrics().set("bdd.unique_growths",
-                         static_cast<double>(p->uniqueGrowths));
+    design.metrics().set("proof.sat_conflicts",
+                         static_cast<double>(p->satConflicts));
+    design.metrics().set("proof.sat_decisions",
+                         static_cast<double>(p->satDecisions));
+    design.metrics().set("proof.sat_propagations",
+                         static_cast<double>(p->satPropagations));
   }
 }
 
@@ -330,7 +331,7 @@ void SatSweep::run(Design& design, PassContext& ctx) {
   m.add("sat.propagations", static_cast<double>(st.solver.propagations));
 
   // Soundness gate: a sweep that cannot be proven equivalent never
-  // becomes an artifact. The proof's own SAT/BDD footprint joins the
+  // becomes an artifact. The proof's own SAT footprint joins the
   // design's accumulated proof stats like every other equivalence check.
   const netlist::SeqEquivResult proof =
       netlist::checkSeqEquivalence(before, swept.netlist, equiv_);
@@ -352,26 +353,42 @@ void SatSweep::run(Design& design, PassContext& ctx) {
   design.setSweepResult(std::move(swept));
 }
 
-void CheckInvariants::run(Design& design, PassContext& ctx) {
-  sat::BmcOptions opts = options_;
-  if (opts.cancel == nullptr) opts.cancel = ctx.cancel();
-  std::optional<sync::PortView> ports;
+namespace {
+
+/// What both invariant passes read off a design: its port view and the
+/// storage bound B derived from its wrapper config or system spec. Empty
+/// for a prebuilt netlist, which has neither.
+struct InvariantTarget {
+  sync::PortView ports;
+  unsigned capacityBound = 0;
+};
+
+std::optional<InvariantTarget> invariantTarget(Design& design) {
   if (const sync::WrapperPorts* wp = design.wrapperPorts()) {
-    ports = sync::portView(*wp);
-    if (deriveCapacity_) {
-      opts.capacityBound = sat::capacityBound(*design.wrapperConfig());
-    }
-  } else if (const sync::SystemPorts* sp = design.systemPorts()) {
-    ports = sync::portView(*sp);
-    if (deriveCapacity_) {
-      opts.capacityBound = sat::capacityBound(*design.systemSpec());
-    }
-  } else {
+    return InvariantTarget{sync::portView(*wp),
+                           sat::capacityBound(*design.wrapperConfig())};
+  }
+  if (const sync::SystemPorts* sp = design.systemPorts()) {
+    return InvariantTarget{sync::portView(*sp),
+                           sat::capacityBound(*design.systemSpec())};
+  }
+  return std::nullopt;
+}
+
+} // namespace
+
+void CheckInvariants::run(Design& design, PassContext& ctx) {
+  const std::optional<InvariantTarget> target = invariantTarget(design);
+  if (!target) {
     ctx.note(design.name() + ": prebuilt netlist has no port view");
     return;
   }
+  sat::BmcOptions opts = options_;
+  if (opts.cancel == nullptr) opts.cancel = ctx.cancel();
+  opts.capacityBound = target->capacityBound;
 
-  sat::BmcResult r = sat::checkInvariants(design.netlist(), *ports, opts);
+  sat::BmcResult r =
+      sat::checkInvariants(design.netlist(), target->ports, opts);
   ctx.metric("depth", static_cast<double>(opts.depth));
   ctx.metric("capacity_bound", static_cast<double>(opts.capacityBound));
   ctx.metric("bmc_depth", static_cast<double>(r.minDepthReached()));
@@ -403,25 +420,17 @@ void CheckInvariants::run(Design& design, PassContext& ctx) {
 }
 
 void ProveUnbounded::run(Design& design, PassContext& ctx) {
-  sat::PdrOptions opts = options_;
-  if (opts.cancel == nullptr) opts.cancel = ctx.cancel();
-  std::optional<sync::PortView> ports;
-  if (const sync::WrapperPorts* wp = design.wrapperPorts()) {
-    ports = sync::portView(*wp);
-    if (deriveCapacity_) {
-      opts.capacityBound = sat::capacityBound(*design.wrapperConfig());
-    }
-  } else if (const sync::SystemPorts* sp = design.systemPorts()) {
-    ports = sync::portView(*sp);
-    if (deriveCapacity_) {
-      opts.capacityBound = sat::capacityBound(*design.systemSpec());
-    }
-  } else {
+  const std::optional<InvariantTarget> target = invariantTarget(design);
+  if (!target) {
     ctx.note(design.name() + ": prebuilt netlist has no port view");
     return;
   }
+  sat::PdrOptions opts = options_;
+  if (opts.cancel == nullptr) opts.cancel = ctx.cancel();
+  opts.capacityBound = target->capacityBound;
 
-  sat::PdrResult r = sat::proveUnbounded(design.netlist(), *ports, opts);
+  sat::PdrResult r =
+      sat::proveUnbounded(design.netlist(), target->ports, opts);
   ctx.metric("capacity_bound", static_cast<double>(opts.capacityBound));
   ctx.metric("all_proved", r.allProved() ? 1.0 : 0.0);
   ctx.metric("induction_k", static_cast<double>(r.maxInductionK()));
@@ -454,7 +463,7 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
     ro.capacityBound = opts.capacityBound;
     ro.watchdogWindow = opts.watchdogWindow;
     const sat::ReplayResult rep =
-        sat::replayTrace(design.netlist(), *ports, p.name, p.trace, ro);
+        sat::replayTrace(design.netlist(), target->ports, p.name, p.trace, ro);
     violated += (violated.empty() ? "" : ", ") + p.name + " at depth " +
                 std::to_string(p.failDepth) + " (" + p.method +
                 "; replay " +
@@ -535,12 +544,7 @@ void Report::run(Design& design, PassContext& ctx) {
        << ", \"tokens\": " << r->tokens << "}";
   }
   if (const netlist::ProofStats* p = design.proofStats()) {
-    os << ",\n  \"proof\": {\"bdd_nodes\": " << p->bddNodes
-       << ", \"unique_capacity\": " << p->uniqueCapacity
-       << ", \"occupancy\": " << p->occupancy()
-       << ", \"apply_calls\": " << p->applyCalls
-       << ", \"unique_growths\": " << p->uniqueGrowths
-       << ", \"sat_conflicts\": " << p->satConflicts
+    os << ",\n  \"proof\": {\"sat_conflicts\": " << p->satConflicts
        << ", \"sat_propagations\": " << p->satPropagations << "}";
   }
   if (const sat::NetlistSweepResult* s = design.sweepResult()) {
@@ -640,9 +644,8 @@ Pipeline& Pipeline::proveEncodingEquiv() {
   return add(std::make_unique<ProveEncodingEquiv>());
 }
 
-Pipeline& Pipeline::proveUnbounded(const sat::PdrOptions& options,
-                                   bool deriveCapacity) {
-  return add(std::make_unique<ProveUnbounded>(options, deriveCapacity));
+Pipeline& Pipeline::proveUnbounded(const sat::PdrOptions& options) {
+  return add(std::make_unique<ProveUnbounded>(options));
 }
 
 Pipeline& Pipeline::cosim(const sync::CosimOptions& options) {
@@ -658,9 +661,8 @@ Pipeline& Pipeline::satSweep(const sat::SweepOptions& options,
   return add(std::make_unique<SatSweep>(options, equiv));
 }
 
-Pipeline& Pipeline::checkInvariants(const sat::BmcOptions& options,
-                                    bool deriveCapacity) {
-  return add(std::make_unique<CheckInvariants>(options, deriveCapacity));
+Pipeline& Pipeline::checkInvariants(const sat::BmcOptions& options) {
+  return add(std::make_unique<CheckInvariants>(options));
 }
 
 Pipeline& Pipeline::passDeadline(double seconds) {

@@ -156,8 +156,9 @@ public:
 private:
   unsigned effort_;
   bool prove_;
-  // Tiered-checker knobs for the proof: budgets make an explosive BDD
-  // degrade to a reported simulation screen instead of hanging the flow.
+  // Tiered-checker knobs for the proof: the SAT budgets make an explosive
+  // proof degrade to a reported simulation screen instead of hanging the
+  // flow.
   netlist::EquivOptions equiv_;
 };
 
@@ -242,21 +243,19 @@ private:
 /// sat/bmc.hpp) on the design's synthesized netlist through its port
 /// view. A violated invariant is a pass error carrying the property name
 /// and the exact failing depth; a budget/deadline-degraded bound is a
-/// warning plus metric. With deriveCapacity (the default) the storage
-/// bound B is computed from the design's wrapper config or system spec
-/// (sat::capacityBound); options.capacityBound then only covers prebuilt
-/// netlists, which have no spec to derive from.
+/// warning plus metric. The storage bound B is always derived from the
+/// design's wrapper config or system spec (sat::capacityBound), so
+/// options.capacityBound is ignored; a prebuilt netlist has no port view
+/// and is skipped with a note.
 class CheckInvariants final : public Pass {
 public:
-  explicit CheckInvariants(sat::BmcOptions options = {},
-                           bool deriveCapacity = true)
-      : options_(options), deriveCapacity_(deriveCapacity) {}
+  explicit CheckInvariants(sat::BmcOptions options = {})
+      : options_(options) {}
   std::string name() const override { return "check-invariants"; }
   void run(Design& design, PassContext& ctx) override;
 
 private:
   sat::BmcOptions options_;
-  bool deriveCapacity_;
 };
 
 /// Unbounded proofs of the LIS protocol invariants (k-induction, then
@@ -266,18 +265,16 @@ private:
 /// depth, with the trace replayed on the netlist simulator — and, when
 /// the design has a behavioural spec, on the cosim oracle — to confirm
 /// it), or a budget/deadline-degraded bound (warning + metric, like
-/// CheckInvariants). deriveCapacity mirrors CheckInvariants.
+/// CheckInvariants). The storage bound is derived as in CheckInvariants.
 class ProveUnbounded final : public Pass {
 public:
-  explicit ProveUnbounded(sat::PdrOptions options = {},
-                          bool deriveCapacity = true)
-      : options_(options), deriveCapacity_(deriveCapacity) {}
+  explicit ProveUnbounded(sat::PdrOptions options = {})
+      : options_(options) {}
   std::string name() const override { return "prove-unbounded"; }
   void run(Design& design, PassContext& ctx) override;
 
 private:
   sat::PdrOptions options_;
-  bool deriveCapacity_;
 };
 
 struct ReportOptions {
@@ -309,10 +306,8 @@ public:
   Pipeline& faultCampaign(const fault::CampaignOptions& options = {});
   Pipeline& satSweep(const sat::SweepOptions& options = {},
                      const netlist::EquivOptions& equiv = {});
-  Pipeline& checkInvariants(const sat::BmcOptions& options = {},
-                            bool deriveCapacity = true);
-  Pipeline& proveUnbounded(const sat::PdrOptions& options = {},
-                           bool deriveCapacity = true);
+  Pipeline& checkInvariants(const sat::BmcOptions& options = {});
+  Pipeline& proveUnbounded(const sat::PdrOptions& options = {});
   Pipeline& report(const ReportOptions& options = {});
 
   /// Wall-clock budget per pass, in seconds (0 disables, the default).

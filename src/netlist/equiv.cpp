@@ -18,7 +18,6 @@ namespace lis::netlist {
 const char* equivMethodName(EquivMethod m) {
   switch (m) {
     case EquivMethod::Sim: return "sim";
-    case EquivMethod::Bdd: return "bdd";
     case EquivMethod::Structural: return "structural";
     case EquivMethod::Sat: return "sat";
   }
@@ -34,91 +33,6 @@ std::string CexReport::format() const {
     s += value ? '1' : '0';
   }
   return s;
-}
-
-std::vector<logic::BddRef> buildAllBdds(
-    const Netlist& nl, logic::BddManager& mgr,
-    const std::function<unsigned(NodeId)>& varOfInput) {
-  if (!nl.dffs().empty()) {
-    throw std::invalid_argument("buildAllBdds: netlist is sequential");
-  }
-  // Note: more than 64 inputs is fine for BDD construction and identity
-  // proofs; only the counterexample-extraction APIs (evaluate/anySat)
-  // encode an assignment in one uint64_t. Callers guard those themselves
-  // (see checkCombEquivalence's wide mode).
-  std::vector<logic::BddRef> node2bdd(nl.nodeCount(),
-                                      logic::BddManager::kFalse);
-  for (NodeId id : nl.topoOrder()) {
-    const Node& n = nl.node(id);
-    switch (n.op) {
-      case Op::Input:
-        node2bdd[id] = mgr.var(varOfInput(id));
-        break;
-      case Op::Const0:
-        node2bdd[id] = logic::BddManager::kFalse;
-        break;
-      case Op::Const1:
-        node2bdd[id] = logic::BddManager::kTrue;
-        break;
-      case Op::Not:
-        node2bdd[id] = mgr.bddNot(node2bdd[n.fanin[0]]);
-        break;
-      case Op::And:
-        node2bdd[id] = mgr.bddAnd(node2bdd[n.fanin[0]], node2bdd[n.fanin[1]]);
-        break;
-      case Op::Or:
-        node2bdd[id] = mgr.bddOr(node2bdd[n.fanin[0]], node2bdd[n.fanin[1]]);
-        break;
-      case Op::Xor:
-        node2bdd[id] = mgr.bddXor(node2bdd[n.fanin[0]], node2bdd[n.fanin[1]]);
-        break;
-      case Op::Mux:
-        node2bdd[id] = mgr.ite(node2bdd[n.fanin[0]], node2bdd[n.fanin[2]],
-                               node2bdd[n.fanin[1]]);
-        break;
-      case Op::Output:
-        node2bdd[id] = node2bdd[n.fanin[0]];
-        break;
-      case Op::RomBit: {
-        // Expand the ROM bit as a sum of address minterms. Words past what
-        // the wired address bits can select are unreachable and must not be
-        // expanded — the simulators read them as 0 (see BitSim::evalRom).
-        const Rom& rom = nl.rom(n.romId);
-        logic::BddRef f = logic::BddManager::kFalse;
-        std::uint64_t depth = rom.words.size();
-        if (n.fanin.size() < 64) {
-          depth = std::min(depth, std::uint64_t{1} << n.fanin.size());
-        }
-        for (std::uint64_t addr = 0; addr < depth; ++addr) {
-          if (((rom.words[addr] >> n.romBit) & 1u) == 0) continue;
-          logic::BddRef minterm = logic::BddManager::kTrue;
-          for (std::size_t i = 0; i < n.fanin.size(); ++i) {
-            const logic::BddRef lit = ((addr >> i) & 1u) != 0
-                                          ? node2bdd[n.fanin[i]]
-                                          : mgr.bddNot(node2bdd[n.fanin[i]]);
-            minterm = mgr.bddAnd(minterm, lit);
-          }
-          f = mgr.bddOr(f, minterm);
-        }
-        node2bdd[id] = f;
-        break;
-      }
-      case Op::Dff:
-        throw std::invalid_argument("buildAllBdds: netlist is sequential");
-    }
-  }
-  return node2bdd;
-}
-
-logic::BddRef outputBdd(const Netlist& nl, logic::BddManager& mgr,
-                        NodeId output) {
-  std::vector<unsigned> varOf(nl.nodeCount(), 0);
-  for (unsigned i = 0; i < nl.inputs().size(); ++i) {
-    varOf[nl.inputs()[i]] = i;
-  }
-  auto node2bdd =
-      buildAllBdds(nl, mgr, [&](NodeId id) { return varOf[id]; });
-  return node2bdd[output];
 }
 
 EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
@@ -140,7 +54,7 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
     throw std::invalid_argument("checkCombEquivalence: netlist is sequential");
   }
   // Wide mode: beyond 64 inputs the verdict machinery is unchanged (the
-  // sweep and the BDD identity proof are width-agnostic) but the compact
+  // sweep and the SAT miter are width-agnostic) but the compact
   // uint64 counterexample cannot be formed, so it stays empty.
   const bool wide = a.inputs().size() > 64;
 
@@ -152,7 +66,7 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
 
   // Random sweep over `rounds` rounds of 64*simWords patterns from `seed`.
   // Used both as the cheap phase-1 disprover and, deepened with a fresh
-  // seed stream, as the degradation path when the BDD budget trips.
+  // seed stream, as the degradation path when the SAT budget trips.
   auto simSweep = [&](unsigned rounds,
                       std::uint64_t seed) -> std::optional<EquivResult> {
     if (opts.simWords == 0 || rounds == 0) return std::nullopt;
@@ -203,18 +117,17 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
   };
 
   // --- Phase 1: bit-parallel random sweep. Disproving is cheap here; the
-  // expensive proof machinery below only runs on designs that survive it.
+  // SAT proof below only runs on designs that survive it.
   if (auto refuted = simSweep(opts.simRounds, opts.seed)) return *refuted;
 
   // --- Phase 2: SAT miter. Both netlists are lowered into one AIG over
   // shared name-matched inputs; structural hashing discharges identical
   // cones outright and each surviving XOR pair becomes one incremental
   // CDCL query. A SAT answer is an exact counterexample at any width; all
-  // UNSAT is a proof. A tripped budget falls through to the BDD identity
-  // proof with the partial search footprint kept on whatever that
-  // returns.
+  // UNSAT is a proof. A tripped budget falls through to phase 3 with the
+  // partial search footprint kept on whatever that returns.
   ProofStats satPartial;
-  if (opts.useSat) {
+  {
     obs::Span satSpan("sat.equiv");
     aig::Aig miter;
     std::map<std::string, aig::Lit> piByName;
@@ -282,119 +195,27 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
     }
   }
 
-  // --- Phase 3: BDD proof for the survivors. The variable order is a
-  // fanin-DFS from a's outputs (in name order): inputs of one cone cluster
-  // together and datapath operands interleave per bit, which keeps carry
-  // chains linear where the naive inputs()-index order is exponential
-  // (e.g. an accumulator adding a register bus to a mux of buffer buses).
-  // b's inputs map to the same variables by name, so both sides share one
-  // variable space regardless of their own input order.
-  constexpr unsigned kUnassigned = ~0u;
-  std::vector<unsigned> varOfA(a.nodeCount(), kUnassigned);
-  {
-    std::vector<char> visited(a.nodeCount(), 0);
-    unsigned nextVar = 0;
-    std::vector<NodeId> stack;
-    for (const auto& [name, outId] : aOutByName) stack.push_back(outId);
-    // aOutByName pushed in name order; DFS explores the last first, which
-    // is fine — any fixed order works, determinism is what matters.
-    while (!stack.empty()) {
-      const NodeId id = stack.back();
-      stack.pop_back();
-      if (visited[id]) continue;
-      visited[id] = 1;
-      if (a.node(id).op == Op::Input) {
-        varOfA[id] = nextVar++;
-        continue;
-      }
-      const auto& fanin = a.node(id).fanin;
-      for (auto it = fanin.rbegin(); it != fanin.rend(); ++it) {
-        stack.push_back(*it);
-      }
-    }
-    for (NodeId id : a.inputs()) {
-      if (varOfA[id] == kUnassigned) varOfA[id] = nextVar++;
-    }
+  // --- Phase 3: SAT budget tripped. Deepen the random screen on a fresh
+  // seed stream; either it finds a counterexample (exact disproof) or the
+  // designs survive and we return a degraded, honestly-quantified
+  // "equivalent". The partial search's footprint is still reported.
+  if (auto refuted = simSweep(opts.fallbackSimRounds,
+                              support::SplitMix64(opts.seed).forkSeed(1))) {
+    refuted->proof = satPartial;
+    return *refuted;
   }
-  logic::BddManager mgr(static_cast<unsigned>(a.inputs().size()));
-  mgr.setBudget({opts.bddNodeBudget, opts.bddStepBudget});
-  const auto proofStatsOf = [&] {
-    ProofStats p = satPartial; // keep the SAT tier's partial search visible
-    p.bddNodes = mgr.nodeCount();
-    p.uniqueCapacity = mgr.uniqueCapacity();
-    p.applyCalls = mgr.stats().applyCalls;
-    p.uniqueGrowths = mgr.stats().uniqueGrowths;
-    return p;
-  };
-  std::map<std::string, unsigned> varOfName;
-  for (NodeId id : a.inputs()) {
-    varOfName[a.node(id).name] = varOfA[id];
-  }
-  try {
-    auto bddsA = buildAllBdds(a, mgr, [&](NodeId id) { return varOfA[id]; });
-    auto bddsB = buildAllBdds(
-        b, mgr, [&](NodeId id) { return varOfName.at(b.node(id).name); });
-
-    EquivResult result;
-    result.equivalent = true;
-    for (const auto& [name, idA] : aOutByName) {
-      const logic::BddRef fa = bddsA[idA];
-      const logic::BddRef fb = bddsB[bOutByName.at(name)];
-      if (fa == fb) continue;
-      result.equivalent = false;
-      result.failingOutput = name;
-      result.method = EquivMethod::Bdd;
-      try {
-        const logic::BddRef diff = mgr.bddXor(fa, fb);
-        std::vector<signed char> assignment;
-        if (mgr.anySatAssignment(diff, assignment)) {
-          // The witness speaks BDD-variable space; translate back to
-          // input names (and, when it fits, the documented compact
-          // "bit i = input i of a" encoding). Don't-cares read as 0.
-          CexReport report;
-          report.output = name;
-          std::uint64_t cex = 0;
-          for (std::size_t i = 0; i < a.inputs().size(); ++i) {
-            const bool v = assignment[varOfA[a.inputs()[i]]] == 1;
-            report.inputs.emplace_back(a.node(a.inputs()[i]).name, v);
-            if (v && i < 64) cex |= std::uint64_t{1} << i;
-          }
-          if (!wide) result.counterexample = cex;
-          result.cex = std::move(report);
-        }
-      } catch (const logic::ResourceLimitExceeded&) {
-        // The identity disproof already stands (fa != fb under one shared
-        // variable space); only the concrete witness is lost. Keep the
-        // exact verdict rather than degrading it.
-      }
-      break;
-    }
-    result.proof = proofStatsOf();
-    return result;
-  } catch (const logic::ResourceLimitExceeded&) {
-    // --- Phase 4: BDD budget tripped. Deepen the random screen on a fresh
-    // seed stream; either it finds a counterexample (exact disproof) or
-    // the designs survive and we return a degraded, honestly-quantified
-    // "equivalent". The partial proof's footprint is still reported.
-    const ProofStats partial = proofStatsOf();
-    if (auto refuted = simSweep(opts.fallbackSimRounds,
-                                support::SplitMix64(opts.seed).forkSeed(1))) {
-      refuted->proof = partial;
-      return *refuted;
-    }
-    EquivResult result;
-    result.equivalent = true;
-    result.method = EquivMethod::Sim;
-    result.degraded = true;
-    // Confidence heuristic: P random patterns that failed to distinguish
-    // the designs. Saturates towards 1 but never reaches it — a screen is
-    // not a proof. The 256 pivot is arbitrary and documented as such.
-    const double patterns = 64.0 * opts.simWords *
-                            (double(opts.simRounds) + opts.fallbackSimRounds);
-    result.confidence = patterns / (patterns + 256.0);
-    result.proof = partial;
-    return result;
-  }
+  EquivResult result;
+  result.equivalent = true;
+  result.method = EquivMethod::Sim;
+  result.degraded = true;
+  // Confidence heuristic: P random patterns that failed to distinguish
+  // the designs. Saturates towards 1 but never reaches it — a screen is
+  // not a proof. The 256 pivot is arbitrary and documented as such.
+  const double patterns = 64.0 * opts.simWords *
+                          (double(opts.simRounds) + opts.fallbackSimRounds);
+  result.confidence = patterns / (patterns + 256.0);
+  result.proof = satPartial;
+  return result;
 }
 
 } // namespace lis::netlist

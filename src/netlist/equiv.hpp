@@ -4,11 +4,12 @@
 //   1. A random-pattern 64-way bit-parallel simulation sweep (BitSim over
 //      both netlists with name-matched inputs driven identically). Any
 //      mismatching output word immediately yields a concrete counterexample
-//      — inequivalent designs are almost always refuted here without a
-//      single BDD node being built.
-//   2. A BDD identity proof (outputs as BDDs over name-matched primary
-//      inputs) for designs that survive the sweep, optionally under a
-//      node/step budget (EquivOptions::bddNodeBudget / bddStepBudget).
+//      — inequivalent designs are almost always refuted here before the
+//      solver is ever built.
+//   2. A SAT miter proof for designs that survive the sweep: both netlists
+//      lowered into one AIG over name-matched inputs, one incremental CDCL
+//      query per output pair, under a conflict/propagation budget
+//      (EquivOptions::satConflictBudget / satPropagationBudget).
 //   3. If the budget trips, a deepened random screen instead of a hang:
 //      the verdict degrades to method=Sim with an explicit confidence
 //      below 1.0 — sound for "inequivalent" (a counterexample is exact),
@@ -19,52 +20,33 @@
 // co-simulation in the test suites.
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "logic/bdd.hpp"
 #include "netlist/netlist.hpp"
 
 namespace lis::netlist {
 
 /// How a verdict was reached. Structural covers the interface/skeleton
 /// comparisons of the sequential checker, which never touch functions;
-/// Sat is the miter tier sitting between the sim screen and the BDD
-/// identity proof.
-enum class EquivMethod : std::uint8_t { Sim, Bdd, Structural, Sat };
+/// Sat is the miter proof behind the sim screen.
+enum class EquivMethod : std::uint8_t { Sim, Structural, Sat };
 const char* equivMethodName(EquivMethod m);
 
-/// Proof resource footprint, carried on every result (zeros for the
-/// phases that never ran) and accumulated per design by the flow so proof
-/// memory/search pressure is visible in reports.
+/// SAT proof footprint, carried on every result (zeros when the miter
+/// never ran) and accumulated per design by the flow so proof search
+/// pressure is visible in reports.
 struct ProofStats {
-  std::size_t bddNodes = 0;       // arena nodes at the end of the attempt
-  std::size_t uniqueCapacity = 0; // unique-table slots (occupancy basis)
-  std::uint64_t applyCalls = 0;
-  std::uint64_t uniqueGrowths = 0;
-  // SAT-tier footprint (zeros when the SAT miter never ran).
   std::uint64_t satConflicts = 0;
   std::uint64_t satDecisions = 0;
   std::uint64_t satPropagations = 0;
 
   void accumulate(const ProofStats& o) {
-    bddNodes += o.bddNodes;
-    uniqueCapacity += o.uniqueCapacity;
-    applyCalls += o.applyCalls;
-    uniqueGrowths += o.uniqueGrowths;
     satConflicts += o.satConflicts;
     satDecisions += o.satDecisions;
     satPropagations += o.satPropagations;
-  }
-  /// Arena fill fraction, 0 when no BDD was ever built.
-  double occupancy() const {
-    return uniqueCapacity == 0
-               ? 0.0
-               : static_cast<double>(bddNodes) /
-                     static_cast<double>(uniqueCapacity);
   }
 };
 
@@ -73,23 +55,17 @@ struct EquivOptions {
   unsigned simWords = 4;
   unsigned simRounds = 4;
   std::uint64_t seed = 0x51f0a11ed5ee7ULL;
-  /// BDD-phase budgets; 0 = unlimited (the historical behaviour). When a
-  /// budget trips the checker falls back to fallbackSimRounds extra sweep
-  /// rounds (fresh seed stream) and returns a degraded verdict.
-  std::size_t bddNodeBudget = 0;
-  std::uint64_t bddStepBudget = 0;
+  /// Extra sweep rounds (fresh seed stream) run when a SAT budget trips;
+  /// the verdict is then a degraded screen.
   unsigned fallbackSimRounds = 64;
-  /// SAT miter tier between the sweep and the BDD proof. Runs one CDCL
-  /// query per surviving output pair over a joint AIG; a tripped conflict
-  /// or propagation budget (absolute totals, 0 = unlimited) hands the
-  /// obligation to the BDD tier untouched.
-  bool useSat = true;
+  /// SAT miter budgets: absolute conflict/propagation totals over the
+  /// whole proof, 0 = unlimited.
   std::uint64_t satConflictBudget = std::uint64_t{1} << 22;
   std::uint64_t satPropagationBudget = 0;
 };
 
 /// Width-agnostic counterexample: the shared report format filled by
-/// whichever tier refuted (sim lane, SAT model or BDD witness). Unlike
+/// whichever tier refuted (sim lane or SAT model). Unlike
 /// EquivResult::counterexample this also exists for interfaces wider
 /// than 64 inputs.
 struct CexReport {
@@ -110,15 +86,15 @@ struct EquivResult {
   /// Width-agnostic named-input counterexample, populated by every tier
   /// that refutes with a concrete assignment (including wide mode).
   std::optional<CexReport> cex;
-  /// True when the counterexample came out of the simulation sweep, i.e.
-  /// the BDD phase was never entered.
+  /// True when the counterexample came out of a simulation sweep rather
+  /// than a SAT model.
   bool foundBySimulation = false;
   /// How the verdict was reached, and how much to trust it. A completed
-  /// BDD identity proof or any concrete counterexample has confidence 1;
+  /// SAT proof or any concrete counterexample has confidence 1;
   /// a budget-degraded "equivalent" is a screen, reported with
   /// degraded=true and a confidence strictly below 1 derived from the
   /// number of random patterns that failed to distinguish the designs.
-  EquivMethod method = EquivMethod::Bdd;
+  EquivMethod method = EquivMethod::Sat;
   double confidence = 1.0;
   bool degraded = false;
   ProofStats proof;
@@ -127,22 +103,9 @@ struct EquivResult {
 /// Check that two combinational netlists with identical input/output name
 /// sets compute the same functions. Throws std::invalid_argument if the
 /// interfaces differ or either netlist has registers. Interfaces wider
-/// than 64 inputs are proven the same way (sim sweep + BDD identity), just
+/// than 64 inputs are proven the same way (sim sweep + SAT miter), just
 /// without a compact counterexample.
 EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
                                  const EquivOptions& opts = {});
-
-/// Build BDDs for every node of a combinational netlist; returns one BddRef
-/// per node. `varOfInput` resolves an Input node to its manager variable
-/// index (this is what lets two netlists with differently ordered inputs
-/// share one variable space). Throws on sequential netlists.
-std::vector<logic::BddRef> buildAllBdds(
-    const Netlist& nl, logic::BddManager& mgr,
-    const std::function<unsigned(NodeId)>& varOfInput);
-
-/// Build the BDD of a single output of a combinational netlist; variable i
-/// of the manager corresponds to inputs()[i].
-logic::BddRef outputBdd(const Netlist& nl, logic::BddManager& mgr,
-                        NodeId output);
 
 } // namespace lis::netlist

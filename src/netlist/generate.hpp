@@ -11,8 +11,7 @@
 namespace lis::netlist::gen {
 
 /// Ripple-carry adder: inputs a_i/b_i created interleaved (a_0, b_0, a_1,
-/// ...) so the derived BDD variable order keeps the BDD linear-sized;
-/// outputs s_0..s_{width-1}. `swapOperands` builds adder(b, a) — same
+/// ...); outputs s_0..s_{width-1}. `swapOperands` builds adder(b, a) — same
 /// function, different structure. `corruptMsb` inverts the top sum bit,
 /// producing an inequivalent twin.
 Netlist adder(unsigned width, bool swapOperands = false,

@@ -188,7 +188,7 @@ NodeId Netlist::mkRomBit(std::uint32_t romId, std::uint32_t bit,
                          std::span<const NodeId> addr) {
   if (romId >= roms_.size()) throw std::out_of_range("mkRomBit: bad rom id");
   if (bit >= roms_[romId].width) throw std::out_of_range("mkRomBit: bad bit");
-  // Every evaluator (BitSim, the BDD builder) forms the address in a
+  // Every evaluator (BitSim, the CNF encoder) forms the address in a
   // uint64_t; wider addresses could not select a representable word anyway.
   if (addr.size() > 64) {
     throw std::invalid_argument("mkRomBit: more than 64 address bits");

@@ -3,7 +3,7 @@
 //
 // Every wrapper generator in this repository (one-hot / binary FSM,
 // shift-register, synchronization processor) lowers to this IR; the
-// technology mapper, static timing analyzer, netlist simulator, BDD
+// technology mapper, static timing analyzer, netlist simulator, SAT
 // equivalence checker and structural Verilog emitter all consume it.
 //
 // Node kinds:

@@ -115,7 +115,7 @@ SeqEquivResult checkSeqEquivalence(const Netlist& a, const Netlist& b,
   if (!comb.equivalent) {
     r.detail = "envelope output " + comb.failingOutput + " differs";
   } else if (comb.degraded) {
-    r.detail = "BDD budget exceeded; verdict from simulation screen";
+    r.detail = "SAT budget exceeded; verdict from simulation screen";
   }
   return r;
 }

@@ -39,7 +39,7 @@ struct SeqEquivResult {
   /// EquivResult). Skeleton mismatches are Structural with confidence 1 —
   /// an exact disproof that never touches functions. A budget-degraded
   /// envelope screen reports method=Sim, degraded=true, confidence < 1.
-  EquivMethod method = EquivMethod::Bdd;
+  EquivMethod method = EquivMethod::Sat;
   double confidence = 1.0;
   bool degraded = false;
   ProofStats proof;

@@ -4,7 +4,7 @@
 // One registry per flow::Design collects per-config engine stats (AIG
 // rewrite adoptions, cosim cycles, fault coverage, ...); Registry::global()
 // absorbs process-wide counters flushed by engines that have no design
-// context (BddManager and BitSim destructors, the thread pool). Values are
+// context (Solver and BitSim destructors, the thread pool). Values are
 // doubles throughout: every stat we track is either a count or a ratio, and
 // one type keeps the JSON serialization uniform. All methods are
 // thread-safe; callers on hot paths should accumulate locally and flush

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "aig/bridge.hpp"
+#include "netlist/buses.hpp"
 #include "obs/trace.hpp"
 #include "sat/cnf.hpp"
 
@@ -11,14 +12,9 @@ namespace lis::sat {
 
 namespace {
 
+using netlist::BusBuilder;
 using netlist::Netlist;
 using netlist::NodeId;
-
-unsigned bitsFor(std::uint64_t maxValue) {
-  unsigned w = 1;
-  while ((std::uint64_t{1} << w) <= maxValue) w++;
-  return w;
-}
 
 /// The instrumented netlist: the design plus token counters, the
 /// stall watchdog and three fail outputs.
@@ -113,7 +109,7 @@ Monitor buildMonitor(const Netlist& base, const sync::PortView& ports,
         m.mkAnd(sig(ports.outValid[j]), m.mkNot(ports.outStop[j])));
   }
 
-  const unsigned wc = bitsFor(opts.depth + 1);
+  const unsigned wc = BusBuilder::bitsFor(opts.depth + 1);
   std::vector<std::vector<NodeId>> accCnt, delCnt;
   for (const NodeId a : accepted) accCnt.push_back(counter(a, wc));
   for (const NodeId d : delivered) delCnt.push_back(counter(d, wc));
@@ -157,7 +153,7 @@ Monitor buildMonitor(const Netlist& base, const sync::PortView& ports,
   // environment (offers always held, sink never stalls), which the
   // watchdog unrolling forces.
   const unsigned window = std::max(1u, opts.watchdogWindow);
-  const unsigned ww = bitsFor(window);
+  const unsigned ww = BusBuilder::bitsFor(window);
   std::vector<NodeId> events = accepted;
   events.insert(events.end(), delivered.begin(), delivered.end());
   const NodeId stall = m.mkNot(m.orTree(events));
@@ -181,20 +177,6 @@ struct PropertyRun {
   NodeId failOut;
   bool active = true;
 };
-
-void accumulate(SolverStats& into, const SolverStats& s) {
-  into.conflicts += s.conflicts;
-  into.decisions += s.decisions;
-  into.propagations += s.propagations;
-  into.restarts += s.restarts;
-  into.learnedClauses += s.learnedClauses;
-  into.learnedLits += s.learnedLits;
-  into.minimizedLits += s.minimizedLits;
-  into.deletedClauses += s.deletedClauses;
-  into.solves += s.solves;
-  into.cores += s.cores;
-  into.coreLits += s.coreLits;
-}
 
 /// Unroll `sa` frame by frame, querying each active property's fail
 /// output per frame.
@@ -233,7 +215,7 @@ void runUnrolling(const aig::SequentialAig& sa,
       p.result->degraded = true;
     }
   }
-  accumulate(statsOut, solver.stats());
+  statsOut.accumulate(solver.stats());
 }
 
 } // namespace

@@ -294,7 +294,7 @@ std::vector<aig::Lit> appendCombinational(
       break;
     case netlist::Op::RomBit: {
       // Sum of address minterms; words past what the wired address bits
-      // can select read as 0 (same rule as BitSim/BDD lowering).
+      // can select read as 0 (same rule as BitSim).
       const netlist::Rom& rom = nl.rom(n.romId);
       std::uint64_t depth = rom.words.size();
       if (n.fanin.size() < 64) {

@@ -144,8 +144,8 @@ private:
 /// supplies the AIG literal of each primary input; the returned vector
 /// holds one AIG literal per nl.outputs() entry. DFFs are rejected
 /// (lift sequential designs through aig::fromNetlist instead); RomBits
-/// are expanded into their address-minterm form, matching the BDD
-/// lowering.
+/// are expanded into their address-minterm form, reading words past what
+/// the wired address bits can select as 0, as BitSim does.
 std::vector<aig::Lit> appendCombinational(
     aig::Aig& aig, const netlist::Netlist& nl,
     const std::function<aig::Lit(netlist::NodeId)>& inputLit);

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "aig/bridge.hpp"
+#include "netlist/buses.hpp"
 #include "netlist/netlist_sim.hpp"
 #include "obs/trace.hpp"
 
@@ -15,28 +16,9 @@ namespace lis::sat {
 
 namespace {
 
+using netlist::BusBuilder;
 using netlist::Netlist;
 using netlist::NodeId;
-
-unsigned bitsFor(std::uint64_t maxValue) {
-  unsigned w = 1;
-  while ((std::uint64_t{1} << w) <= maxValue) w++;
-  return w;
-}
-
-void accumulate(SolverStats& into, const SolverStats& s) {
-  into.conflicts += s.conflicts;
-  into.decisions += s.decisions;
-  into.propagations += s.propagations;
-  into.restarts += s.restarts;
-  into.learnedClauses += s.learnedClauses;
-  into.learnedLits += s.learnedLits;
-  into.minimizedLits += s.minimizedLits;
-  into.deletedClauses += s.deletedClauses;
-  into.solves += s.solves;
-  into.cores += s.cores;
-  into.coreLits += s.coreLits;
-}
 
 // ---------------------------------------------------------------------------
 // Unbounded-proof monitor
@@ -73,7 +55,7 @@ Monitor buildUnboundedMonitor(const Netlist& base, const sync::PortView& ports,
   // steps. The occupancy rail sits at o == bound + 2, i.e. acc - del ==
   // bound + 1 — the first cycle the buffer bound is actually exceeded.
   const unsigned rail = bound + 2;
-  const unsigned w = bitsFor(rail);
+  const unsigned w = BusBuilder::bitsFor(rail);
 
   const auto sig = [&](NodeId id) {
     return m.node(id).op == netlist::Op::Output ? m.node(id).fanin[0] : id;
@@ -173,7 +155,7 @@ Monitor buildUnboundedMonitor(const Netlist& base, const sync::PortView& ports,
   // deadlock watchdog: saturating consecutive-stall counter, identical
   // to the BMC monitor's (already finite-state).
   const unsigned window = std::max(1u, watchdogWindow);
-  const unsigned ww = bitsFor(window);
+  const unsigned ww = BusBuilder::bitsFor(window);
   std::vector<NodeId> events;
   for (std::size_t i = 0; i < ports.inValid.size(); i++) {
     events.push_back(
@@ -342,8 +324,8 @@ private:
         decided = true;
       }
     }
-    accumulate(statsOut_, base.stats());
-    accumulate(statsOut_, step.stats());
+    statsOut_.accumulate(base.stats());
+    statsOut_.accumulate(step.stats());
     spentConflicts_ = base.stats().conflicts + step.stats().conflicts;
     spentProps_ = base.stats().propagations + step.stats().propagations;
     return decided;
@@ -474,7 +456,7 @@ private:
     if (!result_.provedUnbounded && result_.method.empty()) {
       result_.method = "pdr";
     }
-    accumulate(statsOut_, solver_->stats());
+    statsOut_.accumulate(solver_->stats());
     solver_ = nullptr;
     tr_ = nullptr;
   }

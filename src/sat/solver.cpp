@@ -6,7 +6,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "logic/bdd.hpp" // logic::ResourceLimitExceeded
 #include "obs/metrics.hpp"
 
 namespace lis::sat {
@@ -559,22 +558,6 @@ Result Solver::solve(std::span<const Lit> assumptions) {
 
 Result Solver::solve(std::initializer_list<Lit> assumptions) {
   return solve(std::span<const Lit>(assumptions.begin(), assumptions.size()));
-}
-
-Result Solver::solveOrThrow(std::span<const Lit> assumptions,
-                            const std::string& where) {
-  const Result r = solve(assumptions);
-  if (r == Result::Unknown && limitHit_) {
-    if (budget_.maxConflicts != 0 && stats_.conflicts >= budget_.maxConflicts) {
-      throw logic::ResourceLimitExceeded(where, "conflict",
-                                         budget_.maxConflicts,
-                                         stats_.conflicts);
-    }
-    throw logic::ResourceLimitExceeded(where, "propagation",
-                                       budget_.maxPropagations,
-                                       stats_.propagations);
-  }
-  return r;
 }
 
 bool Solver::modelValue(Lit l) const {

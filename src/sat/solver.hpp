@@ -18,9 +18,7 @@
 // stats().propagations (0 = unlimited); a per-call allowance is
 // expressed as `setBudget({stats().conflicts + allowance, ...})`. A
 // tripped budget makes solve() return Result::Unknown at top level with
-// all state intact; solveOrThrow() instead raises the existing
-// logic::ResourceLimitExceeded so callers plug into the same tiered
-// fallback machinery the BDD budgets use.
+// all state intact, so the caller decides how to degrade.
 //
 // Determinism: a solve is a pure function of the clause database, the
 // assumption vector and the construction seed (the seed perturbs
@@ -33,7 +31,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -76,6 +73,20 @@ struct SolverStats {
   std::uint64_t solves = 0;
   std::uint64_t cores = 0;    // assumption-UNSAT answers with a final core
   std::uint64_t coreLits = 0; // summed core sizes (mean = coreLits / cores)
+
+  void accumulate(const SolverStats& o) {
+    conflicts += o.conflicts;
+    decisions += o.decisions;
+    propagations += o.propagations;
+    restarts += o.restarts;
+    learnedClauses += o.learnedClauses;
+    learnedLits += o.learnedLits;
+    minimizedLits += o.minimizedLits;
+    deletedClauses += o.deletedClauses;
+    solves += o.solves;
+    cores += o.cores;
+    coreLits += o.coreLits;
+  }
 };
 
 class Solver {
@@ -103,11 +114,6 @@ public:
   Result solve() { return solve(std::span<const Lit>{}); }
   Result solve(std::span<const Lit> assumptions);
   Result solve(std::initializer_list<Lit> assumptions);
-
-  /// solve(), but a tripped budget throws logic::ResourceLimitExceeded
-  /// (resource "conflict" or "propagation", attributed to `where`).
-  Result solveOrThrow(std::span<const Lit> assumptions,
-                      const std::string& where);
 
   /// After Result::Sat: value of `l` in the model (vars the search never
   /// assigned default to false).

@@ -51,7 +51,7 @@ void testInequivalentBysim() {
   const EquivResult res = checkCombEquivalence(a, b);
   CHECK(!res.equivalent);
   // A corrupted sum bit disagrees on ~half of all patterns: the random
-  // sweep must catch it long before any BDD exists.
+  // sweep must catch it before the SAT miter is ever built.
   CHECK(res.foundBySimulation);
   verifyCounterexample(a, b, res);
 }
@@ -68,10 +68,10 @@ void testRomEquivalence() {
   verifyCounterexample(rom, bad, neq);
 }
 
-void testBddFallbackCatchesNeedle() {
+void testSatCatchesNeedle() {
   // f = AND of 24 inputs vs. constant 0: the two differ on exactly one of
   // 2^24 assignments, which the 4096-pattern random sweep (deterministic
-  // seed) does not hit — the BDD phase must find the needle.
+  // seed) does not hit — the SAT miter must find the needle.
   Netlist a("needle_and");
   std::vector<NodeId> ins;
   for (unsigned i = 0; i < 24; ++i) {
@@ -88,6 +88,7 @@ void testBddFallbackCatchesNeedle() {
   const EquivResult res = checkCombEquivalence(a, b);
   CHECK(!res.equivalent);
   CHECK(!res.foundBySimulation);
+  CHECK(res.method == EquivMethod::Sat);
   CHECK(res.counterexample.has_value());
   CHECK_EQ(res.counterexample.value_or(0), 0xffffffull);
   verifyCounterexample(a, b, res);
@@ -95,7 +96,8 @@ void testBddFallbackCatchesNeedle() {
 
 void testRomUnreachableWords() {
   // A ROM deeper than its wired address bits can select: the unreachable
-  // words must not leak into the BDD phase (the simulators read them as 0).
+  // words must not leak into the SAT encoding (the simulators read them
+  // as 0).
   Netlist a("rom_overdeep");
   const NodeId a0 = a.addInput("addr_0");
   const NodeId a1 = a.addInput("addr_1");
@@ -148,17 +150,6 @@ void testInterfaceAndSequentialThrows() {
   CHECK_THROWS(checkCombEquivalence(seq, seq), std::invalid_argument);
 }
 
-void testOutputBdd() {
-  Netlist nl("xor2");
-  const NodeId a = nl.addInput("a");
-  const NodeId b = nl.addInput("b");
-  const NodeId o = nl.addOutput("o", nl.mkXor(a, b));
-
-  lis::logic::BddManager mgr(2);
-  const lis::logic::BddRef f = outputBdd(nl, mgr, o);
-  CHECK_EQ(f, mgr.bddXor(mgr.var(0), mgr.var(1)));
-}
-
 } // namespace
 
 int main() {
@@ -167,8 +158,7 @@ int main() {
   testRomEquivalence();
   testRomUnreachableWords();
   testWideInterfaces();
-  testBddFallbackCatchesNeedle();
+  testSatCatchesNeedle();
   testInterfaceAndSequentialThrows();
-  testOutputBdd();
   return testExit();
 }

@@ -13,13 +13,13 @@
 #include "lis/synth.hpp"
 #include "lis/system.hpp"
 #include "lis/wrapper.hpp"
-#include "logic/bdd.hpp"
 #include "netlist/bitsim.hpp"
 #include "netlist/equiv.hpp"
 #include "netlist/generate.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/netlist_sim.hpp"
 #include "netlist/seq_equiv.hpp"
+#include "sat/sweep.hpp"
 #include "test_util.hpp"
 
 using lis::netlist::BitSim;
@@ -199,43 +199,17 @@ void testStallBurstRecovers() {
   CHECK(r.outcome == fault::Outcome::Recovered);
 }
 
-void testBddBudgetThrows() {
-  // Driving a BddManager past its node budget raises a structured
-  // ResourceLimitExceeded instead of growing without bound.
-  const Netlist add = gen::adder(16);
-  lis::logic::BddManager mgr(static_cast<unsigned>(add.inputs().size()));
-  lis::logic::BddBudget budget;
-  budget.maxNodes = 32;
-  mgr.setBudget(budget);
-  CHECK_THROWS(lis::netlist::outputBdd(add, mgr, add.outputs().back()),
-               lis::logic::ResourceLimitExceeded);
-
-  // The exception carries which resource tripped and the ceiling.
-  bool caught = false;
-  try {
-    lis::logic::BddManager fresh(
-        static_cast<unsigned>(add.inputs().size()));
-    fresh.setBudget(budget);
-    (void)lis::netlist::outputBdd(add, fresh, add.outputs().back());
-  } catch (const lis::logic::ResourceLimitExceeded& e) {
-    caught = true;
-    CHECK(std::string(e.resource()) == "node");
-    CHECK_EQ(e.limit(), budget.maxNodes);
-    CHECK(e.used() > e.limit());
-  }
-  CHECK(caught);
-}
-
 void testBudgetDegradedVerdictIsSoundAndReported() {
-  // Equivalent pair under a budget the proof cannot fit in: the verdict
-  // degrades to a simulation screen — still "equivalent", but reported as
-  // method=sim / degraded with a confidence strictly below 1, instead of
-  // hanging or erroring out.
+  // Equivalent pair under a SAT budget the proof cannot fit in: the
+  // verdict degrades to a simulation screen — still "equivalent", but
+  // reported as method=sim / degraded with a confidence strictly below 1,
+  // instead of hanging or erroring out. Mux tree vs sum-of-products is
+  // structurally distinct, so the miter really has to search.
   lis::netlist::EquivOptions opts;
-  opts.bddNodeBudget = 128;
-  opts.useSat = false; // this test exercises the BDD budget tier
+  opts.satConflictBudget = 1;
   const lis::netlist::EquivResult eq = lis::netlist::checkCombEquivalence(
-      gen::adder(16), gen::adder(16, /*swapOperands=*/true), opts);
+      gen::muxTree(4, gen::MuxStyle::Tree),
+      gen::muxTree(4, gen::MuxStyle::SumOfProducts), opts);
   CHECK(eq.equivalent);
   CHECK(eq.degraded);
   CHECK(eq.method == lis::netlist::EquivMethod::Sim);
@@ -249,32 +223,23 @@ void testBudgetDegradedVerdictIsSoundAndReported() {
   CHECK(!neq.equivalent);
   CHECK(neq.confidence == 1.0);
   CHECK(!neq.degraded);
-
-  // Unlimited budget, SAT tier off: the same pair proves fully via BDD.
-  lis::netlist::EquivOptions bddOnly;
-  bddOnly.useSat = false;
-  const lis::netlist::EquivResult full = lis::netlist::checkCombEquivalence(
-      gen::adder(16), gen::adder(16, true), bddOnly);
-  CHECK(full.equivalent);
-  CHECK(!full.degraded);
-  CHECK(full.method == lis::netlist::EquivMethod::Bdd);
-  CHECK(full.confidence == 1.0);
-  CHECK(full.proof.bddNodes > 0);
 }
 
 void testSeqEquivBudgetDegrades() {
   // The sequential checker forwards the envelope comparison's degraded
-  // verdict: a wrapper netlist against itself under a starved budget still
-  // reports equivalent, with the degradation provenance visible.
+  // verdict: a wrapper netlist against its SAT-swept twin under a starved
+  // budget still reports equivalent, with the degradation provenance
+  // visible. (A wrapper against itself would strash to one cone and never
+  // touch the solver, so no budget could trip.)
   lsync::WrapperConfig cfg;
   cfg.numInputs = 1;
   cfg.numOutputs = 1;
   const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const lis::sat::NetlistSweepResult swept = lis::sat::sweepNetlist(w.netlist);
   lis::netlist::EquivOptions opts;
-  opts.bddNodeBudget = 64;
-  opts.useSat = false; // exercise the BDD budget tier, not the SAT one
+  opts.satConflictBudget = 1;
   const lis::netlist::SeqEquivResult r =
-      lis::netlist::checkSeqEquivalence(w.netlist, w.netlist, opts);
+      lis::netlist::checkSeqEquivalence(w.netlist, swept.netlist, opts);
   CHECK(r.equivalent);
   CHECK(r.degraded);
   CHECK(r.method == lis::netlist::EquivMethod::Sim);
@@ -343,7 +308,6 @@ int main() {
   testDetectableControlSeu();
   testMaskedFaultIsSilent();
   testStallBurstRecovers();
-  testBddBudgetThrows();
   testBudgetDegradedVerdictIsSoundAndReported();
   testSeqEquivBudgetDegrades();
   testWrapperCampaignCoverage();

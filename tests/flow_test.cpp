@@ -79,9 +79,9 @@ void testWrapperPipelineHappyPath() {
   CHECK(contains(d.reportJson(), "\"area\""));
   CHECK(contains(d.reportJson(), "\"timing\""));
   CHECK(contains(d.reportJson(), "\"cosim\""));
-  // proveEncodingEquiv ran, so the accumulated BDD arena stats surface.
+  // proveEncodingEquiv ran, so the accumulated SAT proof stats surface.
   CHECK(contains(d.reportJson(), "\"proof\""));
-  CHECK(contains(d.reportJson(), "\"occupancy\""));
+  CHECK(contains(d.reportJson(), "\"sat_conflicts\""));
   CHECK(contains(d.verilog(), "module wrapper_n2m2d2_binary"));
   CHECK(contains(d.verilog(), "always @(posedge clk)"));
 
