@@ -3,32 +3,38 @@
 //
 // Measures scalar vs. 64-way bit-parallel simulation throughput on a large
 // generated netlist, end-to-end equivalence-check wall time on adder /
-// mux-tree / ROM pairs, and — through the flow::Pipeline —
-// synthesis/map/STA/proof/cosim numbers for the wrapper configurations,
-// whole-system topologies (chain / fork / join) and the mesh/pipeline
-// scaling sweep (16–100 pearls). The three flow suites run
-// through Pipeline::runMany on a work-stealing pool: `--jobs N` picks the
-// worker count (default 1 = serial), and when N > 1 the suites are re-run
-// serially afterwards so the "sweep" section reports the observed speedup
+// mux-tree / ROM pairs, and — through the flow::Pipeline — every flow
+// suite: the wrapper matrix, the chain / fork / join topologies, the
+// mesh/pipeline scaling sweep (16–100 pearls), their optimize-pipeline
+// twins, fault campaigns and SAT verification. The suites run through
+// Pipeline::runMany on a work-stealing pool: `--jobs N` picks the worker
+// count (default 1 = serial), and when N > 1 the suites are re-run
+// serially afterwards so the "sweep" header reports the observed speedup
 // against `--jobs 1`. All design-derived numbers are deterministic and
 // identical at any job count; `--strip-times` zeroes the wall-clock- and
 // job-count-dependent fields so two runs can be diffed byte-for-byte.
 //
-// Results go to stdout and to a JSON file (first positional arg, default
-// "BENCH_sim.json") so successive PRs can track the numbers; CI gates on
-// the wrapper section via tools/check_bench_regression.py.
+// Every flow design yields one row of "metrics.configs": {suite, design,
+// failed, counters, seconds}. The counters are the design's metrics
+// registry exactly as the passes filled it (area, fmax, control cost,
+// proof verdicts, fault tallies, solver work); "seconds" holds its
+// exclusive stage times and cosim wall. Results go to stdout and to a
+// JSON file (first positional arg, default "BENCH_sim.json") so
+// successive PRs can track the numbers; CI gates the rows with the rule
+// tables of tools/check_bench_regression.py.
 //
 // Observability: spans are always recorded (the utilization numbers are
 // derived from them even without --trace); `--trace out.json` additionally
-// writes the Chrome trace-event JSON. The "metrics" JSON section reports
-// per-config pass counters, process-wide engine counters, pool scheduling
-// stats, and the executor utilization derived from the trace. `--suite
-// quick` runs only the wrapper + fault + sat suites — the cheap smoke set
-// CI traces on every push. `--suite scale` runs only the production-scale
+// writes the Chrome trace-event JSON. Beside the rows, the "metrics" JSON
+// section reports process-wide engine counters, pool scheduling stats,
+// and the executor utilization derived from the trace. `--suite quick`
+// runs only the wrapper + fault + sat suites — the cheap smoke set CI
+// traces on every push. `--suite scale` runs only the production-scale
 // sweep (pipe256/pipe1024/mesh16x16/mesh32x32) under CI's wall-clock
 // ceiling; `--suite full` is everything: all plus scale.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -44,8 +50,6 @@
 #include "flow/executor.hpp"
 #include "flow/pipeline.hpp"
 #include "lis/synth.hpp"
-#include "lis/system.hpp"
-#include "lis/wrapper.hpp"
 #include "netlist/bitsim.hpp"
 #include "netlist/equiv.hpp"
 #include "netlist/generate.hpp"
@@ -166,155 +170,6 @@ std::size_t reportFailures(const std::vector<lis::flow::RunResult>& results) {
   return failed;
 }
 
-// Table-1-style numbers for the wrapper synthesis flow: area (LUT/FF/
-// slice via lutmap), fmax (via STA) and two-level control cost per channel
-// configuration and state encoding.
-struct WrapperBench {
-  bool failed = false; // pipeline failed; only identity fields are valid
-  unsigned inputs = 0;
-  unsigned outputs = 0;
-  unsigned relayDepth = 0;
-  const char* encoding = "";
-  std::size_t gates = 0;
-  std::size_t dffs = 0;
-  std::size_t luts = 0;
-  std::size_t ffs = 0;
-  std::size_t slices = 0;
-  unsigned lutDepth = 0;
-  double fmaxMHz = 0;
-  std::size_t sopCubes = 0;
-  std::size_t sopLiterals = 0;
-  std::uint64_t cosimTokens = 0;
-  double synthSeconds = 0;
-};
-
-WrapperBench wrapperBenchOf(lis::flow::Design& d,
-                            const lis::flow::RunResult& res) {
-  const lis::sync::WrapperConfig& cfg = *d.wrapperConfig();
-  WrapperBench r;
-  r.inputs = cfg.numInputs;
-  r.outputs = cfg.numOutputs;
-  r.relayDepth = cfg.relayDepth;
-  r.encoding = lis::sync::encodingName(cfg.encoding);
-  r.failed = !res.ok;
-  if (r.failed) return r; // artifacts may be missing or half-built
-  const lis::netlist::NetlistStats st = d.netlist().stats();
-  r.gates = st.gates;
-  r.dffs = st.dffs;
-  if (const lis::sync::FsmSynthStats* cs = d.controlStats()) {
-    r.sopCubes = cs->cubesAfter;
-    r.sopLiterals = cs->literalsAfter;
-  }
-  r.luts = d.area().luts;
-  r.ffs = d.area().ffs;
-  r.slices = d.area().slices;
-  r.lutDepth = d.mapped().depth;
-  r.fmaxMHz = d.timing().fmaxMHz;
-  if (const lis::sync::CosimResult* cr = d.cosimResult()) {
-    r.cosimTokens = cr->tokens;
-  }
-  r.synthSeconds = d.stageSeconds("synthesize");
-  return r;
-}
-
-// System-scale numbers: topologies through the same flow, so later PRs can
-// track synthesis cost and area/fmax as networks grow.
-struct SystemBench {
-  bool failed = false; // pipeline failed; only identity fields are valid
-  std::string topology;
-  const char* encoding = "";
-  std::size_t pearls = 0;
-  std::size_t channels = 0;
-  std::size_t relayStations = 0;
-  std::size_t gates = 0;
-  std::size_t dffs = 0;
-  std::size_t luts = 0;
-  std::size_t ffs = 0;
-  std::size_t slices = 0;
-  double fmaxMHz = 0;
-  std::uint64_t cosimCycles = 0;
-  std::uint64_t cosimTokens = 0;
-  double synthSeconds = 0;
-  double mapSeconds = 0;
-  double staSeconds = 0;
-  double cosimSeconds = 0;
-};
-
-SystemBench systemBenchOf(lis::flow::Design& d,
-                          const lis::flow::RunResult& res) {
-  const lis::sync::SystemSpec& spec = *d.systemSpec();
-  SystemBench r;
-  r.topology = spec.name;
-  r.encoding = lis::sync::encodingName(spec.encoding);
-  r.pearls = spec.pearls.size();
-  r.channels = spec.channels.size();
-  r.failed = !res.ok;
-  if (r.failed) return r; // artifacts may be missing or half-built
-  r.relayStations = d.system()->relayStations;
-  const lis::netlist::NetlistStats st = d.netlist().stats();
-  r.gates = st.gates;
-  r.dffs = st.dffs;
-  r.luts = d.area().luts;
-  r.ffs = d.area().ffs;
-  r.slices = d.area().slices;
-  r.fmaxMHz = d.timing().fmaxMHz;
-  if (const lis::sync::CosimResult* cr = d.cosimResult()) {
-    r.cosimCycles = cr->cyclesRun;
-    r.cosimTokens = cr->tokens;
-  }
-  r.synthSeconds = d.stageSeconds("synthesize");
-  r.mapSeconds = d.stageSeconds("map");
-  r.staSeconds = d.stageSeconds("sta");
-  for (const lis::flow::PassRecord& rec : res.records) {
-    if (rec.name == "cosim") r.cosimSeconds += rec.seconds;
-  }
-  return r;
-}
-
-std::string jsonWrapper(const WrapperBench& b) {
-  std::ostringstream os;
-  if (b.failed) {
-    os << "    {\"inputs\": " << b.inputs << ", \"outputs\": " << b.outputs
-       << ", \"relay_depth\": " << b.relayDepth << ", \"encoding\": \""
-       << b.encoding << "\", \"failed\": true}";
-    return os.str();
-  }
-  os << "    {\"inputs\": " << b.inputs << ", \"outputs\": " << b.outputs
-     << ", \"relay_depth\": " << b.relayDepth << ", \"encoding\": \""
-     << b.encoding << "\", \"gates\": " << b.gates << ", \"dffs\": " << b.dffs
-     << ", \"luts\": " << b.luts << ", \"ffs\": " << b.ffs
-     << ", \"slices\": " << b.slices << ", \"lut_depth\": " << b.lutDepth
-     << ", \"fmax_mhz\": " << b.fmaxMHz << ", \"sop_cubes\": " << b.sopCubes
-     << ", \"sop_literals\": " << b.sopLiterals
-     << ", \"cosim_tokens\": " << b.cosimTokens
-     << ", \"synth_seconds\": " << scrub(b.synthSeconds) << "}";
-  return os.str();
-}
-
-std::string jsonSystem(const SystemBench& b) {
-  std::ostringstream os;
-  if (b.failed) {
-    os << "    {\"topology\": \"" << b.topology << "\", \"encoding\": \""
-       << b.encoding << "\", \"pearls\": " << b.pearls
-       << ", \"channels\": " << b.channels << ", \"failed\": true}";
-    return os.str();
-  }
-  os << "    {\"topology\": \"" << b.topology << "\", \"encoding\": \""
-     << b.encoding << "\", \"pearls\": " << b.pearls
-     << ", \"channels\": " << b.channels
-     << ", \"relay_stations\": " << b.relayStations
-     << ", \"gates\": " << b.gates << ", \"dffs\": " << b.dffs
-     << ", \"luts\": " << b.luts << ", \"ffs\": " << b.ffs
-     << ", \"slices\": " << b.slices << ", \"fmax_mhz\": " << b.fmaxMHz
-     << ", \"cosim_cycles\": " << b.cosimCycles
-     << ", \"cosim_tokens\": " << b.cosimTokens
-     << ", \"synth_seconds\": " << scrub(b.synthSeconds)
-     << ", \"map_seconds\": " << scrub(b.mapSeconds)
-     << ", \"sta_seconds\": " << scrub(b.staSeconds)
-     << ", \"cosim_seconds\": " << scrub(b.cosimSeconds) << "}";
-  return os.str();
-}
-
 std::string jsonEquiv(const EquivBench& e) {
   std::ostringstream os;
   os << "    {\"name\": \"" << e.name << "\", \"seconds\": "
@@ -327,101 +182,14 @@ std::string jsonEquiv(const EquivBench& e) {
   return os.str();
 }
 
-// The "opt" section: the same suite, run once through the greedy baseline
-// (the unopt Designs the main sections already hold) and once through the
-// optimize pipeline; entries pair the two by suite index.
-struct OptBench {
-  std::string design;
-  bool failed = false; // either side's pipeline failed
-  std::size_t slicesUnopt = 0;
-  std::size_t slicesOpt = 0;
-  std::size_t lutsUnopt = 0;
-  std::size_t lutsOpt = 0;
-  unsigned depthUnopt = 0;
-  unsigned depthOpt = 0;
-  double fmaxUnopt = 0;
-  double fmaxOpt = 0;
-  std::size_t aigAndsBefore = 0;
-  std::size_t aigAndsAfter = 0;
-  bool equivProved = false;
-  double optimizeSeconds = 0;
-};
-
-OptBench optBenchOf(lis::flow::Design& unopt, lis::flow::Design& opt,
-                    const lis::flow::RunResult& unoptResult,
-                    const lis::flow::RunResult& optResult) {
-  OptBench r;
-  r.design = unopt.name();
-  r.failed = !unoptResult.ok || !optResult.ok;
-  if (r.failed) return r;
-  r.slicesUnopt = unopt.area().slices;
-  r.lutsUnopt = unopt.area().luts;
-  r.depthUnopt = unopt.mapped().depth;
-  r.fmaxUnopt = unopt.timing().fmaxMHz;
-  const lis::techmap::MapOptions mo = lis::bench::optMapOptions();
-  r.slicesOpt = opt.area(mo).slices;
-  r.lutsOpt = opt.area(mo).luts;
-  r.depthOpt = opt.mapped(mo).depth;
-  r.fmaxOpt = opt.timing().fmaxMHz;
-  if (const lis::aig::OptimizeStats* st = opt.optimizeStats()) {
-    r.aigAndsBefore = st->andsBefore;
-    r.aigAndsAfter = st->andsAfter;
-  }
-  for (const lis::flow::PassRecord& rec : optResult.records) {
-    if (rec.name != "optimize-aig") continue;
-    for (const auto& [key, value] : rec.metrics) {
-      if (key == "equiv_proved" && value == 1.0) r.equivProved = true;
-    }
-  }
-  r.optimizeSeconds = opt.stageSeconds("optimize");
-  return r;
-}
-
-std::string jsonOpt(const OptBench& b) {
-  std::ostringstream os;
-  if (b.failed) {
-    os << "    {\"design\": \"" << b.design << "\", \"failed\": true}";
-    return os.str();
-  }
-  os << "    {\"design\": \"" << b.design
-     << "\", \"slices_unopt\": " << b.slicesUnopt
-     << ", \"slices_opt\": " << b.slicesOpt
-     << ", \"luts_unopt\": " << b.lutsUnopt
-     << ", \"luts_opt\": " << b.lutsOpt
-     << ", \"depth_unopt\": " << b.depthUnopt
-     << ", \"depth_opt\": " << b.depthOpt
-     << ", \"fmax_unopt\": " << b.fmaxUnopt
-     << ", \"fmax_opt\": " << b.fmaxOpt
-     << ", \"aig_ands_before\": " << b.aigAndsBefore
-     << ", \"aig_ands_after\": " << b.aigAndsAfter
-     << ", \"equiv_proved\": " << (b.equivProved ? "true" : "false")
-     << ", \"optimize_seconds\": " << scrub(b.optimizeSeconds) << "}";
-  return os.str();
-}
-
-// All flow suites, run back to back on one executor: the three standard
-// sections plus their optimize-pipeline twins. Holding the Designs and
-// RunResults together keeps extraction (and the diagnostics replay) in
-// submission order.
-struct FlowSections {
-  std::vector<lis::flow::Design> wrappers;
-  std::vector<lis::flow::RunResult> wrapperResults;
-  std::vector<lis::flow::Design> systems;
-  std::vector<lis::flow::RunResult> systemResults;
-  std::vector<lis::flow::Design> sweep;
-  std::vector<lis::flow::RunResult> sweepResults;
-  std::vector<lis::flow::Design> scale;
-  std::vector<lis::flow::RunResult> scaleResults;
-  std::vector<lis::flow::Design> wrappersOpt;
-  std::vector<lis::flow::RunResult> wrapperOptResults;
-  std::vector<lis::flow::Design> systemsOpt;
-  std::vector<lis::flow::RunResult> systemOptResults;
-  std::vector<lis::flow::Design> sweepOpt;
-  std::vector<lis::flow::RunResult> sweepOptResults;
-  std::vector<lis::flow::Design> faults;
-  std::vector<lis::flow::RunResult> faultResults;
-  std::vector<lis::flow::Design> sats;
-  std::vector<lis::flow::RunResult> satResults;
+// One flow suite's run: its designs and their results in submission
+// order, plus the counters its stdout lines show (the JSON rows carry all
+// of them).
+struct SuiteRun {
+  const char* suite = "";
+  std::vector<const char*> shown;
+  std::vector<lis::flow::Design> designs;
+  std::vector<lis::flow::RunResult> results;
 };
 
 constexpr std::uint64_t kMatrixCosimCycles = 2000;
@@ -434,275 +202,95 @@ constexpr std::uint64_t kSweepCosimCycles = 3000;
 enum class SuiteMode { Quick, All, Scale, Full };
 
 // The sat suite stays in the smoke set because it is acceptance-gated
-// (check_bench_regression's "sat" checks), although it is the slowest
-// suite: 71 s of wall (135 s busy) at --jobs 4 on a 4-thread Xeon VM,
+// (check_bench_regression's sat rules), although it is the slowest
+// suite: 58 s of wall (118 s busy) at --jobs 4 on a 4-thread Xeon VM,
 // Release build, mostly in the unbounded PDR proofs.
 // Each suite's runMany is wrapped in a "suite"-category span: those
 // windows are what computeUtilization measures.
-FlowSections runFlowSections(lis::flow::Executor& exec, SuiteMode mode) {
-  FlowSections s;
+std::vector<SuiteRun> runFlowSuites(lis::flow::Executor& exec,
+                                    SuiteMode mode) {
+  using lis::flow::Pipeline;
+  const std::vector<const char*> systemKeys = {
+      "synth.pearls", "synth.channels", "map.luts",
+      "map.slices",   "sta.fmax_mhz",   "cosim.tokens"};
+  const std::vector<const char*> optKeys = {
+      "aig.ands_before", "aig.ands_after", "map.slices", "map.lut_depth",
+      "aig.equiv_proved"};
+  std::vector<SuiteRun> runs;
+  const auto run = [&](const char* suite, std::vector<const char*> shown,
+                       std::vector<lis::flow::Design> designs,
+                       Pipeline pipe) {
+    lis::obs::Span span(std::string("suite:") + suite, "suite");
+    SuiteRun& r = runs.emplace_back();
+    r.suite = suite;
+    r.shown = std::move(shown);
+    r.designs = std::move(designs);
+    r.results = pipe.runMany(r.designs, exec);
+  };
   const bool matrix = mode == SuiteMode::All || mode == SuiteMode::Full;
-  lis::flow::Pipeline matrixPipe =
-      lis::bench::standardPasses(kMatrixCosimCycles);
-  lis::flow::Pipeline sweepPipe =
-      lis::bench::standardPasses(kSweepCosimCycles);
-  lis::flow::Pipeline optPipe = lis::bench::optPasses();
   if (mode != SuiteMode::Scale) {
-    lis::obs::Span span("suite:wrapper", "suite");
-    s.wrappers = lis::bench::wrapperSuite();
-    s.wrapperResults = matrixPipe.runMany(s.wrappers, exec);
+    run("wrapper",
+        {"map.luts", "map.slices", "map.lut_depth", "sta.fmax_mhz",
+         "synth.sop_cubes", "synth.sop_literals"},
+        lis::bench::wrapperSuite(),
+        lis::bench::standardPasses(kMatrixCosimCycles));
   }
   if (matrix) {
-    {
-      lis::obs::Span span("suite:system", "suite");
-      s.systems = lis::bench::systemSuite();
-      s.systemResults = matrixPipe.runMany(s.systems, exec);
-    }
-    {
-      lis::obs::Span span("suite:sweep", "suite");
-      s.sweep = lis::bench::sweepSuite();
-      s.sweepResults = sweepPipe.runMany(s.sweep, exec);
-    }
-    {
-      lis::obs::Span span("suite:wrapper_opt", "suite");
-      s.wrappersOpt = lis::bench::wrapperSuite();
-      s.wrapperOptResults = optPipe.runMany(s.wrappersOpt, exec);
-    }
-    {
-      lis::obs::Span span("suite:system_opt", "suite");
-      s.systemsOpt = lis::bench::systemSuite();
-      s.systemOptResults = optPipe.runMany(s.systemsOpt, exec);
-    }
-    {
-      lis::obs::Span span("suite:sweep_opt", "suite");
-      s.sweepOpt = lis::bench::sweepSuite();
-      s.sweepOptResults = optPipe.runMany(s.sweepOpt, exec);
-    }
+    run("system", systemKeys, lis::bench::systemSuite(),
+        lis::bench::standardPasses(kMatrixCosimCycles));
+    run("sweep", systemKeys, lis::bench::sweepSuite(),
+        lis::bench::standardPasses(kSweepCosimCycles));
+    run("wrapper_opt", optKeys, lis::bench::wrapperSuite(),
+        lis::bench::optPasses());
+    run("system_opt", optKeys, lis::bench::systemSuite(),
+        lis::bench::optPasses());
+    run("sweep_opt", optKeys, lis::bench::sweepSuite(),
+        lis::bench::optPasses());
   }
   if (mode == SuiteMode::Scale || mode == SuiteMode::Full) {
-    lis::obs::Span span("suite:scale", "suite");
-    lis::flow::Pipeline scalePipe =
-        lis::bench::standardPasses(lis::bench::kScaleCosimCycles);
-    s.scale = lis::bench::scaleSuite();
-    s.scaleResults = scalePipe.runMany(s.scale, exec);
+    run("scale", systemKeys, lis::bench::scaleSuite(),
+        lis::bench::standardPasses(lis::bench::kScaleCosimCycles));
   }
   if (mode != SuiteMode::Scale) {
-    {
-      lis::obs::Span span("suite:fault", "suite");
-      lis::flow::Pipeline faultPipe = lis::bench::faultPasses();
-      s.faults = lis::bench::faultSuite();
-      s.faultResults = faultPipe.runMany(s.faults, exec);
-    }
-    {
-      lis::obs::Span span("suite:sat", "suite");
-      lis::flow::Pipeline satPipe = lis::bench::satPasses();
-      s.sats = lis::bench::satSuite();
-      s.satResults = satPipe.runMany(s.sats, exec);
-    }
+    run("fault",
+        {"fault.sites", "fault.detected", "fault.recovered", "fault.silent",
+         "fault.hang", "fault.control_seu_coverage"},
+        lis::bench::faultSuite(), lis::bench::faultPasses());
+    run("sat",
+        {"sweep.proved", "sweep.candidates", "bmc.depth", "pdr.all_proved",
+         "pdr.frames", "sat.conflicts"},
+        lis::bench::satSuite(), lis::bench::satPasses());
+  }
+  return runs;
+}
+
+// A row's "seconds": the design's *exclusive* artifact-stage times (see
+// Design::stageSeconds), so they add up to roughly its pipeline time,
+// plus the wall of its cosim pass — a pass, not an artifact build.
+constexpr std::array<const char*, 5> kStageNames = {
+    "synthesize", "optimize", "map", "sta", "cosim"};
+using StageSeconds = std::array<double, kStageNames.size()>;
+
+StageSeconds stageSecondsOf(const lis::flow::Design& d,
+                            const lis::flow::RunResult& res) {
+  StageSeconds s{};
+  for (std::size_t k = 0; k + 1 < s.size(); ++k) {
+    s[k] = d.stageSeconds(kStageNames[k]);
+  }
+  for (const lis::flow::PassRecord& rec : res.records) {
+    if (rec.name == "cosim") s.back() += rec.seconds;
   }
   return s;
 }
 
-// Aggregate per-stage walls across the scaling-sweep designs (sweep +
-// scale rows): where the pipeline actually spends its time, stage by
-// stage. Summed *exclusive* stage seconds (see Design::stageSeconds), so
-// the stages add up to roughly the designs' total pipeline time. "cosim"
-// comes from the pass records — it is a pass, not an artifact build.
-struct StageWalls {
-  double synthesize = 0;
-  double optimize = 0;
-  double map = 0;
-  double sta = 0;
-  double cosim = 0;
-};
-
-void accumulateStageWalls(StageWalls& w,
-                          std::vector<lis::flow::Design>& designs,
-                          const std::vector<lis::flow::RunResult>& results) {
-  for (std::size_t i = 0; i < designs.size(); ++i) {
-    lis::flow::Design& d = designs[i];
-    w.synthesize += d.stageSeconds("synthesize");
-    w.optimize += d.stageSeconds("optimize");
-    w.map += d.stageSeconds("map");
-    w.sta += d.stageSeconds("sta");
-    for (const lis::flow::PassRecord& rec : results[i].records) {
-      if (rec.name == "cosim") w.cosim += rec.seconds;
-    }
-  }
-}
-
-// The fault section: seeded injection-campaign tallies per robustness-
-// suite design (see bench::faultSuite / fault::runCampaign).
-struct FaultBench {
-  std::string design;
-  bool failed = false;
-  std::size_t sites = 0;
-  std::size_t detected = 0;
-  std::size_t recovered = 0;
-  std::size_t silent = 0;
-  std::size_t hang = 0;
-  double coverage = 0;
-  std::size_t controlSeuSites = 0;
-  double controlSeuCoverage = 0;
-};
-
-FaultBench faultBenchOf(lis::flow::Design& d,
-                        const lis::flow::RunResult& res) {
-  FaultBench r;
-  r.design = d.name();
-  r.failed = !res.ok;
-  const lis::fault::CampaignResult* f = d.faultResult();
-  if (f == nullptr) {
-    r.failed = true;
-    return r;
-  }
-  r.sites = f->all.total();
-  r.detected = f->all.detected;
-  r.recovered = f->all.recovered;
-  r.silent = f->all.silent;
-  r.hang = f->all.hang;
-  r.coverage = f->all.coverage();
-  r.controlSeuSites = f->controlSeu.total();
-  r.controlSeuCoverage = f->controlSeu.coverage();
-  return r;
-}
-
-std::string jsonFault(const FaultBench& b) {
+std::string jsonSeconds(const StageSeconds& s) {
   std::ostringstream os;
-  if (b.failed) {
-    os << "    {\"design\": \"" << b.design << "\", \"failed\": true}";
-    return os.str();
+  os << "{";
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    os << (k == 0 ? "\"" : ", \"") << kStageNames[k]
+       << "\": " << scrub(s[k]);
   }
-  os << "    {\"design\": \"" << b.design << "\", \"sites\": " << b.sites
-     << ", \"detected\": " << b.detected
-     << ", \"recovered\": " << b.recovered << ", \"silent\": " << b.silent
-     << ", \"hang\": " << b.hang << ", \"coverage\": " << b.coverage
-     << ", \"control_seu_sites\": " << b.controlSeuSites
-     << ", \"control_seu_coverage\": " << b.controlSeuCoverage << "}";
-  return os.str();
-}
-
-// The sat section: per-design SAT-sweep tallies, the sweep soundness
-// proof's method/verdict, the BMC protocol-invariant verdicts at
-// bench::kSatBmcDepth, and the unbounded (k-induction/PDR) verdicts
-// (see bench::satSuite / bench::satPasses).
-struct SatBench {
-  std::string design;
-  bool failed = false;
-  std::size_t sweepCandidates = 0;
-  std::size_t sweepProved = 0;
-  std::size_t sweepRefuted = 0;
-  std::size_t sweepUndecided = 0;
-  std::size_t aigAndsBefore = 0;
-  std::size_t aigAndsAfter = 0;
-  std::string equivMethod = "none";
-  bool equivProved = false;
-  unsigned bmcDepth = 0;
-  bool bmcDegraded = false;
-  bool tokenConservationOk = false;
-  bool occupancyBoundOk = false;
-  bool deadlockWatchdogOk = false;
-  bool provedUnbounded = false; // every property, for all time
-  bool pdrDegraded = false;
-  unsigned inductionK = 0;
-  unsigned pdrFrames = 0;
-  unsigned pdrClauses = 0;
-  bool tokenConservationProved = false;
-  bool occupancyBoundProved = false;
-  bool deadlockWatchdogProved = false;
-  std::uint64_t satConflicts = 0;
-  std::uint64_t satDecisions = 0;
-  std::uint64_t satPropagations = 0;
-};
-
-SatBench satBenchOf(lis::flow::Design& d, const lis::flow::RunResult& res) {
-  SatBench r;
-  r.design = d.name();
-  r.failed = !res.ok;
-  const lis::sat::NetlistSweepResult* sw = d.sweepResult();
-  const lis::sat::BmcResult* bmc = d.bmcResult();
-  const lis::sat::PdrResult* pdr = d.pdrResult();
-  if (sw == nullptr || bmc == nullptr || pdr == nullptr) {
-    r.failed = true;
-    return r;
-  }
-  r.sweepCandidates = sw->stats.candidates;
-  r.sweepProved = sw->stats.proved;
-  r.sweepRefuted = sw->stats.refuted;
-  r.sweepUndecided = sw->stats.undecided;
-  r.aigAndsBefore = sw->stats.andsBefore;
-  r.aigAndsAfter = sw->stats.andsAfter;
-  // The sweep pass records the soundness proof's verdict in its pass
-  // metrics and the method (numeric enum) in the design registry.
-  for (const lis::flow::PassRecord& rec : res.records) {
-    if (rec.name != "sat-sweep") continue;
-    for (const auto& [key, value] : rec.metrics) {
-      if (key == "equiv_proved" && value == 1.0) r.equivProved = true;
-    }
-  }
-  r.equivMethod = lis::netlist::equivMethodName(
-      static_cast<lis::netlist::EquivMethod>(static_cast<unsigned>(
-          d.metrics().value("sweep.equiv_method"))));
-  r.bmcDepth = bmc->minDepthReached();
-  r.bmcDegraded = bmc->anyDegraded();
-  for (const lis::sat::BmcPropertyResult& p : bmc->properties) {
-    const bool ok = !p.violated;
-    if (p.name == "token_conservation") r.tokenConservationOk = ok;
-    if (p.name == "occupancy_bound") r.occupancyBoundOk = ok;
-    if (p.name == "deadlock_watchdog") r.deadlockWatchdogOk = ok;
-  }
-  r.provedUnbounded = pdr->allProved();
-  r.pdrDegraded = pdr->anyDegraded();
-  r.inductionK = pdr->maxInductionK();
-  r.pdrFrames = pdr->totalFrames();
-  r.pdrClauses = pdr->totalClauses();
-  for (const lis::sat::PdrPropertyResult& p : pdr->properties) {
-    const bool proved = p.provedUnbounded;
-    if (p.name == "token_conservation") r.tokenConservationProved = proved;
-    if (p.name == "occupancy_bound") r.occupancyBoundProved = proved;
-    if (p.name == "deadlock_watchdog") r.deadlockWatchdogProved = proved;
-  }
-  r.satConflicts =
-      static_cast<std::uint64_t>(d.metrics().value("sat.conflicts"));
-  r.satDecisions =
-      static_cast<std::uint64_t>(d.metrics().value("sat.decisions"));
-  r.satPropagations =
-      static_cast<std::uint64_t>(d.metrics().value("sat.propagations"));
-  return r;
-}
-
-std::string jsonSat(const SatBench& b) {
-  std::ostringstream os;
-  if (b.failed) {
-    os << "    {\"design\": \"" << b.design << "\", \"failed\": true}";
-    return os.str();
-  }
-  const auto flag = [](bool v) { return v ? "true" : "false"; };
-  os << "    {\"design\": \"" << b.design
-     << "\", \"sweep_candidates\": " << b.sweepCandidates
-     << ", \"sweep_proved\": " << b.sweepProved
-     << ", \"sweep_refuted\": " << b.sweepRefuted
-     << ", \"sweep_undecided\": " << b.sweepUndecided
-     << ", \"aig_ands_before\": " << b.aigAndsBefore
-     << ", \"aig_ands_after\": " << b.aigAndsAfter
-     << ", \"equiv_method\": \"" << b.equivMethod
-     << "\", \"equiv_proved\": " << flag(b.equivProved)
-     << ", \"bmc_depth\": " << b.bmcDepth
-     << ", \"bmc_degraded\": " << flag(b.bmcDegraded)
-     << ", \"token_conservation_ok\": " << flag(b.tokenConservationOk)
-     << ", \"occupancy_bound_ok\": " << flag(b.occupancyBoundOk)
-     << ", \"deadlock_watchdog_ok\": " << flag(b.deadlockWatchdogOk)
-     << ", \"proved_unbounded\": " << flag(b.provedUnbounded)
-     << ", \"pdr_degraded\": " << flag(b.pdrDegraded)
-     << ", \"induction_k\": " << b.inductionK
-     << ", \"pdr_frames\": " << b.pdrFrames
-     << ", \"pdr_clauses\": " << b.pdrClauses
-     << ", \"token_conservation_proved\": " << flag(b.tokenConservationProved)
-     << ", \"occupancy_bound_proved\": " << flag(b.occupancyBoundProved)
-     << ", \"deadlock_watchdog_proved\": " << flag(b.deadlockWatchdogProved)
-     << ", \"sat_conflicts\": " << b.satConflicts
-     << ", \"sat_decisions\": " << b.satDecisions
-     << ", \"sat_propagations\": " << b.satPropagations << "}";
+  os << "}";
   return os.str();
 }
 
@@ -794,10 +382,10 @@ int main(int argc, char** argv) {
                 e.foundBySimulation ? 1 : 0);
   }
 
-  // The flow suites: wrapper matrix + system topologies + scaling sweep,
-  // scheduled across the pool. When parallel, a serial re-run afterwards
-  // yields the observed speedup vs --jobs 1 (fresh Designs each time — the
-  // artifact caches would otherwise turn the re-run into a no-op).
+  // The flow suites, scheduled across the pool. When parallel, a serial
+  // re-run afterwards yields the observed speedup vs --jobs 1 (fresh
+  // Designs each time — the artifact caches would otherwise turn the
+  // re-run into a no-op).
   // Engine counters from here on belong to the flow suites: the
   // microbenches above already flushed their engines' lifetime totals into
   // the global registry, and their numbers are reported in their own
@@ -808,19 +396,13 @@ int main(int argc, char** argv) {
   // minimized covers for free and overstate the speedup.
   lis::sync::synthCacheClear();
   lis::flow::Executor exec(jobs);
-  FlowSections sections;
+  std::vector<SuiteRun> runs;
   const double flowWall =
-      secondsOf([&] { sections = runFlowSections(exec, suiteMode); });
+      secondsOf([&] { runs = runFlowSuites(exec, suiteMode); });
   std::size_t failedConfigs = 0;
-  failedConfigs += reportFailures(sections.wrapperResults);
-  failedConfigs += reportFailures(sections.systemResults);
-  failedConfigs += reportFailures(sections.sweepResults);
-  failedConfigs += reportFailures(sections.scaleResults);
-  failedConfigs += reportFailures(sections.wrapperOptResults);
-  failedConfigs += reportFailures(sections.systemOptResults);
-  failedConfigs += reportFailures(sections.sweepOptResults);
-  failedConfigs += reportFailures(sections.faultResults);
-  failedConfigs += reportFailures(sections.satResults);
+  for (const SuiteRun& run : runs) {
+    failedConfigs += reportFailures(run.results);
+  }
 
   // Snapshot trace, engine counters and pool stats before the serial
   // re-run below: its duplicated work must pollute neither the exported
@@ -840,9 +422,9 @@ int main(int argc, char** argv) {
     lis::obs::Tracer::instance().suspend();
     lis::sync::synthCacheClear(); // cold cache, same as the measured run
     lis::flow::Executor serial(1);
-    FlowSections serialSections;
-    serialWall = secondsOf(
-        [&] { serialSections = runFlowSections(serial, suiteMode); });
+    std::vector<SuiteRun> serialRuns;
+    serialWall =
+        secondsOf([&] { serialRuns = runFlowSuites(serial, suiteMode); });
     lis::obs::Tracer::instance().resume();
   }
   const double flowSpeedup = flowWall > 0 ? serialWall / flowWall : 1.0;
@@ -857,153 +439,39 @@ int main(int argc, char** argv) {
   }
   const unsigned hardwareThreads = std::thread::hardware_concurrency();
 
-  std::vector<WrapperBench> wrappers;
-  for (std::size_t i = 0; i < sections.wrappers.size(); ++i) {
-    wrappers.push_back(
-        wrapperBenchOf(sections.wrappers[i], sections.wrapperResults[i]));
-  }
-  for (const WrapperBench& b : wrappers) {
-    if (b.failed) {
-      std::printf("wrapper %ux%u d%u %-6s FAILED\n", b.inputs, b.outputs,
-                  b.relayDepth, b.encoding);
-      continue;
-    }
-    std::printf("wrapper %ux%u d%u %-6s %4zu LUT %4zu FF %4zu slices "
-                "depth %u fmax %.1f MHz (%zu cubes, %zu literals, %.3fs)\n",
-                b.inputs, b.outputs, b.relayDepth, b.encoding, b.luts, b.ffs,
-                b.slices, b.lutDepth, b.fmaxMHz, b.sopCubes, b.sopLiterals,
-                scrub(b.synthSeconds));
-  }
-
-  std::vector<SystemBench> systems;
-  for (std::size_t i = 0; i < sections.systems.size(); ++i) {
-    systems.push_back(
-        systemBenchOf(sections.systems[i], sections.systemResults[i]));
-  }
-  std::vector<SystemBench> sweep;
-  for (std::size_t i = 0; i < sections.sweep.size(); ++i) {
-    sweep.push_back(
-        systemBenchOf(sections.sweep[i], sections.sweepResults[i]));
-  }
-  std::vector<SystemBench> scaleRows;
-  for (std::size_t i = 0; i < sections.scale.size(); ++i) {
-    scaleRows.push_back(
-        systemBenchOf(sections.scale[i], sections.scaleResults[i]));
-  }
-  StageWalls stageWalls;
-  accumulateStageWalls(stageWalls, sections.sweep, sections.sweepResults);
-  accumulateStageWalls(stageWalls, sections.scale, sections.scaleResults);
-  for (const SystemBench& b : systems) {
-    if (b.failed) {
-      std::printf("system %-12s %-6s FAILED\n", b.topology.c_str(),
-                  b.encoding);
-      continue;
-    }
-    std::printf("system %-12s %-6s %zu pearls %4zu LUT %4zu FF %4zu slices "
-                "fmax %.1f MHz (synth %.3fs, map %.3fs, sta %.3fs)\n",
-                b.topology.c_str(), b.encoding, b.pearls, b.luts, b.ffs,
-                b.slices, b.fmaxMHz, scrub(b.synthSeconds),
-                scrub(b.mapSeconds), scrub(b.staSeconds));
-  }
-  for (const std::vector<SystemBench>* rows : {&sweep, &scaleRows}) {
-    const char* label = rows == &sweep ? "sweep " : "scale ";
-    for (const SystemBench& b : *rows) {
-      if (b.failed) {
-        std::printf("%s %-12s FAILED\n", label, b.topology.c_str());
-        continue;
-      }
-      std::printf("%s %-12s %4zu pearls %4zu chans %6zu LUT %6zu slices "
-                  "fmax %.1f MHz (synth %.3fs, map %.3fs, cosim %.3fs, "
-                  "%llu tokens)\n",
-                  label, b.topology.c_str(), b.pearls, b.channels, b.luts,
-                  b.slices, b.fmaxMHz, scrub(b.synthSeconds),
-                  scrub(b.mapSeconds), scrub(b.cosimSeconds),
-                  static_cast<unsigned long long>(b.cosimTokens));
-    }
-  }
-
-  // The optimization comparison: every suite design once more through
-  // optimize-aig + iterated mapping, paired with its greedy twin above.
-  auto extractOpt =
-      [](std::vector<lis::flow::Design>& unopt,
-         const std::vector<lis::flow::RunResult>& unoptResults,
-         std::vector<lis::flow::Design>& opt,
-         const std::vector<lis::flow::RunResult>& optResults) {
-        std::vector<OptBench> rows;
-        // --suite quick leaves the opt twins empty while the base suite
-        // ran: emit no rows rather than index past the shorter vector.
-        for (std::size_t i = 0; i < unopt.size() && i < opt.size(); ++i) {
-          rows.push_back(
-              optBenchOf(unopt[i], opt[i], unoptResults[i], optResults[i]));
+  // One row per design: stdout shows the suite's chosen counters, the
+  // JSON carries the whole registry. The scaling-sweep rows (sweep +
+  // scale) also sum into the sweep header's stage_walls.
+  std::ostringstream rows;
+  bool firstRow = true;
+  StageSeconds stageWalls{};
+  for (const SuiteRun& run : runs) {
+    const bool scaling = std::strcmp(run.suite, "sweep") == 0 ||
+                         std::strcmp(run.suite, "scale") == 0;
+    for (std::size_t i = 0; i < run.designs.size(); ++i) {
+      const lis::flow::Design& d = run.designs[i];
+      const bool failed = !run.results[i].ok;
+      const StageSeconds seconds = stageSecondsOf(d, run.results[i]);
+      if (scaling) {
+        for (std::size_t k = 0; k < seconds.size(); ++k) {
+          stageWalls[k] += seconds[k];
         }
-        return rows;
-      };
-  std::vector<OptBench> optWrappers =
-      extractOpt(sections.wrappers, sections.wrapperResults,
-                 sections.wrappersOpt, sections.wrapperOptResults);
-  std::vector<OptBench> optSystems =
-      extractOpt(sections.systems, sections.systemResults,
-                 sections.systemsOpt, sections.systemOptResults);
-  std::vector<OptBench> optSweep =
-      extractOpt(sections.sweep, sections.sweepResults, sections.sweepOpt,
-                 sections.sweepOptResults);
-  for (const std::vector<OptBench>* rows :
-       {&optWrappers, &optSystems, &optSweep}) {
-    for (const OptBench& b : *rows) {
-      if (b.failed) {
-        std::printf("opt    %-22s FAILED\n", b.design.c_str());
-        continue;
       }
-      std::printf("opt    %-22s %4zu -> %4zu slices, depth %2u -> %2u, "
-                  "aig %5zu -> %5zu, %s\n",
-                  b.design.c_str(), b.slicesUnopt, b.slicesOpt, b.depthUnopt,
-                  b.depthOpt, b.aigAndsBefore, b.aigAndsAfter,
-                  b.equivProved ? "proved" : "UNPROVED");
+      std::printf("%-11s %-22s", run.suite, d.name().c_str());
+      if (failed) std::printf(" FAILED");
+      for (const char* key : run.shown) {
+        if (failed) break;
+        std::printf(" %s=%s", key,
+                    lis::obs::formatValue(d.metrics().value(key)).c_str());
+      }
+      std::printf("\n");
+      rows << (firstRow ? "\n" : ",\n") << "      {\"suite\": \""
+           << run.suite << "\", \"design\": \"" << d.name()
+           << "\", \"failed\": " << (failed ? "true" : "false")
+           << ", \"counters\": " << d.metrics().json()
+           << ", \"seconds\": " << jsonSeconds(seconds) << "}";
+      firstRow = false;
     }
-  }
-
-  std::vector<FaultBench> faults;
-  for (std::size_t i = 0; i < sections.faults.size(); ++i) {
-    faults.push_back(
-        faultBenchOf(sections.faults[i], sections.faultResults[i]));
-  }
-  for (const FaultBench& b : faults) {
-    if (b.failed) {
-      std::printf("fault  %-22s FAILED\n", b.design.c_str());
-      continue;
-    }
-    std::printf("fault  %-22s %3zu sites: %3zu det %3zu rec %2zu silent "
-                "%2zu hang, coverage %.3f (ctrl-SEU %.3f over %zu)\n",
-                b.design.c_str(), b.sites, b.detected, b.recovered,
-                b.silent, b.hang, b.coverage, b.controlSeuCoverage,
-                b.controlSeuSites);
-  }
-
-  std::vector<SatBench> sats;
-  for (std::size_t i = 0; i < sections.sats.size(); ++i) {
-    sats.push_back(satBenchOf(sections.sats[i], sections.satResults[i]));
-  }
-  for (const SatBench& b : sats) {
-    if (b.failed) {
-      std::printf("sat    %-22s FAILED\n", b.design.c_str());
-      continue;
-    }
-    std::printf("sat    %-22s sweep %2zu/%2zu merged (aig %4zu -> %4zu), "
-                "%s %s, bmc depth %2u %s, %s (k=%u, %u frames, "
-                "%u clauses) (%llu conflicts, %llu propagations)\n",
-                b.design.c_str(), b.sweepProved, b.sweepCandidates,
-                b.aigAndsBefore, b.aigAndsAfter, b.equivMethod.c_str(),
-                b.equivProved ? "proved" : "UNPROVED", b.bmcDepth,
-                b.tokenConservationOk && b.occupancyBoundOk &&
-                        b.deadlockWatchdogOk
-                    ? "clean"
-                    : "VIOLATED",
-                b.provedUnbounded
-                    ? "unbounded"
-                    : (b.pdrDegraded ? "DEGRADED" : "UNPROVED"),
-                b.inductionK, b.pdrFrames, b.pdrClauses,
-                static_cast<unsigned long long>(b.satConflicts),
-                static_cast<unsigned long long>(b.satPropagations));
   }
   if (gStripTimes) {
     std::printf("flow suites: 0.000s\n"); // job count and walls scrubbed
@@ -1046,77 +514,13 @@ int main(int argc, char** argv) {
     js << jsonEquiv(equivs[i]) << (i + 1 < equivs.size() ? ",\n" : "\n");
   }
   js << "  ],\n"
-     << "  \"wrapper\": [\n";
-  for (std::size_t i = 0; i < wrappers.size(); ++i) {
-    js << jsonWrapper(wrappers[i]) << (i + 1 < wrappers.size() ? ",\n" : "\n");
-  }
-  js << "  ],\n"
-     << "  \"system\": [\n";
-  for (std::size_t i = 0; i < systems.size(); ++i) {
-    js << jsonSystem(systems[i]) << (i + 1 < systems.size() ? ",\n" : "\n");
-  }
-  js << "  ],\n"
-     << "  \"opt\": {\n"
-     << "    \"effort\": " << lis::bench::kOptEffort << ",\n"
-     << "    \"map_rounds\": " << lis::bench::kOptMapRounds << ",\n";
-  const auto emitOptRows = [&js](const char* key,
-                                 const std::vector<OptBench>& rows,
-                                 bool last) {
-    js << "    \"" << key << "\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      js << "  " << jsonOpt(rows[i]) << (i + 1 < rows.size() ? ",\n" : "\n");
-    }
-    js << "    ]" << (last ? "\n" : ",\n");
-  };
-  emitOptRows("wrapper", optWrappers, false);
-  emitOptRows("system", optSystems, false);
-  emitOptRows("sweep", optSweep, true);
-  js << "  },\n"
-     << "  \"fault\": {\n"
-     << "    \"inject_cycles\": "
-     << lis::bench::faultCampaignOptions().inject.cycles << ",\n"
-     << "    \"entries\": [\n";
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    js << jsonFault(faults[i]) << (i + 1 < faults.size() ? ",\n" : "\n");
-  }
-  js << "    ]\n"
-     << "  },\n"
-     << "  \"sat\": {\n"
-     << "    \"bmc_depth\": " << lis::bench::kSatBmcDepth << ",\n"
-     << "    \"entries\": [\n";
-  for (std::size_t i = 0; i < sats.size(); ++i) {
-    js << jsonSat(sats[i]) << (i + 1 < sats.size() ? ",\n" : "\n");
-  }
-  js << "    ]\n"
-     << "  },\n"
+     << "  \"settings\": {\"opt_effort\": " << lis::bench::kOptEffort
+     << ", \"opt_map_rounds\": " << lis::bench::kOptMapRounds
+     << ", \"fault_inject_cycles\": "
+     << lis::bench::faultCampaignOptions().inject.cycles
+     << ", \"sat_bmc_depth\": " << lis::bench::kSatBmcDepth << "},\n"
      << "  \"metrics\": {\n"
-     << "    \"configs\": [";
-  bool firstConfig = true;
-  const auto emitConfigRows =
-      [&js, &firstConfig](const char* suite,
-                          std::vector<lis::flow::Design>& designs,
-                          const std::vector<lis::flow::RunResult>& results) {
-        for (std::size_t i = 0; i < designs.size(); ++i) {
-          js << (firstConfig ? "\n" : ",\n");
-          firstConfig = false;
-          js << "      {\"suite\": \"" << suite << "\", \"design\": \""
-             << designs[i].name() << "\"";
-          if (!results[i].ok) js << ", \"failed\": true";
-          js << ", \"counters\": " << designs[i].metrics().json() << "}";
-        }
-      };
-  emitConfigRows("wrapper", sections.wrappers, sections.wrapperResults);
-  emitConfigRows("system", sections.systems, sections.systemResults);
-  emitConfigRows("sweep", sections.sweep, sections.sweepResults);
-  emitConfigRows("scale", sections.scale, sections.scaleResults);
-  emitConfigRows("wrapper_opt", sections.wrappersOpt,
-                 sections.wrapperOptResults);
-  emitConfigRows("system_opt", sections.systemsOpt,
-                 sections.systemOptResults);
-  emitConfigRows("sweep_opt", sections.sweepOpt, sections.sweepOptResults);
-  emitConfigRows("fault", sections.faults, sections.faultResults);
-  emitConfigRows("sat", sections.sats, sections.satResults);
-  js << "\n    ],\n"
+     << "    \"configs\": [" << rows.str() << "\n    ],\n"
      << "    \"engine\": " << engineJson << ",\n"
      << "    \"pool\": {\"workers\": " << scrub(pool.workers)
      << ", \"runs\": " << scrub(static_cast<double>(pool.runs))
@@ -1157,22 +561,7 @@ int main(int argc, char** argv) {
      << "    \"serial_wall_seconds\": " << scrub(serialWall) << ",\n"
      << "    \"speedup_vs_jobs1\": " << scrub(flowSpeedup) << ",\n"
      << "    \"serial_fraction_est\": " << scrub(serialFraction) << ",\n"
-     << "    \"stage_walls\": {\"synthesize\": " << scrub(stageWalls.synthesize)
-     << ", \"optimize\": " << scrub(stageWalls.optimize)
-     << ", \"map\": " << scrub(stageWalls.map)
-     << ", \"sta\": " << scrub(stageWalls.sta)
-     << ", \"cosim\": " << scrub(stageWalls.cosim) << "},\n"
-     << "    \"entries\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    js << "  " << jsonSystem(sweep[i]) << (i + 1 < sweep.size() ? ",\n" : "\n");
-  }
-  js << "    ],\n"
-     << "    \"scale_entries\": [\n";
-  for (std::size_t i = 0; i < scaleRows.size(); ++i) {
-    js << "  " << jsonSystem(scaleRows[i])
-       << (i + 1 < scaleRows.size() ? ",\n" : "\n");
-  }
-  js << "    ]\n"
+     << "    \"stage_walls\": " << jsonSeconds(stageWalls) << "\n"
      << "  }\n}\n";
 
   std::ofstream out(outPath);

@@ -129,7 +129,7 @@ inline std::vector<flow::Design> faultSuite() {
   return designs;
 }
 
-/// Campaign shape for the bench's fault section: 32 control-register SEUs
+/// Campaign shape for the bench's fault suite: 32 control-register SEUs
 /// (the acceptance-gated pool), 8 data-register SEUs, 8 gate stuck-ats and
 /// 4 channel faults per design, all from fixed seeds — byte-identical at
 /// any job count.
@@ -150,8 +150,8 @@ inline flow::Pipeline faultPasses() {
 }
 
 /// SAT verification suite: the chain/fork/join/ring acceptance topologies
-/// in both encodings — the designs the "sat" bench section proves
-/// invariants on and sweeps.
+/// in both encodings — the designs the bench's sat rows prove invariants
+/// on and sweep.
 inline std::vector<flow::Design> satSuite() {
   std::vector<flow::Design> designs;
   for (sync::Encoding enc :
@@ -164,7 +164,7 @@ inline std::vector<flow::Design> satSuite() {
   return designs;
 }
 
-/// The BMC depth the "sat" bench section proves invariants to; gated by
+/// The BMC depth the bench's sat rows prove invariants to; gated by
 /// tools/check_bench_regression.py.
 inline constexpr unsigned kSatBmcDepth = 20;
 
@@ -183,9 +183,10 @@ inline flow::Pipeline satPasses() {
   return pipe;
 }
 
-/// Fixed knobs of the bench's "opt" comparison: the AIG effort and the
-/// iterated-mapping configuration the optimized side is measured at. The
-/// unoptimized side is standardPasses' greedy mapLuts(4).
+/// Fixed knobs of the bench's optimize-pipeline twins (the *_opt suites):
+/// the AIG effort and the iterated-mapping configuration the optimized
+/// side is measured at. The unoptimized side is standardPasses' greedy
+/// mapLuts(4).
 inline constexpr unsigned kOptEffort = 2;
 inline constexpr unsigned kOptMapRounds = 3;
 
@@ -196,7 +197,7 @@ inline techmap::MapOptions optMapOptions() {
   return options;
 }
 
-/// The optimization pipeline the "opt" bench section runs: synth → AIG
+/// The optimization pipeline the bench's *_opt suites run: synth → AIG
 /// rewrite/balance (proven equivalent through the sequential envelope —
 /// a failed proof aborts the bench) → priority-cut mapping with area
 /// recovery → timing.

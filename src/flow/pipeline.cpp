@@ -77,8 +77,18 @@ void SynthesizeControl::run(Design& design, PassContext& ctx) {
     ctx.metric("sop_literals", static_cast<double>(fs->literalsAfter));
     design.metrics().set("synth.sop_cubes",
                          static_cast<double>(fs->cubesAfter));
+    design.metrics().set("synth.sop_literals",
+                         static_cast<double>(fs->literalsAfter));
   } else {
     ctx.note(design.name() + ": prebuilt netlist, nothing to synthesize");
+  }
+  if (const sync::SystemSpec* spec = design.systemSpec()) {
+    design.metrics().set("synth.pearls",
+                         static_cast<double>(spec->pearls.size()));
+    design.metrics().set("synth.channels",
+                         static_cast<double>(spec->channels.size()));
+    design.metrics().set("synth.relay_stations",
+                         static_cast<double>(design.system()->relayStations));
   }
 }
 
@@ -113,6 +123,7 @@ void OptimizeAig::run(Design& design, PassContext& ctx) {
     // equiv_proved counts full proofs only; a budget-degraded screen is
     // still a pass, but reported as such with its residual confidence.
     ctx.metric("equiv_proved", proof.degraded ? 0.0 : 1.0);
+    m.set("aig.equiv_proved", proof.degraded ? 0.0 : 1.0);
     ctx.metric("equiv_confidence", proof.confidence);
     if (proof.degraded) {
       ctx.warning(design.name() + ": equivalence degraded to " +
@@ -146,6 +157,8 @@ void MapLuts::run(Design& design, PassContext& ctx) {
   ctx.metric("ffs", static_cast<double>(area.ffs));
   ctx.metric("slices", static_cast<double>(area.slices));
   ctx.metric("lut_depth", static_cast<double>(mapped.depth));
+  design.metrics().set("map.luts", static_cast<double>(area.luts));
+  design.metrics().set("map.ffs", static_cast<double>(area.ffs));
   design.metrics().set("map.slices", static_cast<double>(area.slices));
   design.metrics().set("map.lut_depth", static_cast<double>(mapped.depth));
 }
@@ -158,6 +171,7 @@ void Sta::run(Design& design, PassContext& ctx) {
   ctx.metric("fmax_mhz", rep.fmaxMHz);
   ctx.metric("critical_path_ns", rep.criticalPathNs);
   ctx.metric("logic_levels", static_cast<double>(rep.logicLevels));
+  design.metrics().set("sta.fmax_mhz", rep.fmaxMHz);
 }
 
 void ProveEncodingEquiv::run(Design& design, PassContext& ctx) {
@@ -300,10 +314,16 @@ void FaultCampaign::run(Design& design, PassContext& ctx) {
   ctx.metric("control_seu_sites",
              static_cast<double>(r.controlSeu.total()));
   ctx.metric("control_seu_coverage", r.controlSeu.coverage());
-  design.metrics().set("fault.sites", static_cast<double>(r.all.total()));
-  design.metrics().set("fault.coverage", r.all.coverage());
-  design.metrics().set("fault.control_seu_coverage",
-                       r.controlSeu.coverage());
+  obs::Registry& m = design.metrics();
+  m.set("fault.sites", static_cast<double>(r.all.total()));
+  m.set("fault.detected", static_cast<double>(r.all.detected));
+  m.set("fault.recovered", static_cast<double>(r.all.recovered));
+  m.set("fault.silent", static_cast<double>(r.all.silent));
+  m.set("fault.hang", static_cast<double>(r.all.hang));
+  m.set("fault.coverage", r.all.coverage());
+  m.set("fault.control_seu_sites",
+        static_cast<double>(r.controlSeu.total()));
+  m.set("fault.control_seu_coverage", r.controlSeu.coverage());
   const bool cancelled = r.cancelled;
   design.setFaultResult(std::move(r));
   if (cancelled) {
@@ -323,7 +343,10 @@ void SatSweep::run(Design& design, PassContext& ctx) {
   ctx.metric("aig_ands_before", static_cast<double>(st.andsBefore));
   ctx.metric("aig_ands_after", static_cast<double>(st.andsAfter));
   obs::Registry& m = design.metrics();
+  m.set("sweep.candidates", static_cast<double>(st.candidates));
   m.set("sweep.proved", static_cast<double>(st.proved));
+  m.set("sweep.refuted", static_cast<double>(st.refuted));
+  m.set("sweep.undecided", static_cast<double>(st.undecided));
   m.set("sweep.ands_before", static_cast<double>(st.andsBefore));
   m.set("sweep.ands_after", static_cast<double>(st.andsAfter));
   m.add("sat.conflicts", static_cast<double>(st.solver.conflicts));
@@ -343,6 +366,7 @@ void SatSweep::run(Design& design, PassContext& ctx) {
   }
   ctx.metric("equiv_proved", proof.degraded ? 0.0 : 1.0);
   ctx.metric("equiv_confidence", proof.confidence);
+  m.set("sweep.equiv_proved", proof.degraded ? 0.0 : 1.0);
   m.set("sweep.equiv_method",
         static_cast<double>(static_cast<unsigned>(proof.method)));
   if (proof.degraded) {
@@ -394,6 +418,7 @@ void CheckInvariants::run(Design& design, PassContext& ctx) {
   ctx.metric("bmc_depth", static_cast<double>(r.minDepthReached()));
   obs::Registry& m = design.metrics();
   m.set("bmc.depth", static_cast<double>(r.minDepthReached()));
+  m.set("bmc.degraded", r.anyDegraded() ? 1.0 : 0.0);
   m.add("sat.conflicts", static_cast<double>(r.stats.conflicts));
   m.add("sat.decisions", static_cast<double>(r.stats.decisions));
   m.add("sat.propagations", static_cast<double>(r.stats.propagations));
@@ -438,6 +463,7 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
   ctx.metric("pdr_clauses", static_cast<double>(r.totalClauses()));
   obs::Registry& m = design.metrics();
   m.set("pdr.all_proved", r.allProved() ? 1.0 : 0.0);
+  m.set("pdr.degraded", r.anyDegraded() ? 1.0 : 0.0);
   m.set("pdr.frames", static_cast<double>(r.totalFrames()));
   m.set("pdr.clauses", static_cast<double>(r.totalClauses()));
   m.set("pdr.induction_k", static_cast<double>(r.maxInductionK()));

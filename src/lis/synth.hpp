@@ -7,7 +7,8 @@
 // logic/minimize with a don't-care set of the invalid state codes (the
 // non-one-hot codes, or the unused tail of the binary code space). This is
 // exactly where the two encodings trade area for logic depth — the numbers
-// lis_bench's "wrapper" section tracks.
+// lis_bench's wrapper rows track (synth.sop_cubes, synth.sop_literals,
+// map.slices, sta.fmax_mhz).
 //
 // Two consumers:
 //   FsmInstance             registered instance inside a wrapper netlist.

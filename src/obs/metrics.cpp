@@ -1,5 +1,7 @@
 #include "obs/metrics.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <sstream>
 
 namespace lis::obs {
@@ -114,10 +116,22 @@ std::string Registry::json() const {
   for (const auto& [name, v] : flat) {
     if (!first) os << ", ";
     first = false;
-    os << "\"" << name << "\": " << v;
+    os << "\"" << name << "\": " << formatValue(v);
   }
   os << "}";
   return os.str();
+}
+
+std::string formatValue(double v) {
+  char buf[32];
+  // Integral values below 2^63 convert to int64 exactly.
+  if (v == std::trunc(v) && std::fabs(v) < 0x1p63) {
+    const auto r = std::to_chars(buf, buf + sizeof buf,
+                                 static_cast<long long>(v));
+    return std::string(buf, r.ptr);
+  }
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, r.ptr);
 }
 
 Registry& Registry::global() {

@@ -50,7 +50,8 @@ class Registry {
   bool empty() const;
 
   /// One flat JSON object, keys sorted (histograms expand to
-  /// name.count/.sum/.min/.max). Deterministic for deterministic values.
+  /// name.count/.sum/.min/.max), values printed by formatValue().
+  /// Deterministic for deterministic values.
   std::string json() const;
 
   /// Process-wide registry for engine-level counters.
@@ -62,5 +63,9 @@ class Registry {
   std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
+
+/// A value as the registry prints it: integral values as integers, any
+/// other value in shortest round-trip form, so it reads back exactly.
+std::string formatValue(double v);
 
 }  // namespace lis::obs

@@ -7,8 +7,8 @@
 //
 //   * rounds == 0 — the legacy greedy single-fanout cone collapser: every
 //     gate lands in exactly one LUT cone (tree cover, no duplication, dead
-//     logic included). Kept as the baseline the bench's "opt" section
-//     measures against.
+//     logic included). Kept as the baseline the bench's *_opt rows are
+//     measured against.
 //
 //   * rounds >= 1 — ABC-style iterated priority-cut mapping: per-node
 //     k-feasible priority cuts (with per-cut truth tables), a

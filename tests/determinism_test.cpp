@@ -362,6 +362,7 @@ void testRunManyOptPipeline() {
   for (std::size_t i = 0; i < designs1.size(); ++i) {
     CHECK(serial[i].ok);
     CHECK(designs1[i].hasOptimized());
+    CHECK(designs1[i].metrics().value("aig.equiv_proved") == 1.0);
     CHECK(stripTimes(designs1[i].reportJson()) ==
           stripTimes(designs8[i].reportJson()));
   }
@@ -406,9 +407,21 @@ void testRunManySatPipeline() {
       CHECK(!pdr->anyDegraded());
       CHECK(!pdr->anyViolated());
       CHECK_EQ(pdr->properties.size(), 3u);
+      // The registry values the bench rows carry mirror the artifacts.
+      const lis::obs::Registry& m = d->metrics();
+      if (sw != nullptr) {
+        CHECK(m.value("sweep.candidates") ==
+              static_cast<double>(sw->stats.candidates));
+        CHECK(m.value("sweep.refuted") ==
+              static_cast<double>(sw->stats.refuted));
+        CHECK(m.value("sweep.undecided") ==
+              static_cast<double>(sw->stats.undecided));
+      }
+      CHECK(m.value("bmc.degraded") == (bmc->anyDegraded() ? 1.0 : 0.0));
+      CHECK(m.value("pdr.degraded") == (pdr->anyDegraded() ? 1.0 : 0.0));
     }
-    // Jobs-count invariance of the artifacts behind the bench's "sat"
-    // section rows, not just the pass records.
+    // Jobs-count invariance of the artifacts behind the bench's sat
+    // rows, not just the pass records.
     const auto& s1 = designs1[i].sweepResult()->stats;
     const auto& s8 = designs8[i].sweepResult()->stats;
     CHECK_EQ(s1.proved, s8.proved);
@@ -471,14 +484,27 @@ void testFaultCampaignJobsInvariant() {
   CHECK(!serial.cancelled);
   CHECK(serial.all.total() > 0);
 
+  // The parallel run goes through the FaultCampaign pass, which fans the
+  // sites out on the executor and records the tallies in the registry.
   Executor pool(8);
-  opts.runner = [&](std::size_t n,
-                    const std::function<void(std::size_t)>& f) {
-    pool.forEach(n, f);
-  };
-  const lis::fault::CampaignResult parallel =
-      lis::fault::runCampaign(target, opts);
+  Design d(cfg);
+  Pipeline pipe;
+  pipe.faultCampaign(opts);
+  CHECK(pipe.run(d, pool));
+  CHECK(d.faultResult() != nullptr);
+  if (d.faultResult() == nullptr) return;
+  const lis::fault::CampaignResult& parallel = *d.faultResult();
   CHECK(!parallel.cancelled);
+  const lis::obs::Registry& m = d.metrics();
+  CHECK(m.value("fault.detected") ==
+        static_cast<double>(parallel.all.detected));
+  CHECK(m.value("fault.recovered") ==
+        static_cast<double>(parallel.all.recovered));
+  CHECK(m.value("fault.silent") == static_cast<double>(parallel.all.silent));
+  CHECK(m.value("fault.hang") == static_cast<double>(parallel.all.hang));
+  CHECK(m.value("fault.detected") + m.value("fault.recovered") +
+            m.value("fault.silent") + m.value("fault.hang") ==
+        m.value("fault.sites"));
 
   CHECK_EQ(serial.results.size(), parallel.results.size());
   for (std::size_t i = 0;

@@ -62,6 +62,13 @@ void testWrapperPipelineHappyPath() {
     }
   }
   CHECK(sawLuts);
+  // The registry mirrors the artifacts the bench rows are read from.
+  const lis::obs::Registry& m = d.metrics();
+  CHECK(m.value("map.luts") == static_cast<double>(d.area().luts));
+  CHECK(m.value("map.ffs") == static_cast<double>(d.area().ffs));
+  CHECK(m.value("sta.fmax_mhz") == d.timing().fmaxMHz);
+  CHECK(m.value("synth.sop_literals") ==
+        static_cast<double>(d.controlStats()->literalsAfter));
   const lis::flow::PassRecord* cos = pipe.record("cosim");
   CHECK(cos != nullptr);
   CHECK(d.cosimResult() != nullptr);
@@ -169,6 +176,14 @@ void testSystemDesignThroughPipeline() {
   CHECK(d.controlStats()->functions > 0);
   CHECK(d.systemPorts() != nullptr);
   CHECK_EQ(d.systemPorts()->inValid.size(), 1u);
+  const lis::obs::Registry& m = d.metrics();
+  CHECK(m.value("synth.pearls") ==
+        static_cast<double>(d.systemSpec()->pearls.size()));
+  CHECK(m.value("synth.channels") ==
+        static_cast<double>(d.systemSpec()->channels.size()));
+  CHECK(m.value("synth.relay_stations") ==
+        static_cast<double>(d.system()->relayStations));
+  CHECK(m.value("synth.relay_stations") > 0);
   CHECK(contains(d.reportJson(), "chain2_d1_onehot"));
 }
 

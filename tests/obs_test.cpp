@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <thread>
@@ -92,6 +93,21 @@ void testRegistry() {
   r.reset();
   CHECK(r.empty());
   CHECK(r.json() == "{}");
+
+  // Values read back from json() exactly: large integral counters are not
+  // rounded to 6 significant digits, and ratios print in shortest
+  // round-trip form.
+  r.add("big.counter", 10449225.0);
+  r.set("ratio.gauge", 23.0 / 24.0);
+  const std::string exact = r.json();
+  const auto readBack = [&exact](const std::string& key) {
+    const std::size_t at = exact.find("\"" + key + "\": ");
+    if (at == std::string::npos) return -1.0;
+    return std::strtod(exact.c_str() + at + key.size() + 4, nullptr);
+  };
+  CHECK(exact.find("\"big.counter\": 10449225,") != std::string::npos);
+  CHECK(readBack("big.counter") == 10449225.0);
+  CHECK(readBack("ratio.gauge") == 23.0 / 24.0);
 }
 
 void testTracerLifecycle() {

@@ -1,338 +1,203 @@
 #!/usr/bin/env python3
-"""Gate CI on the wrapper synthesis numbers in BENCH_sim.json.
+"""Gate CI on the per-design rows of BENCH_sim.json.
 
 Usage: check_bench_regression.py BASELINE.json FRESH.json [--max-regress 0.25]
+       check_bench_regression.py --scale-gate FRESH.json [--max-wall 600]
+                                 [--min-speedup 1.5]
        check_bench_regression.py --self-test
 
-Compares the "wrapper" section entry by entry (keyed on inputs/outputs/
-relay_depth/encoding) and fails if any fresh entry needs more than
-(1 + max_regress) times the baseline slices, or clocks below
-baseline_fmax / (1 + max_regress). Both quantities are deterministic model
-outputs, so the threshold only trips on real synthesis/mapping regressions,
-never on runner noise. A configuration dropped from the fresh results also
-fails.
+Every flow design is one row of "metrics.configs", {"suite", "design",
+"failed", "counters", "seconds"}, keyed here by (suite, design). The
+counters are deterministic pass outputs, so the rules trip on real
+regressions, never on runner noise. Each rule table is evaluated by one
+loop:
 
-The "opt" section is gated on its own invariant, checked within the fresh
-results alone: for every entry of opt.wrapper / opt.system / opt.sweep,
-the optimized mapping must never need more slices than the unoptimized
-one (slices_opt <= slices_unopt), and the equivalence proof must have
-run (equiv_proved). A fresh file without an "opt" section only warns, so
-the gate still accepts bench output from before the optimizer landed.
+- ABSOLUTE_RULES, (suite, counter, op, bound, message): every fresh,
+  non-failed row of the suite must satisfy `counter op bound`.
+- RELATIVE_RULES, (suite, counter, better, slack): the fresh value may be
+  worse than the baseline row's by at most slack, an absolute margin, or
+  the --max-regress ratio when slack is None.
+- PAIR_RULES, (counter, message): a "<suite>_opt" row's counter must not
+  exceed the same design's counter in "<suite>".
+- A non-failed baseline row missing from the fresh file fails.
 
-The "fault" section (fault-injection campaign coverage) is gated both
-ways: every fresh entry must report control-SEU detection-or-recovery
-coverage of at least 0.95 (the paper-level acceptance bar), and coverage
-must not drop more than 0.05 below the baseline entry for the same
-design. A baseline fault entry missing from the fresh results fails —
-silently shrinking fault coverage is exactly the regression this section
-exists to catch.
+A counter a rule reads that is missing from a fresh, non-failed row fails:
+the instrumentation broke. Missing only from the baseline row, it warns,
+so new counters land without a baseline flag-day. Rows the bench marked
+`"failed": true` warn and are skipped; the bench's own non-zero exit
+gates them.
 
-The "sat" section (SAT-sweep + protocol-invariant BMC, added with the
-SAT engine) is gated within the fresh results: every non-failed entry
-must hold all three protocol invariants (token conservation, occupancy
-bound, deadlock watchdog), reach the section's advertised BMC depth
-(floor 20), and carry a non-degraded sweep soundness proof
-(equiv_proved, with a method stronger than the simulation screen). A
-baseline sat entry missing from the fresh results fails; a fresh file
-without the section warns (pre-SAT bench output).
-
-On top of the bounded verdicts, the unbounded (k-induction + PDR/IC3)
-rung of the same section is gated by check_pdr: every non-failed entry
-must report proved_unbounded — a verdict that degraded to the bounded
-bar (budget or frame-cap stop) fails with the degradation called out,
-as does an aggregate/per-property inconsistency. Entries that predate
-the PDR engine (no proved_unbounded key) warn and skip.
-
-The "metrics" section (per-config engine counters + executor
-utilization, added with the observability layer) is gated leniently:
-every non-failed config row must carry its suite's required counter keys
-(a deterministic output of the passes, so their absence means the
-instrumentation broke), and the sweep suite's parallel_efficiency must
-clear an absolute floor and not collapse relative to the baseline. A
-baseline recorded with more jobs than hardware threads measured time
-slicing, not parallelism, so the relative comparison only warns there.
-A fresh file without the section warns and skips (pre-observability
-bench output). Utilization is *required* of timed parallel runs (sweep.jobs >
-1): the bench derives it from always-on span recording, so a null there
-means the instrumentation broke. Serial or --strip-times runs (jobs <=
-1, where jobs is emitted as 0) still warn and skip.
-
---scale-gate FRESH.json gates the production-scale suite instead of
-comparing against a baseline: every scale topology (pipe256 through
-mesh32x32) must be present and not failed, the flow wall must stay
-under --max-wall seconds, and — when the machine has at least 4
-hardware threads — the parallel run must clear --min-speedup over the
-serial re-run. On smaller machines the speedup check only warns: there
-is no parallelism to measure.
-
-Configs the bench marked `"failed": true` (a design whose pipeline run
-errored; the bench records it instead of crashing) are *warnings* here and
-are skipped from metric comparison — the bench's own non-zero exit is the
-gate for those. A baseline-side failed entry is skipped the same way.
-
-Sections or keys present in only one of baseline/current are *warnings*,
-not errors: a PR may add a new section (e.g. "sweep") or a new per-entry
-key without a flag-day baseline update, and an old baseline must not crash
-the gate. --self-test runs the built-in unit checks of exactly these
-behaviours (invoked from CI).
+check_metrics gates the sweep suite's executor utilization (see its
+docstring), and --scale-gate gates a --suite scale run instead of
+comparing against a baseline: every scale topology present and not
+failed, the flow wall under --max-wall, and, on >= 4 hardware threads,
+a parallel speedup of at least --min-speedup. --self-test runs the
+built-in unit checks of all of these (invoked from CI and ctest).
 """
 
 import argparse
 import json
+import operator
 import sys
 
+OPS = {"==": operator.eq, "!=": operator.ne, ">": operator.gt,
+       ">=": operator.ge}
 
-def wrapper_key(entry):
-    return (entry["inputs"], entry["outputs"], entry["relay_depth"],
-            entry["encoding"])
+STANDARD_SUITES = ("wrapper", "system", "sweep", "scale")
+OPT_SUITES = ("wrapper_opt", "system_opt", "sweep_opt")
+PROTOCOL_INVARIANTS = ("token_conservation", "occupancy_bound",
+                       "deadlock_watchdog")
+SIM_SCREEN = 0  # netlist::EquivMethod::Sim, as sweep.equiv_method records it
+
+# (suite, counter, op, bound, message). A ">= 0" rule on a count only
+# requires the counter to be present.
+ABSOLUTE_RULES = (
+    [(s, "cosim.cycles", ">", 0, "co-simulation ran no cycles")
+     for s in STANDARD_SUITES]
+    + [(s, "proof.sat_conflicts", ">=", 0, "encoding-proof SAT counters")
+       for s in STANDARD_SUITES]
+    + [(s, "aig.equiv_proved", "==", 1,
+        "equivalence not proved for the optimized design")
+       for s in OPT_SUITES]
+    + [(s, "aig.ands_after", ">", 0, "optimized AIG is empty")
+       for s in OPT_SUITES]
+    + [(s, "aig.rewrite_adoptions", ">=", 0, "AIG rewrite counters")
+       for s in OPT_SUITES]
+    + [(s, "aig.cuts_enumerated", ">", 0, "AIG rewriting enumerated no cuts")
+       for s in OPT_SUITES]
+    + [("fault", "fault.sites", ">", 0, "campaign injected no faults"),
+       ("fault", "fault.control_seu_coverage", ">=", 0.95,
+        "control-SEU detection-or-recovery coverage below the 0.95 floor")]
+    + [("sat", f"bmc.{p}_ok", "==", 1, f"protocol invariant {p} violated")
+       for p in PROTOCOL_INVARIANTS]
+    + [("sat", "bmc.depth", ">=", 20, "BMC depth below the 20 floor"),
+       ("sat", "sweep.equiv_proved", "==", 1,
+        "sweep equivalence not proved (degraded or failed soundness check)"),
+       ("sat", "sweep.equiv_method", "!=", SIM_SCREEN,
+        "sweep soundness degraded to the simulation screen"),
+       ("sat", "pdr.all_proved", "==", 1,
+        "protocol invariants not proved unbounded"),
+       ("sat", "pdr.degraded", "==", 0,
+        "unbounded proof degraded to the bounded verdict (solver budget or "
+        "frame cap exhausted)")]
+    + [("sat", f"pdr.{p}_proved", "==", 1, f"{p} not proved unbounded")
+       for p in PROTOCOL_INVARIANTS]
+    + [("sat", c, ">=", 0, "SAT engine counters")
+       for c in ("sat.conflicts", "sat.decisions", "sat.propagations",
+                 "pdr.frames")]
+)
+
+# (suite, counter, better, slack).
+RELATIVE_RULES = (
+    ("wrapper", "map.slices", "lower", None),
+    ("wrapper", "sta.fmax_mhz", "higher", None),
+    ("fault", "fault.control_seu_coverage", "higher", 0.05),
+)
+
+# (counter, message), read from a "<suite>_opt" row and its "<suite>" twin.
+PAIR_RULES = (
+    ("map.slices", "optimized mapping needs more slices than the "
+                   "unoptimized one"),
+)
 
 
-def check_opt(fresh):
-    """Self-contained invariants of the fresh "opt" section.
+def rows_of(doc):
+    """{(suite, design): row} over the file's metrics.configs."""
+    configs = (doc.get("metrics") or {}).get("configs") or []
+    return {(r.get("suite"), r.get("design")): r for r in configs}
 
-    Returns (failures, warnings). Key-tolerant like compare(): a missing
-    key warns and skips that entry, only a present-and-violated invariant
-    fails.
+
+def label(key):
+    return f"{key[0]} {key[1]}"
+
+
+def is_worse(new, old, better, slack, max_regress):
+    if slack is None:
+        limit = 1.0 + max_regress
+        return new > old * limit if better == "lower" else new < old / limit
+    return new > old + slack if better == "lower" else new < old - slack
+
+
+def check_rows(baseline, fresh, max_regress):
+    """Evaluates the rule tables.
+
+    Returns (failures, warnings, compared): lists of human-readable
+    strings, compared holding one line per baseline-relative comparison.
     """
     failures = []
     warnings = []
-    opt = fresh.get("opt")
-    if opt is None:
-        warnings.append('no "opt" section in fresh results; '
-                        "optimizer gate skipped")
-        return failures, warnings
-    for group in ("wrapper", "system", "sweep"):
-        for entry in opt.get(group, []):
-            name = entry.get("design", f"<unnamed {group} entry>")
-            if entry.get("failed"):
-                warnings.append(f"opt.{group} {name}: config failed in the "
-                                f"bench run; invariants skipped")
+    compared = []
+    base_rows = rows_of(baseline)
+    fresh_rows = rows_of(fresh)
+    live = {}
+    for key, row in fresh_rows.items():
+        if row.get("failed"):
+            warnings.append(f"{label(key)}: config failed in the bench run; "
+                            f"rules skipped (the bench exit gates it)")
+        else:
+            live[key] = row
+    missing = set()
+
+    def value(key, counter):
+        counters = live[key].get("counters") or {}
+        if counter not in counters:
+            missing.add((key, counter))
+        return counters.get(counter)
+
+    for suite, counter, op, bound, message in ABSOLUTE_RULES:
+        for key in live:
+            if key[0] != suite:
                 continue
-            if "slices_unopt" not in entry or "slices_opt" not in entry:
-                warnings.append(f"opt.{group} {name}: slice keys missing; "
-                                f"invariant skipped")
-            elif entry["slices_opt"] > entry["slices_unopt"]:
-                failures.append(
-                    f"opt.{group} {name}: optimized mapping needs "
-                    f"{entry['slices_opt']} slices, more than the "
-                    f"unoptimized {entry['slices_unopt']}")
-            if "equiv_proved" not in entry:
-                warnings.append(f"opt.{group} {name}: equiv_proved key "
-                                f"missing; proof check skipped")
-            elif not entry["equiv_proved"]:
-                failures.append(f"opt.{group} {name}: equivalence not "
-                                f"proved for the optimized design")
-    return failures, warnings
+            v = value(key, counter)
+            if v is not None and not OPS[op](v, bound):
+                failures.append(f"{label(key)}: {message} "
+                                f"({counter} = {v})")
 
+    for suite, counter, better, slack in RELATIVE_RULES:
+        for key, old_row in base_rows.items():
+            if key[0] != suite or old_row.get("failed") or key not in live:
+                continue
+            new = value(key, counter)
+            old = (old_row.get("counters") or {}).get(counter)
+            if old is None:
+                warnings.append(f'{label(key)}: baseline row lacks "{counter}"'
+                                f"; not compared")
+                continue
+            if new is None:
+                continue
+            bad = is_worse(new, old, better, slack, max_regress)
+            compared.append(f"{label(key)}: {counter} {old} -> {new} "
+                            f"{'REGRESSED' if bad else 'ok'}")
+            if bad:
+                margin = (f"{1.0 + max_regress:.2f}x" if slack is None
+                          else f"{slack:.2f}")
+                failures.append(f"{label(key)}: {counter} {old} -> {new} "
+                                f"(worse by more than {margin})")
 
-# Coverage floor for control-register SEUs (the acceptance bar) and the
-# allowed drop relative to the baseline before the gate trips.
-FAULT_COVERAGE_FLOOR = 0.95
-FAULT_COVERAGE_SLACK = 0.05
+    for counter, message in PAIR_RULES:
+        for key in live:
+            if not key[0].endswith("_opt"):
+                continue
+            base_key = (key[0][:-len("_opt")], key[1])
+            if base_key not in live:
+                continue
+            opt, unopt = value(key, counter), value(base_key, counter)
+            if opt is not None and unopt is not None and opt > unopt:
+                failures.append(f"{label(key)}: {message} ({counter} "
+                                f"{unopt} -> {opt})")
 
+    for key, old_row in base_rows.items():
+        if old_row.get("failed"):
+            warnings.append(f"{label(key)}: baseline row marked failed; "
+                            f"not compared")
+        elif key not in fresh_rows:
+            failures.append(f"{label(key)}: missing from fresh results")
 
-def check_fault(baseline, fresh):
-    """Gate the fault-injection campaign coverage.
+    for key, counter in sorted(missing):
+        failures.append(f'{label(key)}: required counter "{counter}" '
+                        f"missing")
+    return failures, warnings, compared
 
-    Returns (failures, warnings). A fresh file without a "fault" section
-    only warns (pre-robustness bench output); with one, every non-failed
-    entry must clear the control-SEU coverage floor, and no design may
-    drop more than FAULT_COVERAGE_SLACK below its baseline coverage or
-    vanish from the fresh results.
-    """
-    failures = []
-    warnings = []
-    fault = fresh.get("fault")
-    if fault is None:
-        warnings.append('no "fault" section in fresh results; '
-                        "fault-coverage gate skipped")
-        return failures, warnings
-
-    fresh_by_design = {}
-    for entry in fault.get("entries", []):
-        name = entry.get("design")
-        if name is None:
-            warnings.append(f"fresh fault entry lacks a design name: {entry}")
-            continue
-        fresh_by_design[name] = entry
-        if entry.get("failed"):
-            warnings.append(f"fault {name}: config failed in the bench run; "
-                            f"coverage checks skipped")
-            continue
-        cov = entry.get("control_seu_coverage")
-        if cov is None:
-            warnings.append(f"fault {name}: control_seu_coverage key "
-                            f"missing; floor check skipped")
-        elif cov < FAULT_COVERAGE_FLOOR:
-            failures.append(
-                f"fault {name}: control-SEU detection-or-recovery coverage "
-                f"{cov:.3f} below the {FAULT_COVERAGE_FLOOR:.2f} floor")
-
-    for old in (baseline.get("fault") or {}).get("entries", []):
-        name = old.get("design")
-        if name is None or old.get("failed"):
-            continue
-        new = fresh_by_design.get(name)
-        if new is None:
-            failures.append(f"fault {name}: missing from fresh results")
-            continue
-        if new.get("failed"):
-            continue  # already warned above
-        old_cov = old.get("control_seu_coverage")
-        new_cov = new.get("control_seu_coverage")
-        if old_cov is None or new_cov is None:
-            continue  # floor check / missing-key warning already covers it
-        if new_cov < old_cov - FAULT_COVERAGE_SLACK:
-            failures.append(
-                f"fault {name}: control-SEU coverage {old_cov:.3f} -> "
-                f"{new_cov:.3f} (dropped more than "
-                f"{FAULT_COVERAGE_SLACK:.2f})")
-    return failures, warnings
-
-
-# The BMC depth the sat section must prove the protocol invariants to
-# (matches bench::kSatBmcDepth) and the invariant verdict keys every
-# entry must hold.
-SAT_BMC_DEPTH_FLOOR = 20
-SAT_INVARIANT_KEYS = ("token_conservation_ok", "occupancy_bound_ok",
-                      "deadlock_watchdog_ok")
-
-
-def check_sat(baseline, fresh):
-    """Gate the SAT-sweep + BMC verification section.
-
-    Returns (failures, warnings). A fresh file without a "sat" section
-    only warns (pre-SAT bench output); with one, every non-failed entry
-    must hold the three protocol invariants at SAT_BMC_DEPTH_FLOOR and
-    carry a proven (non-degraded) sweep equivalence whose method is
-    stronger than the simulation screen. A baseline design dropped from
-    the fresh entries fails.
-    """
-    failures = []
-    warnings = []
-    sat = fresh.get("sat")
-    if sat is None:
-        warnings.append('no "sat" section in fresh results; '
-                        "SAT verification gate skipped")
-        return failures, warnings
-
-    fresh_names = set()
-    for entry in sat.get("entries", []):
-        name = entry.get("design")
-        if name is None:
-            warnings.append(f"fresh sat entry lacks a design name: {entry}")
-            continue
-        fresh_names.add(name)
-        if entry.get("failed"):
-            warnings.append(f"sat {name}: config failed in the bench run; "
-                            f"invariant checks skipped")
-            continue
-        for key in SAT_INVARIANT_KEYS:
-            if key not in entry:
-                warnings.append(f'sat {name}: key "{key}" missing; '
-                                f"invariant check skipped")
-            elif not entry[key]:
-                failures.append(f"sat {name}: protocol invariant "
-                                f"{key[:-3]} violated")
-        depth = entry.get("bmc_depth")
-        if depth is None:
-            warnings.append(f"sat {name}: bmc_depth key missing; "
-                            f"depth check skipped")
-        elif depth < SAT_BMC_DEPTH_FLOOR:
-            failures.append(f"sat {name}: BMC depth {depth} below the "
-                            f"{SAT_BMC_DEPTH_FLOOR} floor")
-        if "equiv_proved" not in entry:
-            warnings.append(f"sat {name}: equiv_proved key missing; "
-                            f"sweep proof check skipped")
-        elif not entry["equiv_proved"]:
-            failures.append(f"sat {name}: sweep equivalence not proved "
-                            f"(degraded or failed soundness check)")
-        method = entry.get("equiv_method")
-        if method == "sim":
-            failures.append(f"sat {name}: sweep soundness degraded to the "
-                            f"simulation screen")
-
-    for old in (baseline.get("sat") or {}).get("entries", []):
-        name = old.get("design")
-        if name is None or old.get("failed"):
-            continue
-        if name not in fresh_names:
-            failures.append(f"sat {name}: missing from fresh results")
-    return failures, warnings
-
-
-# Per-property unbounded verdict keys behind the sat section's
-# aggregate proved_unbounded.
-PDR_PROPERTY_KEYS = ("token_conservation_proved", "occupancy_bound_proved",
-                     "deadlock_watchdog_proved")
-
-
-def check_pdr(baseline, fresh):
-    """Gate the unbounded-proof verdicts riding on the "sat" section.
-
-    Returns (failures, warnings). Entries that predate the PDR engine
-    (no proved_unbounded key) warn and skip; with the key, every
-    non-failed entry must be proved for all time within the bench's
-    default budgets. A degraded verdict fails with the degradation
-    named — falling back to the BMC floor is a weaker result than the
-    baseline promises, never an acceptable substitute. An entry that
-    claims the aggregate but not every per-property verdict (or the
-    reverse) fails as inconsistent. Dropped designs are already gated
-    by check_sat.
-    """
-    failures = []
-    warnings = []
-    sat = fresh.get("sat")
-    if sat is None:
-        return failures, warnings  # check_sat already warned
-
-    for entry in sat.get("entries", []):
-        name = entry.get("design")
-        if name is None or entry.get("failed"):
-            continue  # check_sat already reported these
-        if "proved_unbounded" not in entry:
-            warnings.append(f"sat {name}: proved_unbounded key missing "
-                            f"(pre-PDR bench output); unbounded gate "
-                            f"skipped")
-            continue
-        proved = entry["proved_unbounded"]
-        if not proved:
-            if entry.get("pdr_degraded"):
-                failures.append(
-                    f"sat {name}: unbounded proof degraded to the bounded "
-                    f"verdict (solver budget or frame cap exhausted)")
-            else:
-                failures.append(f"sat {name}: protocol invariants not "
-                                f"proved unbounded")
-        for key in PDR_PROPERTY_KEYS:
-            if key not in entry:
-                warnings.append(f'sat {name}: key "{key}" missing; '
-                                f"per-property unbounded check skipped")
-            elif proved and not entry[key]:
-                failures.append(
-                    f"sat {name}: aggregate proved_unbounded set but "
-                    f"{key[:-len('_proved')]} unproved (inconsistent "
-                    f"verdicts)")
-    return failures, warnings
-
-
-# Required per-config counter keys by suite: deterministic pass outputs,
-# so a missing key means the instrumentation regressed, not the machine.
-METRICS_REQUIRED_KEYS = {
-    "wrapper": ("cosim.cycles", "proof.sat_conflicts"),
-    "system": ("cosim.cycles", "proof.sat_conflicts"),
-    "sweep": ("cosim.cycles", "proof.sat_conflicts"),
-    "scale": ("cosim.cycles", "proof.sat_conflicts"),
-    "wrapper_opt": ("aig.ands_after", "aig.rewrite_adoptions",
-                    "aig.cuts_enumerated"),
-    "system_opt": ("aig.ands_after", "aig.rewrite_adoptions",
-                   "aig.cuts_enumerated"),
-    "sweep_opt": ("aig.ands_after", "aig.rewrite_adoptions",
-                  "aig.cuts_enumerated"),
-    "fault": ("fault.sites", "fault.control_seu_coverage"),
-    "sat": ("sat.conflicts", "sat.decisions", "sat.propagations",
-            "pdr.all_proved", "pdr.frames"),
-}
 
 # The sweep suite (the long, many-design section) must keep the executor
 # meaningfully busy. The floor is deliberately generous — utilization is
@@ -343,48 +208,21 @@ PARALLEL_EFFICIENCY_SLACK = 0.60
 
 
 def check_metrics(baseline, fresh):
-    """Gate the observability "metrics" section.
+    """Gate the executor utilization of the "metrics" section.
 
-    Returns (failures, warnings). Tolerant of absence at every level: no
-    section, no utilization (untraced or --strip-times runs) and unknown
-    suites all warn; only a present-but-broken invariant fails.
+    Returns (failures, warnings). Utilization is *required* of timed
+    parallel runs (sweep.jobs > 1): the bench derives it from always-on
+    span recording, so a null there means the instrumentation broke.
+    Serial or --strip-times runs (jobs <= 1, where jobs is emitted as 0)
+    warn and skip. The sweep suite's parallel_efficiency must clear an
+    absolute floor and not collapse relative to the baseline; a baseline
+    recorded with more jobs than hardware threads measured time slicing,
+    not parallelism, so the relative comparison only warns there.
     """
     failures = []
     warnings = []
-    metrics = fresh.get("metrics")
-    if metrics is None:
-        warnings.append('no "metrics" section in fresh results; '
-                        "metrics gate skipped")
-        return failures, warnings
-
-    for row in metrics.get("configs", []):
-        suite = row.get("suite", "?")
-        name = row.get("design", "?")
-        if row.get("failed"):
-            warnings.append(f"metrics {suite}/{name}: config failed in the "
-                            f"bench run; counter checks skipped")
-            continue
-        required = METRICS_REQUIRED_KEYS.get(suite)
-        if required is None:
-            warnings.append(f'metrics: unknown suite "{suite}" '
-                            f"({name}); no counter checks for it")
-            continue
-        counters = row.get("counters")
-        if not isinstance(counters, dict):
-            failures.append(f"metrics {suite}/{name}: counters object "
-                            f"missing")
-            continue
-        for key in required:
-            if key not in counters:
-                failures.append(f'metrics {suite}/{name}: required counter '
-                                f'"{key}" missing')
-
-    util = metrics.get("utilization")
+    util = (fresh.get("metrics") or {}).get("utilization")
     if not util:
-        # The bench records spans (and thus utilization) unconditionally;
-        # only --strip-times nulls it, and a stripped run also emits
-        # sweep.jobs as 0. A timed parallel run without utilization means
-        # the instrumentation broke, not that the machine was small.
         jobs = (fresh.get("sweep") or {}).get("jobs") or 0
         if jobs > 1:
             failures.append(
@@ -425,17 +263,17 @@ def check_metrics(baseline, fresh):
     return failures, warnings
 
 
-# The production-scale topologies --suite scale must carry end to end,
-# and the thread count below which the speedup check is unmeasurable.
-SCALE_REQUIRED_TOPOLOGIES = ("pipe256_d1", "pipe1024_d1", "mesh16x16_d1",
-                             "mesh32x32_d1")
+# The production-scale designs --suite scale must carry end to end, and
+# the thread count below which the speedup check is unmeasurable.
+SCALE_REQUIRED_DESIGNS = ("pipe256_d1_binary", "pipe1024_d1_binary",
+                          "mesh16x16_d1_binary", "mesh32x32_d1_binary")
 SCALE_MIN_HW_THREADS = 4
 
 
 def check_scale(fresh, max_wall, min_speedup):
     """Gate a --suite scale bench run (no baseline involved).
 
-    Returns (failures, warnings). Fails when a required topology is
+    Returns (failures, warnings). Fails when a required scale row is
     missing or failed, when the flow wall exceeds max_wall, or when a
     parallel run on a machine with >= SCALE_MIN_HW_THREADS hardware
     threads speeds up less than min_speedup over its serial re-run.
@@ -450,16 +288,12 @@ def check_scale(fresh, max_wall, min_speedup):
                         "with --suite scale?")
         return failures, warnings
 
-    by_topology = {}
-    for entry in sweep.get("scale_entries", []):
-        name = entry.get("topology")
-        if name is not None:
-            by_topology[name] = entry
-    for name in SCALE_REQUIRED_TOPOLOGIES:
-        entry = by_topology.get(name)
-        if entry is None:
-            failures.append(f"scale {name}: missing from scale_entries")
-        elif entry.get("failed"):
+    rows = rows_of(fresh)
+    for name in SCALE_REQUIRED_DESIGNS:
+        row = rows.get(("scale", name))
+        if row is None:
+            failures.append(f"scale {name}: missing from the scale rows")
+        elif row.get("failed"):
             failures.append(f"scale {name}: pipeline failed")
 
     wall = sweep.get("flow_wall_seconds", 0)
@@ -488,101 +322,42 @@ def check_scale(fresh, max_wall, min_speedup):
     return failures, warnings
 
 
+def finish(failures, warnings, title, passed):
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    if failures:
+        print(f"\n{title} FAILED:", file=sys.stderr)
+        for f in failures:
+            print(f"  {f}", file=sys.stderr)
+        return 1
+    print(f"\n{passed}")
+    return 0
+
+
 def run_scale_gate(args):
     with open(args.baseline) as f:
         fresh = json.load(f)
     failures, warnings = check_scale(fresh, args.max_wall, args.min_speedup)
-    sweep = fresh.get("sweep") or {}
-    for entry in sweep.get("scale_entries", []):
-        name = entry.get("topology", "?")
-        if entry.get("failed"):
-            print(f"scale {name:>14}   FAILED")
+    for (suite, name), row in rows_of(fresh).items():
+        if suite != "scale":
             continue
-        print(f"scale {name:>14}   {entry.get('pearls', '?'):>5} pearls "
-              f"{entry.get('luts', '?'):>7} LUT  "
-              f"synth {entry.get('synth_seconds', 0):.3f}s  "
-              f"map {entry.get('map_seconds', 0):.3f}s  "
-              f"cosim {entry.get('cosim_seconds', 0):.3f}s")
+        if row.get("failed"):
+            print(f"scale {name:>20}   FAILED")
+            continue
+        counters = row.get("counters") or {}
+        seconds = row.get("seconds") or {}
+        print(f"scale {name:>20}   {counters.get('synth.pearls', '?'):>5} "
+              f"pearls {counters.get('map.luts', '?'):>7} LUT  "
+              f"synth {seconds.get('synthesize', 0):.3f}s  "
+              f"map {seconds.get('map', 0):.3f}s  "
+              f"cosim {seconds.get('cosim', 0):.3f}s")
+    sweep = fresh.get("sweep") or {}
     print(f"scale wall {sweep.get('flow_wall_seconds', 0):.1f}s, speedup "
           f"{sweep.get('speedup_vs_jobs1', 0):.2f}x at --jobs "
           f"{sweep.get('jobs', 0)} ({sweep.get('hardware_threads', 0)} hw "
           f"threads), serial fraction "
           f"{sweep.get('serial_fraction_est', 0):.2f}")
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    if failures:
-        print("\nScale gate FAILED:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    print("\nScale gate passed.")
-    return 0
-
-
-def compare(baseline, fresh, max_regress):
-    """Returns (failures, warnings): lists of human-readable strings."""
-    failures = []
-    warnings = []
-    limit = 1.0 + max_regress
-
-    # Section symmetry: informative only. New sections need no baseline
-    # flag-day; removed sections are suspicious but not gate-worthy.
-    for section in sorted(set(baseline) - set(fresh)):
-        warnings.append(f'section "{section}" present only in baseline')
-    for section in sorted(set(fresh) - set(baseline)):
-        warnings.append(
-            f'section "{section}" present only in fresh results '
-            f"(no baseline yet)")
-
-    fresh_by_key = {}
-    for entry in fresh.get("wrapper", []):
-        try:
-            fresh_by_key[wrapper_key(entry)] = entry
-        except KeyError as missing:
-            warnings.append(f"fresh wrapper entry lacks key {missing}: "
-                            f"{entry}")
-    rows = []
-    for old in baseline.get("wrapper", []):
-        try:
-            key = wrapper_key(old)
-        except KeyError as missing:
-            warnings.append(f"baseline wrapper entry lacks key {missing}: "
-                            f"{old}")
-            continue
-        name = "%dx%d d%d %s" % key
-        if old.get("failed"):
-            warnings.append(f"{name}: baseline config marked failed; "
-                            f"comparison skipped")
-            continue
-        new = fresh_by_key.get(key)
-        if new is None:
-            failures.append(f"{name}: missing from fresh results")
-            continue
-        if new.get("failed"):
-            warnings.append(f"{name}: config failed in the fresh bench run; "
-                            f"comparison skipped (the bench exit gates it)")
-            continue
-        notes = {}
-        for metric, worse in (("slices", "up"), ("fmax_mhz", "down")):
-            if metric not in old or metric not in new:
-                side = "baseline" if metric not in old else "fresh"
-                warnings.append(
-                    f'{name}: key "{metric}" missing from {side} entry; '
-                    f"comparison skipped")
-                notes[metric] = "skipped"
-                continue
-            regressed = (new[metric] > old[metric] * limit
-                         if worse == "up" else
-                         new[metric] < old[metric] / limit)
-            if regressed:
-                notes[metric] = "REGRESSED"
-                failures.append(
-                    f"{name}: {metric} {old[metric]} -> {new[metric]} "
-                    f"(beyond {limit:.2f}x)")
-            else:
-                notes[metric] = "ok"
-        rows.append((name, old, new, notes))
-    return failures, warnings, rows
+    return finish(failures, warnings, "Scale gate", "Scale gate passed.")
 
 
 def run_gate(args):
@@ -591,335 +366,171 @@ def run_gate(args):
     with open(args.fresh) as f:
         fresh = json.load(f)
 
-    failures, warnings, rows = compare(baseline, fresh, args.max_regress)
-    opt_failures, opt_warnings = check_opt(fresh)
-    failures += opt_failures
-    warnings += opt_warnings
-    fault_failures, fault_warnings = check_fault(baseline, fresh)
-    failures += fault_failures
-    warnings += fault_warnings
-    sat_failures, sat_warnings = check_sat(baseline, fresh)
-    failures += sat_failures
-    warnings += sat_warnings
-    pdr_failures, pdr_warnings = check_pdr(baseline, fresh)
-    failures += pdr_failures
-    warnings += pdr_warnings
-    metrics_failures, metrics_warnings = check_metrics(baseline, fresh)
-    failures += metrics_failures
-    warnings += metrics_warnings
+    failures, warnings, compared = check_rows(baseline, fresh,
+                                              args.max_regress)
+    util_failures, util_warnings = check_metrics(baseline, fresh)
+    failures += util_failures
+    warnings += util_warnings
 
-    print(f"{'config':>22} {'slices':>15} {'fmax_mhz':>19}")
-    for name, old, new, notes in rows:
-        def cell(metric):
-            if notes.get(metric) == "skipped":
-                return "   (skipped)"
-            return f"{old[metric]:>5} -> {new[metric]:<6} {notes[metric]}"
-        print(f"{name:>22} {cell('slices')} {cell('fmax_mhz')}")
-    opt = fresh.get("opt", {})
-    for group in ("wrapper", "system", "sweep"):
-        for entry in opt.get(group, []):
-            if "slices_unopt" in entry and "slices_opt" in entry:
-                print(f"opt {entry.get('design', '?'):>24} "
-                      f"{entry['slices_unopt']:>5} -> "
-                      f"{entry['slices_opt']:<6}")
+    print(f"{len(rows_of(fresh))} fresh rows against "
+          f"{len(rows_of(baseline))} baseline rows")
+    for line in compared:
+        print(line)
     util = (fresh.get("metrics") or {}).get("utilization")
-    if util:
-        for entry in util.get("suites", []):
-            if "parallel_efficiency" in entry:
-                print(f"util {entry.get('suite', '?'):>23}   "
-                      f"parallel efficiency "
-                      f"{entry['parallel_efficiency']:.3f}")
-    for entry in fresh.get("fault", {}).get("entries", []):
-        name = entry.get("design", "?")
-        if entry.get("failed"):
-            print(f"fault {name:>22}   FAILED")
-        elif "control_seu_coverage" in entry:
-            print(f"fault {name:>22}   ctrl-SEU coverage "
-                  f"{entry['control_seu_coverage']:.3f}")
-    for entry in fresh.get("sat", {}).get("entries", []):
-        name = entry.get("design", "?")
-        if entry.get("failed"):
-            print(f"sat {name:>24}   FAILED")
-        else:
-            holds = all(entry.get(k) for k in SAT_INVARIANT_KEYS)
-            if "proved_unbounded" not in entry:
-                unbounded = ""
-            elif entry["proved_unbounded"]:
-                unbounded = (f" unbounded (k={entry.get('induction_k', '?')}"
-                             f", {entry.get('pdr_frames', '?')} frames)")
-            elif entry.get("pdr_degraded"):
-                unbounded = " unbounded DEGRADED"
-            else:
-                unbounded = " unbounded UNPROVED"
-            print(f"sat {name:>24}   bmc depth "
-                  f"{entry.get('bmc_depth', '?'):>2} "
-                  f"{'clean' if holds else 'VIOLATED'} sweep "
-                  f"{entry.get('equiv_method', '?')}"
-                  f"{'' if entry.get('equiv_proved') else ' UNPROVED'}"
-                  f"{unbounded}")
-
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    if failures:
-        print("\nBench regression gate FAILED:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    print("\nBench regression gate passed "
-          f"(threshold {args.max_regress:.0%}).")
-    return 0
+    for entry in (util or {}).get("suites", []):
+        if "parallel_efficiency" in entry:
+            print(f"util {entry.get('suite', '?'):>12}: parallel efficiency "
+                  f"{entry['parallel_efficiency']:.3f}")
+    return finish(failures, warnings, "Bench regression gate",
+                  f"Bench regression gate passed (threshold "
+                  f"{args.max_regress:.0%}).")
 
 
 def self_test():
-    """Unit checks for the tolerance rules; returns a process exit code."""
-    entry = {"inputs": 1, "outputs": 1, "relay_depth": 2,
-             "encoding": "binary", "slices": 40, "fmax_mhz": 60.0}
+    """Unit checks for the gate rules; returns a process exit code."""
 
-    def entry_with(**kw):
-        e = dict(entry)
-        e.update(kw)
-        return e
+    def row(suite, design, counters, failed=False):
+        return {"suite": suite, "design": design, "failed": failed,
+                "counters": dict(counters)}
 
+    def changed(r, updates):
+        """r with counters updated; a None value deletes the counter."""
+        out = dict(r, counters=dict(r["counters"]))
+        for name, value in updates.items():
+            if value is None:
+                del out["counters"][name]
+            else:
+                out["counters"][name] = value
+        return out
+
+    def doc(*rows):
+        return {"metrics": {"configs": list(rows), "utilization": None}}
+
+    standard = {"cosim.cycles": 2000, "proof.sat_conflicts": 44}
+    wrapper = row("wrapper", "w", dict(standard, **{
+        "map.slices": 40, "sta.fmax_mhz": 60.0}))
+    system = row("system", "s", dict(standard, **{"map.slices": 100}))
+    opt = {"aig.equiv_proved": 1, "aig.ands_after": 170,
+           "aig.rewrite_adoptions": 77, "aig.cuts_enumerated": 2742}
+    wrapper_opt = row("wrapper_opt", "w", dict(opt, **{"map.slices": 31}))
+    system_opt = row("system_opt", "s", dict(opt, **{"map.slices": 90}))
+    fault = row("fault", "f", {"fault.sites": 52,
+                               "fault.control_seu_coverage": 1.0})
+    sat = row("sat", "c", {
+        "bmc.depth": 20, "sweep.equiv_proved": 1, "sweep.equiv_method": 2,
+        "pdr.all_proved": 1, "pdr.degraded": 0, "pdr.frames": 38,
+        "sat.conflicts": 22982, "sat.decisions": 10449225,
+        "sat.propagations": 80798306,
+        **{f"bmc.{p}_ok": 1 for p in PROTOCOL_INVARIANTS},
+        **{f"pdr.{p}_proved": 1 for p in PROTOCOL_INVARIANTS}})
+    base = doc(wrapper, system, wrapper_opt, system_opt, fault, sat)
+
+    def but(*replacements, drop=()):
+        """The healthy file with rows replaced (same key) or dropped."""
+        by_key = {(r["suite"], r["design"]): r
+                  for r in base["metrics"]["configs"]}
+        for r in replacements:
+            by_key[(r["suite"], r["design"])] = r
+        for key in drop:
+            del by_key[key]
+        return doc(*by_key.values())
+
+    # (name, baseline, fresh, expectation, substring of some failure).
+    # "clean": no failures or warnings; "pass": no failures; "warn": no
+    # failures but warnings; "fail": failures.
+    cases = [
+        ("identical files pass cleanly", base, base, "clean", ""),
+        ("added row passes", base,
+         but(row("wrapper", "w2", wrapper["counters"])), "clean", ""),
+        ("wrapper slice regression fails", base,
+         but(changed(wrapper, {"map.slices": 60})), "fail", "map.slices"),
+        ("wrapper slices within threshold pass", base,
+         but(changed(wrapper, {"map.slices": 49})), "clean", ""),
+        ("wrapper fmax regression fails", base,
+         but(changed(wrapper, {"sta.fmax_mhz": 40.0})), "fail",
+         "sta.fmax_mhz"),
+        ("dropped wrapper config fails", base,
+         but(drop=[("wrapper", "w")]), "fail", "missing from fresh"),
+        ("dropped system row fails", base,
+         but(drop=[("system", "s")]), "fail", "missing from fresh"),
+        ("opt more slices than unopt fails", base,
+         but(changed(system_opt, {"map.slices": 101})), "fail", "more slices"),
+        ("opt equal slices pass", base,
+         but(changed(system_opt, {"map.slices": 100})), "clean", ""),
+        ("opt unproved fails", base,
+         but(changed(wrapper_opt, {"aig.equiv_proved": 0})), "fail",
+         "not proved"),
+        ("fault floor violation fails", {},
+         but(changed(fault, {"fault.control_seu_coverage": 0.90})), "fail",
+         "0.95 floor"),
+        ("fault coverage drop beyond slack fails",
+         but(changed(fault, {"fault.control_seu_coverage": 1.0})),
+         but(changed(fault, {"fault.control_seu_coverage": 0.94})),
+         "fail", "worse by more than 0.05"),
+        ("fault coverage within slack passes", base,
+         but(changed(fault, {"fault.control_seu_coverage": 0.97})), "clean",
+         ""),
+        ("dropped fault design fails", base,
+         but(drop=[("fault", "f")]), "fail", "missing from fresh"),
+        ("sat violated invariant fails", base,
+         but(changed(sat, {"bmc.token_conservation_ok": 0})), "fail",
+         "token_conservation violated"),
+        ("sat watchdog violation fails", base,
+         but(changed(sat, {"bmc.deadlock_watchdog_ok": 0})), "fail",
+         "deadlock_watchdog violated"),
+        ("sat shallow bmc fails", base,
+         but(changed(sat, {"bmc.depth": 12})), "fail", "BMC depth"),
+        ("sat unproved sweep fails", base,
+         but(changed(sat, {"sweep.equiv_proved": 0})), "fail", "sweep"),
+        ("sat sim-screen method fails", base,
+         but(changed(sat, {"sweep.equiv_method": SIM_SCREEN})), "fail",
+         "simulation screen"),
+        ("dropped sat design fails", base,
+         but(drop=[("sat", "c")]), "fail", "missing from fresh"),
+        ("pdr unproved fails", base,
+         but(changed(sat, {"pdr.all_proved": 0})), "fail", "not proved"),
+        ("pdr degraded verdict fails naming the degradation", base,
+         but(changed(sat, {"pdr.all_proved": 0, "pdr.degraded": 1})), "fail",
+         "degraded"),
+        ("pdr inconsistent verdicts fail", base,
+         but(changed(sat, {"pdr.occupancy_bound_proved": 0})), "fail",
+         "occupancy_bound not proved"),
+        ("missing required counter fails", base,
+         but(changed(wrapper, {"cosim.cycles": None})), "fail",
+         '"cosim.cycles" missing'),
+        ("missing pair counter fails", base,
+         but(changed(system, {"map.slices": None})), "fail",
+         '"map.slices" missing'),
+        ("counter missing only from baseline warns",
+         but(changed(wrapper, {"sta.fmax_mhz": None})), base, "warn", ""),
+        ("new counter in fresh rows passes", base,
+         but(changed(sat, {"sat.restarts": 3})), "clean", ""),
+        ("failed fresh row warns", base,
+         but(row("wrapper", "w", {}, failed=True)), "warn", ""),
+        ("failed baseline row warns", but(row("fault", "f", {}, failed=True)),
+         base, "warn", ""),
+        ("no rows at all fails", base, {}, "fail", "missing from fresh"),
+    ]
     checks = []
+    for name, old, new, expect, needle in cases:
+        f, w, _ = check_rows(old, new, 0.25)
+        ok = {"clean": not f and not w, "pass": not f,
+              "warn": not f and bool(w), "fail": bool(f)}[expect]
+        if needle:
+            ok = ok and any(needle in x for x in f)
+        checks.append((name, ok))
 
-    # Identical results: clean pass.
-    f, w, _ = compare({"wrapper": [entry]}, {"wrapper": [entry]}, 0.25)
-    checks.append(("identical passes", not f and not w))
-
-    # Real regressions still fail.
-    f, _, _ = compare({"wrapper": [entry]},
-                      {"wrapper": [entry_with(slices=60)]}, 0.25)
-    checks.append(("slice regression fails", bool(f)))
-    f, _, _ = compare({"wrapper": [entry]},
-                      {"wrapper": [entry_with(fmax_mhz=40.0)]}, 0.25)
-    checks.append(("fmax regression fails", bool(f)))
-
-    # A dropped configuration fails.
-    f, _, _ = compare({"wrapper": [entry]}, {"wrapper": []}, 0.25)
-    checks.append(("dropped config fails", bool(f)))
-
-    # A section present on only one side warns, never fails.
-    f, w, _ = compare({"wrapper": [entry], "system": []},
-                      {"wrapper": [entry], "sweep": {}}, 0.25)
-    checks.append(("asymmetric sections warn", not f and len(w) == 2))
-
-    # A key missing from one side's entry warns and skips, never crashes.
-    slim = dict(entry)
-    del slim["fmax_mhz"]
-    f, w, _ = compare({"wrapper": [entry]}, {"wrapper": [slim]}, 0.25)
-    checks.append(("missing key warns", not f and any("fmax" in x
-                                                      for x in w)))
-    f, w, _ = compare({"wrapper": [slim]},
-                      {"wrapper": [entry_with(fmax_mhz=1.0)]}, 0.25)
-    checks.append(("missing baseline key skips comparison", not f))
-
-    # New fresh-side entries (added configs) are fine.
-    f, w, _ = compare({"wrapper": [entry]},
-                      {"wrapper": [entry, entry_with(inputs=2)]}, 0.25)
-    checks.append(("added config passes", not f))
-
-    # --- "opt" section invariants ---------------------------------------
-    opt_entry = {"design": "wrapper_n1m1d2_binary", "slices_unopt": 40,
-                 "slices_opt": 31, "equiv_proved": True}
-
-    def opt_with(**kw):
-        e = dict(opt_entry)
-        e.update(kw)
-        return e
-
-    # Optimized never worse: the happy path passes cleanly.
-    f, w = check_opt({"opt": {"wrapper": [opt_entry], "system": [],
-                              "sweep": []}})
-    checks.append(("opt improvement passes", not f and not w))
-    # Equal slices are allowed (FF-bound designs can't shrink)...
-    f, _ = check_opt({"opt": {"wrapper": [opt_with(slices_opt=40)]}})
-    checks.append(("opt equal slices passes", not f))
-    # ...but exceeding the unoptimized mapping fails, in any group.
-    f, _ = check_opt({"opt": {"sweep": [opt_with(slices_opt=41)]}})
-    checks.append(("opt regression fails", bool(f)))
-    # A design whose equivalence proof did not run fails; a file that
-    # predates the proof metric (key absent) only warns.
-    f, _ = check_opt({"opt": {"wrapper": [opt_with(equiv_proved=False)]}})
-    checks.append(("opt unproved fails", bool(f)))
-    no_proof_key = dict(opt_entry)
-    del no_proof_key["equiv_proved"]
-    f, w = check_opt({"opt": {"wrapper": [no_proof_key]}})
-    checks.append(("opt missing proof key warns", not f and bool(w)))
-    # Missing keys warn and skip, never crash; a pre-optimizer fresh file
-    # (no "opt" section at all) warns and passes.
-    slim_opt = dict(opt_entry)
-    del slim_opt["slices_opt"]
-    f, w = check_opt({"opt": {"wrapper": [slim_opt]}})
-    checks.append(("opt missing key warns", not f and bool(w)))
-    f, w = check_opt({"wrapper": [entry]})
-    checks.append(("absent opt section warns only", not f and bool(w)))
-
-    # --- failed-config tolerance ----------------------------------------
-    failed_row = {"inputs": 1, "outputs": 1, "relay_depth": 2,
-                  "encoding": "binary", "failed": True}
-    # A fresh config marked failed warns (the bench's exit code gates it)
-    # instead of crashing on its missing metric keys.
-    f, w, _ = compare({"wrapper": [entry]}, {"wrapper": [failed_row]}, 0.25)
-    checks.append(("failed fresh config warns", not f and
-                   any("failed" in x for x in w)))
-    # A failed baseline entry is skipped the same way.
-    f, w, _ = compare({"wrapper": [failed_row]}, {"wrapper": [entry]}, 0.25)
-    checks.append(("failed baseline config warns", not f and bool(w)))
-    f, w = check_opt({"opt": {"wrapper": [{"design": "w", "failed": True}]}})
-    checks.append(("failed opt config warns", not f and bool(w)))
-
-    # --- "fault" section coverage gate ----------------------------------
-    fault_entry = {"design": "wrapper_n3m1d2_binary", "sites": 48,
-                   "detected": 40, "recovered": 6, "silent": 1, "hang": 1,
-                   "coverage": 0.958, "control_seu_sites": 32,
-                   "control_seu_coverage": 1.0}
-
-    def fault_with(**kw):
-        e = dict(fault_entry)
-        e.update(kw)
-        return e
-
-    def fault_file(entries):
-        return {"fault": {"entries": entries}}
-
-    # Healthy coverage against an identical baseline: clean pass.
-    f, w = check_fault(fault_file([fault_entry]), fault_file([fault_entry]))
-    checks.append(("fault coverage passes", not f and not w))
-    # Below the absolute floor fails, baseline or not.
-    f, _ = check_fault({}, fault_file([
-        fault_with(control_seu_coverage=0.90)]))
-    checks.append(("fault floor violation fails", bool(f)))
-    # A drop beyond the slack relative to the baseline fails even when the
-    # floor still holds.
-    f, _ = check_fault(
-        fault_file([fault_with(control_seu_coverage=1.0)]),
-        fault_file([fault_with(control_seu_coverage=0.94)]))
-    checks.append(("fault coverage drop fails", bool(f)))
-    # Within the slack passes.
-    f, _ = check_fault(
-        fault_file([fault_with(control_seu_coverage=1.0)]),
-        fault_file([fault_with(control_seu_coverage=0.97)]))
-    checks.append(("fault coverage within slack passes", not f))
-    # A baseline design dropped from the fresh section fails.
-    f, _ = check_fault(fault_file([fault_entry]), fault_file([]))
-    checks.append(("dropped fault design fails", bool(f)))
-    # Failed campaign configs warn; a fresh file without the section warns.
-    f, w = check_fault(fault_file([fault_entry]), fault_file([
-        {"design": fault_entry["design"], "failed": True}]))
-    checks.append(("failed fault config warns", not f and bool(w)))
-    f, w = check_fault(fault_file([fault_entry]), {"wrapper": [entry]})
-    checks.append(("absent fault section warns only", not f and bool(w)))
-
-    # --- "sat" section verification gate --------------------------------
-    sat_entry = {"design": "chain3_d1_binary", "sweep_candidates": 12,
-                 "sweep_proved": 12, "sweep_refuted": 0,
-                 "sweep_undecided": 0, "equiv_method": "sat",
-                 "equiv_proved": True, "bmc_depth": 20,
-                 "token_conservation_ok": True, "occupancy_bound_ok": True,
-                 "deadlock_watchdog_ok": True, "proved_unbounded": True,
-                 "pdr_degraded": False, "induction_k": 3, "pdr_frames": 22,
-                 "pdr_clauses": 3000, "token_conservation_proved": True,
-                 "occupancy_bound_proved": True,
-                 "deadlock_watchdog_proved": True}
-
-    def sat_with(**kw):
-        e = dict(sat_entry)
-        e.update(kw)
-        return e
-
-    def sat_file(entries):
-        return {"sat": {"bmc_depth": 20, "entries": entries}}
-
-    # Clean invariants at full depth with a proved sweep: passes.
-    f, w = check_sat(sat_file([sat_entry]), sat_file([sat_entry]))
-    checks.append(("sat clean entry passes", not f and not w))
-    # Any violated invariant fails.
-    f, _ = check_sat({}, sat_file([sat_with(token_conservation_ok=False)]))
-    checks.append(("sat violated invariant fails", bool(f)))
-    f, _ = check_sat({}, sat_file([sat_with(deadlock_watchdog_ok=False)]))
-    checks.append(("sat watchdog violation fails", bool(f)))
-    # BMC stopping short of the depth floor fails.
-    f, _ = check_sat({}, sat_file([sat_with(bmc_depth=12)]))
-    checks.append(("sat shallow bmc fails", bool(f)))
-    # An unproved (degraded) sweep fails; so does a sim-screen method.
-    f, _ = check_sat({}, sat_file([sat_with(equiv_proved=False)]))
-    checks.append(("sat unproved sweep fails", bool(f)))
-    f, _ = check_sat({}, sat_file([sat_with(equiv_method="sim")]))
-    checks.append(("sat sim-screen method fails", bool(f)))
-    # A baseline design dropped from the fresh entries fails.
-    f, _ = check_sat(sat_file([sat_entry]), sat_file([]))
-    checks.append(("dropped sat design fails", bool(f)))
-    # Missing keys warn and skip; failed configs warn; a fresh file
-    # without the section warns and passes.
-    slim_sat = dict(sat_entry)
-    del slim_sat["bmc_depth"]
-    f, w = check_sat({}, sat_file([slim_sat]))
-    checks.append(("sat missing key warns", not f and bool(w)))
-    f, w = check_sat(sat_file([sat_entry]), sat_file([
-        {"design": sat_entry["design"], "failed": True}]))
-    checks.append(("failed sat config warns", not f and bool(w)))
-    f, w = check_sat(sat_file([sat_entry]), {"wrapper": [entry]})
-    checks.append(("absent sat section warns only", not f and bool(w)))
-
-    # --- unbounded-proof (PDR) gate on the sat section -------------------
-    # All proved for all time: clean pass.
-    f, w = check_pdr(sat_file([sat_entry]), sat_file([sat_entry]))
-    checks.append(("pdr all proved passes", not f and not w))
-    # A verdict that degraded to the bounded bar fails, and the message
-    # names the degradation rather than a phantom violation.
-    f, _ = check_pdr({}, sat_file([
-        sat_with(proved_unbounded=False, pdr_degraded=True)]))
-    checks.append(("pdr degraded verdict fails",
-                   bool(f) and any("degraded" in x for x in f)))
-    # Plain unproved fails too.
-    f, _ = check_pdr({}, sat_file([sat_with(proved_unbounded=False)]))
-    checks.append(("pdr unproved fails", bool(f)))
-    # Aggregate/per-property inconsistency fails.
-    f, _ = check_pdr({}, sat_file([
-        sat_with(occupancy_bound_proved=False)]))
-    checks.append(("pdr inconsistent verdicts fail", bool(f)))
-    # Pre-PDR bench output (no proved_unbounded key) warns and skips.
-    pre_pdr = dict(sat_entry)
-    for key in ("proved_unbounded", "pdr_degraded") + PDR_PROPERTY_KEYS:
-        del pre_pdr[key]
-    f, w = check_pdr({}, sat_file([pre_pdr]))
-    checks.append(("pdr pre-engine entry warns", not f and bool(w)))
-    # Failed configs are check_sat's business; check_pdr stays silent.
-    f, w = check_pdr({}, sat_file([
-        {"design": sat_entry["design"], "failed": True}]))
-    checks.append(("pdr failed config silent", not f and not w))
-
-    # --- "metrics" section gate -----------------------------------------
-    def metrics_file(configs, utilization=None):
-        return {"metrics": {"configs": configs,
-                            "utilization": utilization}}
-
-    good_row = {"suite": "wrapper", "design": "w",
-                "counters": {"cosim.cycles": 2000, "proof.sat_conflicts": 99}}
-    # Healthy configs with no utilization (untraced run): warns, passes.
-    f, w = check_metrics({}, metrics_file([good_row]))
-    checks.append(("metrics counters pass, absent utilization warns",
-                   not f and bool(w)))
-    # A required counter gone missing fails.
-    bad_row = {"suite": "wrapper", "design": "w",
-               "counters": {"cosim.cycles": 2000}}
-    f, _ = check_metrics({}, metrics_file([bad_row]))
-    checks.append(("metrics missing counter fails", bool(f)))
-    # Failed configs and unknown suites warn, never fail.
-    f, w = check_metrics({}, metrics_file(
-        [{"suite": "wrapper", "design": "w", "failed": True},
-         {"suite": "novel", "design": "x", "counters": {}}]))
-    checks.append(("metrics failed/unknown rows warn", not f and len(w) >= 2))
-    # No metrics section at all (pre-observability bench): warns, passes.
-    f, w = check_metrics({}, {"wrapper": [entry]})
-    checks.append(("absent metrics section warns only", not f and bool(w)))
-
+    # --- utilization (check_metrics) -------------------------------------
     def util_file(eff):
-        return metrics_file([], {"workers": 4, "suites": [
-            {"suite": "sweep", "parallel_efficiency": eff}],
-            "overall_parallel_efficiency": eff})
+        d = doc()
+        d["metrics"]["utilization"] = {
+            "workers": 4, "suites": [
+                {"suite": "sweep", "parallel_efficiency": eff}],
+            "overall_parallel_efficiency": eff}
+        return d
 
-    # Efficiency above the floor passes; below it fails.
+    f, w = check_metrics({}, doc())
+    checks.append(("absent utilization warns", not f and bool(w)))
     f, _ = check_metrics({}, util_file(0.8))
     checks.append(("efficiency above floor passes", not f))
     f, _ = check_metrics({}, util_file(0.1))
@@ -927,7 +538,6 @@ def self_test():
     # A collapse relative to the baseline fails even above the floor.
     f, _ = check_metrics(util_file(1.2), util_file(0.45))
     checks.append(("efficiency collapse vs baseline fails", bool(f)))
-    # Jitter within the slack passes.
     f, _ = check_metrics(util_file(0.9), util_file(0.5))
     checks.append(("efficiency jitter within slack passes", not f))
     # A baseline that ran more jobs than it had hardware threads is no
@@ -940,48 +550,41 @@ def self_test():
                    not f and any("hardware thread" in x for x in w)))
     f, _ = check_metrics(oversubscribed, util_file(0.1))
     checks.append(("oversubscribed baseline keeps the floor", bool(f)))
-    # A baseline without utilization (older bench) never blocks.
-    f, _ = check_metrics({"metrics": {"configs": []}}, util_file(0.8))
+    f, _ = check_metrics(doc(), util_file(0.8))
     checks.append(("missing baseline utilization passes", not f))
     # Null utilization in a timed parallel run (sweep.jobs > 1) fails:
     # spans are always recorded, so only broken instrumentation nulls it.
-    timed_parallel = dict(metrics_file([]))
+    timed_parallel = doc()
     timed_parallel["sweep"] = {"jobs": 4}
     f, _ = check_metrics({}, timed_parallel)
     checks.append(("null utilization in parallel run fails", bool(f)))
-    # ...but serial and stripped runs (jobs <= 1 / 0) still warn and pass.
-    stripped = dict(metrics_file([]))
+    stripped = doc()
     stripped["sweep"] = {"jobs": 0}
     f, w = check_metrics({}, stripped)
-    checks.append(("null utilization in stripped run warns", not f
-                   and bool(w)))
+    checks.append(("null utilization in stripped run warns",
+                   not f and bool(w)))
 
     # --- "--scale-gate" checks ------------------------------------------
-    def scale_file(**kw):
-        entries = [{"topology": t, "pearls": 256, "luts": 1000,
-                    "synth_seconds": 0.1, "map_seconds": 0.1,
-                    "cosim_seconds": 1.0}
-                   for t in SCALE_REQUIRED_TOPOLOGIES]
-        sweep = {"jobs": 4, "hardware_threads": 8,
-                 "flow_wall_seconds": 60.0, "serial_wall_seconds": 150.0,
-                 "speedup_vs_jobs1": 2.5, "serial_fraction_est": 0.2,
-                 "scale_entries": entries}
-        sweep.update(kw)
-        return {"sweep": sweep}
+    def scale_file(rows=None, **kw):
+        if rows is None:
+            rows = [row("scale", n, {"synth.pearls": 256, "map.luts": 1000})
+                    for n in SCALE_REQUIRED_DESIGNS]
+        d = doc(*rows)
+        d["sweep"] = {"jobs": 4, "hardware_threads": 8,
+                      "flow_wall_seconds": 60.0, "serial_wall_seconds": 150.0,
+                      "speedup_vs_jobs1": 2.5, "serial_fraction_est": 0.2}
+        d["sweep"].update(kw)
+        return d
 
-    # A healthy parallel scale run on a big machine passes cleanly.
+    healthy = scale_file()["metrics"]["configs"]
     f, w = check_scale(scale_file(), 600, 1.5)
     checks.append(("scale healthy run passes", not f and not w))
     # A dropped or failed topology fails — mesh32x32 completing the full
     # pipeline is part of the acceptance bar.
-    short = scale_file()
-    short["sweep"]["scale_entries"] = short["sweep"]["scale_entries"][:3]
-    f, _ = check_scale(short, 600, 1.5)
+    f, _ = check_scale(scale_file(healthy[:3]), 600, 1.5)
     checks.append(("scale missing topology fails", bool(f)))
-    broken = scale_file()
-    broken["sweep"]["scale_entries"][3] = {"topology": "mesh32x32_d1",
-                                           "failed": True}
-    f, _ = check_scale(broken, 600, 1.5)
+    f, _ = check_scale(scale_file(healthy[:3] + [
+        row("scale", "mesh32x32_d1_binary", {}, failed=True)]), 600, 1.5)
     checks.append(("scale failed topology fails", bool(f)))
     # Blowing the wall ceiling fails; a stripped wall (0) warns and skips.
     f, _ = check_scale(scale_file(flow_wall_seconds=700.0), 600, 1.5)
@@ -996,12 +599,11 @@ def self_test():
         scale_file(speedup_vs_jobs1=0.98, hardware_threads=1), 600, 1.5)
     checks.append(("scale low speedup warns on small machine",
                    not f and bool(w)))
-    # A serial run has no speedup to gate: warns and passes.
     f, w = check_scale(scale_file(jobs=1, speedup_vs_jobs1=1.0), 600, 1.5)
     checks.append(("scale serial run warns", not f and bool(w)))
     # A file without the sweep section fails: the gate was asked for
     # explicitly, so absence means the wrong bench mode ran.
-    f, _ = check_scale({"wrapper": [entry]}, 600, 1.5)
+    f, _ = check_scale(doc(), 600, 1.5)
     checks.append(("scale absent sweep section fails", bool(f)))
 
     ok = True
