@@ -203,7 +203,7 @@ enum class SuiteMode { Quick, All, Scale, Full };
 
 // The sat suite stays in the smoke set because it is acceptance-gated
 // (check_bench_regression's sat rules), although it is the slowest
-// suite: 58 s of wall (118 s busy) at --jobs 4 on a 4-thread Xeon VM,
+// suite: 20 s of wall (49 s busy) at --jobs 4 on a 4-thread Xeon VM,
 // Release build, mostly in the unbounded PDR proofs.
 // Each suite's runMany is wrapped in a "suite"-category span: those
 // windows are what computeUtilization measures.

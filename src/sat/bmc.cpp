@@ -1,9 +1,9 @@
 #include "sat/bmc.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
-#include "aig/bridge.hpp"
 #include "netlist/buses.hpp"
 #include "obs/trace.hpp"
 #include "sat/cnf.hpp"
@@ -178,16 +178,20 @@ struct PropertyRun {
   bool active = true;
 };
 
-/// Unroll `sa` frame by frame, querying each active property's fail
-/// output per frame.
-void runUnrolling(const aig::SequentialAig& sa,
-                  std::vector<ForcedInput> forced,
-                  std::vector<PropertyRun> props, const BmcOptions& opts,
-                  SolverStats& statsOut) {
-  if (props.empty()) return;
+/// Unroll the cone of the properties' fail outputs in `monitor` frame by
+/// frame, querying each active property's fail output per frame. Returns
+/// the number of DFFs the unrolling encodes per frame.
+std::size_t runUnrolling(const Netlist& monitor,
+                         std::span<const ForcedInput> forced,
+                         std::vector<PropertyRun> props,
+                         const BmcOptions& opts, SolverStats& statsOut) {
+  if (props.empty()) return 0;
+  std::vector<NodeId> roots;
+  for (const PropertyRun& p : props) roots.push_back(p.failOut);
+  const ConeAig model(monitor, roots, forced);
   Solver solver(opts.seed);
   solver.setBudget({opts.conflictBudget, opts.propagationBudget});
-  Unroller unroller(solver, sa, std::move(forced));
+  Unroller unroller(solver, model.sa, model.forced);
   bool stopped = false;
   for (unsigned k = 0; k <= opts.depth && !stopped; k++) {
     if (opts.cancel != nullptr && opts.cancel->cancelled()) break;
@@ -196,7 +200,7 @@ void runUnrolling(const aig::SequentialAig& sa,
     unroller.pushFrame();
     for (PropertyRun& p : props) {
       if (!p.active) continue;
-      const Lit fail = unroller.outputLit(k, p.failOut);
+      const Lit fail = unroller.outputLit(k, model.cone.toCone[p.failOut]);
       const Result r = solver.solve({fail});
       if (r == Result::Unsat) {
         p.result->depthReached = k;
@@ -216,6 +220,7 @@ void runUnrolling(const aig::SequentialAig& sa,
     }
   }
   statsOut.accumulate(solver.stats());
+  return model.cone.netlist.dffs().size();
 }
 
 } // namespace
@@ -227,7 +232,6 @@ BmcResult checkInvariants(const netlist::Netlist& nl,
   span.arg("depth", static_cast<double>(opts.depth));
   BmcResult result;
   const Monitor mon = buildMonitor(nl, ports, opts);
-  const aig::SequentialAig sa = aig::fromNetlist(mon.nl);
 
   result.properties.reserve(3);
   BmcPropertyResult* token = nullptr;
@@ -249,11 +253,14 @@ BmcResult checkInvariants(const netlist::Netlist& nl,
   std::vector<PropertyRun> freeEnv;
   if (token != nullptr) freeEnv.push_back({token, mon.tokenOut});
   if (occ != nullptr) freeEnv.push_back({occ, mon.occOut});
-  runUnrolling(sa, {}, std::move(freeEnv), opts, result.stats);
+  std::size_t coneDffs =
+      runUnrolling(mon.nl, {}, std::move(freeEnv), opts, result.stats);
 
   if (wd != nullptr) {
-    runUnrolling(sa, mon.maximalEnv, {{wd, mon.wdOut}}, opts, result.stats);
+    coneDffs += runUnrolling(mon.nl, mon.maximalEnv, {{wd, mon.wdOut}}, opts,
+                             result.stats);
   }
+  span.arg("cone_dffs", static_cast<double>(coneDffs));
   return result;
 }
 

@@ -18,14 +18,17 @@
 //                        system makes no handshake at all for
 //                        `watchdogWindow` consecutive cycles.
 //
-// The monitored netlist is unrolled frame by frame into one incremental
-// SAT solver (the watchdog runs on a second unrolling because its
-// environment constraint would weaken the other two properties), and
-// each fail flag is queried per frame under an assumption. UNSAT at
-// every frame up to `depth` proves the invariant to that bound; SAT
-// pinpoints the exact violation depth. B is the capacity bound: total
-// seed tokens plus relay storage plus shell/pearl buffering —
-// capacityBound() computes a sound (generous) value from the spec.
+// The cone of influence of the fail flags (netlist::extractCone) is
+// unrolled frame by frame into one incremental SAT solver — the
+// synthesized control network and the monitor, without the pearls'
+// datapath, which no handshake reads. The watchdog runs on a second
+// unrolling of its own cone because its environment constraint would
+// weaken the other two properties. Each fail flag is queried per frame
+// under an assumption. UNSAT at every frame up to `depth` proves the
+// invariant to that bound; SAT pinpoints the exact violation depth. B is
+// the capacity bound: total seed tokens plus relay storage plus
+// shell/pearl buffering — capacityBound() computes a sound (generous)
+// value from the spec.
 
 #include <cstdint>
 #include <string>

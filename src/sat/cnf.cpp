@@ -255,6 +255,24 @@ Lit Unroller::outputLit(unsigned frame, netlist::NodeId id) const {
 }
 
 // ---------------------------------------------------------------------------
+// ConeAig
+
+ConeAig::ConeAig(const netlist::Netlist& nl,
+                 std::span<const netlist::NodeId> roots,
+                 std::span<const ForcedInput> forcedInputs)
+    : cone(netlist::extractCone(nl, roots)),
+      sa(aig::fromNetlist(cone.netlist)) {
+  for (const ForcedInput& f : forcedInputs) {
+    if (f.input >= nl.nodeCount() ||
+        nl.node(f.input).op != netlist::Op::Input) {
+      throw std::invalid_argument("sat::ConeAig: forced node is not an input");
+    }
+    const netlist::NodeId c = cone.toCone[f.input];
+    if (c != netlist::kNoNode) forced.push_back({c, f.value});
+  }
+}
+
+// ---------------------------------------------------------------------------
 // appendCombinational
 
 std::vector<aig::Lit> appendCombinational(

@@ -24,18 +24,24 @@
 // can be forced to constants across all frames (the BMC watchdog's
 // "sink never stalls" environment). ROMs are not supported.
 //
+// ConeAig is what the proof engines unroll: the sequential cone of the
+// properties' fail outputs (netlist::extractCone), lifted to an AIG, so
+// logic no property reads never becomes solver variables.
+//
 // appendCombinational lowers the combinational logic of a netlist into
 // an existing Aig — the shared front-end for SAT equivalence miters
 // (two netlists lowered into one Aig over shared inputs).
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "aig/aig.hpp"
 #include "aig/bridge.hpp"
+#include "netlist/cone.hpp"
 #include "netlist/netlist.hpp"
 #include "sat/solver.hpp"
 
@@ -138,6 +144,23 @@ private:
   // PO index of each DFF's data (and enable) pin in sa_.aig.pos().
   std::vector<std::size_t> dffDataPo_;
   std::vector<std::size_t> dffEnablePo_; // SIZE_MAX = no enable
+};
+
+/// One unrolling's model: the cone of `roots` in `nl`, its AIG, and the
+/// `forced` inputs that fall inside the cone, translated to cone ids (an
+/// input outside the cone cannot influence the roots, and the Unroller
+/// rejects a node that is not one of its inputs). Throws
+/// std::invalid_argument when a forced node is not an input of `nl`.
+/// Pinned in memory: `sa.source` points at `cone.netlist`.
+struct ConeAig {
+  ConeAig(const netlist::Netlist& nl, std::span<const netlist::NodeId> roots,
+          std::span<const ForcedInput> forced = {});
+  ConeAig(const ConeAig&) = delete;
+  ConeAig& operator=(const ConeAig&) = delete;
+
+  netlist::Cone cone;
+  aig::SequentialAig sa;
+  std::vector<ForcedInput> forced;
 };
 
 /// Lower the combinational logic of `nl` into `aig`: `inputLit(id)`

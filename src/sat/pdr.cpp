@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "aig/bridge.hpp"
 #include "netlist/buses.hpp"
 #include "netlist/netlist_sim.hpp"
 #include "obs/trace.hpp"
@@ -234,7 +233,6 @@ public:
 
   PdrPropertyResult run() {
     result_.trace.inputs = freeInputs_;
-    result_.trace.forced = forced_;
     if (runInduction()) return result_;
     runPdr();
     return result_;
@@ -798,12 +796,6 @@ private:
   std::vector<Lit> act_;                  // frame activation literals
 };
 
-PdrPropertyResult runEngine(const aig::SequentialAig& sa, NodeId badOut,
-                            std::vector<ForcedInput> forced,
-                            const PdrOptions& opts, SolverStats& statsOut) {
-  return Engine(sa, badOut, std::move(forced), opts, statsOut).run();
-}
-
 } // namespace
 
 PdrPropertyResult provePropertyUnbounded(const netlist::Netlist& nl,
@@ -811,8 +803,15 @@ PdrPropertyResult provePropertyUnbounded(const netlist::Netlist& nl,
                                          std::vector<ForcedInput> forced,
                                          const PdrOptions& opts,
                                          SolverStats& statsOut) {
-  const aig::SequentialAig sa = aig::fromNetlist(nl);
-  return runEngine(sa, badOutput, std::move(forced), opts, statsOut);
+  const NodeId roots[] = {badOutput};
+  const ConeAig model(nl, roots, forced);
+  PdrPropertyResult r = Engine(model.sa, model.cone.toCone[badOutput],
+                               model.forced, opts, statsOut)
+                            .run();
+  for (NodeId& id : r.trace.inputs) id = model.cone.toSource[id];
+  r.trace.forced = std::move(forced);
+  r.coneDffs = static_cast<unsigned>(model.cone.netlist.dffs().size());
+  return r;
 }
 
 PdrResult proveUnbounded(const netlist::Netlist& nl,
@@ -824,15 +823,16 @@ PdrResult proveUnbounded(const netlist::Netlist& nl,
   const Monitor mon =
       buildUnboundedMonitor(nl, ports, opts.capacityBound,
                             opts.watchdogWindow);
-  const aig::SequentialAig sa = aig::fromNetlist(mon.nl);
 
   const auto prove = [&](const char* name, NodeId out,
                          std::vector<ForcedInput> forced) {
     obs::Span propSpan("sat.pdr.property");
     propSpan.arg("name", std::string(name));
-    PdrPropertyResult r =
-        runEngine(sa, out, std::move(forced), opts, result.stats);
+    propSpan.arg("netlist", nl.name());
+    PdrPropertyResult r = provePropertyUnbounded(mon.nl, out, std::move(forced),
+                                                 opts, result.stats);
     r.name = name;
+    propSpan.arg("cone_dffs", static_cast<double>(r.coneDffs));
     propSpan.arg("proved", r.provedUnbounded ? 1.0 : 0.0);
     result.properties.push_back(std::move(r));
   };

@@ -36,11 +36,20 @@
 //                detection (some frame's delta empties) → proved for
 //                all time.
 //
-// Counterexamples come back as multi-frame input traces. replayTrace
-// re-simulates the trace cycle-accurately on the *design* netlist
-// (netlist::NetlistSim) with an independent software mirror of the
-// monitor's saturating-offset property semantics, and
-// replayTraceOnOracle drives the behavioural fleet (sync::Oracle) in
+// Each property runs on its own cone of influence: the monitor is built
+// once over the whole design, then the engines unroll only the sequential
+// cone of that property's fail output (netlist::extractCone: transitive
+// fanin through gates and DFF data/enable pins). Shells and relay
+// stations compute valid/stop from their control state alone, so the
+// pearls' datapath never reaches a fail output. The cone is exact —
+// verdicts and counterexample depths are those of the whole netlist —
+// and only the size of every SAT query shrinks.
+//
+// Counterexamples come back as multi-frame input traces over the cone's
+// free inputs. replayTrace re-simulates the trace cycle-accurately on
+// the *design* netlist (netlist::NetlistSim) with an independent
+// software mirror of the monitor's saturating-offset property semantics,
+// and replayTraceOnOracle drives the behavioural fleet (sync::Oracle) in
 // lockstep with the netlist — the cosim cross-validation of the
 // monitor. A budget/cancellation stop degrades to the bounded result
 // (`degraded = true`, depthReached = the BMC bound established on the
@@ -83,10 +92,12 @@ struct PdrOptions {
 };
 
 /// A counterexample as multi-frame input assignments. frames[f][i] is
-/// the value of inputs[i] at cycle f; `forced` pins the environment
-/// inputs the trace's unrolling held constant (the watchdog's
-/// maximal-progress environment). The violation is observable at cycle
-/// frames.size() - 1.
+/// the value of inputs[i] at cycle f; `inputs` are the free inputs of the
+/// property's cone, as node ids of the netlist the caller passed (an
+/// input outside the cone cannot change the verdict, and replay drives
+/// unlisted inputs to 0). `forced` is the caller's full list of pinned
+/// environment inputs (the watchdog's maximal-progress environment). The
+/// violation is observable at cycle frames.size() - 1.
 struct PdrTrace {
   std::vector<netlist::NodeId> inputs;
   std::vector<ForcedInput> forced;
@@ -114,6 +125,7 @@ struct PdrPropertyResult {
   unsigned clauses = 0;        // live trapezoid clauses at exit
   unsigned failDepth = 0;      // first violating cycle (valid when violated)
   unsigned depthReached = 0;   // deepest cycle proven clean (bounded sense)
+  unsigned coneDffs = 0;       // DFFs in the fail output's cone (see header)
   PdrTrace trace;              // non-empty when violated
   PdrEngineStats engine;
 };
@@ -180,9 +192,10 @@ PdrResult proveUnbounded(const netlist::Netlist& nl,
                          const PdrOptions& opts = {});
 
 /// Generic single-property entry: prove output `badOutput` of `nl` can
-/// never assert, with `forced` inputs pinned every cycle. Used by the
-/// protocol driver above and directly unit-testable on hand-built
-/// state machines. `statsOut` accumulates the solver totals.
+/// never assert, with `forced` inputs pinned every cycle, on the cone of
+/// `badOutput`. Used by the protocol driver above and directly
+/// unit-testable on hand-built state machines. `statsOut` accumulates
+/// the solver totals.
 PdrPropertyResult provePropertyUnbounded(const netlist::Netlist& nl,
                                          netlist::NodeId badOutput,
                                          std::vector<ForcedInput> forced,

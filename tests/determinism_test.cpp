@@ -435,8 +435,9 @@ void testRunManySatPipeline() {
     CHECK_EQ(b1.decisions, b8.decisions);
     CHECK_EQ(b1.propagations, b8.propagations);
     // PDR's trapezoid is rebuilt from the same seed and the same
-    // obligation order at any job count: frame counts, learned-clause
-    // counts, the engine counters and the solver totals all match.
+    // obligation order at any job count: cone sizes, frame counts,
+    // learned-clause counts, the engine counters and the solver totals
+    // all match.
     const lis::sat::PdrResult* p1 = designs1[i].pdrResult();
     const lis::sat::PdrResult* p8 = designs8[i].pdrResult();
     CHECK_EQ(p1->totalFrames(), p8->totalFrames());
@@ -446,6 +447,7 @@ void testRunManySatPipeline() {
       const auto& e1 = p1->properties[p].engine;
       const auto& e8 = p8->properties[p].engine;
       CHECK(p1->properties[p].method == p8->properties[p].method);
+      CHECK_EQ(p1->properties[p].coneDffs, p8->properties[p].coneDffs);
       CHECK_EQ(e1.obligations, e8.obligations);
       CHECK_EQ(e1.cubesBlocked, e8.cubesBlocked);
       CHECK_EQ(e1.coreShrunkLits, e8.coreShrunkLits);

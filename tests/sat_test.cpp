@@ -4,6 +4,7 @@
 // the protocol invariants including a deliberately broken relay with a
 // violation at a known depth.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "netlist/equiv.hpp"
 #include "netlist/generate.hpp"
 #include "netlist/seq_equiv.hpp"
+#include "obs/trace.hpp"
 #include "sat/bmc.hpp"
 #include "sat/cnf.hpp"
 #include "sat/pdr.hpp"
@@ -567,6 +569,27 @@ void testPdrProvesHandBuiltMachines() {
     CHECK(r.provedUnbounded);
     CHECK(r.method == "pdr");
   }
+  // A forced input outside the property's cone is dropped before the
+  // unrolling, and the trace still carries the caller's forced list:
+  // bad is a delayed copy of input x, fires at cycle 1, and never reads
+  // the forced input `idle`.
+  {
+    nlx::Netlist nl("delay");
+    const nlx::NodeId x = nl.addInput("x");
+    const nlx::NodeId idle = nl.addInput("idle");
+    nl.addOutput("idle_q", nl.mkDff(idle));
+    const nlx::NodeId bad = nl.addOutput("bad", nl.mkDff(x));
+    sat::SolverStats stats;
+    const sat::PdrPropertyResult r =
+        sat::provePropertyUnbounded(nl, bad, {{idle, true}}, {}, stats);
+    CHECK(r.violated);
+    CHECK_EQ(r.failDepth, 1u);
+    CHECK_EQ(r.coneDffs, 1u);
+    CHECK(r.trace.inputs == std::vector<nlx::NodeId>{x});
+    CHECK_EQ(r.trace.forced.size(), 1u);
+    CHECK(r.trace.forced[0].input == idle);
+    CHECK(!r.trace.frames.empty() && r.trace.frames[0][0]);
+  }
 }
 
 void testPdrCleanTopologiesProvedUnbounded() {
@@ -589,6 +612,12 @@ void testPdrCleanTopologiesProvedUnbounded() {
       CHECK(!r.anyViolated());
       CHECK(!r.anyDegraded());
       CHECK_EQ(r.minDepthReached(), ~0u);
+      // The counter properties are proved on their cone, which leaves
+      // out the pearls' datapath registers.
+      for (std::size_t p = 0; p < 2 && p < r.properties.size(); ++p) {
+        CHECK(r.properties[p].coneDffs > 0u);
+        CHECK(r.properties[p].coneDffs < sys.netlist.dffs().size());
+      }
     }
   }
 }
@@ -605,6 +634,20 @@ void testPdrBrokenRelayCexAndReplay() {
   opts.capacityBound = 2;
   sat::ReplayOptions ropts;
   ropts.capacityBound = 2;
+  // The token property's cone holds the handshake inputs only: its trace
+  // lists broken-relay inputs and never the data bit, which no handshake
+  // reads.
+  const auto checkConeTrace = [&](const sat::PdrTrace& trace) {
+    CHECK(!trace.inputs.empty());
+    for (const nlx::NodeId id : trace.inputs) {
+      CHECK(std::find(nl.inputs().begin(), nl.inputs().end(), id) !=
+            nl.inputs().end());
+      CHECK(id != view.inData[0][0]);
+    }
+    for (const std::vector<bool>& frame : trace.frames) {
+      CHECK_EQ(frame.size(), trace.inputs.size());
+    }
+  };
   {
     const sat::PdrResult r = sat::proveUnbounded(nl, view, opts);
     CHECK_EQ(r.properties.size(), 3u);
@@ -614,6 +657,7 @@ void testPdrBrokenRelayCexAndReplay() {
     CHECK(!token.provedUnbounded);
     CHECK_EQ(token.failDepth, 1u);
     CHECK_EQ(token.trace.frames.size(), 2u);
+    checkConeTrace(token.trace);
     const sat::ReplayResult rep =
         sat::replayTrace(nl, view, token.name, token.trace, ropts);
     CHECK(rep.reproduced);
@@ -636,11 +680,53 @@ void testPdrBrokenRelayCexAndReplay() {
     CHECK(token.method == "pdr");
     CHECK_EQ(token.failDepth, 1u);
     CHECK_EQ(token.trace.frames.size(), 2u);
+    checkConeTrace(token.trace);
     const sat::ReplayResult rep =
         sat::replayTrace(nl, view, token.name, token.trace, ropts);
     CHECK(rep.reproduced);
     CHECK_EQ(rep.violationCycle, 1u);
   }
+}
+
+void testProofSpansNameTheCone() {
+  // Each property's span names its design and the cone its engine saw;
+  // the BMC span counts the DFFs its unrollings encode per frame.
+  lsync::PortView view;
+  const nlx::Netlist nl = brokenRelay(view);
+  lis::obs::Tracer& tracer = lis::obs::Tracer::instance();
+  tracer.enable();
+  sat::PdrOptions opts;
+  opts.capacityBound = 2;
+  const sat::PdrResult r = sat::proveUnbounded(nl, view, opts);
+  sat::BmcOptions bopts;
+  bopts.depth = 3;
+  bopts.capacityBound = 2;
+  sat::checkInvariants(nl, view, bopts);
+  tracer.disable();
+  const auto arg = [](const lis::obs::TraceEvent& e, const std::string& key) {
+    for (const lis::obs::TraceArg& a : e.args) {
+      if (a.key == key) return &a;
+    }
+    return static_cast<const lis::obs::TraceArg*>(nullptr);
+  };
+  std::size_t properties = 0;
+  std::size_t bmcSpans = 0;
+  for (const lis::obs::TraceEvent& e : tracer.snapshot()) {
+    if (e.name == "sat.pdr.property") {
+      const lis::obs::TraceArg* design = arg(e, "netlist");
+      const lis::obs::TraceArg* cone = arg(e, "cone_dffs");
+      CHECK(design != nullptr && design->text == "broken_relay");
+      CHECK(cone != nullptr && properties < r.properties.size() &&
+            cone->number == r.properties[properties].coneDffs);
+      properties++;
+    } else if (e.name == "sat.bmc") {
+      const lis::obs::TraceArg* cone = arg(e, "cone_dffs");
+      CHECK(cone != nullptr && cone->number > 0);
+      bmcSpans++;
+    }
+  }
+  CHECK_EQ(properties, r.properties.size());
+  CHECK_EQ(bmcSpans, 1u);
 }
 
 void testPdrReplayOnCosimOracle() {
@@ -839,6 +925,7 @@ int main() {
   testPdrProvesHandBuiltMachines();
   testPdrCleanTopologiesProvedUnbounded();
   testPdrBrokenRelayCexAndReplay();
+  testProofSpansNameTheCone();
   testPdrReplayOnCosimOracle();
   testPdrBudgetDegradesToBound();
   testEquivSatTierProves();
