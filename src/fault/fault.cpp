@@ -6,8 +6,7 @@
 #include <stdexcept>
 
 #include "lis/behavioral.hpp"
-#include "netlist/netlist_sim.hpp"
-#include "support/rng.hpp"
+#include "lis/lockstep.hpp"
 
 namespace lis::fault {
 
@@ -101,6 +100,51 @@ std::vector<netlist::NodeId> gateNodes(const netlist::Netlist& nl) {
   return out;
 }
 
+namespace {
+
+/// Throws std::invalid_argument unless `site` can fire inside the run:
+/// node faults on an existing node (an SEU on a DFF, since a poke on a
+/// gate is overwritten by the next settle), channel faults on an existing
+/// channel of their kind, and the injection cycle below the horizon.
+void checkSite(const Target& t, const FaultSite& site,
+               const InjectionOptions& opts) {
+  const auto reject = [&](const std::string& why) {
+    throw std::invalid_argument(std::string("injectOne: ") +
+                                faultKindName(site.kind) + " site " + why);
+  };
+  switch (site.kind) {
+    case FaultKind::StuckAt0:
+    case FaultKind::StuckAt1:
+    case FaultKind::SeuFlip:
+      if (site.node >= t.netlist->nodeCount()) {
+        reject("node " + std::to_string(site.node) + " is not in the netlist");
+      }
+      if (site.kind == FaultKind::SeuFlip &&
+          t.netlist->node(site.node).op != netlist::Op::Dff) {
+        reject("node " + std::to_string(site.node) + " is not a DFF");
+      }
+      break;
+    case FaultKind::ChannelStall:
+      if (site.channel >= t.ports.outValid.size()) {
+        reject("channel " + std::to_string(site.channel) +
+               " is not an output channel");
+      }
+      break;
+    case FaultKind::ChannelGlitch:
+      if (site.channel >= t.ports.inValid.size()) {
+        reject("channel " + std::to_string(site.channel) +
+               " is not an input channel");
+      }
+      break;
+  }
+  if (site.cycle >= opts.cycles) {
+    reject("cycle " + std::to_string(site.cycle) + " is not below the " +
+           std::to_string(opts.cycles) + "-cycle horizon");
+  }
+}
+
+} // namespace
+
 FaultResult injectOne(const Target& t, const FaultSite& site,
                       const InjectionOptions& opts) {
   if (t.netlist == nullptr ||
@@ -108,29 +152,19 @@ FaultResult injectOne(const Target& t, const FaultSite& site,
     throw std::invalid_argument(
         "injectOne: target needs a netlist and exactly one oracle spec");
   }
+  checkSite(t, site, opts);
   const netlist::Netlist& nl = *t.netlist;
-  netlist::NetlistSim faulted(nl);
-  netlist::NetlistSim golden(nl);
-  std::unique_ptr<sync::Oracle> behPtr =
+  std::unique_ptr<sync::Oracle> beh =
       t.wrapperCfg != nullptr
           ? std::make_unique<sync::Oracle>(*t.wrapperCfg)
           : std::make_unique<sync::Oracle>(*t.systemSpec);
-  sync::Oracle& beh = *behPtr;
-
-  faulted.reset();
-  golden.reset();
-  beh.reset();
-
-  support::SplitMix64 rng(opts.seed);
+  // The faulted design is the compared side; the twin is its fault-free
+  // reference for the horizon compare.
+  sync::Lockstep ls(nl, t.ports, beh.get(), /*twin=*/true);
+  sync::RandomTraffic traffic(opts.seed, opts.offerPercent, opts.stallPercent,
+                              ls.numInputs(), ls.numOutputs(), t.dataWidth);
+  netlist::NetlistSim& faulted = ls.gate();
   const std::uint64_t mask = sync::widthMask(t.dataWidth);
-  const std::size_t nIn = t.ports.inValid.size();
-  const std::size_t nOut = t.ports.outValid.size();
-
-  // Same persistent-source discipline as the cosim drive loop; one driver
-  // feeds all three simulators so they stay comparable cycle by cycle.
-  std::vector<bool> pending(nIn, false);
-  std::vector<std::uint64_t> pendingData(nIn, 0);
-  std::vector<char> stalled(nOut, 0);
 
   FaultResult res;
   res.site = site;
@@ -139,150 +173,84 @@ FaultResult injectOne(const Target& t, const FaultSite& site,
   // handshakes. The register count is a deliberately loose storage bound;
   // the checker is a backstop for gross token fabrication — in practice
   // the oracle comparison flags those faults first.
-  std::vector<std::uint64_t> accepted(nIn, 0);
-  std::vector<std::uint64_t> delivered(nOut, 0);
+  std::vector<std::uint64_t> accepted(ls.numInputs(), 0);
+  std::vector<std::uint64_t> delivered(ls.numOutputs(), 0);
   const std::uint64_t storageBound = nl.dffs().size();
-
   std::uint64_t lastProgress = 0;
-  bool stuckActive = false;
 
   const auto detect = [&](std::uint64_t cycle, const std::string& what) {
     res.outcome = Outcome::Detected;
     res.atCycle = cycle;
     res.detail = what;
+    return res;
   };
 
+  const bool stuck =
+      site.kind == FaultKind::StuckAt0 || site.kind == FaultKind::StuckAt1;
   for (std::uint64_t cycle = 0; cycle < opts.cycles; ++cycle) {
     // --- inject / clear node faults (channel faults act while driving)
-    switch (site.kind) {
-      case FaultKind::StuckAt0:
-      case FaultKind::StuckAt1:
-        if (cycle == site.cycle) {
-          faulted.setForce(site.node, site.kind == FaultKind::StuckAt1);
-          faulted.settle();
-          stuckActive = true;
-        } else if (stuckActive && site.duration != 0 &&
-                   cycle == site.cycle + site.duration) {
-          faulted.clearForce(site.node);
-          faulted.settle();
-          stuckActive = false;
-        }
-        break;
-      case FaultKind::SeuFlip:
-        if (cycle == site.cycle) {
-          faulted.poke(site.node, !faulted.value(site.node));
-          faulted.settle();
-        }
-        break;
-      default:
-        break;
+    if (stuck && cycle == site.cycle) {
+      faulted.setForce(site.node, site.kind == FaultKind::StuckAt1);
+      faulted.settle();
+    } else if (stuck && site.duration != 0 &&
+               cycle == site.cycle + site.duration) {
+      faulted.clearForce(site.node);
+      faulted.settle();
+    } else if (site.kind == FaultKind::SeuFlip && cycle == site.cycle) {
+      faulted.poke(site.node, !faulted.value(site.node));
+      faulted.settle();
     }
 
-    beh.settle(); // expose post-clock Moore stop outputs (see cosim)
-    for (std::size_t i = 0; i < nIn; ++i) {
-      const bool stopGate = faulted.value(t.ports.inStop[i]);
-      const bool stopBeh = beh.inStop(i);
-      if (stopGate != stopBeh) {
-        detect(cycle,
-               "in" + std::to_string(i) + "_stop diverged from oracle");
-        return res;
-      }
-      if (!pending[i] && rng.below(100) < opts.offerPercent) {
-        pending[i] = true;
-        pendingData[i] = rng.next() & mask;
-      }
-      const bool valid = pending[i];
-      faulted.setInput(t.ports.inValid[i], valid);
-      faulted.setInputBus(t.ports.inData[i], pendingData[i]);
-      golden.setInput(t.ports.inValid[i], valid);
-      golden.setInputBus(t.ports.inData[i], pendingData[i]);
-      beh.driveInput(i, valid, pendingData[i]);
-      if (valid && !stopGate) {
-        ++accepted[i];
-        lastProgress = cycle;
-      }
-      if (valid && !stopBeh) pending[i] = false; // transfer completes
-      if (site.kind == FaultKind::ChannelGlitch && cycle == site.cycle &&
-          i == site.channel) {
-        // Spurious handshake on the faulted side only: a one-cycle valid
-        // pulse carrying a corrupted payload.
-        faulted.setInput(t.ports.inValid[i], true);
-        faulted.setInputBus(t.ports.inData[i], ~pendingData[i] & mask);
-      }
+    if (!ls.readStops(cycle)) return detect(cycle, ls.mismatch());
+    sync::Stimulus& stim = traffic.draw();
+    if (site.kind == FaultKind::ChannelStall && cycle >= site.cycle &&
+        (site.duration == 0 || cycle < site.cycle + site.duration)) {
+      // The stall burst hits every side alike: the fault is in the
+      // environment, and the property probed is that the design tolerates
+      // it (latency-insensitivity) without diverging. A forced burst
+      // legitimately freezes deliveries — exempt it from the watchdog so
+      // environment faults are not misread as design hangs.
+      stim.stall[site.channel] = 1;
+      lastProgress = cycle;
     }
-    bool burstActive = false;
-    for (std::size_t j = 0; j < nOut; ++j) {
-      bool stall = rng.below(100) < opts.stallPercent;
-      if (site.kind == FaultKind::ChannelStall && j == site.channel &&
-          cycle >= site.cycle &&
-          (site.duration == 0 || cycle < site.cycle + site.duration)) {
-        // The stall burst hits all three simulators alike: the fault is in
-        // the environment, and the property probed is that the design
-        // tolerates it (latency-insensitivity) without diverging.
-        stall = true;
-        burstActive = true;
-      }
-      faulted.setInput(t.ports.outStop[j], stall);
-      golden.setInput(t.ports.outStop[j], stall);
-      beh.driveOutStop(j, stall);
-      stalled[j] = stall ? 1 : 0;
+    ls.drive(stim);
+    if (site.kind == FaultKind::ChannelGlitch && cycle == site.cycle) {
+      // Spurious handshake on the faulted side only: a one-cycle valid
+      // pulse carrying a corrupted payload.
+      faulted.setInput(t.ports.inValid[site.channel], true);
+      faulted.setInputBus(t.ports.inData[site.channel],
+                          ~stim.data[site.channel] & mask);
     }
-    // A forced burst legitimately freezes deliveries — exempt it from the
-    // watchdog so environment faults are not misread as design hangs.
-    if (burstActive) lastProgress = cycle;
+    if (!ls.settle(cycle)) return detect(cycle, ls.mismatch());
+    traffic.retire(ls.accepted());
 
-    faulted.settle();
-    golden.settle();
-    beh.settle();
-
-    for (std::size_t j = 0; j < nOut; ++j) {
-      const bool vGate = faulted.value(t.ports.outValid[j]);
-      const bool vBeh = beh.outValid(j);
-      if (vGate != vBeh) {
-        detect(cycle,
-               "out" + std::to_string(j) + "_valid diverged from oracle");
-        return res;
-      }
-      if (vGate) {
-        if (faulted.busValue(t.ports.outData[j]) != beh.outData(j)) {
-          detect(cycle, "out" + std::to_string(j) + "_data corrupted");
-          return res;
-        }
-        if (stalled[j] == 0) {
-          ++delivered[j];
-          lastProgress = cycle;
-        }
+    for (std::size_t i = 0; i < ls.numInputs(); ++i) {
+      if (ls.accepted()[i] == 0) continue;
+      ++accepted[i];
+      lastProgress = cycle;
+    }
+    const std::uint64_t maxAccepted =
+        accepted.empty() ? 0 : *std::max_element(accepted.begin(),
+                                                 accepted.end());
+    for (std::size_t j = 0; j < ls.numOutputs(); ++j) {
+      if (ls.delivered()[j] == 0) continue;
+      lastProgress = cycle;
+      if (++delivered[j] > maxAccepted + storageBound) {
+        return detect(cycle, "token conservation violated on out" +
+                                 std::to_string(j));
       }
     }
 
-    std::uint64_t maxAccepted = 0;
-    for (std::uint64_t a : accepted) maxAccepted = std::max(maxAccepted, a);
-    for (std::size_t j = 0; j < nOut; ++j) {
-      if (delivered[j] > maxAccepted + storageBound) {
-        detect(cycle,
-               "token conservation violated on out" + std::to_string(j));
-        return res;
-      }
+    if (cycle > site.cycle && cycle - lastProgress > opts.watchdogCycles &&
+        traffic.offerHeld()) {
+      res.outcome = Outcome::Hang;
+      res.atCycle = cycle;
+      res.detail = "no handshake for " + std::to_string(opts.watchdogCycles) +
+                   " cycles with an offer held";
+      return res;
     }
 
-    if (cycle > site.cycle && cycle - lastProgress > opts.watchdogCycles) {
-      bool offerHeld = false;
-      for (std::size_t i = 0; i < nIn; ++i) {
-        if (pending[i]) offerHeld = true;
-      }
-      if (offerHeld) {
-        res.outcome = Outcome::Hang;
-        res.atCycle = cycle;
-        res.detail = "no handshake for " +
-                     std::to_string(opts.watchdogCycles) +
-                     " cycles with an offer held";
-        return res;
-      }
-    }
-
-    faulted.clock();
-    golden.clock();
-    beh.step();
+    ls.clock();
   }
 
   // Horizon reached with every observable output agreeing with the oracle
@@ -290,7 +258,7 @@ FaultResult injectOne(const Target& t, const FaultSite& site,
   // the fault-free twin; otherwise the fault still lurks in latent state.
   res.atCycle = opts.cycles;
   for (netlist::NodeId id : nl.dffs()) {
-    if (faulted.value(id) != golden.value(id)) {
+    if (faulted.value(id) != ls.twin().value(id)) {
       res.outcome = Outcome::SilentCorruption;
       res.detail = "register " + nl.node(id).name +
                    " differs from the fault-free run at the horizon";

@@ -14,11 +14,15 @@
 //   ChannelGlitch      a one-cycle spurious valid pulse with corrupted
 //                      payload on an external input of the faulted design
 //
-// Each experiment runs three simulators in lockstep under one randomized
-// LIS traffic driver: the faulted netlist, a fault-free golden twin of the
-// same netlist, and the behavioural oracle. Invariant checkers (output
-// agreement with the oracle, token conservation, a deadlock watchdog)
-// classify the run:
+// Each experiment runs on the one per-cycle LIS traffic loop,
+// sync::Lockstep under sync::RandomTraffic (lis/lockstep.hpp): the
+// faulted netlist is the compared side, a fault-free golden twin of the
+// same netlist is driven alike, and the behavioural oracle is the
+// reference. The experiment adds only the fault itself (node inject/clear
+// before the stops are read, the stall-burst override, the glitch on the
+// faulted side after driving) and the checkers. Invariant checkers (output
+// agreement with the oracle, token conservation, a deadlock watchdog over
+// the recorded handshakes) classify the run:
 //   Detected          an observable protocol output diverged from the
 //                     oracle, or an invariant tripped
 //   Recovered         horizon reached, outputs always agreed, and the
@@ -110,6 +114,11 @@ struct InjectionOptions {
 };
 
 /// Run one seeded fault experiment and classify it (see header comment).
+/// Throws std::invalid_argument, naming the field, for a site that cannot
+/// fire: a node fault on a node outside the netlist, an SeuFlip on a
+/// non-DFF (a poke on a gate is overwritten by the next settle), a
+/// ChannelStall/ChannelGlitch channel outside the output/input channels,
+/// or an injection cycle at or beyond opts.cycles.
 FaultResult injectOne(const Target& target, const FaultSite& site,
                       const InjectionOptions& opts);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <optional>
 #include <set>
@@ -700,13 +699,11 @@ Pipeline& Pipeline::report(const ReportOptions& options) {
   return add(std::make_unique<Report>(options));
 }
 
-RunResult Pipeline::runOne(Design& design, Executor* exec,
-                           std::size_t passCount) {
+RunResult Pipeline::runOne(Design& design, Executor* exec) {
   RunResult result;
   result.design = design.name();
   result.ok = true;
-  for (std::size_t p = 0; p < passCount; ++p) {
-    const std::unique_ptr<Pass>& pass = passes_[p];
+  for (const std::unique_ptr<Pass>& pass : passes_) {
     PassRecord rec;
     rec.name = pass->name();
     // Fresh deadline token per pass; passes read it via ctx.cancel().
@@ -746,7 +743,7 @@ RunResult Pipeline::runOne(Design& design, Executor* exec,
 }
 
 bool Pipeline::run(Design& design) {
-  RunResult result = runOne(design, nullptr, passes_.size());
+  RunResult result = runOne(design, nullptr);
   ok_ = result.ok;
   records_ = std::move(result.records);
   diagnostics_ = std::move(result.diagnostics);
@@ -754,7 +751,7 @@ bool Pipeline::run(Design& design) {
 }
 
 bool Pipeline::run(Design& design, Executor& exec) {
-  RunResult result = runOne(design, &exec, passes_.size());
+  RunResult result = runOne(design, &exec);
   ok_ = result.ok;
   records_ = std::move(result.records);
   diagnostics_ = std::move(result.diagnostics);
@@ -763,23 +760,13 @@ bool Pipeline::run(Design& design, Executor& exec) {
 
 std::vector<RunResult> Pipeline::runMany(std::vector<Design>& designs,
                                          Executor& exec) {
-  // Batched-cosim schedule: a trailing Cosim pass is hoisted out of the
-  // per-design run so the shards of *every* surviving design share one
-  // flat fan-out (phase B) instead of each design sharding alone inside
-  // its own task.
-  const Cosim* tailCosim =
-      passes_.empty() ? nullptr
-                      : dynamic_cast<const Cosim*>(passes_.back().get());
-  const std::size_t phaseACount =
-      tailCosim != nullptr ? passes_.size() - 1 : passes_.size();
-
   std::vector<RunResult> results(designs.size());
   // forEachAll never throws: every design runs to completion (or to its
   // own failure), and anything that escaped runOne's per-pass handling is
   // converted to a failure record here instead of aborting the batch.
   const std::vector<std::exception_ptr> errors =
       exec.forEachAll(designs.size(), [&](std::size_t i) {
-        results[i] = runOne(designs[i], &exec, phaseACount);
+        results[i] = runOne(designs[i], &exec);
       }, nullptr, "flow.designs");
   for (std::size_t i = 0; i < errors.size(); ++i) {
     if (errors[i] == nullptr) continue;
@@ -798,153 +785,7 @@ std::vector<RunResult> Pipeline::runMany(std::vector<Design>& designs,
          "design failed outside pass scope: " + what});
     results[i] = std::move(fail);
   }
-  if (tailCosim != nullptr) {
-    runCosimBatched(designs, results, exec, *tailCosim);
-  }
   return results;
-}
-
-void Pipeline::runCosimBatched(std::vector<Design>& designs,
-                               std::vector<RunResult>& results,
-                               Executor& exec, const Cosim& pass) {
-  // Per-design shard bookkeeping. Deadline tokens live in a deque for
-  // address stability (CosimOptions::cancel points at them).
-  std::vector<sync::CosimOptions> optsOf(designs.size());
-  std::vector<const support::CancellationToken*> deadlineOf(designs.size(),
-                                                            nullptr);
-  std::deque<support::CancellationToken> deadlines;
-  std::vector<std::vector<sync::CosimResult>> parts(designs.size());
-  std::vector<char> active(designs.size(), 0);
-  struct ShardTask {
-    std::size_t design;
-    std::size_t shard;
-  };
-  std::vector<ShardTask> tasks;
-
-  for (std::size_t i = 0; i < designs.size(); ++i) {
-    if (!results[i].ok) continue; // phase A failed: the pass never runs
-    Design& d = designs[i];
-    if (d.wrapperConfig() == nullptr && d.systemSpec() == nullptr) {
-      // Mirror Cosim::run's prebuilt-netlist note without any shard work.
-      PassRecord rec;
-      rec.name = pass.name();
-      PassContext ctx(rec.name, results[i].diagnostics, rec.metrics, &exec,
-                      nullptr);
-      obs::Span span("pass:" + rec.name);
-      span.arg("design", d.name());
-      ctx.note(d.name() + ": prebuilt netlist has no behavioural model");
-      rec.ok = true;
-      results[i].records.push_back(std::move(rec));
-      continue;
-    }
-    active[i] = 1;
-    sync::CosimOptions o = pass.options();
-    if (o.cancel == nullptr && passDeadline_ > 0) {
-      deadlines.emplace_back();
-      deadlines.back().setDeadlineAfter(passDeadline_);
-      o.cancel = &deadlines.back();
-      deadlineOf[i] = &deadlines.back();
-    }
-    optsOf[i] = std::move(o);
-    const std::size_t shards =
-        optsOf[i].vcd == nullptr ? std::max(1u, optsOf[i].shards) : 1;
-    parts[i].resize(shards);
-    for (std::size_t s = 0; s < shards; ++s) tasks.push_back({i, s});
-  }
-  if (tasks.empty()) return;
-
-  // Flat shard fan-out; per-shard wall time is summed into the design's
-  // pass record. Shard failures (a throwing accessor) are captured per
-  // index and folded into the owning design's record below — lowest shard
-  // wins, so the reported error is schedule-independent.
-  std::vector<double> shardSeconds(tasks.size(), 0.0);
-  const std::vector<std::exception_ptr> errors = exec.forEachAll(
-      tasks.size(),
-      [&](std::size_t t) {
-        const ShardTask& st = tasks[t];
-        Design& d = designs[st.design];
-        const sync::CosimOptions& base = optsOf[st.design];
-        const sync::CosimOptions o = parts[st.design].size() > 1
-                                         ? sync::cosimShardOptions(base,
-                                                                   st.shard)
-                                         : base;
-        const auto t0 = std::chrono::steady_clock::now();
-        sync::CosimResult r;
-        if (const sync::WrapperConfig* cfg = d.wrapperConfig()) {
-          r = sync::cosimWrapper(*d.wrapper(), *cfg, o);
-        } else {
-          r = sync::cosimSystem(*d.system(), *d.systemSpec(), o);
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        shardSeconds[t] = std::chrono::duration<double>(t1 - t0).count();
-        parts[st.design][st.shard] = std::move(r);
-      },
-      nullptr, "cosim.shards");
-
-  std::vector<std::string> shardError(designs.size());
-  std::vector<char> shardFailed(designs.size(), 0);
-  for (std::size_t t = 0; t < errors.size(); ++t) {
-    if (errors[t] == nullptr) continue;
-    const std::size_t i = tasks[t].design;
-    if (shardFailed[i]) continue;
-    shardFailed[i] = 1;
-    try {
-      std::rethrow_exception(errors[t]);
-    } catch (const std::exception& e) {
-      shardError[i] = e.what();
-    } catch (...) {
-      shardError[i] = "unknown exception";
-    }
-  }
-
-  // Join per design in index order, replaying exactly what Cosim::run
-  // would have recorded (metrics, design artifacts, error wording).
-  std::vector<double> designSeconds(designs.size(), 0.0);
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    designSeconds[tasks[t].design] += shardSeconds[t];
-  }
-  for (std::size_t i = 0; i < designs.size(); ++i) {
-    if (!active[i]) continue;
-    Design& d = designs[i];
-    PassRecord rec;
-    rec.name = pass.name();
-    rec.seconds = designSeconds[i];
-    PassContext ctx(rec.name, results[i].diagnostics, rec.metrics, &exec,
-                    optsOf[i].cancel);
-    obs::Span span("pass:" + rec.name);
-    span.arg("design", d.name());
-    if (shardFailed[i]) {
-      ctx.error(shardError[i]);
-    } else {
-      sync::CosimResult r =
-          parts[i].size() > 1 ? sync::cosimMergeShards(std::move(parts[i]))
-                              : std::move(parts[i].front());
-      ctx.metric("cycles", static_cast<double>(r.cyclesRun));
-      ctx.metric("fires", static_cast<double>(r.fires));
-      ctx.metric("tokens", static_cast<double>(r.tokens));
-      d.metrics().set("cosim.cycles", static_cast<double>(r.cyclesRun));
-      d.metrics().set("cosim.fires", static_cast<double>(r.fires));
-      d.metrics().set("cosim.tokens", static_cast<double>(r.tokens));
-      const bool ok = r.ok;
-      const bool cancelled = r.cancelled;
-      const std::string mismatch = r.mismatch;
-      d.setCosimResult(std::move(r));
-      if (cancelled) {
-        ctx.error("co-simulation cancelled: " + mismatch);
-      } else if (!ok) {
-        ctx.error("co-simulation mismatch: " + mismatch);
-      }
-    }
-    if (deadlineOf[i] != nullptr && deadlineOf[i]->cancelled() &&
-        !ctx.failed()) {
-      ctx.error("pass exceeded its " + std::to_string(passDeadline_) +
-                "s deadline");
-    }
-    rec.ok = !ctx.failed();
-    const bool failed = ctx.failed();
-    results[i].records.push_back(std::move(rec));
-    if (failed) results[i].ok = false;
-  }
 }
 
 std::vector<RunResult> Pipeline::runMany(std::vector<Design>& designs,

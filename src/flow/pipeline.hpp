@@ -195,9 +195,6 @@ public:
   explicit Cosim(sync::CosimOptions options = {}) : options_(options) {}
   std::string name() const override { return "cosim"; }
   void run(Design& design, PassContext& ctx) override;
-  /// The pass's base options — read by runMany's batched-cosim scheduler,
-  /// which re-derives the per-shard options itself.
-  const sync::CosimOptions& options() const { return options_; }
 
 private:
   sync::CosimOptions options_;
@@ -262,8 +259,7 @@ private:
 /// PDR/IC3 — see sat/pdr.hpp) on the design's synthesized netlist. The
 /// strongest verdict per property: proved for all time, or a concrete
 /// counterexample trace (a pass error naming the property and failing
-/// depth, with the trace replayed on the netlist simulator — and, when
-/// the design has a behavioural spec, on the cosim oracle — to confirm
+/// depth, with the trace replayed on the netlist simulator to confirm
 /// it), or a budget/deadline-degraded bound (warning + metric, like
 /// CheckInvariants). The storage bound is derived as in CheckInvariants.
 class ProveUnbounded final : public Pass {
@@ -337,12 +333,10 @@ public:
   /// exception) yields a failure RunResult while every other design still
   /// completes.
   ///
-  /// When the last pass is Cosim, its shards are *batched*: every design
-  /// first runs the preceding passes ("flow.designs"), then the cosim
-  /// shards of all surviving designs flatten into one "cosim.shards"
-  /// fan-out, so a design finishing early donates its idle slots to the
-  /// stragglers' shards. Results are joined per design in shard order and
-  /// are bit-identical to the per-design in-pass sharding.
+  /// Every pass runs inside its design's task ("flow.designs"); passes
+  /// that fan out further (cosim shards, fault sites, encoding proofs)
+  /// nest their batches on the same pool, so a design's cosim overlaps
+  /// the other designs' earlier passes.
   std::vector<RunResult> runMany(std::vector<Design>& designs,
                                  Executor& exec);
   /// Convenience: runMany on a fresh Executor(jobs).
@@ -359,14 +353,8 @@ public:
   std::string json() const;
 
 private:
-  /// Runs the first `passCount` passes (runMany's batched-cosim phase A
-  /// stops short of the trailing Cosim).
-  RunResult runOne(Design& design, Executor* exec, std::size_t passCount);
-  /// Phase B of the batched-cosim schedule: appends the cosim PassRecord
-  /// (and updates ok) for every design whose phase A succeeded.
-  void runCosimBatched(std::vector<Design>& designs,
-                       std::vector<RunResult>& results, Executor& exec,
-                       const Cosim& pass);
+  /// Runs every pass against `design`, stopping at the first failure.
+  RunResult runOne(Design& design, Executor* exec);
 
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<PassRecord> records_;

@@ -1,11 +1,10 @@
 #include "lis/cosim.hpp"
 
-#include <sstream>
+#include <utility>
 #include <vector>
 
-#include "lis/behavioral.hpp"
+#include "lis/lockstep.hpp"
 #include "lis/oracle.hpp"
-#include "netlist/netlist_sim.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
 
@@ -13,137 +12,9 @@ namespace lis::sync {
 
 namespace {
 
-std::string cyc(std::uint64_t cycle, const std::string& what) {
-  std::ostringstream os;
-  os << "cycle " << cycle << ": " << what;
-  return os.str();
-}
-
-template <class RunShard>
-CosimResult runSharded(const CosimOptions& opts, RunShard&& runShard) {
-  std::vector<CosimResult> parts(opts.shards);
-  const auto body = [&](std::size_t i) {
-    parts[i] = runShard(cosimShardOptions(opts, i));
-  };
-  if (opts.runner) {
-    opts.runner(opts.shards, body);
-  } else {
-    for (std::size_t i = 0; i < opts.shards; ++i) body(i);
-  }
-  return cosimMergeShards(std::move(parts));
-}
-
-/// The single drive loop behind both entry points: persistent LIS sources
-/// (a token, once offered, holds valid/data until valid && !stop), Moore
-/// stop outputs read *before* offering, randomized per-channel sink
-/// stalls, cycle-accurate comparison of every protocol output.
-CosimResult driveCosim(netlist::NetlistSim& gate, const PortView& ports,
-                       Oracle& beh, const CosimOptions& opts) {
-  gate.reset();
-  beh.reset();
-
-  support::SplitMix64 rng(opts.seed);
-  const std::uint64_t mask = widthMask(beh.dataWidth());
-  const std::size_t nIn = ports.inValid.size();
-  const std::size_t nOut = ports.outValid.size();
-
-  // Persistent LIS sources: once a token is offered, valid and data are
-  // held until the transfer completes (valid && !stop) — the behaviour of
-  // a real upstream shell or relay station. This is what exercises the
-  // offer-under-stop path of the shell control.
-  std::vector<bool> pending(nIn, false);
-  std::vector<std::uint64_t> pendingData(nIn, 0);
-  std::vector<char> stalled(nOut, 0);
-
-  CosimResult result;
-  result.tokensPerOutput.assign(nOut, 0);
-  for (std::uint64_t cycle = 0; cycle < opts.cycles; ++cycle) {
-    if (opts.cancel != nullptr && (cycle & 127u) == 0 &&
-        opts.cancel->cancelled()) {
-      result.cancelled = true;
-      result.mismatch = cyc(cycle, "cancelled (deadline exceeded)");
-      return result;
-    }
-    // Re-settle the behavioural side so its wires reflect the post-clock
-    // register state (Simulator::step clocks *after* settling, so wires are
-    // one phase stale here; the gate side re-settles inside clock()). The
-    // stop outputs are Moore, so sources may then read them before
-    // offering tokens.
-    beh.settle();
-    for (std::size_t i = 0; i < nIn; ++i) {
-      const bool stopGate = gate.value(ports.inStop[i]);
-      const bool stopBeh = beh.inStop(i);
-      if (stopGate != stopBeh) {
-        result.mismatch = cyc(cycle, "in" + std::to_string(i) + "_stop: gate=" +
-                                         std::to_string(stopGate) +
-                                         " behavioural=" +
-                                         std::to_string(stopBeh));
-        return result;
-      }
-      if (!pending[i] && rng.below(100) < opts.offerPercent) {
-        pending[i] = true;
-        pendingData[i] = rng.next() & mask;
-      }
-      const bool valid = pending[i];
-      gate.setInput(ports.inValid[i], valid);
-      gate.setInputBus(ports.inData[i], pendingData[i]);
-      beh.driveInput(i, valid, pendingData[i]);
-      if (valid && !stopBeh) pending[i] = false; // transfer completes
-    }
-    for (std::size_t j = 0; j < nOut; ++j) {
-      const bool stall = rng.below(100) < opts.stallPercent;
-      gate.setInput(ports.outStop[j], stall);
-      beh.driveOutStop(j, stall);
-      stalled[j] = stall ? 1 : 0;
-    }
-
-    gate.settle();
-    beh.settle();
-
-    for (std::size_t j = 0; j < nOut; ++j) {
-      const bool vGate = gate.value(ports.outValid[j]);
-      const bool vBeh = beh.outValid(j);
-      if (vGate != vBeh) {
-        result.mismatch = cyc(cycle, "out" + std::to_string(j) + "_valid: gate=" +
-                                         std::to_string(vGate) +
-                                         " behavioural=" + std::to_string(vBeh));
-        return result;
-      }
-      if (vGate) {
-        const std::uint64_t dGate = gate.busValue(ports.outData[j]);
-        const std::uint64_t dBeh = beh.outData(j);
-        if (dGate != dBeh) {
-          std::ostringstream os;
-          os << "out" << j << "_data: gate=0x" << std::hex << dGate
-             << " behavioural=0x" << dBeh;
-          result.mismatch = cyc(cycle, os.str());
-          return result;
-        }
-        if (stalled[j] == 0) {
-          ++result.tokens;
-          ++result.tokensPerOutput[j];
-        }
-      }
-    }
-
-    gate.clock();
-    beh.step();
-    ++result.cyclesRun;
-  }
-  result.fires = beh.fires();
-  result.ok = true;
-  return result;
-}
-
-void maybeAttachVcd(Oracle& beh, const CosimOptions& opts) {
-  if (opts.vcd != nullptr) {
-    opts.vcd->traceAll(beh.simulator().wires());
-    beh.simulator().attachVcd(opts.vcd);
-  }
-}
-
-} // namespace
-
+/// Options of the i-th of base.shards independent from-reset runs: an even
+/// slice of the cycle budget (early shards absorb the remainder), the i-th
+/// SplitMix64 fork of the seed, shards = 1, runner/vcd cleared.
 CosimOptions cosimShardOptions(const CosimOptions& base, std::size_t shard) {
   // Forking, not offsetting, keeps the shard streams decorrelated and —
   // crucially — independent of how the other shards consume theirs.
@@ -158,6 +29,10 @@ CosimOptions cosimShardOptions(const CosimOptions& base, std::size_t shard) {
   return o;
 }
 
+/// Join shard results in index order: counters accumulate up to and
+/// including the first failing shard (what a serial stop-at-first-failure
+/// loop would report); later shards are discarded. Execution order cannot
+/// leak into the result.
 CosimResult cosimMergeShards(std::vector<CosimResult> parts) {
   CosimResult total;
   if (!parts.empty()) {
@@ -183,21 +58,75 @@ CosimResult cosimMergeShards(std::vector<CosimResult> parts) {
   return total;
 }
 
+/// One continuous run: Lockstep under RandomTraffic, plus
+/// cancellation and token counting.
+CosimResult driveCosim(const netlist::Netlist& nl, const PortView& ports,
+                       Oracle& beh, const CosimOptions& opts) {
+  Lockstep ls(nl, ports, &beh);
+  RandomTraffic traffic(opts.seed, opts.offerPercent, opts.stallPercent,
+                        ls.numInputs(), ls.numOutputs(), beh.dataWidth());
+  CosimResult result;
+  result.tokensPerOutput.assign(ls.numOutputs(), 0);
+  for (std::uint64_t cycle = 0; cycle < opts.cycles; ++cycle) {
+    if (opts.cancel != nullptr && (cycle & 127u) == 0 &&
+        opts.cancel->cancelled()) {
+      result.cancelled = true;
+      result.mismatch =
+          "cycle " + std::to_string(cycle) + ": cancelled (deadline exceeded)";
+      return result;
+    }
+    if (!ls.readStops(cycle)) break;
+    ls.drive(traffic.draw());
+    if (!ls.settle(cycle)) break;
+    traffic.retire(ls.accepted());
+    for (std::size_t j = 0; j < ls.numOutputs(); ++j) {
+      if (ls.delivered()[j] != 0) {
+        ++result.tokens;
+        ++result.tokensPerOutput[j];
+      }
+    }
+    ls.clock();
+    ++result.cyclesRun;
+  }
+  result.mismatch = ls.mismatch();
+  result.ok = ls.agrees();
+  if (result.ok) result.fires = beh.fires();
+  return result;
+}
+
+/// Both entry points: shard fan-out, or one run against a fresh oracle.
+template <class Spec>
+CosimResult cosim(const netlist::Netlist& nl, const PortView& ports,
+                  const Spec& spec, const CosimOptions& opts) {
+  if (opts.shards > 1 && opts.vcd == nullptr) {
+    std::vector<CosimResult> parts(opts.shards);
+    const auto body = [&](std::size_t i) {
+      parts[i] = cosim(nl, ports, spec, cosimShardOptions(opts, i));
+    };
+    if (opts.runner) {
+      opts.runner(opts.shards, body);
+    } else {
+      for (std::size_t i = 0; i < opts.shards; ++i) body(i);
+    }
+    return cosimMergeShards(std::move(parts));
+  }
+  Oracle beh(spec);
+  if (opts.vcd != nullptr) {
+    opts.vcd->traceAll(beh.simulator().wires());
+    beh.simulator().attachVcd(opts.vcd);
+  }
+  return driveCosim(nl, ports, beh, opts);
+}
+
+} // namespace
+
 CosimResult cosimWrapper(const WrapperConfig& cfg, const CosimOptions& opts) {
   return cosimWrapper(buildWrapper(cfg), cfg, opts);
 }
 
 CosimResult cosimWrapper(const Wrapper& w, const WrapperConfig& cfg,
                          const CosimOptions& opts) {
-  if (opts.shards > 1 && opts.vcd == nullptr) {
-    return runSharded(opts, [&](const CosimOptions& o) {
-      return cosimWrapper(w, cfg, o);
-    });
-  }
-  netlist::NetlistSim gate(w.netlist);
-  Oracle beh(cfg);
-  maybeAttachVcd(beh, opts);
-  return driveCosim(gate, portView(w.ports), beh, opts);
+  return cosim(w.netlist, portView(w.ports), cfg, opts);
 }
 
 CosimResult cosimSystem(const SystemSpec& spec, const CosimOptions& opts) {
@@ -206,15 +135,7 @@ CosimResult cosimSystem(const SystemSpec& spec, const CosimOptions& opts) {
 
 CosimResult cosimSystem(const System& sys, const SystemSpec& spec,
                         const CosimOptions& opts) {
-  if (opts.shards > 1 && opts.vcd == nullptr) {
-    return runSharded(opts, [&](const CosimOptions& o) {
-      return cosimSystem(sys, spec, o);
-    });
-  }
-  netlist::NetlistSim gate(sys.netlist);
-  Oracle beh(spec);
-  maybeAttachVcd(beh, opts);
-  return driveCosim(gate, portView(sys.ports), beh, opts);
+  return cosim(sys.netlist, portView(sys.ports), spec, opts);
 }
 
 } // namespace lis::sync

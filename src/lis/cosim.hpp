@@ -1,9 +1,11 @@
 #pragma once
 // Co-simulation oracles: drive a synthesized netlist (scalar NetlistSim
-// view over BitSim) and the behavioural model fleet with identical
-// randomized stall patterns, and check cycle-accurate agreement of every
-// protocol output. Sources respect the LIS protocol: a token is only
-// offered when the design's (Moore) stop output is low.
+// view over BitSim) and the behavioural model fleet in lockstep under
+// seeded random traffic, and check cycle-accurate agreement of every
+// protocol output. The per-cycle discipline (persistent LIS sources,
+// Moore stops read before offering, random sink stalls) lives once in
+// sync::Lockstep (lis/lockstep.hpp); this file adds shards,
+// cancellation and token counting.
 //
 // Two entry points:
 //   cosimWrapper  the single buildWrapper composition (shell + one relay
@@ -83,19 +85,5 @@ CosimResult cosimSystem(const SystemSpec& spec, const CosimOptions& opts = {});
 /// Same oracle over an already-built system (must match `spec`).
 CosimResult cosimSystem(const System& sys, const SystemSpec& spec,
                         const CosimOptions& opts = {});
-
-/// Options of the i-th of base.shards independent from-reset runs: an even
-/// slice of the cycle budget (early shards absorb the remainder), the i-th
-/// SplitMix64 fork of the seed, shards = 1, runner/vcd cleared. Exposed so
-/// a scheduler can flatten shards of *several* designs into one fan-out
-/// (flow::Pipeline::runMany) and still reproduce the in-pass sharded
-/// result bit-for-bit.
-CosimOptions cosimShardOptions(const CosimOptions& base, std::size_t shard);
-
-/// Join shard results in index order: counters accumulate up to and
-/// including the first failing shard (what a serial stop-at-first-failure
-/// loop would report); later shards are discarded. Execution order cannot
-/// leak into the result.
-CosimResult cosimMergeShards(std::vector<CosimResult> parts);
 
 } // namespace lis::sync

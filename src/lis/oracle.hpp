@@ -1,21 +1,20 @@
 #pragma once
 // sync::Oracle — the behavioural reference fleet (shell/pearl/relay-station
 // models over one Simulator) that mirrors a wrapper or a whole SystemSpec
-// topology. Extracted from the two near-identical inline builders that
-// used to live in cosimWrapper/cosimSystem so that co-simulation and the
-// fault-injection campaigns (src/fault/) share one oracle with one port
-// addressing scheme.
+// topology, so that co-simulation, the fault-injection campaigns
+// (src/fault/) and counterexample replay (src/sat/pdr) share one oracle
+// with one port addressing scheme.
 //
 // The external interface is uniform: input channel i has a Moore stop
 // output readable via inStop(i) and is driven with driveInput(i, valid,
 // data); output channel j is stalled with driveOutStop(j) and observed via
-// outValid/outData. The per-cycle discipline is the caller's (see the
-// cosim drive loop): settle() → read stops → drive → settle() → compare →
-// step().
+// outValid/outData. The per-cycle discipline — settle() → read stops →
+// drive → settle() → compare → step() — belongs to sync::Lockstep
+// (lis/lockstep.hpp), the only caller of the drive methods.
 //
 // PortView is the matching uniform view of the *netlist* side:
-// WrapperPorts and SystemPorts are structurally identical, and every
-// driver (cosim, fault injection) indexes channels the same way on both.
+// WrapperPorts and SystemPorts are structurally identical, and Lockstep
+// indexes channels the same way on both.
 
 #include <cstddef>
 #include <cstdint>

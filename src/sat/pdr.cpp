@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "netlist/buses.hpp"
-#include "netlist/netlist_sim.hpp"
+#include "lis/lockstep.hpp"
 #include "obs/trace.hpp"
 
 namespace lis::sat {
@@ -867,13 +867,13 @@ struct Accounting {
     wdCnt = 0;
   }
 
-  void step(const std::vector<bool>& accEv, const std::vector<bool>& delEv,
+  void step(const std::vector<char>& accEv, const std::vector<char>& delEv,
             unsigned bound) {
     const unsigned rail = bound + 2;
     for (std::size_t i = 0; i < off.size(); i++) {
-      const bool a = i < accEv.size() && accEv[i];
+      const bool a = i < accEv.size() && accEv[i] != 0;
       for (std::size_t j = 0; j < off[i].size(); j++) {
-        const bool d = j < delEv.size() && delEv[j];
+        const bool d = j < delEv.size() && delEv[j] != 0;
         if (a && !d && off[i][j] < rail) off[i][j]++;
         if (d && !a && off[i][j] > 0) off[i][j]--;
       }
@@ -910,130 +910,74 @@ struct Accounting {
 
 } // namespace
 
-static ReplayResult replayImpl(const netlist::Netlist& nl,
-                               const sync::PortView& ports,
-                               sync::Oracle* beh,
-                               const std::string& property,
-                               const PdrTrace& trace,
-                               const ReplayOptions& opts) {
+ReplayResult replayTrace(const netlist::Netlist& nl,
+                         const sync::PortView& ports,
+                         const std::string& property, const PdrTrace& trace,
+                         const ReplayOptions& opts, sync::Oracle* oracle) {
   ReplayResult res;
-  netlist::NetlistSim sim(nl);
-  sim.reset();
-  if (beh != nullptr) {
-    beh->reset();
-    res.oracleChecked = true;
-    res.oracleAgrees = true;
-  }
-
-  const std::size_t nIn = ports.inValid.size();
-  const std::size_t nOut = ports.outValid.size();
+  res.oracleChecked = oracle != nullptr;
+  sync::Lockstep ls(nl, ports, oracle);
   Accounting acct;
-  acct.start(nIn, nOut);
+  acct.start(ls.numInputs(), ls.numOutputs());
 
-  std::unordered_map<NodeId, bool> vals;
-  const auto mismatch = [&](unsigned cycle, const std::string& what) {
-    res.oracleAgrees = false;
-    res.detail = "cycle " + std::to_string(cycle) +
-                 ": netlist/oracle mismatch: " + what;
+  // Trace frame -> Stimulus: the frame's input levels (forced inputs
+  // override), read back through the channel ports; unlisted inputs are 0.
+  std::vector<char> level(nl.nodeCount(), 0);
+  sync::Stimulus stim(ls.numInputs(), ls.numOutputs());
+  const unsigned window = std::max(1u, opts.watchdogWindow);
+  const auto any = [](const std::vector<char>& events) {
+    return std::find(events.begin(), events.end(), 1) != events.end();
   };
-
   for (unsigned f = 0; f < trace.frames.size(); f++) {
-    vals.clear();
     for (std::size_t i = 0; i < trace.inputs.size(); i++) {
-      vals[trace.inputs[i]] = i < trace.frames[f].size() && trace.frames[f][i];
+      level[trace.inputs[i]] = i < trace.frames[f].size() && trace.frames[f][i];
     }
-    for (const ForcedInput& fi : trace.forced) vals[fi.input] = fi.value;
-    const auto val = [&](NodeId id) {
-      const auto it = vals.find(id);
-      return it != vals.end() && it->second;
-    };
+    for (const ForcedInput& fi : trace.forced) level[fi.input] = fi.value;
+    for (std::size_t i = 0; i < ls.numInputs(); i++) {
+      stim.valid[i] = level[ports.inValid[i]];
+      stim.data[i] = 0;
+      for (std::size_t b = 0; b < ports.inData[i].size(); b++) {
+        if (level[ports.inData[i][b]] != 0) {
+          stim.data[i] |= std::uint64_t{1} << b;
+        }
+      }
+    }
+    for (std::size_t j = 0; j < ls.numOutputs(); j++) {
+      stim.stall[j] = level[ports.outStop[j]];
+    }
 
-    if (beh != nullptr) beh->settle();
-    // Drive both sides from the trace (stops are Moore outputs — read
-    // and compared below, after the settle).
-    for (const auto& [id, v] : vals) sim.setInput(id, v);
-    if (beh != nullptr && res.oracleAgrees) {
-      for (std::size_t i = 0; i < nIn; i++) {
-        const bool stopGate = sim.value(ports.inStop[i]);
-        const bool stopBeh = beh->inStop(i);
-        if (stopGate != stopBeh) {
-          mismatch(f, "in" + std::to_string(i) + "_stop gate=" +
-                          std::to_string(stopGate) +
-                          " behavioural=" + std::to_string(stopBeh));
-          break;
-        }
-        std::uint64_t data = 0;
-        if (ports.inData[i].size() <= 64) {
-          for (std::size_t b = 0; b < ports.inData[i].size(); b++) {
-            if (val(ports.inData[i][b])) data |= std::uint64_t{1} << b;
-          }
-        }
-        beh->driveInput(i, val(ports.inValid[i]), data);
-      }
-      for (std::size_t j = 0; j < nOut; j++) {
-        beh->driveOutStop(j, val(ports.outStop[j]));
-      }
-    }
-    sim.settle();
-    if (beh != nullptr && res.oracleAgrees) {
-      beh->settle();
-      for (std::size_t j = 0; j < nOut; j++) {
-        const bool vGate = sim.value(ports.outValid[j]);
-        const bool vBeh = beh->outValid(j);
-        if (vGate != vBeh) {
-          mismatch(f, "out" + std::to_string(j) + "_valid gate=" +
-                          std::to_string(vGate) +
-                          " behavioural=" + std::to_string(vBeh));
-          break;
-        }
-        if (vGate && ports.outData[j].size() <= 64 &&
-            sim.busValue(ports.outData[j]) != beh->outData(j)) {
-          mismatch(f, "out" + std::to_string(j) + "_data");
-          break;
-        }
-      }
-    }
+    // The oracle comparison only informs oracleAgrees: the netlist side
+    // replays every frame either way.
+    ls.readStops(f);
+    ls.drive(stim);
+    ls.settle(f);
 
     if (!res.reproduced &&
-        acct.violatedNow(property, opts.capacityBound,
-                         opts.watchdogWindow)) {
+        acct.violatedNow(property, opts.capacityBound, window)) {
       res.reproduced = true;
       res.violationCycle = f;
     }
-
     // Count this cycle's handshakes into the registered state.
-    unsigned events = 0;
-    std::vector<bool> accEv(nIn, false), delEv(nOut, false);
-    for (std::size_t i = 0; i < nIn; i++) {
-      if (val(ports.inValid[i]) && !sim.value(ports.inStop[i])) {
-        accEv[i] = true;
-        events++;
-      }
-    }
-    for (std::size_t j = 0; j < nOut; j++) {
-      if (sim.value(ports.outValid[j]) && !val(ports.outStop[j])) {
-        delEv[j] = true;
-        events++;
-      }
-    }
-    acct.step(accEv, delEv, opts.capacityBound);
-    const unsigned window = std::max(1u, opts.watchdogWindow);
-    acct.wdCnt = events == 0 ? std::min(acct.wdCnt + 1, window) : 0;
-
-    sim.clock();
-    if (beh != nullptr && res.oracleAgrees) beh->step();
+    acct.step(ls.accepted(), ls.delivered(), opts.capacityBound);
+    acct.wdCnt = any(ls.accepted()) || any(ls.delivered())
+                     ? 0
+                     : std::min(acct.wdCnt + 1, window);
+    ls.clock();
   }
 
   // The fail flags are register-driven: the violation of the last
   // trace frame's events is observable one settle after that frame's
   // clock edge.
   if (!res.reproduced &&
-      acct.violatedNow(property, opts.capacityBound, opts.watchdogWindow)) {
+      acct.violatedNow(property, opts.capacityBound, window)) {
     res.reproduced = true;
     res.violationCycle = static_cast<unsigned>(trace.frames.size());
   }
 
-  if (res.detail.empty()) {
+  res.oracleAgrees = res.oracleChecked && ls.agrees();
+  if (!ls.agrees()) {
+    res.detail = ls.mismatch();
+  } else {
     std::ostringstream os;
     os << property << (res.reproduced ? " reproduced at cycle " : " not "
                                         "reproduced over ")
@@ -1042,22 +986,6 @@ static ReplayResult replayImpl(const netlist::Netlist& nl,
     res.detail = os.str();
   }
   return res;
-}
-
-ReplayResult replayTrace(const netlist::Netlist& nl,
-                         const sync::PortView& ports,
-                         const std::string& property, const PdrTrace& trace,
-                         const ReplayOptions& opts) {
-  return replayImpl(nl, ports, nullptr, property, trace, opts);
-}
-
-ReplayResult replayTraceOnOracle(const netlist::Netlist& nl,
-                                 const sync::PortView& ports,
-                                 sync::Oracle& beh,
-                                 const std::string& property,
-                                 const PdrTrace& trace,
-                                 const ReplayOptions& opts) {
-  return replayImpl(nl, ports, &beh, property, trace, opts);
 }
 
 } // namespace lis::sat

@@ -47,11 +47,12 @@
 //
 // Counterexamples come back as multi-frame input traces over the cone's
 // free inputs. replayTrace re-simulates the trace cycle-accurately on
-// the *design* netlist (netlist::NetlistSim) with an independent
-// software mirror of the monitor's saturating-offset property semantics,
-// and replayTraceOnOracle drives the behavioural fleet (sync::Oracle) in
-// lockstep with the netlist — the cosim cross-validation of the
-// monitor. A budget/cancellation stop degrades to the bounded result
+// the *design* netlist with an independent software mirror of the
+// monitor's saturating-offset property semantics. It runs the frames
+// through sync::Lockstep, as cosim and fault injection do;
+// given a behavioural fleet (sync::Oracle) it also compares the netlist
+// with it in lockstep — the cosim cross-validation of the monitor.
+// A budget/cancellation stop degrades to the bounded result
 // (`degraded = true`, depthReached = the BMC bound established on the
 // way up), never to `proved`.
 
@@ -217,20 +218,15 @@ struct ReplayResult {
 
 /// Replay `trace` on the design netlist with exact token accounting,
 /// independent of the SAT monitor (property is the result's name:
-/// "token_conservation" | "occupancy_bound" | "deadlock_watchdog").
+/// "token_conservation" | "occupancy_bound" | "deadlock_watchdog"). The
+/// frames drive the channel ports through sync::Lockstep;
+/// inputs outside `ports` are not driven. With `oracle`, the behavioural
+/// fleet runs in lockstep and the netlist's stop/valid/data ports are
+/// compared with it every cycle (the cosim oracle cross-validation).
 ReplayResult replayTrace(const netlist::Netlist& nl,
                          const sync::PortView& ports,
                          const std::string& property, const PdrTrace& trace,
-                         const ReplayOptions& opts);
-
-/// Same, additionally driving `beh` in lockstep and comparing the
-/// netlist's stop/valid/data port signals against the behavioural
-/// fleet every cycle (the cosim oracle cross-validation).
-ReplayResult replayTraceOnOracle(const netlist::Netlist& nl,
-                                 const sync::PortView& ports,
-                                 sync::Oracle& beh,
-                                 const std::string& property,
-                                 const PdrTrace& trace,
-                                 const ReplayOptions& opts);
+                         const ReplayOptions& opts,
+                         sync::Oracle* oracle = nullptr);
 
 } // namespace lis::sat

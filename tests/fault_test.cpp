@@ -5,6 +5,7 @@
 // detection-or-recovery coverage on the 3x1 wrapper and the 4x4 mesh).
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,123 @@ void testStallBurstRecovers() {
   CHECK(r.outcome == fault::Outcome::Recovered);
 }
 
+void testGlitchIsDetected() {
+  // A spurious valid pulse with a corrupted payload on in0 of the binary
+  // 1x1 wrapper reaches the outputs: the oracle comparison must flag it,
+  // and never before the glitch was injected.
+  lsync::WrapperConfig cfg;
+  cfg.numInputs = 1;
+  cfg.numOutputs = 1;
+  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  fault::InjectionOptions opts;
+  opts.cycles = 300;
+  fault::FaultSite site;
+  site.kind = fault::FaultKind::ChannelGlitch;
+  site.channel = 0;
+  site.cycle = 40;
+  const fault::FaultResult r =
+      fault::injectOne(fault::targetOf(w, cfg), site, opts);
+  CHECK(r.outcome == fault::Outcome::Detected);
+  CHECK_EQ(r.atCycle, 43u); // three cycles after the glitch
+  CHECK(!r.detail.empty());
+}
+
+void testBoundedStuckAtsClear() {
+  // Five-cycle stuck-ats on every 7th gate of the binary 1x1 wrapper, both
+  // polarities: each one either disturbs an output (detected) or is
+  // cleared and washes out (recovered) — a released force must never
+  // leave a silent or hung design, and some must recover, which only the
+  // clearForce path allows.
+  lsync::WrapperConfig cfg;
+  cfg.numInputs = 1;
+  cfg.numOutputs = 1;
+  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const fault::Target target = fault::targetOf(w, cfg);
+  fault::InjectionOptions opts;
+  opts.cycles = 300;
+  const std::vector<NodeId> gates = fault::gateNodes(w.netlist);
+  std::size_t detected = 0;
+  std::size_t recovered = 0;
+  for (std::size_t k = 0; k < gates.size(); k += 7) {
+    for (fault::FaultKind kind :
+         {fault::FaultKind::StuckAt0, fault::FaultKind::StuckAt1}) {
+      fault::FaultSite site;
+      site.kind = kind;
+      site.node = gates[k];
+      site.cycle = 40;
+      site.duration = 5;
+      const fault::FaultResult r = fault::injectOne(target, site, opts);
+      CHECK(r.outcome == fault::Outcome::Detected ||
+            r.outcome == fault::Outcome::Recovered);
+      if (r.outcome == fault::Outcome::Detected) ++detected;
+      if (r.outcome == fault::Outcome::Recovered) ++recovered;
+    }
+  }
+  CHECK_EQ(detected, 24u);
+  CHECK_EQ(recovered, 8u);
+}
+
+// Sites that cannot fire are rejected up front, one rule each, instead of
+// reading out of bounds or reporting a never-injected fault as recovered.
+void testRejectsSiteNodeOutOfRange() {
+  lsync::WrapperConfig cfg;
+  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  fault::FaultSite site;
+  site.kind = fault::FaultKind::SeuFlip;
+  site.node = static_cast<NodeId>(w.netlist.nodeCount());
+  site.cycle = 40;
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, {}),
+               std::invalid_argument);
+  site.kind = fault::FaultKind::StuckAt1;
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, {}),
+               std::invalid_argument);
+}
+
+void testRejectsSeuOnGate() {
+  lsync::WrapperConfig cfg;
+  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  fault::FaultSite site;
+  site.kind = fault::FaultKind::SeuFlip;
+  site.node = fault::gateNodes(w.netlist).front();
+  site.cycle = 40;
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, {}),
+               std::invalid_argument);
+}
+
+void testRejectsChannelOutOfRange() {
+  lsync::WrapperConfig cfg;
+  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  fault::FaultSite site;
+  site.kind = fault::FaultKind::ChannelStall;
+  site.channel = 5; // the 1x1 wrapper has one output channel
+  site.cycle = 40;
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, {}),
+               std::invalid_argument);
+  site.kind = fault::FaultKind::ChannelGlitch;
+  site.channel = 3; // ... and one input channel
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, {}),
+               std::invalid_argument);
+}
+
+void testRejectsCycleBeyondHorizon() {
+  lsync::WrapperConfig cfg;
+  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  fault::InjectionOptions opts;
+  opts.cycles = 400;
+  fault::FaultSite site;
+  site.kind = fault::FaultKind::SeuFlip;
+  site.node = fault::controlRegisters(w.netlist).front();
+  site.cycle = 1000;
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, opts),
+               std::invalid_argument);
+  site.cycle = opts.cycles; // the horizon itself is one past the last cycle
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, opts),
+               std::invalid_argument);
+  site.cycle = opts.cycles - 1; // the last cycle still fires
+  CHECK(fault::injectOne(fault::targetOf(w, cfg), site, opts).outcome !=
+        fault::Outcome::Hang);
+}
+
 void testBudgetDegradedVerdictIsSoundAndReported() {
   // Equivalent pair under a SAT budget the proof cannot fit in: the
   // verdict degrades to a simulation screen — still "equivalent", but
@@ -308,6 +426,12 @@ int main() {
   testDetectableControlSeu();
   testMaskedFaultIsSilent();
   testStallBurstRecovers();
+  testGlitchIsDetected();
+  testBoundedStuckAtsClear();
+  testRejectsSiteNodeOutOfRange();
+  testRejectsSeuOnGate();
+  testRejectsChannelOutOfRange();
+  testRejectsCycleBeyondHorizon();
   testBudgetDegradedVerdictIsSoundAndReported();
   testSeqEquivBudgetDegrades();
   testWrapperCampaignCoverage();

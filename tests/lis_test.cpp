@@ -11,6 +11,7 @@
 #include "flow/pipeline.hpp"
 #include "lis/cosim.hpp"
 #include "lis/fsm.hpp"
+#include "lis/lockstep.hpp"
 #include "lis/synth.hpp"
 #include "lis/wrapper.hpp"
 #include "netlist/equiv.hpp"
@@ -186,6 +187,36 @@ void testCosimMatrix() {
       CHECK(r.tokens > 300);
     }
   }
+}
+
+// The seeded traffic stream is part of every cosim and fault result: its
+// draw order (per input an offer draw while idle and a data draw when it
+// offers, then one stall draw per output) pins these counts exactly.
+void testCosimSeededStreamPinned() {
+  WrapperConfig cfg;
+  cfg.numInputs = 2;
+  cfg.numOutputs = 1;
+  cfg.dataWidth = 8;
+  cfg.relayDepth = 2;
+  cfg.encoding = Encoding::Binary;
+  CosimOptions opts;
+  opts.cycles = 1500;
+  opts.seed = 0xBEEF + 21;
+  const CosimResult r = cosimWrapper(cfg, opts);
+  CHECK(r.ok);
+  CHECK_EQ(r.tokens, 828u);
+  CHECK_EQ(r.fires, 828u);
+}
+
+// Lockstep indexes the oracle by the ports' channels, so an oracle of
+// another shape is refused up front.
+void testLockstepRejectsMismatchedOracle() {
+  WrapperConfig two;
+  two.numInputs = 2;
+  const Wrapper w = buildWrapper(two);
+  Oracle one{WrapperConfig{}};
+  CHECK_THROWS(Lockstep(w.netlist, portView(w.ports), &one),
+               std::invalid_argument);
 }
 
 // Deeper relay stations and a saturating/no-stall sanity pair.
@@ -392,6 +423,8 @@ int main() {
   testShellPearlMath(Encoding::OneHot);
   testShellPearlMath(Encoding::Binary);
   testCosimMatrix();
+  testCosimSeededStreamPinned();
+  testLockstepRejectsMismatchedOracle();
   testCosimDepthsAndExtremes();
   testEncodingEquivalence();
   testTransitionNetlistMatchesSpec();

@@ -750,8 +750,8 @@ void testPdrReplayOnCosimOracle() {
   ropts.capacityBound = sat::capacityBound(cfg);
   {
     lsync::Oracle beh(cfg);
-    const sat::ReplayResult rep = sat::replayTraceOnOracle(
-        w.netlist, wview, beh, "token_conservation", trace, ropts);
+    const sat::ReplayResult rep = sat::replayTrace(
+        w.netlist, wview, "token_conservation", trace, ropts, &beh);
     CHECK(rep.oracleChecked);
     CHECK(rep.oracleAgrees);
     CHECK(!rep.reproduced);
@@ -769,8 +769,8 @@ void testPdrReplayOnCosimOracle() {
     sat::ReplayOptions bropts;
     bropts.capacityBound = 2;
     lsync::Oracle beh(cfg);
-    const sat::ReplayResult rep = sat::replayTraceOnOracle(
-        broken, bview, beh, token.name, token.trace, bropts);
+    const sat::ReplayResult rep = sat::replayTrace(
+        broken, bview, token.name, token.trace, bropts, &beh);
     CHECK(rep.reproduced);
     CHECK_EQ(rep.violationCycle, 1u);
     CHECK(rep.oracleChecked);
