@@ -114,6 +114,10 @@ void OptimizeAig::run(Design& design, PassContext& ctx) {
     const netlist::SeqEquivResult proof =
         netlist::checkSeqEquivalence(before, optimized, equiv_);
     design.addProofStats(proof.proof);
+    m.set("aig.equiv_sat_conflicts",
+          static_cast<double>(proof.proof.satConflicts));
+    m.set("aig.equiv_sat_propagations",
+          static_cast<double>(proof.proof.satPropagations));
     if (!proof.equivalent) {
       ctx.error(design.name() +
                 ": optimized netlist is NOT equivalent: " + proof.detail);
@@ -338,12 +342,13 @@ void SatSweep::run(Design& design, PassContext& ctx) {
   ctx.metric("proved", static_cast<double>(st.proved));
   ctx.metric("refuted", static_cast<double>(st.refuted));
   ctx.metric("undecided", static_cast<double>(st.undecided));
-  ctx.metric("rounds", static_cast<double>(st.rounds));
+  ctx.metric("window_proved", static_cast<double>(st.windowProved));
   ctx.metric("aig_ands_before", static_cast<double>(st.andsBefore));
   ctx.metric("aig_ands_after", static_cast<double>(st.andsAfter));
   obs::Registry& m = design.metrics();
   m.set("sweep.candidates", static_cast<double>(st.candidates));
   m.set("sweep.proved", static_cast<double>(st.proved));
+  m.set("sweep.window_proved", static_cast<double>(st.windowProved));
   m.set("sweep.refuted", static_cast<double>(st.refuted));
   m.set("sweep.undecided", static_cast<double>(st.undecided));
   m.set("sweep.ands_before", static_cast<double>(st.andsBefore));
@@ -577,7 +582,7 @@ void Report::run(Design& design, PassContext& ctx) {
        << ", \"proved\": " << s->stats.proved
        << ", \"refuted\": " << s->stats.refuted
        << ", \"undecided\": " << s->stats.undecided
-       << ", \"rounds\": " << s->stats.rounds
+       << ", \"window_proved\": " << s->stats.windowProved
        << ", \"aig_ands_before\": " << s->stats.andsBefore
        << ", \"aig_ands_after\": " << s->stats.andsAfter << "}";
   }

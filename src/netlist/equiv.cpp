@@ -11,6 +11,7 @@
 #include "obs/trace.hpp"
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
+#include "sat/sweep.hpp"
 #include "support/rng.hpp"
 
 namespace lis::netlist {
@@ -37,16 +38,28 @@ std::string CexReport::format() const {
 
 EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
                                  const EquivOptions& opts) {
-  // Match interfaces by name.
-  auto names = [](const Netlist& nl, const std::vector<NodeId>& ids) {
+  // Match interfaces by name. Each name may appear once per side: equal
+  // names are tied to one miter input (or compared as one output pair),
+  // so a duplicate would silently merge two distinct ports.
+  auto names = [](const Netlist& nl, const std::vector<NodeId>& ids,
+                  const char* kind) {
     std::vector<std::string> v;
     v.reserve(ids.size());
     for (NodeId id : ids) v.push_back(nl.node(id).name);
     std::sort(v.begin(), v.end());
+    const auto dup = std::adjacent_find(v.begin(), v.end());
+    if (dup != v.end()) {
+      throw std::invalid_argument("checkCombEquivalence: duplicate " +
+                                  std::string(kind) + " name '" + *dup +
+                                  "' in " + nl.name());
+    }
     return v;
   };
-  if (names(a, a.inputs()) != names(b, b.inputs()) ||
-      names(a, a.outputs()) != names(b, b.outputs())) {
+  const std::vector<std::string> inputsA = names(a, a.inputs(), "input");
+  const std::vector<std::string> inputsB = names(b, b.inputs(), "input");
+  const std::vector<std::string> outputsA = names(a, a.outputs(), "output");
+  const std::vector<std::string> outputsB = names(b, b.outputs(), "output");
+  if (inputsA != inputsB || outputsA != outputsB) {
     throw std::invalid_argument(
         "checkCombEquivalence: interface name sets differ");
   }
@@ -120,15 +133,21 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
   // SAT proof below only runs on designs that survive it.
   if (auto refuted = simSweep(opts.simRounds, opts.seed)) return *refuted;
 
-  // --- Phase 2: SAT miter. Both netlists are lowered into one AIG over
-  // shared name-matched inputs; structural hashing discharges identical
-  // cones outright and each surviving XOR pair becomes one incremental
-  // CDCL query. A SAT answer is an exact counterexample at any width; all
-  // UNSAT is a proof. A tripped budget falls through to phase 3 with the
-  // partial search footprint kept on whatever that returns.
+  // --- Phase 2: SAT sweep of the joint miter. Both netlists are lowered
+  // into one AIG over shared name-matched inputs, every output of both a
+  // PO. The sweep engine (sat/sweep.hpp) merges proven-equivalent nodes
+  // bottom-up, so an equivalent output pair normally ends on one literal;
+  // only the pairs that did not are queried, incrementally on one solver
+  // over the swept graph, within what the sweep left of the budgets. A
+  // SAT answer is an exact counterexample at any width; every pair merged
+  // or UNSAT is a proof. A tripped budget falls through to phase 3 with
+  // the partial search footprint kept on whatever that returns.
   ProofStats satPartial;
   {
     obs::Span satSpan("sat.equiv");
+    satSpan.arg("netlist_a", a.name());
+    satSpan.arg("netlist_b", b.name());
+    satSpan.arg("outputs", static_cast<double>(a.outputs().size()));
     aig::Aig miter;
     std::map<std::string, aig::Lit> piByName;
     for (NodeId id : a.inputs()) piByName[a.node(id).name] = miter.addPi();
@@ -138,32 +157,69 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
     const auto inputOfB = [&](NodeId id) {
       return piByName.at(b.node(id).name);
     };
-    const std::vector<aig::Lit> outsA =
-        sat::appendCombinational(miter, a, inputOfA);
-    const std::vector<aig::Lit> outsB =
-        sat::appendCombinational(miter, b, inputOfB);
+    for (const aig::Lit l : sat::appendCombinational(miter, a, inputOfA)) {
+      miter.addPo(l);
+    }
+    for (const aig::Lit l : sat::appendCombinational(miter, b, inputOfB)) {
+      miter.addPo(l);
+    }
     std::map<std::string, std::size_t> bOutPos;
     for (std::size_t j = 0; j < b.outputs().size(); ++j) {
-      bOutPos[b.node(b.outputs()[j]).name] = j;
+      bOutPos[b.node(b.outputs()[j]).name] = a.outputs().size() + j;
     }
 
-    sat::Solver solver(support::SplitMix64(opts.seed).forkSeed(2));
-    solver.setBudget({opts.satConflictBudget, opts.satPropagationBudget});
-    sat::AigCnf cnf(solver, miter);
-    const auto satStatsOf = [&solver] {
+    const support::SplitMix64 seeds(opts.seed);
+    sat::SweepOptions sweepOpts;
+    sweepOpts.conflictBudget = opts.satConflictBudget;
+    sweepOpts.propagationBudget = opts.satPropagationBudget;
+    sweepOpts.seed = seeds.forkSeed(2);
+    sat::AigSweepResult swept = sat::sweepAig(miter, sweepOpts);
+    const sat::SweepStats& sw = swept.stats;
+    satSpan.arg("candidates", static_cast<double>(sw.candidates));
+    satSpan.arg("window_proved", static_cast<double>(sw.windowProved));
+    satSpan.arg("solver_proved",
+                static_cast<double>(sw.proved - sw.windowProved));
+    satSpan.arg("refuted", static_cast<double>(sw.refuted));
+    satSpan.arg("undecided", static_cast<double>(sw.undecided));
+
+    // The residual queries get what the sweep left of the budgets.
+    aig::Aig& joint = swept.aig;
+    sat::Solver solver(seeds.forkSeed(3));
+    const auto left = [](std::uint64_t cap, std::uint64_t used) {
+      return cap == 0 ? 0 : cap - std::min(cap, used);
+    };
+    const std::uint64_t conflictsLeft =
+        left(opts.satConflictBudget, sw.solver.conflicts);
+    const std::uint64_t propagationsLeft =
+        left(opts.satPropagationBudget, sw.solver.propagations);
+    const bool exhausted =
+        (opts.satConflictBudget != 0 && conflictsLeft == 0) ||
+        (opts.satPropagationBudget != 0 && propagationsLeft == 0);
+    solver.setBudget({conflictsLeft, propagationsLeft});
+    sat::AigCnf cnf(solver, joint);
+    std::size_t residual = 0;
+    // The whole proof's footprint, also recorded on the span.
+    const auto footprint = [&] {
       ProofStats p;
-      p.satConflicts = solver.stats().conflicts;
-      p.satDecisions = solver.stats().decisions;
-      p.satPropagations = solver.stats().propagations;
+      p.satConflicts = sw.solver.conflicts + solver.stats().conflicts;
+      p.satDecisions = sw.solver.decisions + solver.stats().decisions;
+      p.satPropagations = sw.solver.propagations + solver.stats().propagations;
+      satSpan.arg("residual_queries", static_cast<double>(residual));
+      satSpan.arg("conflicts", static_cast<double>(p.satConflicts));
       return p;
     };
     bool unknown = false;
     for (std::size_t i = 0; i < a.outputs().size() && !unknown; ++i) {
       const std::string& name = a.node(a.outputs()[i]).name;
-      const aig::Lit xorLit =
-          miter.addXor(outsA[i], outsB[bOutPos.at(name)]);
-      if (xorLit == aig::kLitFalse) continue; // structurally identical
-      const sat::Result r = solver.solve({cnf.lit(xorLit)});
+      const aig::Lit la = joint.pos()[i];
+      const aig::Lit lb = joint.pos()[bOutPos.at(name)];
+      if (la == lb) continue; // merged by the sweep
+      ++residual;
+      if (exhausted) {
+        unknown = true;
+        break;
+      }
+      const sat::Result r = solver.solve({cnf.lit(joint.addXor(la, lb))});
       if (r == sat::Result::Sat) {
         EquivResult result;
         result.equivalent = false;
@@ -180,12 +236,12 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
         }
         if (!wide) result.counterexample = compact;
         result.cex = std::move(report);
-        result.proof = satStatsOf();
+        result.proof = footprint();
         return result;
       }
       unknown = r == sat::Result::Unknown;
     }
-    satPartial = satStatsOf();
+    satPartial = footprint();
     if (!unknown) {
       EquivResult result;
       result.equivalent = true;

@@ -6,10 +6,13 @@
 //      mismatching output word immediately yields a concrete counterexample
 //      — inequivalent designs are almost always refuted here before the
 //      solver is ever built.
-//   2. A SAT miter proof for designs that survive the sweep: both netlists
-//      lowered into one AIG over name-matched inputs, one incremental CDCL
-//      query per output pair, under a conflict/propagation budget
-//      (EquivOptions::satConflictBudget / satPropagationBudget).
+//   2. A SAT proof for designs that survive the sweep: both netlists
+//      lowered into one AIG over name-matched inputs (the joint miter),
+//      SAT-swept bottom up by sat::sweepAig, which merges proven-equal
+//      nodes; only the output pairs the sweep left on different literals
+//      get an incremental CDCL query. Sweep and queries share one
+//      conflict/propagation budget (EquivOptions::satConflictBudget /
+//      satPropagationBudget).
 //   3. If the budget trips, a deepened random screen instead of a hang:
 //      the verdict degrades to method=Sim with an explicit confidence
 //      below 1.0 — sound for "inequivalent" (a counterexample is exact),
@@ -58,8 +61,8 @@ struct EquivOptions {
   /// Extra sweep rounds (fresh seed stream) run when a SAT budget trips;
   /// the verdict is then a degraded screen.
   unsigned fallbackSimRounds = 64;
-  /// SAT miter budgets: absolute conflict/propagation totals over the
-  /// whole proof, 0 = unlimited.
+  /// SAT budgets: absolute conflict/propagation totals over the whole
+  /// proof (sweep and output queries), 0 = unlimited.
   std::uint64_t satConflictBudget = std::uint64_t{1} << 22;
   std::uint64_t satPropagationBudget = 0;
 };
@@ -102,7 +105,8 @@ struct EquivResult {
 
 /// Check that two combinational netlists with identical input/output name
 /// sets compute the same functions. Throws std::invalid_argument if the
-/// interfaces differ or either netlist has registers. Interfaces wider
+/// interfaces differ, a netlist names two inputs or two outputs alike, or
+/// either netlist has registers. Interfaces wider
 /// than 64 inputs are proven the same way (sim sweep + SAT miter), just
 /// without a compact counterexample.
 EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,

@@ -11,7 +11,8 @@
 // clauses per 2-input node), so the strashed sharing the optimizer
 // worked for carries straight into the CNF. Constants lazily allocate a
 // single unit-forced variable. The Aig may keep growing after
-// construction (the sweeper appends miters); nodes unseen at
+// construction (the sweep engine encodes the graph it is rebuilding,
+// the equivalence checker appends output miters); nodes unseen at
 // construction simply don't participate in flattening.
 //
 // Unroller is the sequential companion: it encodes frame after frame of

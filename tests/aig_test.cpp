@@ -298,6 +298,16 @@ void testDesignCacheAndPipeline() {
     if (key == "equiv_proved" && value == 1.0) proved = true;
   }
   CHECK(proved);
+  // The proof's SAT footprint reaches the design registry (and so the
+  // bench row), next to the encoding proof's proof.sat_* counters.
+  CHECK(d.proofStats() != nullptr);
+  if (const netlist::ProofStats* ps = d.proofStats()) {
+    CHECK(d.metrics().value("aig.equiv_sat_conflicts") ==
+          static_cast<double>(ps->satConflicts));
+    CHECK(d.metrics().value("aig.equiv_sat_propagations") ==
+          static_cast<double>(ps->satPropagations));
+    CHECK(ps->satPropagations > 0);
+  }
 
   // (k, rounds) is the mapping cache key: re-mapping with different
   // rounds drops only map/area/timing — synthesis and the optimized
