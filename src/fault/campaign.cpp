@@ -1,6 +1,7 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -97,42 +98,50 @@ std::vector<FaultSite> planSites(const Target& t,
 CampaignResult runCampaign(const Target& t, const CampaignOptions& opts) {
   obs::Span span("fault.campaign");
   const std::vector<FaultSite> sites = planSites(t, opts);
+  const std::size_t batches =
+      (sites.size() + kBatchExperiments - 1) / kBatchExperiments;
   span.arg("sites", static_cast<double>(sites.size()));
-  CampaignResult res;
-  res.results.resize(sites.size());
-  std::vector<char> done(sites.size(), 0);
+  span.arg("batches", static_cast<double>(batches));
+  span.arg("lanes", static_cast<double>(kBatchExperiments));
+  std::vector<std::uint64_t> seeds(sites.size());
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    seeds[i] = support::SplitMix64(opts.inject.seed).forkSeed(4096 + i);
+  }
 
-  const auto body = [&](std::size_t i) {
+  std::vector<std::vector<FaultResult>> parts(batches);
+  const auto body = [&](std::size_t b) {
     if (opts.cancel != nullptr && opts.cancel->cancelled()) return;
-    InjectionOptions io = opts.inject;
-    io.seed = support::SplitMix64(opts.inject.seed).forkSeed(4096 + i);
-    res.results[i] = injectOne(t, sites[i], io);
-    done[i] = 1;
+    const std::size_t first = b * kBatchExperiments;
+    const std::size_t count =
+        std::min(kBatchExperiments, sites.size() - first);
+    parts[b] = injectBatch(t, std::span(sites).subspan(first, count),
+                           std::span(seeds).subspan(first, count),
+                           opts.inject, opts.cancel);
   };
 
   if (opts.runner) {
-    opts.runner(sites.size(), body);
+    opts.runner(batches, body);
   } else {
-    for (std::size_t i = 0; i < sites.size(); ++i) body(i);
+    for (std::size_t b = 0; b < batches; ++b) body(b);
   }
 
-  // Tally in site-plan order; a skipped slot marks the campaign cancelled
-  // and contributes nothing to the counts.
-  std::vector<FaultResult> ran;
-  ran.reserve(sites.size());
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    if (done[i] == 0) {
+  // Tally in site-plan order; a skipped or cut-short batch (no results)
+  // marks the campaign cancelled and contributes nothing to the counts.
+  CampaignResult res;
+  res.results.reserve(sites.size());
+  for (std::vector<FaultResult>& part : parts) {
+    if (part.empty()) {
       res.cancelled = true;
       continue;
     }
-    res.all.count(res.results[i].outcome);
-    if (res.results[i].site.kind == FaultKind::SeuFlip &&
-        res.results[i].site.controlTarget) {
-      res.controlSeu.count(res.results[i].outcome);
+    for (FaultResult& r : part) {
+      res.all.count(r.outcome);
+      if (r.site.kind == FaultKind::SeuFlip && r.site.controlTarget) {
+        res.controlSeu.count(r.outcome);
+      }
+      res.results.push_back(std::move(r));
     }
-    ran.push_back(std::move(res.results[i]));
   }
-  res.results = std::move(ran);
   return res;
 }
 

@@ -1,6 +1,7 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <memory>
 #include <stdexcept>
@@ -143,111 +144,179 @@ void checkSite(const Target& t, const FaultSite& site,
   }
 }
 
+bool isStuckAt(FaultKind k) {
+  return k == FaultKind::StuckAt0 || k == FaultKind::StuckAt1;
+}
+
+/// One lane's experiment: its traffic, its checkers' state and, once
+/// concluded, its verdict.
+struct Experiment {
+  Experiment(const FaultSite& site, std::uint64_t seed,
+             const InjectionOptions& opts, const Target& t)
+      : traffic(seed, opts.offerPercent, opts.stallPercent,
+                t.ports.inValid.size(), t.ports.outValid.size(),
+                t.dataWidth),
+        accepted(t.ports.inValid.size(), 0),
+        delivered(t.ports.outValid.size(), 0) {
+    res.site = site;
+  }
+
+  sync::RandomTraffic traffic;
+  // Token-conservation bookkeeping on the faulted lane's own handshakes.
+  std::vector<std::uint64_t> accepted;
+  std::vector<std::uint64_t> delivered;
+  std::uint64_t lastProgress = 0;
+  bool done = false;
+  FaultResult res;
+};
+
 } // namespace
 
-FaultResult injectOne(const Target& t, const FaultSite& site,
-                      const InjectionOptions& opts) {
+std::vector<FaultResult> injectBatch(const Target& t,
+                                     std::span<const FaultSite> sites,
+                                     std::span<const std::uint64_t> seeds,
+                                     const InjectionOptions& opts,
+                                     const support::CancellationToken* cancel) {
   if (t.netlist == nullptr ||
       (t.wrapperCfg == nullptr) == (t.systemSpec == nullptr)) {
     throw std::invalid_argument(
         "injectOne: target needs a netlist and exactly one oracle spec");
   }
-  checkSite(t, site, opts);
+  if (sites.size() != seeds.size()) {
+    throw std::invalid_argument("injectBatch: one seed per site");
+  }
+  for (const FaultSite& site : sites) checkSite(t, site, opts);
   const netlist::Netlist& nl = *t.netlist;
-  std::unique_ptr<sync::Oracle> beh =
-      t.wrapperCfg != nullptr
-          ? std::make_unique<sync::Oracle>(*t.wrapperCfg)
-          : std::make_unique<sync::Oracle>(*t.systemSpec);
-  // The faulted design is the compared side; the twin is its fault-free
-  // reference for the horizon compare.
-  sync::Lockstep ls(nl, t.ports, beh.get(), /*twin=*/true);
-  sync::RandomTraffic traffic(opts.seed, opts.offerPercent, opts.stallPercent,
-                              ls.numInputs(), ls.numOutputs(), t.dataWidth);
-  netlist::NetlistSim& faulted = ls.gate();
+  const std::size_t n = sites.size();
+
+  std::vector<std::unique_ptr<sync::Oracle>> oracles;
+  std::vector<sync::Oracle*> refs;
+  std::vector<Experiment> lanes;
+  oracles.reserve(n);
+  lanes.reserve(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    oracles.push_back(t.wrapperCfg != nullptr
+                          ? std::make_unique<sync::Oracle>(*t.wrapperCfg)
+                          : std::make_unique<sync::Oracle>(*t.systemSpec));
+    refs.push_back(oracles.back().get());
+    lanes.emplace_back(sites[l], seeds[l], opts, t);
+  }
+  // Lane l is experiment l's faulted design, compared with its oracle;
+  // its fault-free twin rides in the same word (Lockstep's lane layout).
+  sync::Lockstep ls(nl, t.ports, std::move(refs), /*twin=*/true);
+  netlist::BitSim& gate = ls.gate();
   const std::uint64_t mask = sync::widthMask(t.dataWidth);
-
-  FaultResult res;
-  res.site = site;
-
-  // Token-conservation bookkeeping, all on the faulted design's own
-  // handshakes. The register count is a deliberately loose storage bound;
-  // the checker is a backstop for gross token fabrication — in practice
-  // the oracle comparison flags those faults first.
-  std::vector<std::uint64_t> accepted(ls.numInputs(), 0);
-  std::vector<std::uint64_t> delivered(ls.numOutputs(), 0);
+  // The register count is a deliberately loose storage bound; the
+  // checker is a backstop for gross token fabrication — in practice the
+  // oracle comparison flags those faults first.
   const std::uint64_t storageBound = nl.dffs().size();
-  std::uint64_t lastProgress = 0;
 
-  const auto detect = [&](std::uint64_t cycle, const std::string& what) {
-    res.outcome = Outcome::Detected;
-    res.atCycle = cycle;
-    res.detail = what;
-    return res;
+  std::size_t running = n;
+  const auto conclude = [&](std::size_t l, Outcome outcome,
+                            std::uint64_t cycle, std::string detail) {
+    Experiment& e = lanes[l];
+    e.res.outcome = outcome;
+    e.res.atCycle = cycle;
+    e.res.detail = std::move(detail);
+    e.done = true;
+    ls.finish(l);
+    --running;
   };
 
-  const bool stuck =
-      site.kind == FaultKind::StuckAt0 || site.kind == FaultKind::StuckAt1;
-  for (std::uint64_t cycle = 0; cycle < opts.cycles; ++cycle) {
+  for (std::uint64_t cycle = 0; cycle < opts.cycles && running > 0;
+       ++cycle) {
+    if (cancel != nullptr && (cycle & 127u) == 0 && cancel->cancelled()) {
+      return {};
+    }
     // --- inject / clear node faults (channel faults act while driving)
-    if (stuck && cycle == site.cycle) {
-      faulted.setForce(site.node, site.kind == FaultKind::StuckAt1);
-      faulted.settle();
-    } else if (stuck && site.duration != 0 &&
-               cycle == site.cycle + site.duration) {
-      faulted.clearForce(site.node);
-      faulted.settle();
-    } else if (site.kind == FaultKind::SeuFlip && cycle == site.cycle) {
-      faulted.poke(site.node, !faulted.value(site.node));
-      faulted.settle();
+    bool touched = false;
+    for (std::size_t l = 0; l < n; ++l) {
+      if (lanes[l].done) continue;
+      const FaultSite& site = lanes[l].res.site;
+      const std::uint64_t bit = sync::Lockstep::laneBit(l);
+      if (isStuckAt(site.kind) && cycle == site.cycle) {
+        gate.setForce(site.node, site.kind == FaultKind::StuckAt1, bit);
+      } else if (isStuckAt(site.kind) && site.duration != 0 &&
+                 cycle == site.cycle + site.duration) {
+        gate.clearForce(site.node, bit);
+      } else if (site.kind == FaultKind::SeuFlip && cycle == site.cycle) {
+        gate.poke(site.node, !gate.lane(site.node, l), bit);
+      } else {
+        continue;
+      }
+      touched = true;
     }
+    if (touched) gate.settle();
 
-    if (!ls.readStops(cycle)) return detect(cycle, ls.mismatch());
-    sync::Stimulus& stim = traffic.draw();
-    if (site.kind == FaultKind::ChannelStall && cycle >= site.cycle &&
-        (site.duration == 0 || cycle < site.cycle + site.duration)) {
-      // The stall burst hits every side alike: the fault is in the
-      // environment, and the property probed is that the design tolerates
-      // it (latency-insensitivity) without diverging. A forced burst
-      // legitimately freezes deliveries — exempt it from the watchdog so
-      // environment faults are not misread as design hangs.
-      stim.stall[site.channel] = 1;
-      lastProgress = cycle;
-    }
-    ls.drive(stim);
-    if (site.kind == FaultKind::ChannelGlitch && cycle == site.cycle) {
-      // Spurious handshake on the faulted side only: a one-cycle valid
-      // pulse carrying a corrupted payload.
-      faulted.setInput(t.ports.inValid[site.channel], true);
-      faulted.setInputBus(t.ports.inData[site.channel],
-                          ~stim.data[site.channel] & mask);
-    }
-    if (!ls.settle(cycle)) return detect(cycle, ls.mismatch());
-    traffic.retire(ls.accepted());
-
-    for (std::size_t i = 0; i < ls.numInputs(); ++i) {
-      if (ls.accepted()[i] == 0) continue;
-      ++accepted[i];
-      lastProgress = cycle;
-    }
-    const std::uint64_t maxAccepted =
-        accepted.empty() ? 0 : *std::max_element(accepted.begin(),
-                                                 accepted.end());
-    for (std::size_t j = 0; j < ls.numOutputs(); ++j) {
-      if (ls.delivered()[j] == 0) continue;
-      lastProgress = cycle;
-      if (++delivered[j] > maxAccepted + storageBound) {
-        return detect(cycle, "token conservation violated on out" +
-                                 std::to_string(j));
+    ls.readStops(cycle);
+    for (std::size_t l = 0; l < n; ++l) {
+      if (!lanes[l].done && !ls.agrees(l)) {
+        conclude(l, Outcome::Detected, cycle, ls.mismatch(l));
       }
     }
+    for (std::size_t l = 0; l < n; ++l) {
+      Experiment& e = lanes[l];
+      if (e.done) continue;
+      const FaultSite& site = e.res.site;
+      sync::Stimulus& stim = e.traffic.draw();
+      if (site.kind == FaultKind::ChannelStall && cycle >= site.cycle &&
+          (site.duration == 0 || cycle < site.cycle + site.duration)) {
+        // The stall burst hits the faulted lane, its twin and its oracle
+        // alike: the fault is in the environment, and the property probed
+        // is that the design tolerates it (latency-insensitivity) without
+        // diverging. A forced burst legitimately freezes deliveries —
+        // exempt it from the watchdog so environment faults are not
+        // misread as design hangs.
+        stim.stall[site.channel] = 1;
+        e.lastProgress = cycle;
+      }
+      ls.drive(l, stim);
+      if (site.kind == FaultKind::ChannelGlitch && cycle == site.cycle) {
+        // Spurious handshake on the faulted lane only: a one-cycle valid
+        // pulse carrying a corrupted payload.
+        const std::uint64_t bit = sync::Lockstep::laneBit(l);
+        const std::uint64_t bad = ~stim.data[site.channel] & mask;
+        const netlist::Bus& data = t.ports.inData[site.channel];
+        gate.setInputLanes(t.ports.inValid[site.channel], bit, true);
+        for (std::size_t b = 0; b < data.size(); ++b) {
+          gate.setInputLanes(data[b], bit, ((bad >> b) & 1u) != 0);
+        }
+      }
+    }
+    ls.settle(cycle);
 
-    if (cycle > site.cycle && cycle - lastProgress > opts.watchdogCycles &&
-        traffic.offerHeld()) {
-      res.outcome = Outcome::Hang;
-      res.atCycle = cycle;
-      res.detail = "no handshake for " + std::to_string(opts.watchdogCycles) +
-                   " cycles with an offer held";
-      return res;
+    for (std::size_t l = 0; l < n; ++l) {
+      Experiment& e = lanes[l];
+      if (e.done) continue;
+      if (!ls.agrees(l)) {
+        conclude(l, Outcome::Detected, cycle, ls.mismatch(l));
+        continue;
+      }
+      e.traffic.retire(ls.accepted(l));
+      for (std::size_t i = 0; i < e.accepted.size(); ++i) {
+        if (ls.accepted(l)[i] == 0) continue;
+        ++e.accepted[i];
+        e.lastProgress = cycle;
+      }
+      const std::uint64_t maxAccepted =
+          e.accepted.empty()
+              ? 0
+              : *std::max_element(e.accepted.begin(), e.accepted.end());
+      for (std::size_t j = 0; j < e.delivered.size() && !e.done; ++j) {
+        if (ls.delivered(l)[j] == 0) continue;
+        e.lastProgress = cycle;
+        if (++e.delivered[j] > maxAccepted + storageBound) {
+          conclude(l, Outcome::Detected, cycle,
+                   "token conservation violated on out" + std::to_string(j));
+        }
+      }
+      if (!e.done && cycle > e.res.site.cycle &&
+          cycle - e.lastProgress > opts.watchdogCycles &&
+          e.traffic.offerHeld()) {
+        conclude(l, Outcome::Hang, cycle,
+                 "no handshake for " + std::to_string(opts.watchdogCycles) +
+                     " cycles with an offer held");
+      }
     }
 
     ls.clock();
@@ -255,18 +324,37 @@ FaultResult injectOne(const Target& t, const FaultSite& site,
 
   // Horizon reached with every observable output agreeing with the oracle
   // throughout. Recovered if the faulted register state re-converged with
-  // the fault-free twin; otherwise the fault still lurks in latent state.
-  res.atCycle = opts.cycles;
+  // the fault-free twin; otherwise the fault still lurks in latent state
+  // (the first differing register, in DFF order, names it).
+  std::uint64_t pending = 0;
+  for (std::size_t l = 0; l < n; ++l) {
+    if (lanes[l].done) continue;
+    lanes[l].res.outcome = Outcome::Recovered;
+    lanes[l].res.atCycle = opts.cycles;
+    pending |= sync::Lockstep::laneBit(l);
+  }
   for (netlist::NodeId id : nl.dffs()) {
-    if (faulted.value(id) != ls.twin().value(id)) {
+    if (pending == 0) break;
+    const std::uint64_t word = gate.word(id, 0);
+    std::uint64_t diff = (word ^ (word >> n)) & pending;
+    pending &= ~diff;
+    for (; diff != 0; diff &= diff - 1) {
+      FaultResult& res = lanes[std::countr_zero(diff)].res;
       res.outcome = Outcome::SilentCorruption;
       res.detail = "register " + nl.node(id).name +
                    " differs from the fault-free run at the horizon";
-      return res;
     }
   }
-  res.outcome = Outcome::Recovered;
-  return res;
+
+  std::vector<FaultResult> out;
+  out.reserve(n);
+  for (Experiment& e : lanes) out.push_back(std::move(e.res));
+  return out;
+}
+
+FaultResult injectOne(const Target& t, const FaultSite& site,
+                      const InjectionOptions& opts) {
+  return injectBatch(t, {&site, 1}, {&opts.seed, 1}, opts).front();
 }
 
 } // namespace lis::fault

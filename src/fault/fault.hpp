@@ -14,15 +14,21 @@
 //   ChannelGlitch      a one-cycle spurious valid pulse with corrupted
 //                      payload on an external input of the faulted design
 //
-// Each experiment runs on the one per-cycle LIS traffic loop,
-// sync::Lockstep under sync::RandomTraffic (lis/lockstep.hpp): the
-// faulted netlist is the compared side, a fault-free golden twin of the
-// same netlist is driven alike, and the behavioural oracle is the
-// reference. The experiment adds only the fault itself (node inject/clear
-// before the stops are read, the stall-burst override, the glitch on the
-// faulted side after driving) and the checkers. Invariant checkers (output
-// agreement with the oracle, token conservation, a deadlock watchdog over
-// the recorded handshakes) classify the run:
+// Experiments run in batches on the one per-cycle LIS traffic loop,
+// sync::Lockstep (lis/lockstep.hpp), the classic parallel fault
+// simulation recipe: each BitSim lane carries one faulty machine. In a
+// batch of n, lane l (l < n) is experiment l's faulted netlist, compared
+// with its own behavioural oracle under its own sync::RandomTraffic; lane
+// n+l is its fault-free golden twin, driven alike in the same word. The
+// experiment adds only the fault itself, on its own lane (lane-masked
+// force or poke before the stops are read, the stall-burst override of
+// its stimulus, the glitch on the faulted lane after driving), and the
+// checkers. An experiment that concludes drops out of the Lockstep (its
+// oracle stops stepping); the batch ends when all have concluded or at
+// the horizon. injectOne is a batch of one, so there is one engine.
+// Invariant checkers (output agreement with the oracle, token
+// conservation, a deadlock watchdog over the recorded handshakes)
+// classify each run:
 //   Detected          an observable protocol output diverged from the
 //                     oracle, or an invariant tripped
 //   Recovered         horizon reached, outputs always agreed, and the
@@ -37,11 +43,13 @@
 //                     first; the watchdog is the total-standstill backstop)
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "lis/oracle.hpp"
 #include "netlist/netlist.hpp"
+#include "support/cancellation.hpp"
 
 namespace lis::fault {
 
@@ -113,13 +121,26 @@ struct InjectionOptions {
   std::uint64_t watchdogCycles = 64;
 };
 
-/// Run one seeded fault experiment and classify it (see header comment).
-/// Throws std::invalid_argument, naming the field, for a site that cannot
-/// fire: a node fault on a node outside the netlist, an SeuFlip on a
-/// non-DFF (a poke on a gate is overwritten by the next settle), a
+/// Run one seeded fault experiment and classify it (see header comment):
+/// a batch of one with traffic seed opts.seed. Throws
+/// std::invalid_argument, naming the field, for a site that cannot fire:
+/// a node fault on a node outside the netlist, an SeuFlip on a non-DFF (a
+/// poke on a gate is overwritten by the next settle), a
 /// ChannelStall/ChannelGlitch channel outside the output/input channels,
 /// or an injection cycle at or beyond opts.cycles.
 FaultResult injectOne(const Target& target, const FaultSite& site,
                       const InjectionOptions& opts);
+
+/// Run sites.size() experiments side by side in one Lockstep pass:
+/// experiment i injects sites[i] under traffic seed seeds[i] (opts.seed is
+/// not read), and its result equals injectOne's for that site and seed.
+/// `cancel` is polled every 128 cycles; a tripped token ends the batch
+/// with no results. Throws as injectOne does, and std::invalid_argument
+/// for a seed count that differs from the site count or for a batch
+/// outside 1..32 sites (each takes two of the word's 64 gate lanes).
+std::vector<FaultResult> injectBatch(
+    const Target& target, std::span<const FaultSite> sites,
+    std::span<const std::uint64_t> seeds, const InjectionOptions& opts,
+    const support::CancellationToken* cancel = nullptr);
 
 } // namespace lis::fault

@@ -295,7 +295,7 @@ void FaultCampaign::run(Design& design, PassContext& ctx) {
   if (Executor* exec = ctx.executor(); exec != nullptr) {
     opts.runner = [exec](std::size_t n,
                          const std::function<void(std::size_t)>& f) {
-      exec->forEach(n, f, nullptr, "fault.sites");
+      exec->forEach(n, f, nullptr, "fault.batches");
     };
   }
   fault::Target target;

@@ -334,7 +334,7 @@ public:
   /// completes.
   ///
   /// Every pass runs inside its design's task ("flow.designs"); passes
-  /// that fan out further (cosim shards, fault sites, encoding proofs)
+  /// that fan out further (cosim shards, fault batches, encoding proofs)
   /// nest their batches on the same pool, so a design's cosim overlaps
   /// the other designs' earlier passes.
   std::vector<RunResult> runMany(std::vector<Design>& designs,

@@ -1,5 +1,6 @@
 #include "lis/behavioral.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace lis::sync {
@@ -101,24 +102,33 @@ RelayStationModel::RelayStationModel(std::string name, unsigned depth,
     throw std::invalid_argument(
         "RelayStationModel: more initial tokens than capacity");
   }
+  ring_.assign(depth, 0);
 }
 
 void RelayStationModel::evaluate() {
-  inStop_->write(fifo_.size() >= depth_);
-  outValid_->write(!fifo_.empty());
-  outData_->write(fifo_.empty() ? 0 : fifo_.front());
+  inStop_->write(count_ >= depth_);
+  outValid_->write(count_ != 0);
+  outData_->write(count_ == 0 ? 0 : ring_[head_]);
 }
 
 void RelayStationModel::clockEdge() {
-  const bool pop = !fifo_.empty() && !outStop_->read();
-  const bool push = inValid_->read() && fifo_.size() < depth_;
+  const bool pop = count_ != 0 && !outStop_->read();
+  const bool push = inValid_->read() && count_ < depth_;
   const std::uint64_t incoming = inData_->read();
-  if (pop) fifo_.pop_front();
-  if (push) fifo_.push_back(incoming);
+  if (pop) {
+    head_ = (head_ + 1) % depth_;
+    --count_;
+  }
+  if (push) {
+    ring_[(head_ + count_) % depth_] = incoming;
+    ++count_;
+  }
 }
 
 void RelayStationModel::reset() {
-  fifo_.assign(initialTokens_, 0);
+  std::fill(ring_.begin(), ring_.end(), 0);
+  head_ = 0;
+  count_ = initialTokens_;
 }
 
 } // namespace lis::sync

@@ -10,7 +10,6 @@
 // simply *be* the downstream relay station's input-valid wire.
 
 #include <cstdint>
-#include <deque>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -111,7 +110,7 @@ public:
   void clockEdge() override;
   void reset() override;
 
-  std::size_t occupancy() const { return fifo_.size(); }
+  std::size_t occupancy() const { return count_; }
 
 private:
   unsigned depth_;
@@ -122,7 +121,11 @@ private:
   sim::Wire<bool>* outValid_;
   sim::Wire<std::uint64_t>* outData_;
   sim::Wire<bool>* outStop_;
-  std::deque<std::uint64_t> fifo_;
+  // FIFO as a fixed ring of `depth` slots: clockEdge pushes only below
+  // capacity, so it never needs to grow.
+  std::vector<std::uint64_t> ring_;
+  std::size_t head_ = 0;  // oldest token
+  std::size_t count_ = 0; // tokens held
 };
 
 } // namespace lis::sync

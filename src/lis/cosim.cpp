@@ -58,11 +58,11 @@ CosimResult cosimMergeShards(std::vector<CosimResult> parts) {
   return total;
 }
 
-/// One continuous run: Lockstep under RandomTraffic, plus
+/// One continuous run: a one-lane Lockstep under RandomTraffic, plus
 /// cancellation and token counting.
 CosimResult driveCosim(const netlist::Netlist& nl, const PortView& ports,
                        Oracle& beh, const CosimOptions& opts) {
-  Lockstep ls(nl, ports, &beh);
+  Lockstep ls(nl, ports, {&beh});
   RandomTraffic traffic(opts.seed, opts.offerPercent, opts.stallPercent,
                         ls.numInputs(), ls.numOutputs(), beh.dataWidth());
   CosimResult result;
@@ -76,11 +76,11 @@ CosimResult driveCosim(const netlist::Netlist& nl, const PortView& ports,
       return result;
     }
     if (!ls.readStops(cycle)) break;
-    ls.drive(traffic.draw());
+    ls.drive(0, traffic.draw());
     if (!ls.settle(cycle)) break;
-    traffic.retire(ls.accepted());
+    traffic.retire(ls.accepted(0));
     for (std::size_t j = 0; j < ls.numOutputs(); ++j) {
-      if (ls.delivered()[j] != 0) {
+      if (ls.delivered(0)[j] != 0) {
         ++result.tokens;
         ++result.tokensPerOutput[j];
       }
@@ -88,8 +88,8 @@ CosimResult driveCosim(const netlist::Netlist& nl, const PortView& ports,
     ls.clock();
     ++result.cyclesRun;
   }
-  result.mismatch = ls.mismatch();
-  result.ok = ls.agrees();
+  result.mismatch = ls.mismatch(0);
+  result.ok = ls.agrees(0);
   if (result.ok) result.fires = beh.fires();
   return result;
 }

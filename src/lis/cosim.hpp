@@ -1,11 +1,13 @@
 #pragma once
-// Co-simulation oracles: drive a synthesized netlist (scalar NetlistSim
-// view over BitSim) and the behavioural model fleet in lockstep under
-// seeded random traffic, and check cycle-accurate agreement of every
-// protocol output. The per-cycle discipline (persistent LIS sources,
-// Moore stops read before offering, random sink stalls) lives once in
-// sync::Lockstep (lis/lockstep.hpp); this file adds shards,
-// cancellation and token counting.
+// Co-simulation oracles: drive a synthesized netlist and the behavioural
+// model fleet in lockstep under seeded random traffic, and check
+// cycle-accurate agreement of every protocol output. The per-cycle
+// discipline (persistent LIS sources, Moore stops read before offering,
+// random sink stalls) lives once in sync::Lockstep (lis/lockstep.hpp);
+// this file adds shards, cancellation and token counting. Each shard is
+// one Lockstep lane on its own BitSim: the shards already fan out over
+// the executor's threads, and packing them into one word would put a
+// whole design's cosim on one thread.
 //
 // Two entry points:
 //   cosimWrapper  the single buildWrapper composition (shell + one relay

@@ -8,25 +8,40 @@
 
 namespace lis::sync {
 
-Lockstep::Lockstep(const netlist::Netlist& nl, PortView ports, Oracle* oracle,
-                   bool twin)
-    : gate_(nl), ports_(std::move(ports)), oracle_(oracle),
-      stops_(numInputs(), 0), stalled_(numOutputs(), 0),
-      accepted_(numInputs(), 0), delivered_(numOutputs(), 0) {
-  if (oracle_ != nullptr && (oracle_->numInputs() != numInputs() ||
-                             oracle_->numOutputs() != numOutputs())) {
+Lockstep::Lockstep(const netlist::Netlist& nl, PortView ports,
+                   std::vector<Oracle*> oracles, bool twin)
+    : gate_(nl, 1), ports_(std::move(ports)), twin_(twin) {
+  const std::size_t gateLanes = oracles.size() * (twin ? 2 : 1);
+  if (oracles.empty() || gateLanes > 64) {
     throw std::invalid_argument(
-        "Lockstep: the oracle's channel counts differ from the ports'");
+        "Lockstep: needs 1..64 gate lanes, twins included");
   }
-  gate_.reset();
-  if (twin) {
-    twin_.emplace(nl);
-    twin_->reset();
+  for (const std::vector<netlist::Bus>* buses :
+       {&ports_.inData, &ports_.outData}) {
+    for (const netlist::Bus& bus : *buses) {
+      if (bus.size() > 64) {
+        throw std::invalid_argument("Lockstep: data bus wider than 64 bits");
+      }
+    }
   }
-  if (oracle_ != nullptr) oracle_->reset();
+  lanes_.reserve(oracles.size());
+  for (Oracle* oracle : oracles) {
+    if (oracle != nullptr && (oracle->numInputs() != numInputs() ||
+                              oracle->numOutputs() != numOutputs())) {
+      throw std::invalid_argument(
+          "Lockstep: the oracle's channel counts differ from the ports'");
+    }
+    if (oracle != nullptr) oracle->reset();
+    Lane& lane = lanes_.emplace_back();
+    lane.oracle = oracle;
+    lane.stops.assign(numInputs(), 0);
+    lane.accepted.assign(numInputs(), 0);
+    lane.stalled.assign(numOutputs(), 0);
+    lane.delivered.assign(numOutputs(), 0);
+  }
 }
 
-void Lockstep::disagree(std::uint64_t cycle, const char* side,
+void Lockstep::disagree(Lane& lane, std::uint64_t cycle, const char* side,
                         std::size_t channel, const char* signal,
                         std::uint64_t gate, std::uint64_t beh, bool hex) {
   std::ostringstream os;
@@ -34,67 +49,86 @@ void Lockstep::disagree(std::uint64_t cycle, const char* side,
      << ": gate=";
   if (hex) os << "0x" << std::hex;
   os << gate << " behavioural=" << (hex ? "0x" : "") << beh;
-  mismatch_ = os.str();
+  lane.mismatch = os.str();
+  lane.oracle = nullptr;
+  ++disagreeing_;
+}
+
+void Lockstep::finish(std::size_t lane) {
+  lanes_[lane].oracle = nullptr;
+  lanes_[lane].finished = true;
 }
 
 bool Lockstep::readStops(std::uint64_t cycle) {
-  const bool compare = oracle_ != nullptr && agrees();
-  if (compare) oracle_->settle();
-  for (std::size_t i = 0; i < numInputs(); ++i) {
-    stops_[i] = gate_.value(ports_.inStop[i]) ? 1 : 0;
-    if (compare && agrees() && (stops_[i] != 0) != oracle_->inStop(i)) {
-      disagree(cycle, "in", i, "stop", stops_[i], oracle_->inStop(i), false);
+  for (std::size_t l = 0; l < numLanes(); ++l) {
+    Lane& lane = lanes_[l];
+    if (lane.finished) continue;
+    if (lane.oracle != nullptr) lane.oracle->settle();
+    for (std::size_t i = 0; i < numInputs(); ++i) {
+      lane.stops[i] = gate_.lane(ports_.inStop[i], l) ? 1 : 0;
+      if (lane.oracle != nullptr &&
+          (lane.stops[i] != 0) != lane.oracle->inStop(i)) {
+        disagree(lane, cycle, "in", i, "stop", lane.stops[i],
+                 lane.oracle->inStop(i), false);
+      }
     }
   }
-  return agrees();
+  return disagreeing_ == 0;
 }
 
-void Lockstep::drive(const Stimulus& s) {
-  const bool live = oracle_ != nullptr && agrees();
+void Lockstep::drive(std::size_t l, const Stimulus& s) {
+  Lane& lane = lanes_[l];
+  const std::uint64_t bits =
+      laneBit(l) | (twin_ ? laneBit(numLanes() + l) : 0);
   for (std::size_t i = 0; i < numInputs(); ++i) {
     const bool valid = s.valid[i] != 0;
-    gate_.setInput(ports_.inValid[i], valid);
-    gate_.setInputBus(ports_.inData[i], s.data[i]);
-    if (twin_) {
-      twin_->setInput(ports_.inValid[i], valid);
-      twin_->setInputBus(ports_.inData[i], s.data[i]);
+    gate_.setInputLanes(ports_.inValid[i], bits, valid);
+    const netlist::Bus& data = ports_.inData[i];
+    for (std::size_t b = 0; b < data.size(); ++b) {
+      gate_.setInputLanes(data[b], bits, ((s.data[i] >> b) & 1u) != 0);
     }
-    if (live) oracle_->driveInput(i, valid, s.data[i]);
-    accepted_[i] = valid && stops_[i] == 0 ? 1 : 0;
+    if (lane.oracle != nullptr) lane.oracle->driveInput(i, valid, s.data[i]);
+    lane.accepted[i] = valid && lane.stops[i] == 0 ? 1 : 0;
   }
   for (std::size_t j = 0; j < numOutputs(); ++j) {
     const bool stall = s.stall[j] != 0;
-    gate_.setInput(ports_.outStop[j], stall);
-    if (twin_) twin_->setInput(ports_.outStop[j], stall);
-    if (live) oracle_->driveOutStop(j, stall);
-    stalled_[j] = stall ? 1 : 0;
+    gate_.setInputLanes(ports_.outStop[j], bits, stall);
+    if (lane.oracle != nullptr) lane.oracle->driveOutStop(j, stall);
+    lane.stalled[j] = stall ? 1 : 0;
   }
 }
 
 bool Lockstep::settle(std::uint64_t cycle) {
   gate_.settle();
-  if (twin_) twin_->settle();
-  if (oracle_ != nullptr && agrees()) oracle_->settle();
-  for (std::size_t j = 0; j < numOutputs(); ++j) {
-    const bool valid = gate_.value(ports_.outValid[j]);
-    delivered_[j] = valid && stalled_[j] == 0 ? 1 : 0;
-    if (oracle_ == nullptr || !agrees()) continue;
-    if (valid != oracle_->outValid(j)) {
-      disagree(cycle, "out", j, "valid", valid, oracle_->outValid(j), false);
-    } else if (valid) {
-      const std::uint64_t data = gate_.busValue(ports_.outData[j]);
-      if (data != oracle_->outData(j)) {
-        disagree(cycle, "out", j, "data", data, oracle_->outData(j), true);
+  for (std::size_t l = 0; l < numLanes(); ++l) {
+    Lane& lane = lanes_[l];
+    if (lane.finished) continue;
+    if (lane.oracle != nullptr) lane.oracle->settle();
+    for (std::size_t j = 0; j < numOutputs(); ++j) {
+      const bool valid = gate_.lane(ports_.outValid[j], l);
+      lane.delivered[j] = valid && lane.stalled[j] == 0 ? 1 : 0;
+      Oracle* beh = lane.oracle;
+      if (beh == nullptr) continue;
+      if (valid != beh->outValid(j)) {
+        disagree(lane, cycle, "out", j, "valid", valid, beh->outValid(j),
+                 false);
+      } else if (valid) {
+        const std::uint64_t data = gate_.busValue(ports_.outData[j], l);
+        if (data != beh->outData(j)) {
+          disagree(lane, cycle, "out", j, "data", data, beh->outData(j),
+                   true);
+        }
       }
     }
   }
-  return agrees();
+  return disagreeing_ == 0;
 }
 
 void Lockstep::clock() {
   gate_.clock();
-  if (twin_) twin_->clock();
-  if (oracle_ != nullptr && agrees()) oracle_->step();
+  for (Lane& lane : lanes_) {
+    if (lane.oracle != nullptr) lane.oracle->step();
+  }
 }
 
 RandomTraffic::RandomTraffic(std::uint64_t seed, unsigned offerPercent,

@@ -2,41 +2,50 @@
 // sync::Lockstep — the one per-cycle LIS traffic loop. Co-simulation
 // (lis/cosim), fault injection (fault/fault) and counterexample replay
 // (sat/pdr) run a synthesized netlist against its environment with the
-// same discipline, and it lives here once:
+// same discipline, and it lives here once. The gate side is one
+// netlist::BitSim whose lanes are independent traffic streams: each lane
+// has its own Stimulus, optional Oracle, handshakes and first
+// disagreement, and one settle pass advances every lane.
 //
-//   readStops  settle the oracle (its wires are one phase stale after a
-//              step), read every input channel's Moore stop on the gate
-//              side and compare it with the oracle's
-//   drive      apply one Stimulus (per-input valid/data, per-output
-//              stall) to the gate side, the twin and the oracle
-//   settle     settle every side, compare each output's valid (and its
-//              data while valid) with the oracle, and record the cycle's
-//              gate-side handshakes: accepted[i] = valid && !stop,
+//   readStops  settle each live oracle (its wires are one phase stale
+//              after a step), read every lane's input-channel Moore stops
+//              on the gate side and compare them with the lane's oracle
+//   drive      apply one lane's Stimulus (per-input valid/data, per-output
+//              stall) to its gate lane, its twin lane and its oracle
+//   settle     settle the gate side once, compare each lane's output
+//              valid (and data while valid) with its oracle, and record
+//              the lane's handshakes: accepted[i] = valid && !stop,
 //              delivered[j] = out_valid && !stall
-//   clock      clock the gate side and the twin, step the oracle
+//   clock      clock the gate side, step every live oracle
 //
-// The optional twin is a second simulator of the same netlist, driven
-// alike and never compared: fault injection's fault-free reference. The
-// first disagreement is kept in one wording for every client; after it
-// the oracle is neither compared nor stepped again, while the gate side
-// keeps running, so a client may stop (cosim, fault injection) or finish
-// its trace (replay).
+// Lane layout: with n lanes, the compared lanes are bits 0..n-1 of the one
+// BitSim word. The optional twin is fault injection's fault-free
+// reference: lane i's twin is bit n+i, driven alike and never compared,
+// so the twins cost no extra settle. Everything fits one word (n <= 64,
+// or n <= 32 with twins). Cosim runs one lane per shard and replay one
+// lane; fault injection packs a batch of experiments (fault/campaign.hpp).
+//
+// A lane's oracle is live until the lane's first disagreement, which is
+// kept in one wording for every client, or until the client finishes the
+// lane. After either it is neither compared nor stepped again, while the
+// gate side keeps running: a client may stop (cosim, fault injection) or
+// finish its trace (replay, which still reads the handshakes). A finished
+// lane drops out completely: its stops and handshakes are no longer read.
 //
 // RandomTraffic is the seeded environment cosim and fault injection
 // share: persistent LIS sources (a token, once offered, holds valid and
 // data until the design accepts it) and independent per-cycle sink
 // stalls. Its draw order is part of every seeded result: inputs in index
 // order (an offer draw while idle, a data draw when it offers), then one
-// stall draw per output.
+// stall draw per output. Each lane draws from its own RandomTraffic.
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "lis/oracle.hpp"
-#include "netlist/netlist_sim.hpp"
+#include "netlist/bitsim.hpp"
 #include "support/rng.hpp"
 
 namespace lis::sync {
@@ -54,49 +63,75 @@ struct Stimulus {
 
 class Lockstep {
 public:
-  /// Gate-level simulator of `nl` seen through `ports`, reset. `oracle`
-  /// (optional, reset here) must outlive the Lockstep and have the ports'
-  /// channel counts (std::invalid_argument otherwise); `twin` adds the
-  /// fault-free second simulator.
+  /// Gate side of `nl` seen through `ports`, reset, with one lane per
+  /// entry of `oracles`. A non-null oracle (reset here) is its lane's
+  /// reference and must outlive the Lockstep; a null one leaves the lane
+  /// unchecked. `twin` adds a fault-free twin lane per lane. Throws
+  /// std::invalid_argument for no lanes, more lanes than one word holds,
+  /// a data bus wider than 64 bits, or an oracle whose channel counts
+  /// differ from the ports'.
   Lockstep(const netlist::Netlist& nl, PortView ports,
-           Oracle* oracle = nullptr, bool twin = false);
+           std::vector<Oracle*> oracles, bool twin = false);
 
+  std::size_t numLanes() const { return lanes_.size(); }
   std::size_t numInputs() const { return ports_.inValid.size(); }
   std::size_t numOutputs() const { return ports_.outValid.size(); }
 
-  /// The four phases of one cycle. readStops and settle return agrees().
+  /// Gate-side lane mask of `lane`; its twin's is laneBit(numLanes() +
+  /// lane) (see the layout above).
+  static std::uint64_t laneBit(std::size_t lane) {
+    return std::uint64_t{1} << lane;
+  }
+
+  /// The four phases of one cycle. readStops and settle return true while
+  /// every lane agrees.
   bool readStops(std::uint64_t cycle);
-  void drive(const Stimulus& s);
+  void drive(std::size_t lane, const Stimulus& s);
   bool settle(std::uint64_t cycle);
   void clock();
 
+  /// Drop `lane` out of the loop (see the header comment).
+  void finish(std::size_t lane);
+
   /// Handshakes of the cycle's settle, per channel (1 = happened).
-  const std::vector<char>& accepted() const { return accepted_; }
-  const std::vector<char>& delivered() const { return delivered_; }
+  const std::vector<char>& accepted(std::size_t lane) const {
+    return lanes_[lane].accepted;
+  }
+  const std::vector<char>& delivered(std::size_t lane) const {
+    return lanes_[lane].delivered;
+  }
 
-  bool agrees() const { return mismatch_.empty(); }
-  /// The first disagreement, e.g. "cycle 7: out0_valid: gate=1
-  /// behavioural=0"; empty while the sides agree.
-  const std::string& mismatch() const { return mismatch_; }
+  bool agrees(std::size_t lane) const { return lanes_[lane].mismatch.empty(); }
+  /// The lane's first disagreement, e.g. "cycle 7: out0_valid: gate=1
+  /// behavioural=0"; empty while the lane agrees.
+  const std::string& mismatch(std::size_t lane) const {
+    return lanes_[lane].mismatch;
+  }
 
-  /// The compared simulator and the twin (fault hooks, horizon compare).
-  netlist::NetlistSim& gate() { return gate_; }
-  netlist::NetlistSim& twin() { return *twin_; }
+  /// The gate side: fault hooks (lane-masked forces and pokes) and the
+  /// horizon compare against the twins.
+  netlist::BitSim& gate() { return gate_; }
 
 private:
-  void disagree(std::uint64_t cycle, const char* side, std::size_t channel,
-                const char* signal, std::uint64_t gate, std::uint64_t beh,
-                bool hex);
+  struct Lane {
+    Oracle* oracle;         // compared and stepped while non-null
+    bool finished = false;
+    std::vector<char> stops;
+    std::vector<char> stalled;
+    std::vector<char> accepted;
+    std::vector<char> delivered;
+    std::string mismatch;
+  };
 
-  netlist::NetlistSim gate_;
-  std::optional<netlist::NetlistSim> twin_;
+  void disagree(Lane& lane, std::uint64_t cycle, const char* side,
+                std::size_t channel, const char* signal, std::uint64_t gate,
+                std::uint64_t beh, bool hex);
+
+  netlist::BitSim gate_;
   PortView ports_;
-  Oracle* oracle_;
-  std::vector<char> stops_;
-  std::vector<char> stalled_;
-  std::vector<char> accepted_;
-  std::vector<char> delivered_;
-  std::string mismatch_;
+  bool twin_;
+  std::vector<Lane> lanes_;
+  std::size_t disagreeing_ = 0;
 };
 
 /// Seeded LIS sources and sinks (see the header comment).

@@ -8,8 +8,6 @@
 namespace lis::netlist {
 
 namespace {
-constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
-
 /// Addresses a RomBit can actually present: limited both by the ROM depth
 /// and by the number of address bits wired to it.
 std::uint64_t reachableDepth(std::uint64_t depth, std::size_t addrBits) {
@@ -25,6 +23,12 @@ BitSim::BitSim(const Netlist& nl, unsigned numWords)
   }
   values_.assign(nl.nodeCount() * std::size_t{numWords_}, 0);
   dffNext_.assign(nl.dffs().size() * std::size_t{numWords_}, 0);
+  latches_.reserve(nl.dffs().size());
+  for (NodeId id : nl.dffs()) {
+    const Node& n = nl.node(id);
+    latches_.push_back({id, n.fanin[0], n.hasEnable ? n.fanin[1] : id,
+                        n.hasEnable});
+  }
 
   const std::vector<NodeId> order = nl.topoOrder();
   instrs_.reserve(order.size());
@@ -94,41 +98,66 @@ void BitSim::setInputAll(NodeId input, bool value) {
   std::fill_n(val(input), numWords_, value ? kAllLanes : 0);
 }
 
-void BitSim::setForce(NodeId node, bool value) {
+void BitSim::setInputLanes(NodeId input, std::uint64_t lanes, bool value) {
+  checkInput(input);
+  writeLanes(input, lanes, value);
+}
+
+void BitSim::writeLanes(NodeId node, std::uint64_t lanes, bool value) {
+  std::uint64_t* v = val(node);
+  const std::uint64_t set = value ? lanes : 0;
+  for (unsigned w = 0; w < numWords_; ++w) v[w] = (v[w] & ~lanes) | set;
+}
+
+void BitSim::setForce(NodeId node, bool value, std::uint64_t lanes) {
   if (node >= nl_->nodeCount()) {
     throw std::out_of_range("BitSim::setForce: node id");
   }
-  if (force_.empty()) force_.assign(nl_->nodeCount(), kNoForce);
-  if (force_[node] == kNoForce) ++forceCount_;
-  force_[node] = value ? 1 : 0;
-  std::fill_n(val(node), numWords_, value ? kAllLanes : 0);
+  if (forced_.empty()) forced_.assign(nl_->nodeCount(), 0);
+  auto it = std::find_if(forces_.begin(), forces_.end(),
+                         [&](const Force& f) { return f.node == node; });
+  if (it == forces_.end()) {
+    forces_.push_back({node, 0, 0});
+    it = forces_.end() - 1;
+    forced_[node] = 1;
+  }
+  it->lanes |= lanes;
+  it->ones = (it->ones & ~lanes) | (value ? lanes : 0);
+  pin(node);
 }
 
-void BitSim::clearForce(NodeId node) {
-  if (node >= force_.size() || force_[node] == kNoForce) return;
-  force_[node] = kNoForce;
-  --forceCount_;
+void BitSim::clearForce(NodeId node, std::uint64_t lanes) {
+  const auto it = std::find_if(forces_.begin(), forces_.end(),
+                               [&](const Force& f) { return f.node == node; });
+  if (it == forces_.end()) return;
+  it->lanes &= ~lanes;
+  it->ones &= ~lanes;
+  if (it->lanes == 0) {
+    forced_[node] = 0;
+    forces_.erase(it);
+  }
 }
 
 void BitSim::clearForces() {
-  std::fill(force_.begin(), force_.end(), kNoForce);
-  forceCount_ = 0;
+  for (const Force& f : forces_) forced_[f.node] = 0;
+  forces_.clear();
 }
 
-void BitSim::pokeAll(NodeId node, bool value) {
+void BitSim::poke(NodeId node, bool value, std::uint64_t lanes) {
   if (node >= nl_->nodeCount()) {
-    throw std::out_of_range("BitSim::pokeAll: node id");
+    throw std::out_of_range("BitSim::poke: node id");
   }
-  std::fill_n(val(node), numWords_, value ? kAllLanes : 0);
+  writeLanes(node, lanes, value);
 }
 
-void BitSim::applySourceForces() {
-  // Source nodes (inputs, DFF state, constants) are not in the instruction
-  // stream, so a forced one is re-pinned here; forced combinational nodes
-  // are overwritten inline right after their evaluation in settle().
-  for (NodeId id = 0; id < static_cast<NodeId>(force_.size()); ++id) {
-    if (force_[id] == kNoForce) continue;
-    std::fill_n(val(id), numWords_, force_[id] != 0 ? kAllLanes : 0);
+void BitSim::pin(NodeId node) {
+  for (const Force& f : forces_) {
+    if (f.node != node) continue;
+    std::uint64_t* v = val(node);
+    for (unsigned w = 0; w < numWords_; ++w) {
+      v[w] = (v[w] & ~f.lanes) | f.ones;
+    }
+    return;
   }
 }
 
@@ -185,14 +214,15 @@ void BitSim::settle() {
   const unsigned W = numWords_;
   std::uint64_t* const v = values_.data();
   const NodeId* const fan = fanins_.data();
-  const bool faulted = forceCount_ != 0;
-  if (faulted) applySourceForces();
+  // Source nodes (inputs, DFF state, constants) are not in the
+  // instruction stream, so every forced node is pinned up front; forced
+  // combinational nodes are pinned again right after their evaluation.
+  const bool faulted = !forces_.empty();
+  if (faulted) {
+    for (const Force& f : forces_) pin(f.node);
+  }
   for (const Instr& ins : instrs_) {
     std::uint64_t* dst = v + std::size_t{ins.dst} * W;
-    if (faulted && force_[ins.dst] != kNoForce) {
-      std::fill_n(dst, W, force_[ins.dst] != 0 ? kAllLanes : 0);
-      continue;
-    }
     const NodeId* f = fan + ins.faninBegin;
     switch (ins.op) {
       case Op::Not: {
@@ -238,28 +268,28 @@ void BitSim::settle() {
       default:
         break; // sources never enter the instruction stream
     }
+    if (faulted && forced_[ins.dst] != 0) pin(ins.dst);
   }
 }
 
 void BitSim::clock() {
   const unsigned W = numWords_;
-  const std::vector<NodeId>& dffs = nl_->dffs();
-  for (std::size_t k = 0; k < dffs.size(); ++k) {
-    const Node& n = nl_->node(dffs[k]);
-    const std::uint64_t* q = val(dffs[k]);
-    const std::uint64_t* d = val(n.fanin[0]);
+  for (std::size_t k = 0; k < latches_.size(); ++k) {
+    const Latch& l = latches_[k];
+    const std::uint64_t* d = val(l.d);
     std::uint64_t* next = dffNext_.data() + k * W;
-    if (n.hasEnable) {
-      const std::uint64_t* en = val(n.fanin[1]);
+    if (l.hasEnable) {
+      const std::uint64_t* q = val(l.q);
+      const std::uint64_t* en = val(l.enable);
       for (unsigned w = 0; w < W; ++w) {
         next[w] = (d[w] & en[w]) | (q[w] & ~en[w]);
       }
     } else {
-      for (unsigned w = 0; w < W; ++w) next[w] = d[w];
+      std::copy_n(d, W, next);
     }
   }
-  for (std::size_t k = 0; k < dffs.size(); ++k) {
-    std::copy_n(dffNext_.data() + k * W, W, val(dffs[k]));
+  for (std::size_t k = 0; k < latches_.size(); ++k) {
+    std::copy_n(dffNext_.data() + k * W, W, val(latches_[k].q));
   }
   settle();
 }

@@ -11,9 +11,16 @@
 //
 // Value layout is node-major: values_[node * numWords + w] holds lanes
 // [w*64, (w+1)*64) of `node`, so a gate's word loop streams through
-// consecutive memory. DFF clocking honours per-lane enables. ROM bits are
-// evaluated bit-sliced (OR of address minterms over whole words) when the
-// ROM is shallow, or lane-serial (gather each lane's address) when deep.
+// consecutive memory. DFF clocking honours per-lane enables and reads a
+// flat {q, d, enable} latch table built with the instruction stream. ROM
+// bits are evaluated bit-sliced (OR of address minterms over whole words)
+// when the ROM is shallow, or lane-serial (gather each lane's address) when
+// deep.
+//
+// Lanes never interact, so each may carry a different machine: forces,
+// pokes and input writes take a lane mask, which is how sync::Lockstep
+// runs a batch of fault experiments beside their fault-free twins in one
+// settle pass.
 
 #include <cstdint>
 #include <span>
@@ -38,6 +45,9 @@ public:
   /// Load DFF reset values into every lane, then settle.
   void reset();
 
+  /// Every lane of a word, for the lane-masked calls below.
+  static constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
+
   /// Set one 64-lane word of an input. Throws std::invalid_argument if the
   /// node is not an Input, std::out_of_range if word >= numWords().
   void setInputWord(NodeId input, unsigned word, std::uint64_t lanes);
@@ -45,6 +55,9 @@ public:
   void setInput(NodeId input, std::span<const std::uint64_t> words);
   /// Broadcast a scalar value into every lane of an input.
   void setInputAll(NodeId input, bool value);
+  /// Set an input to `value` in the lanes of `lanes` (of every word),
+  /// leaving the other lanes as they are.
+  void setInputLanes(NodeId input, std::uint64_t lanes, bool value);
 
   /// Re-evaluate combinational logic (topological order, single pass).
   void settle();
@@ -52,22 +65,23 @@ public:
   /// Latch all DFFs from the settled values (per-lane enables), then settle.
   void clock();
 
-  /// Pin a node to a constant in every lane (stuck-at fault model). The
-  /// force persists across settle()/clock() until cleared: source nodes
-  /// (inputs, DFFs, constants) are overwritten at the start of every
-  /// settle pass, combinational nodes immediately after their own
-  /// evaluation. Zero cost on the hot path while no force is active.
-  void setForce(NodeId node, bool value);
-  void clearForce(NodeId node);
+  /// Pin a node to a constant in the lanes of `lanes` (of every word; the
+  /// default is every lane) — the stuck-at fault model. The force persists
+  /// across settle()/clock() until cleared: source nodes (inputs, DFFs,
+  /// constants) are overwritten at the start of every settle pass,
+  /// combinational nodes immediately after their own evaluation. Unforced
+  /// lanes of a forced node evaluate normally. Zero cost on the hot path
+  /// while no force is active.
+  void setForce(NodeId node, bool value, std::uint64_t lanes = kAllLanes);
+  /// Release the force in the lanes of `lanes`; other lanes keep theirs.
+  void clearForce(NodeId node, std::uint64_t lanes = kAllLanes);
   void clearForces();
-  bool forced(NodeId node) const {
-    return node < force_.size() && force_[node] != kNoForce;
-  }
 
-  /// Overwrite a node's current value in every lane without registering a
-  /// persistent force — the transient-SEU model: poke a DFF's state, then
-  /// settle() to propagate; the next clock() overwrites it normally.
-  void pokeAll(NodeId node, bool value);
+  /// Overwrite a node's current value in the lanes of `lanes` without
+  /// registering a persistent force — the transient-SEU model: poke a
+  /// DFF's state, then settle() to propagate; the next clock() overwrites
+  /// it normally.
+  void poke(NodeId node, bool value, std::uint64_t lanes = kAllLanes);
 
   std::uint64_t word(NodeId node, unsigned w) const {
     return values_[std::size_t{node} * numWords_ + w];
@@ -82,6 +96,17 @@ public:
   std::uint64_t busValue(std::span<const NodeId> bus, std::size_t laneIdx) const;
 
 private:
+  struct Force {
+    NodeId node;
+    std::uint64_t lanes; // forced lanes of every word
+    std::uint64_t ones;  // the forced-to-1 subset of `lanes`
+  };
+  struct Latch {
+    NodeId q;
+    NodeId d;
+    NodeId enable; // meaningful only when hasEnable
+    bool hasEnable;
+  };
   struct Instr {
     Op op;
     NodeId dst;
@@ -99,20 +124,20 @@ private:
     return values_.data() + std::size_t{id} * numWords_;
   }
   void checkInput(NodeId input) const;
+  void writeLanes(NodeId node, std::uint64_t lanes, bool value);
   void evalRom(const Instr& ins, const NodeId* f, std::uint64_t* dst) const;
-  void applySourceForces();
-
-  static constexpr std::uint8_t kNoForce = 2;
+  void pin(NodeId node);
 
   const Netlist* nl_;
   unsigned numWords_;
   std::vector<Instr> instrs_;  // combinational nodes in topological order
   std::vector<NodeId> fanins_; // flat CSR fanin array
   std::vector<std::uint64_t> values_;  // node-major, numWords_ per node
+  std::vector<Latch> latches_;         // dffs() order
   std::vector<std::uint64_t> dffNext_; // dffs().size() * numWords_
-  std::vector<std::uint8_t> force_;    // per node: 0/1 forced, kNoForce none
+  std::vector<Force> forces_;          // one entry per forced node
+  std::vector<std::uint8_t> forced_;   // per node: 1 while in forces_
   std::uint64_t settlePasses_ = 0;     // lifetime count, flushed by ~BitSim
-  std::size_t forceCount_ = 0;         // active forces (gates the hot path)
 };
 
 } // namespace lis::netlist

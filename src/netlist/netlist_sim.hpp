@@ -1,7 +1,8 @@
 #pragma once
-// NetlistSim: cycle-accurate scalar simulator for the gate-level IR. Used to
-// co-simulate synthesized wrappers against their behavioural models — the
-// main correctness oracle of the synthesis flow.
+// NetlistSim: cycle-accurate scalar simulator for the gate-level IR — one
+// input pattern at a time, for tests, counterexample checks and the
+// bench's scalar-throughput row. (The LIS traffic loop, sync::Lockstep,
+// drives BitSim lanes directly.)
 //
 // Since the 64-way engine landed, this is a thin single-pattern view over
 // lane 0 of a one-word BitSim: same semantics as the historical scalar
@@ -32,13 +33,6 @@ public:
 
   /// Latch all DFFs from the settled values, then settle again.
   void clock() { bits_.clock(); }
-
-  /// Fault-injection hooks (see BitSim): persistent stuck-at force on any
-  /// node, and a transient poke that the caller follows with settle().
-  void setForce(NodeId node, bool value) { bits_.setForce(node, value); }
-  void clearForce(NodeId node) { bits_.clearForce(node); }
-  void clearForces() { bits_.clearForces(); }
-  void poke(NodeId node, bool value) { bits_.pokeAll(node, value); }
 
   bool value(NodeId node) const { return bits_.lane(node, 0); }
   /// Throws std::invalid_argument for buses wider than 64 bits.

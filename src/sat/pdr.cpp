@@ -916,7 +916,7 @@ ReplayResult replayTrace(const netlist::Netlist& nl,
                          const ReplayOptions& opts, sync::Oracle* oracle) {
   ReplayResult res;
   res.oracleChecked = oracle != nullptr;
-  sync::Lockstep ls(nl, ports, oracle);
+  sync::Lockstep ls(nl, ports, {oracle});
   Accounting acct;
   acct.start(ls.numInputs(), ls.numOutputs());
 
@@ -949,7 +949,7 @@ ReplayResult replayTrace(const netlist::Netlist& nl,
     // The oracle comparison only informs oracleAgrees: the netlist side
     // replays every frame either way.
     ls.readStops(f);
-    ls.drive(stim);
+    ls.drive(0, stim);
     ls.settle(f);
 
     if (!res.reproduced &&
@@ -958,8 +958,8 @@ ReplayResult replayTrace(const netlist::Netlist& nl,
       res.violationCycle = f;
     }
     // Count this cycle's handshakes into the registered state.
-    acct.step(ls.accepted(), ls.delivered(), opts.capacityBound);
-    acct.wdCnt = any(ls.accepted()) || any(ls.delivered())
+    acct.step(ls.accepted(0), ls.delivered(0), opts.capacityBound);
+    acct.wdCnt = any(ls.accepted(0)) || any(ls.delivered(0))
                      ? 0
                      : std::min(acct.wdCnt + 1, window);
     ls.clock();
@@ -974,9 +974,9 @@ ReplayResult replayTrace(const netlist::Netlist& nl,
     res.violationCycle = static_cast<unsigned>(trace.frames.size());
   }
 
-  res.oracleAgrees = res.oracleChecked && ls.agrees();
-  if (!ls.agrees()) {
-    res.detail = ls.mismatch();
+  res.oracleAgrees = res.oracleChecked && ls.agrees(0);
+  if (!ls.agrees(0)) {
+    res.detail = ls.mismatch(0);
   } else {
     std::ostringstream os;
     os << property << (res.reproduced ? " reproduced at cycle " : " not "

@@ -269,6 +269,99 @@ void testConeOfInfluence() {
   checkConeMatchesSource(sys.netlist, handshakes, 17);
 }
 
+/// Lanes never interact: a force (on a gate and on an input) and a poke
+/// on lane k leave every other lane bit-identical, node for node and
+/// cycle for cycle, to an unfaulted run under the same random input
+/// words; lane k itself does change, and its forced gate stays pinned.
+void testLaneMaskedFaultsStayInTheirLane() {
+  for (std::uint64_t seed : {21, 22, 23}) {
+    const Netlist nl = gen::randomSeq(6, 80, 10, 5, seed);
+    BitSim faulted(nl, 1);
+    BitSim clean(nl, 1);
+    SplitMix64 rng(seed + 300);
+    const std::size_t k = 7 * seed % 64;
+    const std::uint64_t bit = std::uint64_t{1} << k;
+    NodeId gate = kNoNode;
+    for (NodeId id = 0; id < static_cast<NodeId>(nl.nodeCount()); ++id) {
+      if (nl.node(id).op == Op::And) gate = id;
+    }
+    CHECK(gate != kNoNode);
+    const NodeId input = nl.inputs()[1];
+    const NodeId dff = nl.dffs()[3];
+
+    int otherLanes = 0;
+    int laneK = 0;
+    int unpinned = 0;
+    for (unsigned cycle = 0; cycle < 64; ++cycle) {
+      for (NodeId in : nl.inputs()) {
+        const std::uint64_t w = rng.next();
+        faulted.setInputWord(in, 0, w);
+        clean.setInputWord(in, 0, w);
+      }
+      if (cycle == 8) faulted.setForce(gate, true, bit);
+      if (cycle == 16) faulted.setForce(input, false, bit);
+      if (cycle == 24) faulted.poke(dff, !faulted.lane(dff, k), bit);
+      if (cycle == 40) faulted.clearForce(input, bit);
+      faulted.settle();
+      clean.settle();
+      if (cycle >= 8 && !faulted.lane(gate, k)) ++unpinned;
+      for (NodeId id = 0; id < static_cast<NodeId>(nl.nodeCount()); ++id) {
+        const std::uint64_t diff = faulted.word(id, 0) ^ clean.word(id, 0);
+        if ((diff & ~bit) != 0) ++otherLanes;
+        if ((diff & bit) != 0) ++laneK;
+      }
+      faulted.clock();
+      clean.clock();
+    }
+    CHECK_EQ(otherLanes, 0);
+    CHECK_EQ(unpinned, 0);
+    CHECK(laneK > 0);
+  }
+}
+
+/// clearForce on one lane releases that lane only: a gate forced in lanes
+/// j and k, then released in k before any settle, stays pinned in j and
+/// evaluates normally everywhere else.
+void testClearForceKeepsOtherLanes() {
+  const Netlist nl = gen::randomSeq(6, 80, 10, 5, 31);
+  BitSim faulted(nl, 1);
+  BitSim clean(nl, 1);
+  SplitMix64 rng(331);
+  const std::uint64_t j = std::uint64_t{1} << 3;
+  const std::uint64_t k = std::uint64_t{1} << 40;
+  NodeId gate = kNoNode;
+  for (NodeId id = 0; id < static_cast<NodeId>(nl.nodeCount()); ++id) {
+    if (nl.node(id).op == Op::Or) gate = id;
+  }
+  CHECK(gate != kNoNode);
+  faulted.setForce(gate, false, j | k);
+  faulted.clearForce(gate, k);
+  int mismatches = 0;
+  for (unsigned cycle = 0; cycle < 64; ++cycle) {
+    for (NodeId in : nl.inputs()) {
+      const std::uint64_t w = rng.next();
+      faulted.setInputWord(in, 0, w);
+      clean.setInputWord(in, 0, w);
+    }
+    faulted.settle();
+    clean.settle();
+    if (faulted.lane(gate, 3)) ++mismatches;
+    if (((faulted.word(gate, 0) ^ clean.word(gate, 0)) & ~j) != 0) {
+      ++mismatches;
+    }
+    faulted.clock();
+    clean.clock();
+  }
+  CHECK_EQ(mismatches, 0);
+
+  // Clearing every force lets lane j evaluate its fanins again.
+  faulted.clearForces();
+  faulted.settle();
+  const Node& n = nl.node(gate);
+  CHECK_EQ(faulted.word(gate, 0),
+           faulted.word(n.fanin[0], 0) | faulted.word(n.fanin[1], 0));
+}
+
 void testApi() {
   const Netlist nl = gen::randomDag(4, 10, 2, 1);
   CHECK_THROWS(BitSim(nl, 0), std::invalid_argument);
@@ -300,6 +393,8 @@ int main() {
   testCombParity();
   testSequentialParity();
   testConeOfInfluence();
+  testLaneMaskedFaultsStayInTheirLane();
+  testClearForceKeepsOtherLanes();
   testApi();
   return testExit();
 }

@@ -1,10 +1,13 @@
 // Fault-injection subsystem tests: the BitSim force/poke instrumentation,
 // control/data register classification, directed single-fault experiments
 // with known classifications, the budget-guarded tiered equivalence
-// checker, and the acceptance-criteria campaigns (control-register SEU
-// detection-or-recovery coverage on the 3x1 wrapper and the 4x4 mesh).
+// checker, the acceptance-criteria campaigns (control-register SEU
+// detection-or-recovery coverage on the 3x1 wrapper and the 4x4 mesh),
+// batched campaigns against injectOne and the pinned scalar-engine
+// tallies, and campaign cancellation.
 
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,9 +21,10 @@
 #include "netlist/equiv.hpp"
 #include "netlist/generate.hpp"
 #include "netlist/netlist.hpp"
-#include "netlist/netlist_sim.hpp"
 #include "netlist/seq_equiv.hpp"
 #include "sat/sweep.hpp"
+#include "support/cancellation.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
 
 using lis::netlist::BitSim;
@@ -74,19 +78,19 @@ void testPokeTransient() {
   const NodeId q = nl.mkDff(d);
   nl.addOutput("o", q);
 
-  lis::netlist::NetlistSim sim(nl);
+  BitSim sim(nl, 1);
   sim.reset();
-  sim.setInput(d, false);
+  sim.setInputAll(d, false);
   sim.settle();
-  CHECK(!sim.value(q));
+  CHECK(!sim.lane(q, 0));
 
   // A poke is a one-shot state overwrite; the next clock edge reloads
   // from the (unfaulted) data input.
   sim.poke(q, true);
   sim.settle();
-  CHECK(sim.value(q));
+  CHECK(sim.lane(q, 0));
   sim.clock();
-  CHECK(!sim.value(q));
+  CHECK(!sim.lane(q, 0));
 }
 
 void testRegisterClassification() {
@@ -364,10 +368,10 @@ void testSeqEquivBudgetDegrades() {
   CHECK(r.confidence < 1.0);
 }
 
-void campaignCoverageCheck(const fault::Target& target,
-                           const fault::CampaignOptions& opts,
-                           const char* what) {
-  const fault::CampaignResult r = fault::runCampaign(target, opts);
+fault::CampaignResult campaignCoverageCheck(const fault::Target& target,
+                                            const fault::CampaignOptions& opts,
+                                            const char* what) {
+  fault::CampaignResult r = fault::runCampaign(target, opts);
   CHECK(!r.cancelled);
   CHECK(r.controlSeu.total() > 0);
   const double cov = r.controlSeu.coverage();
@@ -378,26 +382,80 @@ void campaignCoverageCheck(const fault::Target& target,
                 r.controlSeu.silent, r.controlSeu.hang);
     ++g_failures;
   }
+  return r;
+}
+
+/// Lanes are independent: every result of the batched campaign equals
+/// injectOne (a batch of one) run on its own for that site under the
+/// campaign's per-experiment seed — outcome, cycle and wording.
+void checkBatchMatchesInjectOne(const fault::Target& target,
+                                const fault::CampaignOptions& opts,
+                                const fault::CampaignResult& r) {
+  const std::vector<fault::FaultSite> sites = fault::planSites(target, opts);
+  CHECK_EQ(r.results.size(), sites.size());
+  for (std::size_t i = 0; i < sites.size() && i < r.results.size(); ++i) {
+    fault::InjectionOptions io = opts.inject;
+    io.seed = lis::support::SplitMix64(opts.inject.seed).forkSeed(4096 + i);
+    const fault::FaultResult one = fault::injectOne(target, sites[i], io);
+    CHECK(one.outcome == r.results[i].outcome);
+    CHECK_EQ(one.atCycle, r.results[i].atCycle);
+    CHECK(one.detail == r.results[i].detail);
+  }
+}
+
+/// Detected/recovered/silent/hang tallies and the summed atCycle, as the
+/// one-experiment-at-a-time engine reported them before campaigns were
+/// batched: pins the batched engine to the scalar one, not to itself.
+void checkPinned(const fault::CampaignResult& r, std::size_t detected,
+                 std::size_t recovered, std::size_t silent,
+                 std::uint64_t atCycleSum) {
+  CHECK_EQ(r.all.detected, detected);
+  CHECK_EQ(r.all.recovered, recovered);
+  CHECK_EQ(r.all.silent, silent);
+  CHECK_EQ(r.all.hang, 0u);
+  std::uint64_t sum = 0;
+  for (const fault::FaultResult& f : r.results) sum += f.atCycle;
+  CHECK_EQ(sum, atCycleSum);
+}
+
+/// The 3x1 wrapper campaign the coverage and batching tests share.
+fault::CampaignOptions wrapperCampaign() {
+  fault::CampaignOptions opts;
+  opts.controlSeuCount = 32;
+  opts.dataSeuCount = 4;
+  opts.stuckCount = 4;
+  opts.channelCount = 2;
+  return opts;
+}
+
+lsync::WrapperConfig wrapper3x1(lsync::Encoding enc) {
+  lsync::WrapperConfig cfg;
+  cfg.numInputs = 3;
+  cfg.numOutputs = 1;
+  cfg.relayDepth = 2;
+  cfg.encoding = enc;
+  return cfg;
 }
 
 void testWrapperCampaignCoverage() {
   // Acceptance criterion: >= 95% of injected control-register SEUs on the
-  // 3x1 wrapper (both encodings) are detected or recovered.
+  // 3x1 wrapper (both encodings) are detected or recovered. The 42 sites
+  // fill whole batches and a partial last one, and the per-site
+  // comparison covers every fault kind the plan draws.
   for (lsync::Encoding enc :
        {lsync::Encoding::OneHot, lsync::Encoding::Binary}) {
-    lsync::WrapperConfig cfg;
-    cfg.numInputs = 3;
-    cfg.numOutputs = 1;
-    cfg.relayDepth = 2;
-    cfg.encoding = enc;
+    const lsync::WrapperConfig cfg = wrapper3x1(enc);
     const lsync::Wrapper w = lsync::buildWrapper(cfg);
-    fault::CampaignOptions opts;
-    opts.controlSeuCount = 32;
-    opts.dataSeuCount = 4;
-    opts.stuckCount = 4;
-    opts.channelCount = 2;
-    campaignCoverageCheck(fault::targetOf(w, cfg), opts,
-                          lsync::encodingName(enc));
+    const fault::Target target = fault::targetOf(w, cfg);
+    const fault::CampaignOptions opts = wrapperCampaign();
+    const fault::CampaignResult r =
+        campaignCoverageCheck(target, opts, lsync::encodingName(enc));
+    checkBatchMatchesInjectOne(target, opts, r);
+    if (enc == lsync::Encoding::OneHot) {
+      checkPinned(r, 32, 10, 0, 8399);
+    } else {
+      checkPinned(r, 37, 5, 0, 7090);
+    }
   }
 }
 
@@ -414,7 +472,90 @@ void testMeshCampaignCoverage() {
   opts.dataSeuCount = 0;
   opts.stuckCount = 0;
   opts.channelCount = 0;
-  campaignCoverageCheck(fault::targetOf(sys, spec), opts, "mesh4x4");
+  const fault::CampaignResult r =
+      campaignCoverageCheck(fault::targetOf(sys, spec), opts, "mesh4x4");
+  checkPinned(r, 10, 2, 0, 1484);
+}
+
+void testMeshBatchMatchesInjectOne() {
+  // All five fault kinds on the 4x4 mesh: the last sites of the plan mix
+  // stuck-ats, stall bursts and glitches in one batch, so a force or a
+  // glitch that leaked into a neighbour's lane or twin would change that
+  // neighbour's result.
+  const lsync::SystemSpec spec =
+      lsync::meshSpec(4, 4, 1, lsync::Encoding::Binary);
+  const lsync::System sys = lsync::buildSystem(spec);
+  const fault::Target target = fault::targetOf(sys, spec);
+  fault::CampaignOptions opts;
+  opts.inject.cycles = 250;
+  opts.controlSeuCount = 4;
+  opts.dataSeuCount = 4;
+  opts.stuckCount = 4;
+  opts.channelCount = 4;
+  const fault::CampaignResult r = fault::runCampaign(target, opts);
+  CHECK(!r.cancelled);
+  checkBatchMatchesInjectOne(target, opts, r);
+  checkPinned(r, 10, 6, 0, 2553);
+}
+
+void testLatentGlitchIsSilent() {
+  // A glitch into the quiesced join is buffered while the other input
+  // never offers: no output or stop ever disagrees, but the join's control
+  // state holds the spurious token at the horizon. Only a twin that never
+  // saw the glitch can tell, so this pins the glitch to the faulted lane.
+  const lsync::SystemSpec spec = lsync::joinSpec(lsync::Encoding::Binary);
+  const lsync::System sys = lsync::buildSystem(spec);
+  fault::InjectionOptions opts;
+  opts.cycles = 120;
+  opts.offerPercent = 0;
+  opts.stallPercent = 0;
+  fault::FaultSite site;
+  site.kind = fault::FaultKind::ChannelGlitch;
+  site.channel = 0;
+  site.cycle = 5;
+  const fault::FaultResult r =
+      fault::injectOne(fault::targetOf(sys, spec), site, opts);
+  CHECK(r.outcome == fault::Outcome::SilentCorruption);
+  CHECK_EQ(r.atCycle, 120u);
+  CHECK(r.detail == "register join_ctl_s_0 differs from the fault-free "
+                    "run at the horizon");
+}
+
+void testCampaignCancellation() {
+  const lsync::WrapperConfig cfg = wrapper3x1(lsync::Encoding::Binary);
+  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const fault::Target target = fault::targetOf(w, cfg);
+  fault::CampaignOptions opts = wrapperCampaign();
+  const fault::CampaignResult full = fault::runCampaign(target, opts);
+  CHECK(full.results.size() > fault::kBatchExperiments);
+
+  // Tripped before the run: nothing runs.
+  lis::support::CancellationToken tripped;
+  tripped.cancel();
+  opts.cancel = &tripped;
+  const fault::CampaignResult none = fault::runCampaign(target, opts);
+  CHECK(none.cancelled);
+  CHECK(none.results.empty());
+  CHECK_EQ(none.all.total(), 0u);
+
+  // Tripped after the first batch: exactly that batch's sites, as the
+  // uncancelled run reported them.
+  lis::support::CancellationToken token;
+  opts.cancel = &token;
+  opts.runner = [&token](std::size_t n,
+                         const std::function<void(std::size_t)>& f) {
+    f(0);
+    token.cancel();
+    for (std::size_t i = 1; i < n; ++i) f(i);
+  };
+  const fault::CampaignResult first = fault::runCampaign(target, opts);
+  CHECK(first.cancelled);
+  CHECK_EQ(first.results.size(), fault::kBatchExperiments);
+  CHECK_EQ(first.all.total(), fault::kBatchExperiments);
+  for (std::size_t i = 0; i < first.results.size(); ++i) {
+    CHECK(first.results[i].outcome == full.results[i].outcome);
+    CHECK_EQ(first.results[i].atCycle, full.results[i].atCycle);
+  }
 }
 
 } // namespace
@@ -436,5 +577,8 @@ int main() {
   testSeqEquivBudgetDegrades();
   testWrapperCampaignCoverage();
   testMeshCampaignCoverage();
+  testMeshBatchMatchesInjectOne();
+  testLatentGlitchIsSilent();
+  testCampaignCancellation();
   return testExit();
 }

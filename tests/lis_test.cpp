@@ -209,14 +209,21 @@ void testCosimSeededStreamPinned() {
 }
 
 // Lockstep indexes the oracle by the ports' channels, so an oracle of
-// another shape is refused up front.
+// another shape is refused up front, and every lane (twins included) must
+// fit the gate side's one word.
 void testLockstepRejectsMismatchedOracle() {
   WrapperConfig two;
   two.numInputs = 2;
   const Wrapper w = buildWrapper(two);
   Oracle one{WrapperConfig{}};
-  CHECK_THROWS(Lockstep(w.netlist, portView(w.ports), &one),
+  CHECK_THROWS(Lockstep(w.netlist, portView(w.ports), {&one}),
                std::invalid_argument);
+  CHECK_THROWS(Lockstep(w.netlist, portView(w.ports), {}),
+               std::invalid_argument);
+  const std::vector<Oracle*> unchecked(33, nullptr);
+  CHECK_THROWS(Lockstep(w.netlist, portView(w.ports), unchecked, true),
+               std::invalid_argument);
+  Lockstep(w.netlist, portView(w.ports), unchecked, false); // 33 lanes fit
 }
 
 // Deeper relay stations and a saturating/no-stall sanity pair.
