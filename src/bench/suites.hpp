@@ -91,11 +91,12 @@ inline std::vector<flow::Design> scaleSuite() {
   return designs;
 }
 
-/// Cosim budget for the scale suite. Shorter than the sweep's: the gate-
-/// level simulators dominate at these netlist sizes, and the scale rows
-/// exist to measure synthesis/mapping scaling under a CI wall ceiling,
-/// not to re-prove protocol behaviour the sweep already covers.
-inline constexpr std::uint64_t kScaleCosimCycles = 1000;
+/// Cosim budget for the scale suite: 1280 cycles per shard, so every
+/// from-reset shard outlasts pipe1024's fill latency (its first token
+/// leaves at cycle 1026-1029 at the default traffic mix) and every output
+/// delivers tokens; the gate fails a scale row whose
+/// cosim.min_tokens_per_output is 0.
+inline constexpr std::uint64_t kScaleCosimCycles = kCosimShards * 1280;
 
 /// The full bench pipeline: synth → map → sta → encoding proof → sharded
 /// cosim. One Pipeline instance is reusable across suites and runs.

@@ -276,6 +276,14 @@ void Cosim::run(Design& design, PassContext& ctx) {
   design.metrics().set("cosim.cycles", static_cast<double>(r.cyclesRun));
   design.metrics().set("cosim.fires", static_cast<double>(r.fires));
   design.metrics().set("cosim.tokens", static_cast<double>(r.tokens));
+  // 0 flags a vacuous run: some output never delivered a token (shards
+  // shorter than the design's fill latency, or a dead channel).
+  const auto least =
+      std::min_element(r.tokensPerOutput.begin(), r.tokensPerOutput.end());
+  design.metrics().set("cosim.min_tokens_per_output",
+                       least == r.tokensPerOutput.end()
+                           ? 0.0
+                           : static_cast<double>(*least));
   const bool ok = r.ok;
   const bool cancelled = r.cancelled;
   const std::string mismatch = r.mismatch;

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "lis/behavioral.hpp"
@@ -22,6 +23,14 @@ Lockstep::Lockstep(const netlist::Netlist& nl, PortView ports,
       if (bus.size() > 64) {
         throw std::invalid_argument("Lockstep: data bus wider than 64 bits");
       }
+    }
+  }
+  // readStops reads the stops after a state-cone pass only (see clock()).
+  for (std::size_t i = 0; i < numInputs(); ++i) {
+    if (gate_.inInputCone(ports_.inStop[i])) {
+      throw std::invalid_argument(
+          "Lockstep: in" + std::to_string(i) +
+          "_stop is not a Moore output: an input reaches it combinationally");
     }
   }
   lanes_.reserve(oracles.size());
@@ -99,7 +108,7 @@ void Lockstep::drive(std::size_t l, const Stimulus& s) {
 }
 
 bool Lockstep::settle(std::uint64_t cycle) {
-  gate_.settle();
+  gate_.settleInputCone();
   for (std::size_t l = 0; l < numLanes(); ++l) {
     Lane& lane = lanes_[l];
     if (lane.finished) continue;
@@ -125,7 +134,7 @@ bool Lockstep::settle(std::uint64_t cycle) {
 }
 
 void Lockstep::clock() {
-  gate_.clock();
+  gate_.clockStateCone();
   for (Lane& lane : lanes_) {
     if (lane.oracle != nullptr) lane.oracle->step();
   }

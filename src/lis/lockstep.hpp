@@ -12,11 +12,19 @@
 //              on the gate side and compare them with the lane's oracle
 //   drive      apply one lane's Stimulus (per-input valid/data, per-output
 //              stall) to its gate lane, its twin lane and its oracle
-//   settle     settle the gate side once, compare each lane's output
-//              valid (and data while valid) with its oracle, and record
-//              the lane's handshakes: accepted[i] = valid && !stop,
+//   settle     settle the gate side's input cone, compare each lane's
+//              output valid (and data while valid) with its oracle, and
+//              record the lane's handshakes: accepted[i] = valid && !stop,
 //              delivered[j] = out_valid && !stall
-//   clock      clock the gate side, step every live oracle
+//   clock      latch the gate side and settle its state cone, step every
+//              live oracle
+//
+// So each cycle evaluates the netlist once (netlist::BitSim's two cones):
+// the state cone holds every stop readStops reads, and the input cone
+// everything drive can change. Stops must therefore be Moore outputs; the
+// constructor refuses a stop an input reaches combinationally. A client
+// that forces, clears or pokes a gate node calls gate().settle() before
+// the next readStops.
 //
 // Lane layout: with n lanes, the compared lanes are bits 0..n-1 of the one
 // BitSim word. The optional twin is fault injection's fault-free
@@ -68,8 +76,9 @@ public:
   /// reference and must outlive the Lockstep; a null one leaves the lane
   /// unchecked. `twin` adds a fault-free twin lane per lane. Throws
   /// std::invalid_argument for no lanes, more lanes than one word holds,
-  /// a data bus wider than 64 bits, or an oracle whose channel counts
-  /// differ from the ports'.
+  /// a data bus wider than 64 bits, an input-channel stop that is not a
+  /// Moore output, or an oracle whose channel counts differ from the
+  /// ports'.
   Lockstep(const netlist::Netlist& nl, PortView ports,
            std::vector<Oracle*> oracles, bool twin = false);
 

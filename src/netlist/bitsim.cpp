@@ -30,30 +30,49 @@ BitSim::BitSim(const Netlist& nl, unsigned numWords)
                         n.hasEnable});
   }
 
-  const std::vector<NodeId> order = nl.topoOrder();
-  instrs_.reserve(order.size());
-  for (NodeId id : order) {
+  // A node is in the input cone when an Input reaches it combinationally;
+  // the state cone (everything else) goes first. The partition is stable,
+  // so both segments keep the topological order.
+  inputCone_.assign(nl.nodeCount(), false);
+  for (NodeId id : nl.inputs()) inputCone_[id] = true;
+  std::vector<NodeId> comb;
+  for (NodeId id : nl.topoOrder()) {
     const Node& n = nl.node(id);
     if (n.op == Op::Input || n.op == Op::Dff || n.op == Op::Const0 ||
         n.op == Op::Const1) {
       continue; // sources: driven externally, latched, or set at reset
     }
-    Instr ins;
-    ins.op = n.op;
-    ins.dst = id;
-    ins.faninBegin = static_cast<std::uint32_t>(fanins_.size());
-    ins.faninCount = static_cast<std::uint32_t>(n.fanin.size());
-    ins.romId = n.romId;
-    ins.romBit = n.romBit;
-    ins.romBitSliced = false;
+    for (NodeId f : n.fanin) {
+      if (inputCone_[f]) inputCone_[id] = true;
+    }
+    comb.push_back(id);
+  }
+  stateEnd_ = static_cast<std::size_t>(
+      std::stable_partition(comb.begin(), comb.end(),
+                            [&](NodeId id) { return !inputCone_[id]; }) -
+      comb.begin());
+
+  instrs_.reserve(comb.size());
+  ops_.reserve(comb.size());
+  for (NodeId id : comb) {
+    const Node& n = nl.node(id);
+    const auto operand = [&n](std::size_t k) {
+      return k < n.fanin.size() ? n.fanin[k] : NodeId{0};
+    };
     if (n.op == Op::RomBit) {
       // Shallow ROMs: bit-sliced minterm OR beats a 64-iteration lane
       // gather; deep ROMs: the other way round.
-      ins.romBitSliced =
-          reachableDepth(nl.rom(n.romId).words.size(), n.fanin.size()) <= 64;
+      instrs_.push_back({id, static_cast<NodeId>(roms_.size()), 0, 0});
+      roms_.push_back(
+          {static_cast<std::uint32_t>(romAddr_.size()),
+           static_cast<std::uint32_t>(n.fanin.size()), n.romId, n.romBit,
+           reachableDepth(nl.rom(n.romId).words.size(), n.fanin.size()) <=
+               64});
+      romAddr_.insert(romAddr_.end(), n.fanin.begin(), n.fanin.end());
+    } else {
+      instrs_.push_back({id, operand(0), operand(1), operand(2)});
     }
-    fanins_.insert(fanins_.end(), n.fanin.begin(), n.fanin.end());
-    instrs_.push_back(ins);
+    ops_.push_back(n.op);
   }
   reset();
 }
@@ -161,19 +180,19 @@ void BitSim::pin(NodeId node) {
   }
 }
 
-void BitSim::evalRom(const Instr& ins, const NodeId* f,
-                     std::uint64_t* dst) const {
-  const Rom& rom = nl_->rom(ins.romId);
+void BitSim::evalRom(const RomRef& r, std::uint64_t* dst) const {
+  const Rom& rom = nl_->rom(r.romId);
+  const NodeId* f = romAddr_.data() + r.addrBegin;
   const unsigned W = numWords_;
-  const unsigned abits = ins.faninCount;
+  const unsigned abits = r.addrCount;
   const std::uint64_t depth = rom.words.size();
-  if (ins.romBitSliced) {
+  if (r.bitSliced) {
     // out = OR over set addresses of AND_i (addr bit i ? v_i : ~v_i).
     const std::uint64_t reach = reachableDepth(depth, abits);
     for (unsigned w = 0; w < W; ++w) {
       std::uint64_t out = 0;
       for (std::uint64_t addr = 0; addr < reach; ++addr) {
-        if (((rom.words[addr] >> ins.romBit) & 1u) == 0) continue;
+        if (((rom.words[addr] >> r.bit) & 1u) == 0) continue;
         std::uint64_t m = kAllLanes;
         for (unsigned i = 0; i < abits && m != 0; ++i) {
           const std::uint64_t vi = val(f[i])[w];
@@ -193,7 +212,7 @@ void BitSim::evalRom(const Instr& ins, const NodeId* f,
           addr |= ((val(f[i])[w] >> l) & 1u) << i;
         }
         if (addr < depth) {
-          out |= ((rom.words[addr] >> ins.romBit) & std::uint64_t{1}) << l;
+          out |= ((rom.words[addr] >> r.bit) & std::uint64_t{1}) << l;
         }
       }
       dst[w] = out;
@@ -209,61 +228,55 @@ BitSim::~BitSim() {
                  static_cast<double>(numPatterns()));
 }
 
-void BitSim::settle() {
-  ++settlePasses_;
-  const unsigned W = numWords_;
+template <unsigned kWords>
+void BitSim::evalRange(std::size_t begin, std::size_t end) {
+  const unsigned W = kWords != 0 ? kWords : numWords_;
   std::uint64_t* const v = values_.data();
-  const NodeId* const fan = fanins_.data();
-  // Source nodes (inputs, DFF state, constants) are not in the
-  // instruction stream, so every forced node is pinned up front; forced
-  // combinational nodes are pinned again right after their evaluation.
+  const auto at = [v, W](NodeId id) { return v + std::size_t{id} * W; };
   const bool faulted = !forces_.empty();
-  if (faulted) {
-    for (const Force& f : forces_) pin(f.node);
-  }
-  for (const Instr& ins : instrs_) {
-    std::uint64_t* dst = v + std::size_t{ins.dst} * W;
-    const NodeId* f = fan + ins.faninBegin;
-    switch (ins.op) {
+  for (std::size_t k = begin; k < end; ++k) {
+    const Instr& ins = instrs_[k];
+    std::uint64_t* dst = at(ins.dst);
+    switch (ops_[k]) {
       case Op::Not: {
-        const std::uint64_t* a = v + std::size_t{f[0]} * W;
+        const std::uint64_t* a = at(ins.a);
         for (unsigned w = 0; w < W; ++w) dst[w] = ~a[w];
         break;
       }
       case Op::And: {
-        const std::uint64_t* a = v + std::size_t{f[0]} * W;
-        const std::uint64_t* b = v + std::size_t{f[1]} * W;
+        const std::uint64_t* a = at(ins.a);
+        const std::uint64_t* b = at(ins.b);
         for (unsigned w = 0; w < W; ++w) dst[w] = a[w] & b[w];
         break;
       }
       case Op::Or: {
-        const std::uint64_t* a = v + std::size_t{f[0]} * W;
-        const std::uint64_t* b = v + std::size_t{f[1]} * W;
+        const std::uint64_t* a = at(ins.a);
+        const std::uint64_t* b = at(ins.b);
         for (unsigned w = 0; w < W; ++w) dst[w] = a[w] | b[w];
         break;
       }
       case Op::Xor: {
-        const std::uint64_t* a = v + std::size_t{f[0]} * W;
-        const std::uint64_t* b = v + std::size_t{f[1]} * W;
+        const std::uint64_t* a = at(ins.a);
+        const std::uint64_t* b = at(ins.b);
         for (unsigned w = 0; w < W; ++w) dst[w] = a[w] ^ b[w];
         break;
       }
       case Op::Mux: {
-        const std::uint64_t* s = v + std::size_t{f[0]} * W;
-        const std::uint64_t* a0 = v + std::size_t{f[1]} * W;
-        const std::uint64_t* a1 = v + std::size_t{f[2]} * W;
+        const std::uint64_t* s = at(ins.a);
+        const std::uint64_t* a0 = at(ins.b);
+        const std::uint64_t* a1 = at(ins.c);
         for (unsigned w = 0; w < W; ++w) {
           dst[w] = (s[w] & a1[w]) | (~s[w] & a0[w]);
         }
         break;
       }
       case Op::Output: {
-        const std::uint64_t* a = v + std::size_t{f[0]} * W;
+        const std::uint64_t* a = at(ins.a);
         for (unsigned w = 0; w < W; ++w) dst[w] = a[w];
         break;
       }
       case Op::RomBit:
-        evalRom(ins, f, dst);
+        evalRom(roms_[ins.a], dst);
         break;
       default:
         break; // sources never enter the instruction stream
@@ -272,7 +285,29 @@ void BitSim::settle() {
   }
 }
 
-void BitSim::clock() {
+void BitSim::evaluate(std::size_t begin, std::size_t end) {
+  // Source nodes (inputs, DFF state, constants) are not in the
+  // instruction stream, so every forced node is pinned up front; forced
+  // combinational nodes are pinned again right after their evaluation.
+  for (const Force& f : forces_) pin(f.node);
+  if (numWords_ == 1) {
+    evalRange<1>(begin, end);
+  } else {
+    evalRange<0>(begin, end);
+  }
+}
+
+void BitSim::settle() {
+  ++settlePasses_;
+  evaluate(0, instrs_.size());
+}
+
+void BitSim::settleInputCone() {
+  ++settlePasses_;
+  evaluate(stateEnd_, instrs_.size());
+}
+
+void BitSim::latch() {
   const unsigned W = numWords_;
   for (std::size_t k = 0; k < latches_.size(); ++k) {
     const Latch& l = latches_[k];
@@ -291,7 +326,16 @@ void BitSim::clock() {
   for (std::size_t k = 0; k < latches_.size(); ++k) {
     std::copy_n(dffNext_.data() + k * W, W, val(latches_[k].q));
   }
+}
+
+void BitSim::clock() {
+  latch();
   settle();
+}
+
+void BitSim::clockStateCone() {
+  latch();
+  evaluate(0, stateEnd_);
 }
 
 std::uint64_t BitSim::busValue(std::span<const NodeId> bus,

@@ -4,10 +4,25 @@
 // Where NetlistSim evaluates one input pattern per settle pass, BitSim packs
 // 64 independent patterns into every uint64_t ("lanes") and, with
 // numWords > 1, simulates 64*numWords patterns per pass. At construction the
-// netlist is flattened into a CSR-style instruction stream in topological
-// order — a structure-of-arrays of {op, dst, fanin-slice} records over one
-// flat fanin array — so the settle loop is a tight dispatch over contiguous
-// memory with no per-node std::vector indirection.
+// netlist is flattened into an instruction stream in topological order:
+// 16-byte {dst, a, b, c} records (three operand ids, enough for a Mux) with
+// the op codes in a parallel byte array. A RomBit's `a` indexes a side
+// table holding its address slice, ROM id, bit and eval strategy. The
+// settle loop is one template, instantiated for a compile-time word count
+// of 1 (NetlistSim, every sync::Lockstep) and for the runtime count.
+//
+// The stream is two segments, each topological:
+//
+//   state cone  combinational nodes with no Input in their fanin, i.e.
+//               functions of DFF state and constants only (closed under
+//               fanin, so it never reads the input cone)
+//   input cone  every other combinational node
+//
+// settle() and clock() evaluate both. A clocked cycle that reads Moore
+// signals before it drives the inputs needs each cone once:
+// clockStateCone() latches and settles the state cone, settleInputCone()
+// settles the input cone after the inputs are set. A state-cone pass
+// followed by an input-cone pass counts as one bitsim.settle_passes.
 //
 // Value layout is node-major: values_[node * numWords + w] holds lanes
 // [w*64, (w+1)*64) of `node`, so a gate's word loop streams through
@@ -59,11 +74,24 @@ public:
   /// leaving the other lanes as they are.
   void setInputLanes(NodeId input, std::uint64_t lanes, bool value);
 
-  /// Re-evaluate combinational logic (topological order, single pass).
+  /// Re-evaluate combinational logic (topological order, single pass over
+  /// both cones).
   void settle();
 
   /// Latch all DFFs from the settled values (per-lane enables), then settle.
   void clock();
+
+  /// The split cycle (see the header comment): clockStateCone() latches
+  /// like clock() but settles only the state cone, leaving the input cone
+  /// stale; settleInputCone() then settles only the input cone. Together
+  /// they leave every node as clock() + settle() would. Both pin the active
+  /// forces, but neither re-evaluates the other cone: after a force, a
+  /// clear or a poke, call settle().
+  void clockStateCone();
+  void settleInputCone();
+  /// True for an Input and for a combinational node an Input reaches
+  /// combinationally; false for DFFs, constants and the state cone.
+  bool inInputCone(NodeId node) const { return inputCone_[node]; }
 
   /// Pin a node to a constant in the lanes of `lanes` (of every word; the
   /// default is every lane) — the stuck-at fault model. The force persists
@@ -107,14 +135,17 @@ private:
     NodeId enable; // meaningful only when hasEnable
     bool hasEnable;
   };
-  struct Instr {
-    Op op;
+  struct Instr { // 16 bytes; the op code sits in ops_
     NodeId dst;
-    std::uint32_t faninBegin; // slice [faninBegin, faninBegin+faninCount)
-    std::uint32_t faninCount; // of fanins_
-    std::uint32_t romId;      // RomBit only
-    std::uint32_t romBit;     // RomBit only
-    bool romBitSliced;        // RomBit only: eval strategy
+    NodeId a, b, c; // operands (Mux: sel, a0, a1); RomBit: a = roms_ index
+  };
+  static_assert(sizeof(Instr) == 16);
+  struct RomRef {
+    std::uint32_t addrBegin; // slice [addrBegin, addrBegin+addrCount)
+    std::uint32_t addrCount; // of romAddr_
+    std::uint32_t romId;
+    std::uint32_t bit;
+    bool bitSliced; // eval strategy
   };
 
   std::uint64_t* val(NodeId id) {
@@ -125,13 +156,23 @@ private:
   }
   void checkInput(NodeId input) const;
   void writeLanes(NodeId node, std::uint64_t lanes, bool value);
-  void evalRom(const Instr& ins, const NodeId* f, std::uint64_t* dst) const;
+  void evalRom(const RomRef& r, std::uint64_t* dst) const;
   void pin(NodeId node);
+  void latch();
+  /// Pin the forces, then evaluate instrs_[begin, end).
+  void evaluate(std::size_t begin, std::size_t end);
+  /// The settle loop; kWords == 0 reads the word count at run time.
+  template <unsigned kWords>
+  void evalRange(std::size_t begin, std::size_t end);
 
   const Netlist* nl_;
   unsigned numWords_;
-  std::vector<Instr> instrs_;  // combinational nodes in topological order
-  std::vector<NodeId> fanins_; // flat CSR fanin array
+  std::vector<Instr> instrs_;    // state cone, then input cone
+  std::vector<Op> ops_;          // parallel to instrs_
+  std::size_t stateEnd_ = 0;     // instrs_[0, stateEnd_) is the state cone
+  std::vector<RomRef> roms_;     // one per RomBit instruction
+  std::vector<NodeId> romAddr_;  // flat RomBit address bits
+  std::vector<bool> inputCone_;  // per node, see inInputCone()
   std::vector<std::uint64_t> values_;  // node-major, numWords_ per node
   std::vector<Latch> latches_;         // dffs() order
   std::vector<std::uint64_t> dffNext_; // dffs().size() * numWords_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "lis/oracle.hpp"
@@ -362,6 +363,117 @@ void testClearForceKeepsOtherLanes() {
            faulted.word(n.fanin[0], 0) | faulted.word(n.fanin[1], 0));
 }
 
+/// One split cycle against the full one, on `nl` from reset under the
+/// same random input words: after each input-cone pass every node matches
+/// a clock() + settle() reference bit for bit, and after each state-cone
+/// pass every state-cone node does. `forced`, if set, is pinned in `lanes`
+/// from cycle 60 to 140, with the full settle() a force or clear needs.
+void checkConesMatchFullSettle(const Netlist& nl, std::uint64_t seed,
+                               NodeId forced = kNoNode,
+                               std::uint64_t lanes = 0) {
+  BitSim split(nl, 1);
+  BitSim full(nl, 1);
+  SplitMix64 rng(seed);
+  int mismatches = 0;
+  const auto compare = [&](bool stateConeOnly) {
+    for (NodeId id = 0; id < static_cast<NodeId>(nl.nodeCount()); ++id) {
+      if (stateConeOnly && split.inInputCone(id)) continue;
+      if (split.word(id, 0) != full.word(id, 0)) ++mismatches;
+    }
+  };
+  for (unsigned cycle = 0; cycle < 200; ++cycle) {
+    if (forced != kNoNode && (cycle == 60 || cycle == 140)) {
+      for (BitSim* sim : {&split, &full}) {
+        if (cycle == 60) {
+          sim->setForce(forced, true, lanes);
+        } else {
+          sim->clearForce(forced, lanes);
+        }
+        sim->settle();
+      }
+    }
+    for (NodeId in : nl.inputs()) {
+      const std::uint64_t w = rng.next();
+      split.setInputWord(in, 0, w);
+      full.setInputWord(in, 0, w);
+    }
+    split.settleInputCone();
+    full.settle();
+    compare(false);
+    split.clockStateCone();
+    full.clock();
+    compare(true);
+  }
+  CHECK_EQ(mismatches, 0);
+}
+
+/// The last gate of `nl` (Not/And/Or/Xor/Mux) in the input cone or not.
+NodeId lastGate(const Netlist& nl, const BitSim& sim, bool inputCone) {
+  NodeId gate = kNoNode;
+  for (NodeId id = 0; id < static_cast<NodeId>(nl.nodeCount()); ++id) {
+    const Op op = nl.node(id).op;
+    if (op != Op::Not && op != Op::And && op != Op::Or && op != Op::Xor &&
+        op != Op::Mux) {
+      continue;
+    }
+    if (sim.inInputCone(id) == inputCone) gate = id;
+  }
+  return gate;
+}
+
+void testStateAndInputConesMatchFullSettle() {
+  for (std::uint64_t seed : {41, 42, 43}) {
+    // More registers than inputs, so both cones are sizeable; inputs feed
+    // DFF D-pins and outputs alike.
+    const Netlist nl = gen::randomSeq(3, 120, 24, 6, seed);
+    const BitSim probe(nl, 1);
+    std::size_t inputFedDffs = 0;
+    for (NodeId q : nl.dffs()) {
+      inputFedDffs += probe.inInputCone(nl.node(q).fanin[0]);
+    }
+    std::size_t inputFedOutputs = 0;
+    for (NodeId o : nl.outputs()) inputFedOutputs += probe.inInputCone(o);
+    CHECK(inputFedDffs > 0);
+    CHECK(inputFedOutputs > 0);
+    for (NodeId in : nl.inputs()) CHECK(probe.inInputCone(in));
+    for (NodeId q : nl.dffs()) CHECK(!probe.inInputCone(q));
+
+    const NodeId stateGate = lastGate(nl, probe, false);
+    const NodeId inputGate = lastGate(nl, probe, true);
+    CHECK(stateGate != kNoNode);
+    CHECK(inputGate != kNoNode);
+    checkConesMatchFullSettle(nl, seed * 7 + 1);
+    checkConesMatchFullSettle(nl, seed * 7 + 2, stateGate,
+                              0x00FF00FF00FF00FFull);
+    checkConesMatchFullSettle(nl, seed * 7 + 3, inputGate,
+                              0xF0F0F0F0F0F0F0F0ull);
+  }
+
+  // No DFFs: the state cone is empty.
+  const Netlist dag = gen::randomDag(8, 120, 6, 44);
+  checkConesMatchFullSettle(dag, 45);
+
+  // No inputs: a free-running 4-bit counter is all state cone.
+  Netlist counter("counter");
+  std::vector<NodeId> q;
+  for (unsigned k = 0; k < 4; ++k) {
+    q.push_back(counter.mkDff(counter.constant(false), kNoNode, k == 1,
+                              "q_" + std::to_string(k)));
+  }
+  NodeId carry = counter.constant(true);
+  for (unsigned k = 0; k < 4; ++k) {
+    counter.setDffInputs(q[k], counter.mkXor(q[k], carry));
+    carry = counter.mkAnd(q[k], carry);
+    counter.addOutput("c_" + std::to_string(k), q[k]);
+  }
+  counter.addOutput("wrap", carry);
+  checkConesMatchFullSettle(counter, 46);
+  const BitSim probe(counter, 1);
+  for (NodeId id = 0; id < static_cast<NodeId>(counter.nodeCount()); ++id) {
+    CHECK(!probe.inInputCone(id));
+  }
+}
+
 void testApi() {
   const Netlist nl = gen::randomDag(4, 10, 2, 1);
   CHECK_THROWS(BitSim(nl, 0), std::invalid_argument);
@@ -395,6 +507,7 @@ int main() {
   testConeOfInfluence();
   testLaneMaskedFaultsStayInTheirLane();
   testClearForceKeepsOtherLanes();
+  testStateAndInputConesMatchFullSettle();
   testApi();
   return testExit();
 }

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "flow/design.hpp"
 #include "flow/pipeline.hpp"
@@ -226,6 +227,30 @@ void testLockstepRejectsMismatchedOracle() {
   Lockstep(w.netlist, portView(w.ports), unchecked, false); // 33 lanes fit
 }
 
+// readStops reads the stops after the state-cone pass only, so a stop an
+// input reaches combinationally (Mealy) is refused, naming its channel; the
+// same channel with a registered stop is accepted.
+void testLockstepRejectsMealyStop() {
+  for (bool mealy : {true, false}) {
+    lis::netlist::Netlist nl("one_channel");
+    const lis::netlist::NodeId valid = nl.addInput("in0_valid");
+    const lis::netlist::NodeId data = nl.addInput("in0_data_0");
+    const lis::netlist::NodeId stop = nl.addOutput(
+        "in0_stop", mealy ? valid : nl.mkDff(valid));
+    PortView ports;
+    ports.inValid = {valid};
+    ports.inData = {{data}};
+    ports.inStop = {stop};
+    std::string what;
+    try {
+      Lockstep(nl, ports, {nullptr});
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
+    }
+    CHECK_EQ(what.find("in0_stop") != std::string::npos, mealy);
+  }
+}
+
 // Deeper relay stations and a saturating/no-stall sanity pair.
 void testCosimDepthsAndExtremes() {
   for (unsigned depth : {1u, 3u, 4u}) {
@@ -432,6 +457,7 @@ int main() {
   testCosimMatrix();
   testCosimSeededStreamPinned();
   testLockstepRejectsMismatchedOracle();
+  testLockstepRejectsMealyStop();
   testCosimDepthsAndExtremes();
   testEncodingEquivalence();
   testTransitionNetlistMatchesSpec();

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "flow/design.hpp"
 #include "flow/pipeline.hpp"
@@ -153,6 +154,26 @@ void testMeshAndPipelineSpecs() {
       CHECK(r.tokensPerOutput[k] > 100); // every edge makes progress
     }
   }
+}
+
+// A sharded mesh cosim, pinned exactly. Most of mesh4x4's logic reads no
+// input in the same cycle (BitSim's state cone), unlike the 2x1 wrapper
+// lis_test pins, so together they pin Lockstep's split cycle on both kinds
+// of netlist; the shard forks and the traffic draw order are pinned too.
+void testShardedMeshCosimPinned() {
+  CosimOptions opts;
+  opts.cycles = 2000;
+  opts.seed = 0x4E54;
+  opts.shards = 4;
+  const CosimResult r =
+      cosimSystem(meshSpec(4, 4, 1, Encoding::Binary), opts);
+  expectOk("mesh4x4 sharded", r);
+  CHECK_EQ(r.cyclesRun, 2000u);
+  CHECK_EQ(r.tokens, 8455u);
+  CHECK_EQ(r.fires, 17104u);
+  const std::vector<std::uint64_t> perOutput = {1068, 1059, 1053, 1048,
+                                                1065, 1061, 1053, 1048};
+  CHECK(r.tokensPerOutput == perOutput);
 }
 
 // A single pearl with direct external inputs and one relay station per
@@ -330,6 +351,7 @@ void testSeededRelayChain() {
 int main() {
   testValidation();
   testMeshAndPipelineSpecs();
+  testShardedMeshCosimPinned();
   testWrapperShapedSystem();
   testChain();
   testForkJoinThroughPipeline();

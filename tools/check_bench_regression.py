@@ -13,7 +13,9 @@ regressions, never on runner noise. Each rule table is evaluated by one
 loop:
 
 - ABSOLUTE_RULES, (suite, counter, op, bound, message): every fresh,
-  non-failed row of the suite must satisfy `counter op bound`.
+  non-failed row of the suite must satisfy `counter op bound`. Among them:
+  every output of a standard-suite cosim delivered a token
+  (cosim.min_tokens_per_output > 0).
 - RELATIVE_RULES, (suite, counter, better, slack): the fresh value may be
   worse than the baseline row's by at most slack, an absolute margin, or
   the --max-regress ratio when slack is None.
@@ -30,8 +32,9 @@ gates them.
 check_metrics gates the sweep suite's executor utilization (see its
 docstring), and --scale-gate gates a --suite scale run instead of
 comparing against a baseline: every scale topology present and not
-failed, the flow wall under --max-wall, and, on >= 4 hardware threads,
-a parallel speedup of at least --min-speedup. --self-test runs the
+failed, every scale row's cosim delivering a token on every output, the
+flow wall under --max-wall, and, on >= 4 hardware threads, a parallel
+speedup of at least --min-speedup. --self-test runs the
 built-in unit checks of all of these (invoked from CI and ctest).
 """
 
@@ -54,6 +57,9 @@ SIM_SCREEN = 0  # netlist::EquivMethod::Sim, as sweep.equiv_method records it
 ABSOLUTE_RULES = (
     [(s, "cosim.cycles", ">", 0, "co-simulation ran no cycles")
      for s in STANDARD_SUITES]
+    + [(s, "cosim.min_tokens_per_output", ">", 0,
+        "co-simulation delivered no token on some output (vacuous run)")
+       for s in STANDARD_SUITES]
     + [(s, "proof.sat_conflicts", ">=", 0, "encoding-proof SAT counters")
        for s in STANDARD_SUITES]
     + [(s, "aig.equiv_proved", "==", 1,
@@ -274,7 +280,8 @@ def check_scale(fresh, max_wall, min_speedup):
     """Gate a --suite scale bench run (no baseline involved).
 
     Returns (failures, warnings). Fails when a required scale row is
-    missing or failed, when the flow wall exceeds max_wall, or when a
+    missing or failed, when a scale row's cosim left an output without a
+    token, when the flow wall exceeds max_wall, or when a
     parallel run on a machine with >= SCALE_MIN_HW_THREADS hardware
     threads speeds up less than min_speedup over its serial re-run.
     Under-provisioned machines and stripped runs warn instead: wall and
@@ -295,6 +302,16 @@ def check_scale(fresh, max_wall, min_speedup):
             failures.append(f"scale {name}: missing from the scale rows")
         elif row.get("failed"):
             failures.append(f"scale {name}: pipeline failed")
+    for (suite, name), row in rows.items():
+        if suite != "scale" or row.get("failed"):
+            continue
+        least = (row.get("counters") or {}).get("cosim.min_tokens_per_output")
+        if least is None:
+            failures.append(f'scale {name}: required counter '
+                            f'"cosim.min_tokens_per_output" missing')
+        elif least <= 0:
+            failures.append(f"scale {name}: co-simulation delivered no token "
+                            f"on some output (vacuous run)")
 
     wall = sweep.get("flow_wall_seconds", 0)
     if not wall:
@@ -406,7 +423,8 @@ def self_test():
     def doc(*rows):
         return {"metrics": {"configs": list(rows), "utilization": None}}
 
-    standard = {"cosim.cycles": 2000, "proof.sat_conflicts": 44}
+    standard = {"cosim.cycles": 2000, "cosim.min_tokens_per_output": 91,
+                "proof.sat_conflicts": 44}
     wrapper = row("wrapper", "w", dict(standard, **{
         "map.slices": 40, "sta.fmax_mhz": 60.0}))
     system = row("system", "s", dict(standard, **{"map.slices": 100}))
@@ -498,6 +516,12 @@ def self_test():
         ("missing required counter fails", base,
          but(changed(wrapper, {"cosim.cycles": None})), "fail",
          '"cosim.cycles" missing'),
+        ("vacuous cosim fails", base,
+         but(changed(system, {"cosim.min_tokens_per_output": 0})), "fail",
+         "vacuous run"),
+        ("missing min-tokens counter fails", base,
+         but(changed(wrapper, {"cosim.min_tokens_per_output": None})), "fail",
+         '"cosim.min_tokens_per_output" missing'),
         ("missing pair counter fails", base,
          but(changed(system, {"map.slices": None})), "fail",
          '"map.slices" missing'),
@@ -567,7 +591,8 @@ def self_test():
     # --- "--scale-gate" checks ------------------------------------------
     def scale_file(rows=None, **kw):
         if rows is None:
-            rows = [row("scale", n, {"synth.pearls": 256, "map.luts": 1000})
+            rows = [row("scale", n, {"synth.pearls": 256, "map.luts": 1000,
+                                     "cosim.min_tokens_per_output": 300})
                     for n in SCALE_REQUIRED_DESIGNS]
         d = doc(*rows)
         d["sweep"] = {"jobs": 4, "hardware_threads": 8,
@@ -586,6 +611,20 @@ def self_test():
     f, _ = check_scale(scale_file(healthy[:3] + [
         row("scale", "mesh32x32_d1_binary", {}, failed=True)]), 600, 1.5)
     checks.append(("scale failed topology fails", bool(f)))
+    # A row whose cosim left some output without a token fails: a run
+    # shorter than the fill latency checks nothing. A missing count fails
+    # too.
+    vacuous = changed(healthy[1], {"cosim.min_tokens_per_output": 0})
+    f, _ = check_scale(scale_file([healthy[0], vacuous] + healthy[2:]),
+                       600, 1.5)
+    checks.append(("scale vacuous cosim fails",
+                   any("pipe1024_d1_binary" in x and "vacuous" in x
+                       for x in f)))
+    uncounted = changed(healthy[1], {"cosim.min_tokens_per_output": None})
+    f, _ = check_scale(scale_file([healthy[0], uncounted] + healthy[2:]),
+                       600, 1.5)
+    checks.append(("scale missing min-tokens counter fails",
+                   any("missing" in x for x in f)))
     # Blowing the wall ceiling fails; a stripped wall (0) warns and skips.
     f, _ = check_scale(scale_file(flow_wall_seconds=700.0), 600, 1.5)
     checks.append(("scale wall over ceiling fails", bool(f)))
