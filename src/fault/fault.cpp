@@ -6,7 +6,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "lis/behavioral.hpp"
 #include "lis/lockstep.hpp"
 
 namespace lis::fault {

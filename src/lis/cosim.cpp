@@ -5,7 +5,6 @@
 
 #include "lis/lockstep.hpp"
 #include "lis/oracle.hpp"
-#include "sim/simulator.hpp"
 #include "support/rng.hpp"
 
 namespace lis::sync {
@@ -14,7 +13,7 @@ namespace {
 
 /// Options of the i-th of base.shards independent from-reset runs: an even
 /// slice of the cycle budget (early shards absorb the remainder), the i-th
-/// SplitMix64 fork of the seed, shards = 1, runner/vcd cleared.
+/// SplitMix64 fork of the seed, shards = 1, runner cleared.
 CosimOptions cosimShardOptions(const CosimOptions& base, std::size_t shard) {
   // Forking, not offsetting, keeps the shard streams decorrelated and —
   // crucially — independent of how the other shards consume theirs.
@@ -25,7 +24,6 @@ CosimOptions cosimShardOptions(const CosimOptions& base, std::size_t shard) {
   o.seed = support::SplitMix64(base.seed).forkSeed(shard);
   o.shards = 1;
   o.runner = nullptr;
-  o.vcd = nullptr;
   return o;
 }
 
@@ -98,7 +96,7 @@ CosimResult driveCosim(const netlist::Netlist& nl, const PortView& ports,
 template <class Spec>
 CosimResult cosim(const netlist::Netlist& nl, const PortView& ports,
                   const Spec& spec, const CosimOptions& opts) {
-  if (opts.shards > 1 && opts.vcd == nullptr) {
+  if (opts.shards > 1) {
     std::vector<CosimResult> parts(opts.shards);
     const auto body = [&](std::size_t i) {
       parts[i] = cosim(nl, ports, spec, cosimShardOptions(opts, i));
@@ -111,10 +109,6 @@ CosimResult cosim(const netlist::Netlist& nl, const PortView& ports,
     return cosimMergeShards(std::move(parts));
   }
   Oracle beh(spec);
-  if (opts.vcd != nullptr) {
-    opts.vcd->traceAll(beh.simulator().wires());
-    beh.simulator().attachVcd(opts.vcd);
-  }
   return driveCosim(nl, ports, beh, opts);
 }
 

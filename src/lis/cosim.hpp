@@ -1,20 +1,20 @@
 #pragma once
-// Co-simulation oracles: drive a synthesized netlist and the behavioural
-// model fleet in lockstep under seeded random traffic, and check
-// cycle-accurate agreement of every protocol output. The per-cycle
-// discipline (persistent LIS sources, Moore stops read before offering,
-// random sink stalls) lives once in sync::Lockstep (lis/lockstep.hpp);
-// this file adds shards, cancellation and token counting. Each shard is
-// one Lockstep lane on its own BitSim: the shards already fan out over
-// the executor's threads, and packing them into one word would put a
-// whole design's cosim on one thread.
+// Co-simulation oracles: drive a synthesized netlist and its compiled
+// behavioural network (sync::Oracle) in lockstep under seeded random
+// traffic, and check cycle-accurate agreement of every protocol output.
+// The per-cycle discipline (persistent LIS sources, Moore stops read
+// before offering, random sink stalls) lives once in sync::Lockstep
+// (lis/lockstep.hpp); this file adds shards, cancellation and token
+// counting. Each shard is one Lockstep lane on its own BitSim: the shards
+// already fan out over the executor's threads, and packing them into one
+// word would put a whole design's cosim on one thread.
 //
 // Two entry points:
 //   cosimWrapper  the single buildWrapper composition (shell + one relay
 //                 station per output channel)
-//   cosimSystem   any SystemSpec topology, checked against a behavioural
-//                 reference network mirroring the spec (one ShellModel +
-//                 PearlModel per pearl, one RelayStationModel per relay
+//   cosimSystem   any SystemSpec topology, checked against the compiled
+//                 behavioural reference network of the spec (sync::Oracle:
+//                 one shell and pearl stub per pearl, one ring per relay
 //                 station), with per-channel randomized offers and stalls
 
 #include <cstddef>
@@ -25,7 +25,6 @@
 
 #include "lis/system.hpp"
 #include "lis/wrapper.hpp"
-#include "sim/vcd.hpp"
 #include "support/cancellation.hpp"
 
 namespace lis::sync {
@@ -49,10 +48,6 @@ struct CosimOptions {
   /// is byte-identical. The flow Cosim pass points this at its Executor.
   std::function<void(std::size_t, const std::function<void(std::size_t)>&)>
       runner;
-  /// Optional trace of the behavioural side (attached to its Simulator,
-  /// all wires traced). Must not have sampled yet. Tracing forces a
-  /// single continuous run (shards is ignored).
-  sim::VcdWriter* vcd = nullptr;
   /// Cooperative cancellation (per-pass deadline): polled every 128
   /// cycles; a tripped token ends the run early with ok == false,
   /// cancelled == true and the counters accumulated so far. Polling

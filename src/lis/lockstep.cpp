@@ -5,8 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "lis/behavioral.hpp"
-
 namespace lis::sync {
 
 Lockstep::Lockstep(const netlist::Netlist& nl, PortView ports,
@@ -72,7 +70,6 @@ bool Lockstep::readStops(std::uint64_t cycle) {
   for (std::size_t l = 0; l < numLanes(); ++l) {
     Lane& lane = lanes_[l];
     if (lane.finished) continue;
-    if (lane.oracle != nullptr) lane.oracle->settle();
     for (std::size_t i = 0; i < numInputs(); ++i) {
       lane.stops[i] = gate_.lane(ports_.inStop[i], l) ? 1 : 0;
       if (lane.oracle != nullptr &&

@@ -7,9 +7,9 @@
 // has its own Stimulus, optional Oracle, handshakes and first
 // disagreement, and one settle pass advances every lane.
 //
-//   readStops  settle each live oracle (its wires are one phase stale
-//              after a step), read every lane's input-channel Moore stops
-//              on the gate side and compare them with the lane's oracle
+//   readStops  read every lane's input-channel Moore stops on the gate
+//              side and compare them with the lane's oracle, whose stops
+//              its reset and step already computed
 //   drive      apply one lane's Stimulus (per-input valid/data, per-output
 //              stall) to its gate lane, its twin lane and its oracle
 //   settle     settle the gate side's input cone, compare each lane's
@@ -19,12 +19,12 @@
 //   clock      latch the gate side and settle its state cone, step every
 //              live oracle
 //
-// So each cycle evaluates the netlist once (netlist::BitSim's two cones):
-// the state cone holds every stop readStops reads, and the input cone
-// everything drive can change. Stops must therefore be Moore outputs; the
-// constructor refuses a stop an input reaches combinationally. A client
-// that forces, clears or pokes a gate node calls gate().settle() before
-// the next readStops.
+// So each cycle evaluates the netlist once (netlist::BitSim's two cones)
+// and each oracle once (settle, then step): the state cone holds every
+// stop readStops reads, and the input cone everything drive can change.
+// Stops must therefore be Moore outputs; the constructor refuses a stop
+// an input reaches combinationally. A client that forces, clears or pokes
+// a gate node calls gate().settle() before the next readStops.
 //
 // Lane layout: with n lanes, the compared lanes are bits 0..n-1 of the one
 // BitSim word. The optional twin is fault injection's fault-free

@@ -1,10 +1,6 @@
 #include "lis/oracle.hpp"
 
-#include <string>
-#include <utility>
-
-#include "lis/behavioral.hpp"
-#include "sim/simulator.hpp"
+#include <algorithm>
 
 namespace lis::sync {
 
@@ -16,202 +12,148 @@ PortView portView(const SystemPorts& p) {
   return {p.inValid, p.inData, p.inStop, p.outValid, p.outData, p.outStop};
 }
 
-struct Oracle::Impl {
-  sim::Simulator beh;
-  std::vector<std::unique_ptr<sim::Wire<bool>>> bools;
-  std::vector<std::unique_ptr<sim::Wire<std::uint64_t>>> datas;
-  std::vector<std::unique_ptr<ShellModel>> shells;
-  std::vector<std::unique_ptr<PearlModel>> pearls;
-  std::vector<std::unique_ptr<RelayStationModel>> relays;
-  unsigned dataWidth = 0;
+Oracle::Oracle(const WrapperConfig& cfg) : Oracle(wrapperSpec(cfg)) {}
 
-  // External channel ports, uniformly indexed for both constructions.
-  std::vector<sim::Wire<bool>*> extInValid, extInStop, extOutValid,
-      extOutStop;
-  std::vector<sim::Wire<std::uint64_t>*> extInData, extOutData;
+Oracle::Oracle(const SystemSpec& spec) : dataWidth_(spec.dataWidth) {
+  // Every endpoint below is used as an index.
+  spec.validate();
+  mask_ = widthMask(dataWidth_);
 
-  sim::Wire<bool>* boolWire(const std::string& name) {
-    bools.push_back(std::make_unique<sim::Wire<bool>>(beh, name));
-    return bools.back().get();
-  }
-  sim::Wire<std::uint64_t>* dataWire(const std::string& name) {
-    datas.push_back(
-        std::make_unique<sim::Wire<std::uint64_t>>(beh, name, dataWidth));
-    return datas.back().get();
-  }
-};
-
-Oracle::Oracle(const WrapperConfig& cfg) : impl_(std::make_unique<Impl>()) {
-  Impl& m = *impl_;
-  m.dataWidth = cfg.dataWidth;
-
-  ShellModel::Io io;
-  for (unsigned i = 0; i < cfg.numInputs; ++i) {
-    const std::string n = "in" + std::to_string(i);
-    io.inValid.push_back(m.boolWire(n + "_valid"));
-    io.inData.push_back(m.dataWire(n + "_data"));
-    io.inStop.push_back(m.boolWire(n + "_stop"));
-    io.pearlIn.push_back(m.dataWire(n + "_pearl"));
-    m.extInValid.push_back(io.inValid.back());
-    m.extInData.push_back(io.inData.back());
-    m.extInStop.push_back(io.inStop.back());
-  }
-  io.pearlFire = m.boolWire("fire");
-  io.pearlOut = m.dataWire("pearl_out");
-
-  // Per output channel: shell->relay link wires and wrapper-level ports.
-  for (unsigned j = 0; j < cfg.numOutputs; ++j) {
-    const std::string n = "out" + std::to_string(j);
-    sim::Wire<bool>& linkValid = *m.boolWire(n + "_link_valid");
-    io.outValid.push_back(&linkValid);
-    sim::Wire<std::uint64_t>& linkData = *m.dataWire(n + "_link_data");
-    io.outData.push_back(&linkData);
-    sim::Wire<bool>& linkStop = *m.boolWire(n + "_link_stop");
-    io.outStop.push_back(&linkStop);
-
-    m.extOutValid.push_back(m.boolWire(n + "_valid"));
-    m.extOutData.push_back(m.dataWire(n + "_data"));
-    m.extOutStop.push_back(m.boolWire(n + "_stop"));
-
-    m.relays.push_back(std::make_unique<RelayStationModel>(
-        "rs" + std::to_string(j), cfg.relayDepth, linkValid, linkData,
-        linkStop, *m.extOutValid.back(), *m.extOutData.back(),
-        *m.extOutStop.back()));
-  }
-
-  m.pearls.push_back(std::make_unique<PearlModel>(
-      "pearl", cfg.dataWidth, *io.pearlFire, io.pearlIn, *io.pearlOut));
-  m.shells.push_back(std::make_unique<ShellModel>("shell", cfg.dataWidth,
-                                                  std::move(io)));
-
-  // Registration order matches the historical cosimWrapper fleet: shell,
-  // pearl, relay stations.
-  m.beh.add(*m.shells.back());
-  m.beh.add(*m.pearls.back());
-  for (auto& rs : m.relays) m.beh.add(*rs);
-}
-
-Oracle::Oracle(const SystemSpec& spec) : impl_(std::make_unique<Impl>()) {
-  Impl& m = *impl_;
-  m.dataWidth = spec.dataWidth;
-
-  // A channel with d relay stations has d+1 wire stages (valid/data/stop
-  // triples); stage 0 is the source side, stage d the sink side. A
-  // relay-free channel is one shared stage, so an upstream shell's output
-  // wires simply *are* the downstream shell's input wires.
-  struct Stage {
-    sim::Wire<bool>* valid;
-    sim::Wire<std::uint64_t>* data;
-    sim::Wire<bool>* stop;
-  };
-  std::vector<std::vector<Stage>> stages(spec.channels.size());
+  // Stages channel by channel; relay station k of a channel sits between
+  // its stages k and k+1, and the last initialTokens stations are seeded.
+  std::vector<std::size_t> source(spec.channels.size());
+  std::vector<std::size_t> sink(spec.channels.size());
+  std::size_t stages = 0;
   for (std::size_t c = 0; c < spec.channels.size(); ++c) {
     const ChannelSpec& ch = spec.channels[c];
-    for (unsigned s = 0; s <= ch.relays; ++s) {
-      const std::string n =
-          "ch" + std::to_string(c) + "_s" + std::to_string(s);
-      stages[c].push_back({m.boolWire(n + "_valid"), m.dataWire(n + "_data"),
-                           m.boolWire(n + "_stop")});
-    }
+    source[c] = stages;
+    sink[c] = stages + ch.relays;
     for (unsigned k = 0; k < ch.relays; ++k) {
       const bool seeded = k >= ch.relays - ch.initialTokens;
-      m.relays.push_back(std::make_unique<RelayStationModel>(
-          "ch" + std::to_string(c) + "_rs" + std::to_string(k),
-          ch.relayDepth, *stages[c][k].valid, *stages[c][k].data,
-          *stages[c][k].stop, *stages[c][k + 1].valid, *stages[c][k + 1].data,
-          *stages[c][k + 1].stop, seeded ? 1u : 0u));
+      relays_.push_back({stages + k, ring_.size(), ch.relayDepth,
+                         seeded ? 1u : 0u});
+      ring_.resize(ring_.size() + ch.relayDepth, 0);
     }
+    stages += ch.relays + 1;
   }
+  valid_.assign(stages, 0);
+  data_.assign(stages, 0);
+  stop_.assign(stages, 0);
 
-  // Port-to-channel lookups.
-  std::vector<std::vector<std::size_t>> inChan(spec.pearls.size());
-  std::vector<std::vector<std::size_t>> outChan(spec.pearls.size());
+  std::vector<std::vector<std::size_t>> inStage(spec.pearls.size());
+  std::vector<std::vector<std::size_t>> outStage(spec.pearls.size());
   for (std::size_t p = 0; p < spec.pearls.size(); ++p) {
-    inChan[p].assign(spec.pearls[p].numInputs, 0);
-    outChan[p].assign(spec.pearls[p].numOutputs, 0);
+    inStage[p].resize(spec.pearls[p].numInputs);
+    outStage[p].resize(spec.pearls[p].numOutputs);
   }
   for (std::size_t c = 0; c < spec.channels.size(); ++c) {
     const ChannelSpec& ch = spec.channels[c];
-    if (ch.fromPearl >= 0) outChan[ch.fromPearl][ch.fromPort] = c;
-    if (ch.toPearl >= 0) inChan[ch.toPearl][ch.toPort] = c;
+    if (ch.fromPearl >= 0) outStage[ch.fromPearl][ch.fromPort] = source[c];
+    if (ch.toPearl >= 0) inStage[ch.toPearl][ch.toPort] = sink[c];
   }
+  for (unsigned p : pearlTopoOrder(spec)) {
+    shells_.push_back({inStage_.size(), inStage[p].size(), outStage_.size(),
+                       outStage[p].size()});
+    inStage_.insert(inStage_.end(), inStage[p].begin(), inStage[p].end());
+    outStage_.insert(outStage_.end(), outStage[p].begin(), outStage[p].end());
+  }
+  bufValid_.assign(inStage_.size(), 0);
+  bufData_.assign(inStage_.size(), 0);
 
-  for (std::size_t p = 0; p < spec.pearls.size(); ++p) {
-    const PearlSpec& ps = spec.pearls[p];
-    ShellModel::Io io;
-    for (unsigned i = 0; i < ps.numInputs; ++i) {
-      const Stage& sink = stages[inChan[p][i]].back();
-      io.inValid.push_back(sink.valid);
-      io.inData.push_back(sink.data);
-      io.inStop.push_back(sink.stop);
-      io.pearlIn.push_back(m.dataWire(ps.name + "_pearl" + std::to_string(i)));
+  for (std::size_t c : spec.externalInputs()) extIn_.push_back(source[c]);
+  for (std::size_t c : spec.externalOutputs()) extOut_.push_back(sink[c]);
+  reset();
+}
+
+void Oracle::mooreOutputs() {
+  for (std::size_t k = 0; k < inStage_.size(); ++k) {
+    stop_[inStage_[k]] = bufValid_[k];
+  }
+  for (const Relay& rs : relays_) {
+    stop_[rs.stage] = rs.count >= rs.depth ? 1 : 0;
+    valid_[rs.stage + 1] = rs.count != 0 ? 1 : 0;
+    data_[rs.stage + 1] = rs.count != 0 ? ring_[rs.ring + rs.head] : 0;
+  }
+}
+
+void Oracle::reset() {
+  std::fill(valid_.begin(), valid_.end(), 0);
+  std::fill(data_.begin(), data_.end(), 0);
+  std::fill(stop_.begin(), stop_.end(), 0);
+  for (Shell& sh : shells_) {
+    sh.acc = 0;
+    sh.result = 0;
+    sh.fire = false;
+  }
+  std::fill(bufValid_.begin(), bufValid_.end(), 0);
+  std::fill(bufData_.begin(), bufData_.end(), 0);
+  for (Relay& rs : relays_) {
+    rs.head = 0;
+    rs.count = rs.initialTokens;
+  }
+  std::fill(ring_.begin(), ring_.end(), 0);
+  fires_ = 0;
+  mooreOutputs();
+}
+
+void Oracle::settle() {
+  for (Shell& sh : shells_) {
+    // Fire when every input has a token (buffered or offered) and no
+    // output is stalled; the pearl sums the buffered token where there is
+    // one, else the offered data.
+    bool fire = true;
+    std::uint64_t sum = sh.acc;
+    for (std::size_t k = sh.in; k < sh.in + sh.numIn; ++k) {
+      if (bufValid_[k] != 0) {
+        sum += bufData_[k];
+      } else {
+        fire = fire && valid_[inStage_[k]] != 0;
+        sum += data_[inStage_[k]] & mask_;
+      }
     }
-    io.pearlFire = m.boolWire(ps.name + "_fire");
-    io.pearlOut = m.dataWire(ps.name + "_out");
-    for (unsigned j = 0; j < ps.numOutputs; ++j) {
-      const Stage& src = stages[outChan[p][j]].front();
-      io.outValid.push_back(src.valid);
-      io.outData.push_back(src.data);
-      io.outStop.push_back(src.stop);
+    for (std::size_t k = sh.out; k < sh.out + sh.numOut; ++k) {
+      fire = fire && stop_[outStage_[k]] == 0;
     }
-    m.pearls.push_back(std::make_unique<PearlModel>(
-        ps.name, spec.dataWidth, *io.pearlFire, io.pearlIn, *io.pearlOut));
-    m.shells.push_back(std::make_unique<ShellModel>(
-        ps.name + "_shell", spec.dataWidth, std::move(io)));
-  }
-  for (auto& s : m.shells) m.beh.add(*s);
-  for (auto& p : m.pearls) m.beh.add(*p);
-  for (auto& r : m.relays) m.beh.add(*r);
-
-  for (std::size_t c : spec.externalInputs()) {
-    m.extInValid.push_back(stages[c].front().valid);
-    m.extInData.push_back(stages[c].front().data);
-    m.extInStop.push_back(stages[c].front().stop);
-  }
-  for (std::size_t c : spec.externalOutputs()) {
-    m.extOutValid.push_back(stages[c].back().valid);
-    m.extOutData.push_back(stages[c].back().data);
-    m.extOutStop.push_back(stages[c].back().stop);
+    sh.fire = fire;
+    sh.result = sum & mask_;
+    for (std::size_t j = 0; j < sh.numOut; ++j) {
+      valid_[outStage_[sh.out + j]] = fire ? 1 : 0;
+      data_[outStage_[sh.out + j]] = (sh.result ^ j) & mask_;
+    }
   }
 }
 
-Oracle::~Oracle() = default;
-
-std::size_t Oracle::numInputs() const { return impl_->extInValid.size(); }
-std::size_t Oracle::numOutputs() const { return impl_->extOutValid.size(); }
-unsigned Oracle::dataWidth() const { return impl_->dataWidth; }
-
-void Oracle::reset() { impl_->beh.reset(); }
-void Oracle::settle() { impl_->beh.settle(); }
-void Oracle::step() { impl_->beh.step(); }
-
-bool Oracle::inStop(std::size_t i) const {
-  return impl_->extInStop[i]->read();
+void Oracle::step() {
+  for (Shell& sh : shells_) {
+    if (sh.fire) {
+      ++fires_;
+      sh.acc = sh.result;
+    }
+    for (std::size_t k = sh.in; k < sh.in + sh.numIn; ++k) {
+      // Firing consumes the buffered token when present, else the offered
+      // one; an offer that cannot fire is captured, but only into a free
+      // buffer: an offer under stop is not a transfer (the rule the shell
+      // FSM spec enumerates).
+      const bool valid = valid_[inStage_[k]] != 0;
+      if (!sh.fire && valid && bufValid_[k] == 0) {
+        bufData_[k] = data_[inStage_[k]] & mask_;
+      }
+      bufValid_[k] = !sh.fire && (bufValid_[k] != 0 || valid) ? 1 : 0;
+    }
+  }
+  for (Relay& rs : relays_) {
+    const bool pop = rs.count != 0 && stop_[rs.stage + 1] == 0;
+    const bool push = valid_[rs.stage] != 0 && rs.count < rs.depth;
+    if (pop) {
+      rs.head = (rs.head + 1) % rs.depth;
+      --rs.count;
+    }
+    if (push) {
+      ring_[rs.ring + (rs.head + rs.count) % rs.depth] = data_[rs.stage];
+      ++rs.count;
+    }
+  }
+  mooreOutputs();
 }
-
-void Oracle::driveInput(std::size_t i, bool valid, std::uint64_t data) {
-  impl_->extInValid[i]->write(valid);
-  impl_->extInData[i]->write(data);
-}
-
-void Oracle::driveOutStop(std::size_t j, bool stall) {
-  impl_->extOutStop[j]->write(stall);
-}
-
-bool Oracle::outValid(std::size_t j) const {
-  return impl_->extOutValid[j]->read();
-}
-
-std::uint64_t Oracle::outData(std::size_t j) const {
-  return impl_->extOutData[j]->read();
-}
-
-std::uint64_t Oracle::fires() const {
-  std::uint64_t total = 0;
-  for (const auto& s : impl_->shells) total += s->fires();
-  return total;
-}
-
-sim::Simulator& Oracle::simulator() { return impl_->beh; }
 
 } // namespace lis::sync

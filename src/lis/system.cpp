@@ -32,37 +32,6 @@ std::string chanErr(std::size_t c, const std::string& what) {
   return msg;
 }
 
-/// Kahn topological order of the pearls over relay-free pearl→pearl
-/// channels (the only edges that impose elaboration order: everything else
-/// crosses through a Moore relay output). Throws on a relay-free cycle.
-std::vector<unsigned> pearlTopoOrder(const SystemSpec& spec) {
-  const unsigned n = static_cast<unsigned>(spec.pearls.size());
-  std::vector<unsigned> indeg(n, 0);
-  std::vector<std::vector<unsigned>> succ(n);
-  for (const ChannelSpec& ch : spec.channels) {
-    if (ch.relays == 0 && ch.fromPearl >= 0 && ch.toPearl >= 0) {
-      succ[ch.fromPearl].push_back(static_cast<unsigned>(ch.toPearl));
-      ++indeg[ch.toPearl];
-    }
-  }
-  std::vector<unsigned> order;
-  order.reserve(n);
-  for (unsigned p = 0; p < n; ++p) {
-    if (indeg[p] == 0) order.push_back(p);
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (unsigned s : succ[order[head]]) {
-      if (--indeg[s] == 0) order.push_back(s);
-    }
-  }
-  if (order.size() != n) {
-    throw std::invalid_argument(
-        "SystemSpec: cycle of relay-free channels (every feedback loop "
-        "needs at least one relay station)");
-  }
-  return order;
-}
-
 /// Pearls grouped into waves: wave w holds every pearl whose longest chain
 /// of relay-free upstream channels has length w. Pearls within a wave never
 /// feed each other through relay-free channels, so their shells elaborate
@@ -94,6 +63,34 @@ std::vector<std::vector<unsigned>> pearlWaves(const SystemSpec& spec) {
 
 } // namespace
 
+std::vector<unsigned> pearlTopoOrder(const SystemSpec& spec) {
+  const unsigned n = static_cast<unsigned>(spec.pearls.size());
+  std::vector<unsigned> indeg(n, 0);
+  std::vector<std::vector<unsigned>> succ(n);
+  for (const ChannelSpec& ch : spec.channels) {
+    if (ch.relays == 0 && ch.fromPearl >= 0 && ch.toPearl >= 0) {
+      succ[ch.fromPearl].push_back(static_cast<unsigned>(ch.toPearl));
+      ++indeg[ch.toPearl];
+    }
+  }
+  std::vector<unsigned> order;
+  order.reserve(n);
+  for (unsigned p = 0; p < n; ++p) {
+    if (indeg[p] == 0) order.push_back(p);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (unsigned s : succ[order[head]]) {
+      if (--indeg[s] == 0) order.push_back(s);
+    }
+  }
+  if (order.size() != n) {
+    throw std::invalid_argument(
+        "SystemSpec: cycle of relay-free channels (every feedback loop "
+        "needs at least one relay station)");
+  }
+  return order;
+}
+
 void SystemSpec::validate() const {
   if (dataWidth == 0 || dataWidth > 64) {
     throw std::invalid_argument("SystemSpec: dataWidth must be in 1..64");
@@ -118,20 +115,7 @@ void SystemSpec::validate() const {
                                   ": supported shell shapes are 1..4 inputs, "
                                   "1..8 outputs");
     }
-    // Output channel j carries data ^ j, truncated to the bus width by
-    // both the gate-level datapath and the behavioural model — so a bus
-    // narrower than the tag aliases outputs without any oracle noticing.
-    // Reject it here with the pearl named instead of elaborating an
-    // unsound netlist.
-    const unsigned tagBits = netlist::BusBuilder::bitsFor(ps.numOutputs - 1);
-    if (tagBits > dataWidth) {
-      throw std::invalid_argument(
-          "SystemSpec: pearl " + ps.name + ": " +
-          std::to_string(ps.numOutputs) + " output channels need " +
-          std::to_string(tagBits) + "-bit tags but the data bus is only " +
-          std::to_string(dataWidth) +
-          " bit(s) wide; widen dataWidth or reduce outputs");
-    }
+    checkOutputTags(ps.numOutputs, dataWidth, "SystemSpec: pearl ", ps.name);
   }
 
   // Every pearl port must be connected exactly once.
@@ -556,6 +540,29 @@ System buildSystem(const SystemSpec& spec, const BuildOptions& opts) {
     sys.ports.outStop.push_back(extOutStop[c]);
   }
   return sys;
+}
+
+SystemSpec wrapperSpec(const WrapperConfig& cfg) {
+  SystemSpec spec;
+  spec.name = "wrapper";
+  spec.dataWidth = cfg.dataWidth;
+  spec.encoding = cfg.encoding;
+  spec.pearls = {{"pearl", cfg.numInputs, cfg.numOutputs}};
+  for (unsigned i = 0; i < cfg.numInputs; ++i) {
+    ChannelSpec in;
+    in.toPearl = 0;
+    in.toPort = i;
+    in.relays = 0;
+    spec.channels.push_back(in);
+  }
+  for (unsigned j = 0; j < cfg.numOutputs; ++j) {
+    ChannelSpec out;
+    out.fromPearl = 0;
+    out.fromPort = j;
+    out.relayDepth = cfg.relayDepth;
+    spec.channels.push_back(out);
+  }
+  return spec;
 }
 
 SystemSpec chainSpec(unsigned numPearls, unsigned relaysPerChannel,

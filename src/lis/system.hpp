@@ -94,6 +94,13 @@ struct System {
   std::size_t relayStations = 0;
 };
 
+/// Kahn topological order of the pearls over relay-free pearl-to-pearl
+/// channels: the only edges along which one shell's outputs depend on
+/// another's in the same cycle (everything else crosses a Moore relay
+/// output). Throws std::invalid_argument on a relay-free cycle. Expects
+/// the endpoints in range (validate() checks them first).
+std::vector<unsigned> pearlTopoOrder(const SystemSpec& spec);
+
 /// Knobs for buildSystem's parallel elaboration.
 struct BuildOptions {
   /// Labeled fan-out runner with flow::Executor::forEach's shape (the
@@ -116,6 +123,11 @@ System buildSystem(const SystemSpec& spec);
 System buildSystem(const SystemSpec& spec, const BuildOptions& opts);
 
 // --- canonical topologies (the bench and test scenarios) -----------------
+
+/// The buildWrapper composition as a one-pearl system: cfg.numInputs
+/// relay-free external inputs into pearl "pearl", and one relay station of
+/// cfg.relayDepth on each of its cfg.numOutputs external outputs.
+SystemSpec wrapperSpec(const WrapperConfig& cfg);
 
 /// numPearls 1-in/1-out pearls in a row, `relaysPerChannel` stations on
 /// every channel (including the external ones).

@@ -37,10 +37,24 @@ void checkWrapperConfig(const WrapperConfig& cfg, bool needsRelay) {
         "wrapper: dataWidth must be in 1..64, got " +
         std::to_string(cfg.dataWidth));
   }
+  checkOutputTags(cfg.numOutputs, cfg.dataWidth, "wrapper");
   if (needsRelay && (cfg.relayDepth == 0 || cfg.relayDepth > 8)) {
     throw std::invalid_argument(
         "wrapper: relayDepth must be in 1..8, got " +
         std::to_string(cfg.relayDepth));
+  }
+}
+
+void checkOutputTags(unsigned numOutputs, unsigned dataWidth,
+                     std::string_view owner, std::string_view name) {
+  const unsigned tagBits = BusBuilder::bitsFor(numOutputs - 1);
+  if (tagBits > dataWidth) {
+    throw std::invalid_argument(
+        std::string(owner) + std::string(name) + ": " +
+        std::to_string(numOutputs) + " output channels need " +
+        std::to_string(tagBits) + "-bit tags but the data bus is only " +
+        std::to_string(dataWidth) +
+        " bit(s) wide; widen dataWidth or reduce outputs");
   }
 }
 

@@ -15,6 +15,7 @@
 // accumulator enabled by `fire`, and output channel j carries sum ^ j.
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "lis/synth.hpp"
@@ -50,11 +51,21 @@ struct Wrapper {
 };
 
 /// Validate a WrapperConfig: numInputs in 1..4, numOutputs in 1..8,
-/// dataWidth in 1..64, and (when `needsRelay`) relayDepth in 1..8. Throws
-/// std::invalid_argument naming the offending field and value. All builders
-/// call this; it is exposed so spec-level callers (flow passes, SystemSpec
-/// validation) can reject a bad config before synthesis starts.
+/// dataWidth in 1..64, output tags that fit the bus (checkOutputTags), and
+/// (when `needsRelay`) relayDepth in 1..8. Throws std::invalid_argument
+/// naming the offending field and value. All builders call this; it is
+/// exposed so spec-level callers (flow passes) can reject a bad config
+/// before synthesis starts.
 void checkWrapperConfig(const WrapperConfig& cfg, bool needsRelay);
+
+/// Output channel j of a shell carries its pearl's result ^ j, truncated
+/// to the data bus by both the gate-level datapath and the oracle, so a
+/// bus narrower than the tags would alias outputs without any oracle
+/// noticing. Throws std::invalid_argument, its message prefixed by
+/// `owner` and `name`, when the tag numOutputs - 1 does not fit dataWidth
+/// bits. The one rule for wrappers and SystemSpec pearls alike.
+void checkOutputTags(unsigned numOutputs, unsigned dataWidth,
+                     std::string_view owner, std::string_view name = {});
 
 /// Shell alone: control FSM, input buffers, pearl stub. Output channels are
 /// driven combinationally (valid = fire).

@@ -50,7 +50,7 @@
 // the *design* netlist with an independent software mirror of the
 // monitor's saturating-offset property semantics. It runs the frames
 // through sync::Lockstep, as cosim and fault injection do;
-// given a behavioural fleet (sync::Oracle) it also compares the netlist
+// given a behavioural oracle (sync::Oracle) it also compares the netlist
 // with it in lockstep — the cosim cross-validation of the monitor.
 // A budget/cancellation stop degrades to the bounded result
 // (`degraded = true`, depthReached = the BMC bound established on the
@@ -221,7 +221,7 @@ struct ReplayResult {
 /// "token_conservation" | "occupancy_bound" | "deadlock_watchdog"). The
 /// frames drive the channel ports through sync::Lockstep;
 /// inputs outside `ports` are not driven. With `oracle`, the behavioural
-/// fleet runs in lockstep and the netlist's stop/valid/data ports are
+/// network runs in lockstep and the netlist's stop/valid/data ports are
 /// compared with it every cycle (the cosim oracle cross-validation).
 ReplayResult replayTrace(const netlist::Netlist& nl,
                          const sync::PortView& ports,

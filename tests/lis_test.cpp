@@ -1,6 +1,6 @@
 // Tests for the src/lis synchronization-wrapper synthesis subsystem: FSM
 // spec semantics, directed netlist behaviour, randomized co-simulation of
-// synthesized wrappers against the behavioural models, the formal one-hot
+// synthesized wrappers against the behavioural oracle, the formal one-hot
 // vs binary control-equivalence proof, config validation, and the
 // flow::Pipeline-driven verification flow.
 
@@ -392,6 +392,23 @@ void testConfigValidation() {
                std::invalid_argument);
   CHECK_THROWS(buildRelayStation(0, 2, Encoding::Binary),
                std::invalid_argument);
+  // Output j carries data ^ j, so four outputs need 2-bit tags: on a 1-bit
+  // bus they would alias, as SystemSpec::validate rejects for a pearl.
+  // Two outputs (tags 0 and 1) still fit, and the oracle of a wrapper
+  // accepts exactly the configs buildWrapper does.
+  const WrapperConfig aliased = withField([](WrapperConfig& c) {
+    c.numOutputs = 4;
+    c.dataWidth = 1;
+  });
+  CHECK_THROWS(buildShell(aliased), std::invalid_argument);
+  CHECK_THROWS(buildWrapper(aliased), std::invalid_argument);
+  CHECK_THROWS(Oracle{aliased}, std::invalid_argument);
+  const WrapperConfig narrow = withField([](WrapperConfig& c) {
+    c.numOutputs = 2;
+    c.dataWidth = 1;
+  });
+  CHECK_EQ(buildWrapper(narrow).ports.outData.size(), 2u);
+  CHECK_EQ(Oracle{narrow}.numOutputs(), 2u);
   // A shell alone has no relay stations: relayDepth == 0 is acceptable.
   const Wrapper sh =
       buildShell(withField([](WrapperConfig& c) { c.relayDepth = 0; }));

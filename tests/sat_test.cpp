@@ -730,7 +730,7 @@ void testProofSpansNameTheCone() {
 }
 
 void testPdrReplayOnCosimOracle() {
-  // Lockstep replay against the behavioural fleet. On a clean wrapper
+  // Lockstep replay against the behavioural oracle. On a clean wrapper
   // driving a hand-built maximal-progress trace: netlist and oracle
   // agree cycle for cycle and no invariant fires. On the broken relay
   // against the 1x1 wrapper's oracle: the monitor-mirror accounting

@@ -4,6 +4,7 @@
 // channel model), and flow::Pipeline-driven verification of a fork and a
 // join (cosim + one-hot==binary control proof).
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,7 @@
 #include "flow/design.hpp"
 #include "flow/pipeline.hpp"
 #include "lis/cosim.hpp"
+#include "lis/oracle.hpp"
 #include "lis/system.hpp"
 #include "test_util.hpp"
 
@@ -34,6 +36,13 @@ void testValidation() {
   ch.toPearl = 3;
   bad.channels = {ch};
   CHECK_THROWS(bad.validate(), std::invalid_argument);
+
+  // Port out of range. The oracle indexes its port tables by the channel
+  // endpoints, so it must refuse the spec before indexing any of them.
+  SystemSpec badPort = chainSpec(1, 1, Encoding::Binary);
+  badPort.channels[1].fromPort = 3; // the pearl has one output port
+  CHECK_THROWS(badPort.validate(), std::invalid_argument);
+  CHECK_THROWS(Oracle{badPort}, std::invalid_argument);
 
   // Unconnected pearl port.
   SystemSpec open;
@@ -177,28 +186,16 @@ void testShardedMeshCosimPinned() {
 }
 
 // A single pearl with direct external inputs and one relay station per
-// output channel is exactly the buildWrapper composition — the system
-// elaborator must agree with the behavioural network on it too.
+// output channel is exactly the buildWrapper composition (wrapperSpec, the
+// wrapper oracle's network) — the system elaborator must agree with the
+// behavioural network on it too.
 void testWrapperShapedSystem() {
   for (Encoding enc : {Encoding::OneHot, Encoding::Binary}) {
-    SystemSpec spec;
-    spec.name = "wrapper_shaped";
-    spec.encoding = enc;
-    spec.pearls = {{"pearl", 2, 2}};
-    for (unsigned i = 0; i < 2; ++i) {
-      ChannelSpec in;
-      in.toPearl = 0;
-      in.toPort = i;
-      in.relays = 0;
-      spec.channels.push_back(in);
-    }
-    for (unsigned j = 0; j < 2; ++j) {
-      ChannelSpec out;
-      out.fromPearl = 0;
-      out.fromPort = j;
-      out.relays = 1;
-      spec.channels.push_back(out);
-    }
+    WrapperConfig cfg;
+    cfg.numInputs = 2;
+    cfg.numOutputs = 2;
+    cfg.encoding = enc;
+    const SystemSpec spec = wrapperSpec(cfg);
     CosimOptions opts;
     opts.cycles = 1500;
     opts.seed = 0x5157 + static_cast<unsigned>(enc);
@@ -346,6 +343,72 @@ void testSeededRelayChain() {
   CHECK(r.fires > 300);
 }
 
+// The same pearls listed in reverse: channel endpoints are renumbered, the
+// channel order (and with it the external port order) is kept.
+SystemSpec reversedPearls(SystemSpec spec) {
+  const int last = static_cast<int>(spec.pearls.size()) - 1;
+  std::reverse(spec.pearls.begin(), spec.pearls.end());
+  for (ChannelSpec& ch : spec.channels) {
+    if (ch.fromPearl >= 0) ch.fromPearl = last - ch.fromPearl;
+    if (ch.toPearl >= 0) ch.toPearl = last - ch.toPearl;
+  }
+  return spec;
+}
+
+// Two pearls in a loop: a feeds b over a relay-free channel, and b feeds a
+// back through one relay station holding a seed token.
+SystemSpec relayFreeLoopSpec(Encoding enc) {
+  SystemSpec spec;
+  spec.name = "loop_d0";
+  spec.encoding = enc;
+  spec.pearls = {{"a", 2, 1}, {"b", 1, 2}};
+  ChannelSpec ext;
+  ext.toPearl = 0;
+  ChannelSpec ab;
+  ab.fromPearl = 0;
+  ab.toPearl = 1;
+  ab.relays = 0;
+  ChannelSpec ba;
+  ba.fromPearl = 1;
+  ba.toPearl = 0;
+  ba.toPort = 1;
+  ba.initialTokens = 1;
+  ChannelSpec out;
+  out.fromPearl = 1;
+  out.fromPort = 1;
+  spec.channels = {ext, ab, ba, out};
+  return spec;
+}
+
+// A relay-free pearl-to-pearl channel is the one combinational edge
+// between shells: the downstream shell's fire reads the upstream shell's
+// in the same cycle. These runs pin that the reference network evaluates
+// shells in dependency order, whatever order the spec lists them in.
+void testRelayFreeChannelsPinned() {
+  for (Encoding enc : {Encoding::OneHot, Encoding::Binary}) {
+    const struct {
+      const char* name;
+      SystemSpec spec;
+      std::uint64_t tokens, fires;
+    } cases[] = {
+        {"chain3_d0", chainSpec(3, 0, enc), 889, 2667},
+        {"chain3_d0 reversed", reversedPearls(chainSpec(3, 0, enc)), 889,
+         2667},
+        {"relay-free loop", relayFreeLoopSpec(enc), 942, 1886},
+    };
+    for (const auto& c : cases) {
+      CosimOptions opts;
+      opts.cycles = 1500;
+      opts.seed = 0x12345;
+      const CosimResult r = cosimSystem(c.spec, opts);
+      expectOk(c.name, r);
+      CHECK_EQ(r.cyclesRun, 1500u);
+      CHECK_EQ(r.tokens, c.tokens);
+      CHECK_EQ(r.fires, c.fires);
+    }
+  }
+}
+
 } // namespace
 
 int main() {
@@ -358,5 +421,6 @@ int main() {
   testChainThroughputAndLatency();
   testRing();
   testSeededRelayChain();
+  testRelayFreeChannelsPinned();
   return testExit();
 }
