@@ -91,12 +91,16 @@ std::vector<std::exception_ptr> Executor::forEachAll(
   // The join state is shared-owned by every task: the caller may observe
   // remaining == 0 through the atomic and return while the last task is
   // still inside its notify — the state must outlive this stack frame.
+  // It carries the batch the tasks are tagged with, nested under the
+  // batch of the task this call runs in.
   struct JoinState {
+    support::ThreadPool::Batch batch;
     std::atomic<std::size_t> remaining;
     std::mutex mutex;
     std::condition_variable done;
   };
   auto state = std::make_shared<JoinState>();
+  state->batch.parent = support::ThreadPool::currentBatch();
   state->remaining.store(n, std::memory_order_relaxed);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -120,15 +124,18 @@ std::vector<std::exception_ptr> Executor::forEachAll(
         std::lock_guard<std::mutex> lock(state->mutex);
         state->done.notify_all();
       }
-    });
+    }, &state->batch);
   }
 
-  // Help instead of sleeping: every iteration was submitted above, so when
-  // tryRunOne finds nothing, the stragglers are running on workers and the
-  // last one will ring `done`. The timed wait covers the benign race where
-  // a task finishes between the emptiness scan and the wait.
+  // Help instead of sleeping, but only with this batch and the batches
+  // nested in it: every iteration was submitted above, so when tryRunOne
+  // finds nothing in scope, the stragglers are running on other threads
+  // and the last one will ring `done`. Other queued work is left to idle
+  // workers. The timed wait covers the benign race where a task finishes
+  // between the scan and the wait, and picks up nested tasks submitted
+  // meanwhile.
   while (state->remaining.load(std::memory_order_acquire) != 0) {
-    if (pool_->tryRunOne()) continue;
+    if (pool_->tryRunOne(&state->batch)) continue;
     std::unique_lock<std::mutex> lock(state->mutex);
     state->done.wait_for(lock, std::chrono::milliseconds(20), [&] {
       return state->remaining.load(std::memory_order_acquire) == 0;

@@ -5,6 +5,12 @@
 // calling thread draining queued tasks while it waits (so nested fan-outs
 // — a pooled design task sharding its cosim — cannot deadlock).
 //
+// Helping is scoped: each forEach is one pool batch, nested under the
+// batch of the task that issued it, and its waiting caller runs only
+// iterations of that forEach or of fan-outs nested inside them. A design
+// task waiting for its PDR properties therefore never picks up another
+// design and serializes it behind its own join; idle workers take those.
+//
 // Determinism contract: forEach makes no ordering promise between
 // iterations, so callers must write results into per-index slots and join
 // them in index order afterwards. An Executor built with jobs == 1 has no

@@ -465,6 +465,12 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
   sat::PdrOptions opts = options_;
   if (opts.cancel == nullptr) opts.cancel = ctx.cancel();
   opts.capacityBound = target->capacityBound;
+  // One executor task per property. Each owns its solvers and the result
+  // is joined in property order, so the runner moves wall time only.
+  opts.runner = [&ctx](std::size_t n,
+                       const std::function<void(std::size_t)>& f) {
+    ctx.parallelFor(n, f, "sat.pdr.properties");
+  };
 
   sat::PdrResult r =
       sat::proveUnbounded(design.netlist(), target->ports, opts);
@@ -484,6 +490,17 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
   m.add("sat.propagations", static_cast<double>(r.stats.propagations));
   m.add("sat.cores", static_cast<double>(r.stats.cores));
   m.add("sat.core_lits", static_cast<double>(r.stats.coreLits));
+  for (std::size_t q = 0; q < sat::kPdrQueryKinds; ++q) {
+    sat::PdrQueryWork work;
+    for (const sat::PdrPropertyResult& p : r.properties) {
+      work.solves += p.engine.work[q].solves;
+      work.propagations += p.engine.work[q].propagations;
+    }
+    const std::string kind =
+        sat::pdrQueryName(static_cast<sat::PdrQuery>(q));
+    m.set("pdr.solves." + kind, static_cast<double>(work.solves));
+    m.set("pdr.propagations." + kind, static_cast<double>(work.propagations));
+  }
   if (r.properties.empty()) {
     ctx.note(design.name() + ": no unbounded property enabled");
     design.setPdrResult(std::move(r));

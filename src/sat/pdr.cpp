@@ -324,6 +324,9 @@ private:
     }
     statsOut_.accumulate(base.stats());
     statsOut_.accumulate(step.stats());
+    PdrQueryWork& work = result_.engine.at(PdrQuery::Induction);
+    work.solves = base.stats().solves + step.stats().solves;
+    work.propagations = base.stats().propagations + step.stats().propagations;
     spentConflicts_ = base.stats().conflicts + step.stats().conflicts;
     spentProps_ = base.stats().propagations + step.stats().propagations;
     return decided;
@@ -393,6 +396,7 @@ private:
             std::vector<Lit> assumps = frameAssumps(top);
             assumps.push_back(badLit_);
             const Result r = solver.solve(assumps);
+            charge(PdrQuery::Frame);
             if (r == Result::Unknown) throw Stop{};
             if (r == Result::Unsat) break;
             Obligation root;
@@ -427,6 +431,7 @@ private:
                   onLit(tr.stateLit(1, cubeIdx(e)), cubeVal(e)));
             }
             const Result r = solver.solve(assumps);
+            charge(PdrQuery::Push);
             if (r == Result::Unknown) throw Stop{};
             if (r == Result::Unsat) {
               moveCube(c, k, k + 1);
@@ -454,9 +459,21 @@ private:
     if (!result_.provedUnbounded && result_.method.empty()) {
       result_.method = "pdr";
     }
+    charge(lastQuery_); // whatever the last query left uncharged
     statsOut_.accumulate(solver_->stats());
     solver_ = nullptr;
     tr_ = nullptr;
+  }
+
+  /// Charge the PDR solver's work since the previous charge to query kind
+  /// `q` (see PdrEngineStats::work).
+  void charge(PdrQuery q) {
+    const SolverStats& s = solver_->stats();
+    PdrQueryWork& work = result_.engine.at(q);
+    work.solves += s.solves - charged_.solves;
+    work.propagations += s.propagations - charged_.propagations;
+    charged_ = {s.solves, s.propagations};
+    lastQuery_ = q;
   }
 
   unsigned liveClauses() const {
@@ -556,6 +573,7 @@ private:
       }
     }
     solver_->addClause({litNeg(u)});
+    charge(PdrQuery::Lift);
     return c;
   }
 
@@ -578,10 +596,11 @@ private:
     return false;
   }
 
-  /// One consecution query: SAT(F_{k-1} ∧ ¬c ∧ T ∧ c'). Returns the
-  /// solver result; on UNSAT fills `core` with the subset of c's
-  /// literal positions the refutation used.
-  Result consecution(const Cube& c, unsigned k, std::vector<bool>* core) {
+  /// One consecution query: SAT(F_{k-1} ∧ ¬c ∧ T ∧ c'), charged to
+  /// `kind`. Returns the solver result; on UNSAT fills `core` with the
+  /// subset of c's literal positions the refutation used.
+  Result consecution(PdrQuery kind, const Cube& c, unsigned k,
+                     std::vector<bool>* core) {
     // Temporary activation for the ¬c clause, retired permanently after
     // the query (and its MIC follow-ups) by a unit clause.
     const Lit t = mkLit(solver_->newVar(), false);
@@ -613,6 +632,7 @@ private:
       }
     }
     solver_->addClause({litNeg(t)});
+    charge(kind);
     return r;
   }
 
@@ -643,7 +663,7 @@ private:
       }
       attempts++;
       std::vector<bool> core2;
-      if (consecution(cand, k, &core2) == Result::Unsat) {
+      if (consecution(PdrQuery::Mic, cand, k, &core2) == Result::Unsat) {
         Cube g2;
         for (std::size_t p = 0; p < cand.size(); p++) {
           if (core2[p]) g2.push_back(cand[p]);
@@ -726,7 +746,8 @@ private:
       if (isBlocked(pool[oi].cube, frame)) continue;
       result_.engine.obligations++;
       std::vector<bool> core;
-      const Result r = consecution(pool[oi].cube, frame, &core);
+      const Result r =
+          consecution(PdrQuery::Consecution, pool[oi].cube, frame, &core);
       if (r == Result::Unknown) throw Stop{};
       if (r == Result::Sat) {
         // Predecessor in F_{frame-1}; for frame 1 the init assumptions
@@ -751,7 +772,10 @@ private:
       // Push the learned clause as far forward as it stays inductive.
       unsigned j = frame;
       while (j < top) {
-        if (consecution(g, j + 1, nullptr) != Result::Unsat) break;
+        if (consecution(PdrQuery::Forward, g, j + 1, nullptr) !=
+            Result::Unsat) {
+          break;
+        }
         j++;
       }
       addBlockedCube(std::move(g), j);
@@ -790,6 +814,8 @@ private:
 
   // PDR state (valid during runPdr only).
   Solver* solver_ = nullptr;
+  PdrQueryWork charged_;                 // solver totals at the last charge
+  PdrQuery lastQuery_ = PdrQuery::Frame;
   Unroller* tr_ = nullptr;
   Lit badLit_ = kLitUndef;
   std::vector<std::vector<Cube>> frames_; // delta encoding: level k only
@@ -797,6 +823,19 @@ private:
 };
 
 } // namespace
+
+const char* pdrQueryName(PdrQuery q) {
+  switch (q) {
+    case PdrQuery::Induction: return "induction";
+    case PdrQuery::Frame: return "frame";
+    case PdrQuery::Lift: return "lift";
+    case PdrQuery::Consecution: return "consecution";
+    case PdrQuery::Mic: return "mic";
+    case PdrQuery::Forward: return "forward";
+    case PdrQuery::Push: return "push";
+  }
+  return "?";
+}
 
 PdrPropertyResult provePropertyUnbounded(const netlist::Netlist& nl,
                                          netlist::NodeId badOutput,
@@ -819,28 +858,46 @@ PdrResult proveUnbounded(const netlist::Netlist& nl,
                          const PdrOptions& opts) {
   obs::Span span("sat.pdr");
   span.arg("capacity_bound", static_cast<double>(opts.capacityBound));
-  PdrResult result;
   const Monitor mon =
       buildUnboundedMonitor(nl, ports, opts.capacityBound,
                             opts.watchdogWindow);
 
-  const auto prove = [&](const char* name, NodeId out,
-                         std::vector<ForcedInput> forced) {
+  struct Property {
+    const char* name;
+    NodeId out;
+    std::vector<ForcedInput> forced;
+  };
+  std::vector<Property> props;
+  if (opts.tokenConservation) {
+    props.push_back({"token_conservation", mon.tokenOut, {}});
+  }
+  if (opts.occupancyBound) props.push_back({"occupancy_bound", mon.occOut, {}});
+  if (opts.deadlockWatchdog) {
+    props.push_back({"deadlock_watchdog", mon.wdOut, mon.maximalEnv});
+  }
+
+  // Each property writes only its own slots; the join below is in
+  // property order, whatever order the runner ran them in.
+  PdrResult result;
+  result.properties.resize(props.size());
+  std::vector<SolverStats> stats(props.size());
+  const auto prove = [&](std::size_t i) {
     obs::Span propSpan("sat.pdr.property");
-    propSpan.arg("name", std::string(name));
+    propSpan.arg("name", std::string(props[i].name));
     propSpan.arg("netlist", nl.name());
-    PdrPropertyResult r = provePropertyUnbounded(mon.nl, out, std::move(forced),
-                                                 opts, result.stats);
-    r.name = name;
+    PdrPropertyResult& r = result.properties[i];
+    r = provePropertyUnbounded(mon.nl, props[i].out, props[i].forced, opts,
+                               stats[i]);
+    r.name = props[i].name;
     propSpan.arg("cone_dffs", static_cast<double>(r.coneDffs));
     propSpan.arg("proved", r.provedUnbounded ? 1.0 : 0.0);
-    result.properties.push_back(std::move(r));
   };
-  if (opts.tokenConservation) prove("token_conservation", mon.tokenOut, {});
-  if (opts.occupancyBound) prove("occupancy_bound", mon.occOut, {});
-  if (opts.deadlockWatchdog) {
-    prove("deadlock_watchdog", mon.wdOut, mon.maximalEnv);
+  if (opts.runner) {
+    opts.runner(props.size(), prove);
+  } else {
+    for (std::size_t i = 0; i < props.size(); i++) prove(i);
   }
+  for (const SolverStats& s : stats) result.stats.accumulate(s);
   return result;
 }
 

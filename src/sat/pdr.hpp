@@ -45,6 +45,13 @@
 // verdicts and counterexample depths are those of the whole netlist —
 // and only the size of every SAT query shrinks.
 //
+// The enabled properties are independent: each builds its own cone and
+// owns its solvers, and only reads the shared monitor. proveUnbounded
+// fans them out through PdrOptions::runner (the flow's ProveUnbounded
+// pass points it at its Executor), so they may run concurrently; their
+// results and solver totals are joined in property order, so the
+// PdrResult is the same with or without a runner.
+//
 // Counterexamples come back as multi-frame input traces over the cone's
 // free inputs. replayTrace re-simulates the trace cycle-accurately on
 // the *design* netlist with an independent software mirror of the
@@ -56,7 +63,10 @@
 // (`degraded = true`, depthReached = the BMC bound established on the
 // way up), never to `proved`.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -90,6 +100,13 @@ struct PdrOptions {
   bool deadlockWatchdog = true;
   std::uint64_t seed = 0x9d2feedULL;
   const support::CancellationToken* cancel = nullptr;
+  /// Parallel-for hook for the property fan-out, shaped like
+  /// sync::CosimOptions::runner: runner(n, f) must call f(0), ..., f(n-1)
+  /// (in any order, possibly concurrently) and return once all have
+  /// finished. Null proves the properties one after another; either way
+  /// the results are joined in property order.
+  std::function<void(std::size_t, const std::function<void(std::size_t)>&)>
+      runner;
 };
 
 /// A counterexample as multi-frame input assignments. frames[f][i] is
@@ -105,6 +122,27 @@ struct PdrTrace {
   std::vector<std::vector<bool>> frames;
 };
 
+/// The kinds of SAT query a property's proof issues, for the solver work
+/// split in PdrEngineStats::work.
+enum class PdrQuery : std::uint8_t {
+  Induction,   // both k-induction solvers: base-case BMC frames and steps
+  Frame,       // PDR's bad-state query on the top frame
+  Lift,        // shrinking a model's state to a cube (bad or predecessor)
+  Consecution, // an obligation's relative-induction query
+  Mic,         // one MIC literal-drop attempt
+  Forward,     // pushing a just-learned clause forward, after a block
+  Push,        // the push phase after a new frame
+};
+inline constexpr std::size_t kPdrQueryKinds = 7;
+
+/// "induction", "frame", "lift", "consecution", "mic", "forward", "push".
+const char* pdrQueryName(PdrQuery q);
+
+struct PdrQueryWork {
+  std::uint64_t solves = 0;
+  std::uint64_t propagations = 0;
+};
+
 /// Aggregate engine counters (summed over both rungs).
 struct PdrEngineStats {
   std::uint64_t obligations = 0;     // proof obligations dequeued
@@ -113,6 +151,18 @@ struct PdrEngineStats {
   std::uint64_t micDroppedLits = 0;  // further literals dropped by MIC passes
   std::uint64_t pushedClauses = 0;   // clauses propagated forward a frame
   std::uint64_t liftedLits = 0;      // literals dropped lifting model cubes
+  /// Solver work per query kind, indexed by PdrQuery. Induction holds its
+  /// two solvers whole; on the PDR solver, work done between queries
+  /// (encoding the transition relation, adding clauses) is charged to the
+  /// query that follows it, and any after the last query to that one. The
+  /// kinds sum to the property's share of PdrResult::stats.solves and
+  /// .propagations.
+  std::array<PdrQueryWork, kPdrQueryKinds> work{};
+
+  PdrQueryWork& at(PdrQuery q) { return work[static_cast<std::size_t>(q)]; }
+  const PdrQueryWork& at(PdrQuery q) const {
+    return work[static_cast<std::size_t>(q)];
+  }
 };
 
 struct PdrPropertyResult {
@@ -187,7 +237,10 @@ struct PdrResult {
 };
 
 /// Prove the protocol invariants on `nl` seen through `ports` for all
-/// time (or find counterexample traces / degrade to a bound).
+/// time (or find counterexample traces / degrade to a bound). The enabled
+/// properties run through `opts.runner` when one is set; the result lists
+/// them in the order token_conservation, occupancy_bound,
+/// deadlock_watchdog either way.
 PdrResult proveUnbounded(const netlist::Netlist& nl,
                          const sync::PortView& ports,
                          const PdrOptions& opts = {});

@@ -367,6 +367,52 @@ void Solver::reduceDB() {
   }
 }
 
+bool Solver::satisfiedAtLevel0(std::uint32_t c) const {
+  const Lit* lits = clauseLits(c);
+  for (std::uint32_t k = 0; k < clauseSize(c); k++) {
+    if (valueLit(lits[k]) == kTrue) return true;
+  }
+  return false;
+}
+
+void Solver::removeSatisfied() {
+  assert(decisionLevel() == 0);
+  cleanedTrail_ = trail_.size();
+  // Compact the arena in place, keeping clause order: tombstoned learnts
+  // and satisfied originals go. fwd[old] is a kept clause's new reference,
+  // kCRefUndef for a dropped one.
+  std::vector<std::uint32_t> fwd(arena_.size(), kCRefUndef);
+  std::uint32_t out = 0;
+  for (std::uint32_t c = 0; c < arena_.size();) {
+    const std::uint32_t words = clauseWords(c);
+    const bool learnt = clauseLearnt(c);
+    if (!clauseDeleted(c) && (learnt || !satisfiedAtLevel0(c))) {
+      fwd[c] = out;
+      std::copy(arena_.begin() + c, arena_.begin() + c + words,
+                arena_.begin() + out);
+      out += words;
+    } else if (!learnt) {
+      numClauses_--;
+    }
+    c += words;
+  }
+  arena_.resize(out);
+  for (std::vector<Watcher>& ws : watches_) {
+    std::size_t j = 0;
+    for (const Watcher& w : ws) {
+      if (fwd[w.cref] != kCRefUndef) ws[j++] = {fwd[w.cref], w.blocker};
+    }
+    ws.resize(j);
+  }
+  for (std::uint32_t& cref : learnts_) cref = fwd[cref];
+  // A learnt reason keeps locking its clause in reduceDB; a dropped
+  // original reason is never read again (analysis stops above level 0).
+  for (const Lit p : trail_) {
+    std::uint32_t& reason = reasonOf_[litVar(p)];
+    if (reason != kCRefUndef) reason = fwd[reason];
+  }
+}
+
 void Solver::varBumpActivity(Var v) {
   if ((activity_[v] += varInc_) > 1e100) {
     for (double& a : activity_) a *= 1e-100;
@@ -542,6 +588,7 @@ Result Solver::solve(std::span<const Lit> assumptions) {
     maxLearnts_ =
         std::max(1000.0, static_cast<double>(numClauses_) * (1.0 / 3.0));
   }
+  if (trail_.size() >= cleanedTrail_ + kCleanupUnits) removeSatisfied();
   Result status = Result::Unknown;
   for (int curr = 0; status == Result::Unknown; curr++) {
     status = search(

@@ -4,9 +4,18 @@
 // self-subsuming clause minimization, EVSIDS variable activities on an
 // indexed binary heap, phase saving, Luby restarts and activity-driven
 // learnt-clause deletion. Clauses live in one flat uint32 arena
-// (header word + literals); deletion tombstones the header and lets
-// propagate() drop stale watchers lazily — there is no arena GC, which
-// is fine for the short-lived per-proof solvers the flow creates.
+// (header word + literals); reduceDB tombstones a deleted learnt's header
+// and lets propagate() drop its stale watchers lazily.
+//
+// Level-0 cleanup: once kCleanupUnits new level-0 units have accumulated,
+// solve() drops every original clause satisfied at level 0 (PDR retires
+// each query's activation variable with a unit, leaving the query's
+// clause dead on the state variables' watchers), compacts the arena in
+// clause order, drops dead watchers and relocates the learnt list and the
+// reasons of level-0 units. A satisfied clause never propagates or
+// conflicts, the surviving watchers keep their order, learnt clauses all
+// stay (reduceDB ranks them) and a reason still locks its clause, so the
+// search is exactly the one without the cleanup.
 //
 // The solver is incremental: newVar()/addClause() stay legal between
 // solve() calls, and solve(assumptions) answers queries under a set of
@@ -138,6 +147,8 @@ private:
   static constexpr std::uint32_t kCRefUndef = 0xffffffffu;
   static constexpr std::uint8_t kFalse = 0, kTrue = 1, kUndef = 2;
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
+  /// New level-0 units between two level-0 cleanups (see header).
+  static constexpr std::size_t kCleanupUnits = 256;
 
   std::uint8_t valueLit(Lit l) const {
     const std::uint8_t a = assign_[litVar(l)];
@@ -160,8 +171,13 @@ private:
   const Lit* clauseLits(std::uint32_t c) const {
     return arena_.data() + c + 1 + (arena_[c] & 1u);
   }
+  std::uint32_t clauseWords(std::uint32_t c) const {
+    return 1 + (arena_[c] & 1u) + clauseSize(c);
+  }
   float clauseActivity(std::uint32_t c) const;
   void setClauseActivity(std::uint32_t c, float a);
+  bool satisfiedAtLevel0(std::uint32_t c) const;
+  void removeSatisfied();
 
   void attachClause(std::uint32_t cref);
   void uncheckedEnqueue(Lit p, std::uint32_t from = kCRefUndef);
@@ -205,6 +221,7 @@ private:
   std::vector<Var> toClear_;
   std::vector<std::uint8_t> model_;
   std::size_t qhead_ = 0;
+  std::size_t cleanedTrail_ = 0; // level-0 trail size at the last cleanup
   std::size_t numClauses_ = 0;
   std::size_t liveLearnts_ = 0;
   double maxLearnts_ = 0.0;

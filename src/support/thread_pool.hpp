@@ -2,10 +2,18 @@
 // Work-stealing thread pool shared by the flow executor. Each worker owns a
 // deque: it pushes and pops work at the back (LIFO, cache-warm), thieves
 // take from the front (FIFO, oldest first). External submissions are dealt
-// round-robin across the worker deques. Any thread — including a caller
-// blocked on a join — can drain queued work through tryRunOne(), which is
-// what makes nested fan-out (a pooled task spawning subtasks and waiting
-// for them) deadlock-free: the waiter helps instead of sleeping.
+// round-robin across the worker deques.
+//
+// Helping is scoped. Every task carries the Batch it was submitted for,
+// and a Batch records the batch of the task that opened it, so batches
+// form a tree along the nesting of fan-outs. A caller blocked on a join
+// drains queued work through tryRunOne(&batch), which runs only tasks of
+// that batch or of batches nested inside it (TBB's
+// this_task_arena::isolate): the waiter helps with its own subtasks and
+// never stacks an unrelated task — another design, say — on its call
+// stack. Idle workers call tryRunOne() unscoped and take any task. Nested
+// fan-out stays deadlock-free: a queued task can always be run by the
+// thread waiting on its batch.
 //
 // Tasks must not throw (wrap and capture; the flow executor does). The
 // pool is deliberately mutex-per-deque rather than lock-free: flow tasks
@@ -17,6 +25,7 @@
 // through workerStats() and the bench "metrics.pool" section); the deques
 // track a queue-depth high-water mark under their own mutex.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -24,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,6 +46,17 @@ namespace lis::support {
 
 class ThreadPool {
 public:
+  /// One fan-out's tag. Owned by whoever submits its tasks, and kept alive
+  /// until the last of them has run; `parent` is the batch of the task
+  /// that opened it (null at top level).
+  struct Batch {
+    const Batch* parent = nullptr;
+  };
+
+  /// Batch of the task the calling thread is running, or null outside any
+  /// pool task — the parent of a batch opened from here.
+  static const Batch* currentBatch() { return tlsBatch_; }
+
   /// Per-worker counters, sampled with relaxed loads (totals are exact once
   /// the pool has quiesced, e.g. after a join).
   struct WorkerStats {
@@ -94,10 +115,11 @@ public:
     return high;
   }
 
-  /// Enqueue a task. Called from any thread; a worker submitting from
-  /// inside a task pushes onto its own deque (depth-first, keeps nested
-  /// fan-outs from flooding the queues), other threads deal round-robin.
-  void submit(std::function<void()> task) {
+  /// Enqueue a task of `batch`. Called from any thread; a worker
+  /// submitting from inside a task pushes onto its own deque (depth-first,
+  /// keeps nested fan-outs from flooding the queues), other threads deal
+  /// round-robin.
+  void submit(std::function<void()> task, const Batch* batch = nullptr) {
     const std::size_t self = currentWorker();
     const std::size_t target =
         self != kNotAWorker
@@ -107,7 +129,7 @@ public:
     {
       std::lock_guard<std::mutex> lock(queues_[target]->mutex);
       auto& deque = queues_[target]->tasks;
-      deque.push_back(std::move(task));
+      deque.push_back({std::move(task), batch});
       if (deque.size() > queues_[target]->highWater) {
         queues_[target]->highWater = deque.size();
       }
@@ -119,25 +141,35 @@ public:
     wake_.notify_one();
   }
 
-  /// Run one queued task on the calling thread, if any is pending. Returns
-  /// false when every deque was empty at the time of the scan — all
-  /// submitted work is then either finished or running on other threads.
-  bool tryRunOne() {
+  /// Run one queued task on the calling thread, if any is pending. With a
+  /// `scope`, only a task of that batch or of a batch nested inside it
+  /// qualifies. Returns false when no deque held a qualifying task at the
+  /// time of the scan — that work is then either finished or running on
+  /// other threads.
+  bool tryRunOne(const Batch* scope = nullptr) {
     const std::size_t self = currentWorker();
     const std::size_t home = self != kNotAWorker ? self : 0;
     for (std::size_t k = 0; k < queues_.size(); ++k) {
       const std::size_t q = (home + k) % queues_.size();
-      std::function<void()> task;
+      Task task;
       {
         std::lock_guard<std::mutex> lock(queues_[q]->mutex);
         auto& deque = queues_[q]->tasks;
-        if (deque.empty()) continue;
-        if (q == self) { // owner takes newest
-          task = std::move(deque.back());
-          deque.pop_back();
-        } else { // thief (or external caller) takes oldest
-          task = std::move(deque.front());
-          deque.pop_front();
+        // The owner takes its newest qualifying task, a thief (or an
+        // external caller) the oldest.
+        const auto inScope = [scope](const Task& t) {
+          return scope == nullptr || nestedIn(t.batch, scope);
+        };
+        if (q == self) {
+          const auto it = std::find_if(deque.rbegin(), deque.rend(), inScope);
+          if (it == deque.rend()) continue;
+          task = std::move(*it);
+          deque.erase(std::next(it).base());
+        } else {
+          const auto it = std::find_if(deque.begin(), deque.end(), inScope);
+          if (it == deque.end()) continue;
+          task = std::move(*it);
+          deque.erase(it);
         }
       }
       if (self != kNotAWorker) {
@@ -148,16 +180,24 @@ public:
       } else {
         externalRuns_.fetch_add(1, std::memory_order_relaxed);
       }
-      task();
+      const Batch* const outer = tlsBatch_;
+      tlsBatch_ = task.batch;
+      task.run();
+      tlsBatch_ = outer;
       return true;
     }
     return false;
   }
 
 private:
+  struct Task {
+    std::function<void()> run;
+    const Batch* batch = nullptr;
+  };
+
   struct Queue {
     mutable std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
+    std::deque<Task> tasks;
     std::size_t highWater = 0; // guarded by mutex
     // Counters for the worker with this queue's index (not the queue the
     // task came from). Written by the owning worker, read by anyone.
@@ -181,6 +221,17 @@ private:
   // emplacing into that vector.
   inline static thread_local const ThreadPool* tlsPool_ = nullptr;
   inline static thread_local std::size_t tlsWorker_ = 0;
+  inline static thread_local const Batch* tlsBatch_ = nullptr;
+
+  /// Is `batch` `scope` or nested inside it? The chain is safe to walk
+  /// while the task carrying `batch` is still queued: every batch on it
+  /// has a task blocked on its join, so none has been released.
+  static bool nestedIn(const Batch* batch, const Batch* scope) {
+    for (; batch != nullptr; batch = batch->parent) {
+      if (batch == scope) return true;
+    }
+    return false;
+  }
 
   /// Index of the pool worker running the calling thread, or kNotAWorker.
   std::size_t currentWorker() const {

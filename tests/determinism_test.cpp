@@ -5,9 +5,12 @@
 // diagnostics ordering at --jobs 1 and --jobs 8.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <map>
@@ -25,6 +28,7 @@
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sat/pdr.hpp"
 #include "test_util.hpp"
 
 using lis::flow::Design;
@@ -106,6 +110,105 @@ void testExecutorForEach() {
   CHECK_EQ(errors.size(), 6u);
   for (std::size_t i = 0; i < errors.size(); ++i) {
     CHECK_EQ(errors[i] != nullptr, i == 1 || i == 4);
+  }
+}
+
+void testScopedHelping() {
+  // A thread waiting in a nested forEach helps only with its own batch:
+  // no outer iteration may start on a thread that is inside another outer
+  // iteration's nested wait. Unscoped helping stacks them there, behind
+  // the waiting one.
+  Executor pool(3);
+  std::atomic<int> violations{0};
+  for (int rep = 0; rep < 5; ++rep) {
+    pool.forEach(16, [&](std::size_t) {
+      static thread_local bool waiting = false;
+      const bool outer = waiting;
+      if (outer) violations.fetch_add(1);
+      waiting = true;
+      pool.forEach(4, [](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      });
+      waiting = outer;
+    });
+  }
+  CHECK_EQ(violations.load(), 0);
+
+  // Scoping keeps nested fan-outs deadlock-free: three levels on two
+  // workers and a helping caller all complete.
+  Executor two(2);
+  std::atomic<int> leaves{0};
+  two.forEach(4, [&](std::size_t) {
+    two.forEach(4, [&](std::size_t) {
+      two.forEach(4, [&](std::size_t) { leaves.fetch_add(1); });
+    });
+  });
+  CHECK_EQ(leaves.load(), 64);
+}
+
+void checkSamePdr(const lis::sat::PdrResult& a, const lis::sat::PdrResult& b) {
+  CHECK_EQ(a.properties.size(), b.properties.size());
+  for (std::size_t p = 0;
+       p < a.properties.size() && p < b.properties.size(); ++p) {
+    const lis::sat::PdrPropertyResult& x = a.properties[p];
+    const lis::sat::PdrPropertyResult& y = b.properties[p];
+    CHECK(x.name == y.name);
+    CHECK(x.method == y.method);
+    CHECK_EQ(x.provedUnbounded, y.provedUnbounded);
+    CHECK_EQ(x.violated, y.violated);
+    CHECK_EQ(x.degraded, y.degraded);
+    CHECK_EQ(x.inductionK, y.inductionK);
+    CHECK_EQ(x.frames, y.frames);
+    CHECK_EQ(x.clauses, y.clauses);
+    CHECK_EQ(x.depthReached, y.depthReached);
+    CHECK_EQ(x.coneDffs, y.coneDffs);
+    CHECK_EQ(x.engine.obligations, y.engine.obligations);
+    CHECK_EQ(x.engine.cubesBlocked, y.engine.cubesBlocked);
+    CHECK_EQ(x.engine.coreShrunkLits, y.engine.coreShrunkLits);
+    CHECK_EQ(x.engine.micDroppedLits, y.engine.micDroppedLits);
+    CHECK_EQ(x.engine.pushedClauses, y.engine.pushedClauses);
+    CHECK_EQ(x.engine.liftedLits, y.engine.liftedLits);
+    for (std::size_t q = 0; q < lis::sat::kPdrQueryKinds; ++q) {
+      CHECK_EQ(x.engine.work[q].solves, y.engine.work[q].solves);
+      CHECK_EQ(x.engine.work[q].propagations, y.engine.work[q].propagations);
+    }
+  }
+  CHECK_EQ(a.stats.conflicts, b.stats.conflicts);
+  CHECK_EQ(a.stats.decisions, b.stats.decisions);
+  CHECK_EQ(a.stats.propagations, b.stats.propagations);
+  CHECK_EQ(a.stats.restarts, b.stats.restarts);
+  CHECK_EQ(a.stats.learnedClauses, b.stats.learnedClauses);
+  CHECK_EQ(a.stats.learnedLits, b.stats.learnedLits);
+  CHECK_EQ(a.stats.minimizedLits, b.stats.minimizedLits);
+  CHECK_EQ(a.stats.deletedClauses, b.stats.deletedClauses);
+  CHECK_EQ(a.stats.solves, b.stats.solves);
+  CHECK_EQ(a.stats.cores, b.stats.cores);
+  CHECK_EQ(a.stats.coreLits, b.stats.coreLits);
+}
+
+void testPdrPropertyFanOut() {
+  // The properties fanned out as executor tasks prove exactly what the
+  // serial loop proves: same order, verdicts, trapezoids, engine counters
+  // and solver totals.
+  Executor pool(4);
+  for (lis::sync::Encoding enc :
+       {lis::sync::Encoding::OneHot, lis::sync::Encoding::Binary}) {
+    const lis::sync::SystemSpec spec = lis::sync::ringSpec(enc);
+    const lis::sync::System sys = lis::sync::buildSystem(spec);
+    const lis::sync::PortView ports = lis::sync::portView(sys.ports);
+    lis::sat::PdrOptions opts;
+    opts.capacityBound = lis::sat::capacityBound(spec);
+    const lis::sat::PdrResult serial =
+        lis::sat::proveUnbounded(sys.netlist, ports, opts);
+    opts.runner = [&pool](std::size_t n,
+                          const std::function<void(std::size_t)>& f) {
+      pool.forEach(n, f);
+    };
+    const lis::sat::PdrResult fanned =
+        lis::sat::proveUnbounded(sys.netlist, ports, opts);
+    CHECK_EQ(serial.properties.size(), 3u);
+    CHECK(serial.allProved());
+    checkSamePdr(serial, fanned);
   }
 }
 
@@ -419,6 +522,17 @@ void testRunManySatPipeline() {
       }
       CHECK(m.value("bmc.degraded") == (bmc->anyDegraded() ? 1.0 : 0.0));
       CHECK(m.value("pdr.degraded") == (pdr->anyDegraded() ? 1.0 : 0.0));
+      // The per-kind PDR work adds up to the engine's solver totals.
+      double solves = 0.0;
+      double propagations = 0.0;
+      for (std::size_t q = 0; q < lis::sat::kPdrQueryKinds; ++q) {
+        const std::string kind =
+            lis::sat::pdrQueryName(static_cast<lis::sat::PdrQuery>(q));
+        solves += m.value("pdr.solves." + kind);
+        propagations += m.value("pdr.propagations." + kind);
+      }
+      CHECK(solves == static_cast<double>(pdr->stats.solves));
+      CHECK(propagations == static_cast<double>(pdr->stats.propagations));
     }
     // Jobs-count invariance of the artifacts behind the bench's sat
     // rows, not just the pass records.
@@ -438,28 +552,7 @@ void testRunManySatPipeline() {
     // obligation order at any job count: cone sizes, frame counts,
     // learned-clause counts, the engine counters and the solver totals
     // all match.
-    const lis::sat::PdrResult* p1 = designs1[i].pdrResult();
-    const lis::sat::PdrResult* p8 = designs8[i].pdrResult();
-    CHECK_EQ(p1->totalFrames(), p8->totalFrames());
-    CHECK_EQ(p1->totalClauses(), p8->totalClauses());
-    CHECK_EQ(p1->maxInductionK(), p8->maxInductionK());
-    for (std::size_t p = 0; p < p1->properties.size(); ++p) {
-      const auto& e1 = p1->properties[p].engine;
-      const auto& e8 = p8->properties[p].engine;
-      CHECK(p1->properties[p].method == p8->properties[p].method);
-      CHECK_EQ(p1->properties[p].coneDffs, p8->properties[p].coneDffs);
-      CHECK_EQ(e1.obligations, e8.obligations);
-      CHECK_EQ(e1.cubesBlocked, e8.cubesBlocked);
-      CHECK_EQ(e1.coreShrunkLits, e8.coreShrunkLits);
-      CHECK_EQ(e1.micDroppedLits, e8.micDroppedLits);
-      CHECK_EQ(e1.pushedClauses, e8.pushedClauses);
-      CHECK_EQ(e1.liftedLits, e8.liftedLits);
-    }
-    CHECK_EQ(p1->stats.conflicts, p8->stats.conflicts);
-    CHECK_EQ(p1->stats.decisions, p8->stats.decisions);
-    CHECK_EQ(p1->stats.propagations, p8->stats.propagations);
-    CHECK_EQ(p1->stats.cores, p8->stats.cores);
-    CHECK_EQ(p1->stats.coreLits, p8->stats.coreLits);
+    checkSamePdr(*designs1[i].pdrResult(), *designs8[i].pdrResult());
   }
 }
 
@@ -595,6 +688,7 @@ void testTraceStructureJobsInvariant() {
 
 int main() {
   testExecutorForEach();
+  testScopedHelping();
   testDesignLatchesUnderContention();
   testSynthCacheConcurrent();
   testBuildSystemRunnerInvariance();
@@ -603,6 +697,7 @@ int main() {
   testRunManySweepSection();
   testRunManyOptPipeline();
   testRunManySatPipeline();
+  testPdrPropertyFanOut();
   testFaultCampaignJobsInvariant();
   testRunManyBuffersFailuresPerDesign();
   testTraceStructureJobsInvariant();

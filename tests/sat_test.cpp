@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -622,6 +623,75 @@ void testPdrCleanTopologiesProvedUnbounded() {
   }
 }
 
+void testPdrSearchPinned() {
+  // The solver's level-0 cleanup and the per-kind accounting leave the
+  // search exactly as it was: ringSpec(Binary), one property at a time,
+  // default options, reproduces the trapezoid and solver counters of the
+  // solver without the cleanup. token_conservation runs the cleanup 33
+  // times, occupancy_bound twice, the watchdog once.
+  struct Pin {
+    const char* name;
+    unsigned frames, clauses;
+    std::uint64_t conflicts, propagations, solves, decisions;
+  };
+  const Pin pins[] = {
+      {"token_conservation", 17, 486, 5443, 2279676, 12350, 65888},
+      {"occupancy_bound", 9, 65, 411, 157871, 933, 7379},
+      {"deadlock_watchdog", 11, 43, 94, 52370, 473, 1885},
+  };
+  const lsync::SystemSpec spec = lsync::ringSpec(lsync::Encoding::Binary);
+  const lsync::System sys = lsync::buildSystem(spec);
+  for (const Pin& pin : pins) {
+    sat::PdrOptions opts;
+    opts.capacityBound = sat::capacityBound(spec);
+    opts.tokenConservation = std::string(pin.name) == "token_conservation";
+    opts.occupancyBound = std::string(pin.name) == "occupancy_bound";
+    opts.deadlockWatchdog = std::string(pin.name) == "deadlock_watchdog";
+    const sat::PdrResult r =
+        sat::proveUnbounded(sys.netlist, lsync::portView(sys.ports), opts);
+    CHECK_EQ(r.properties.size(), 1u);
+    if (r.properties.size() != 1) continue;
+    const sat::PdrPropertyResult& p = r.properties[0];
+    CHECK(p.name == pin.name);
+    CHECK(p.provedUnbounded);
+    CHECK_EQ(p.frames, pin.frames);
+    CHECK_EQ(p.clauses, pin.clauses);
+    CHECK_EQ(r.stats.conflicts, pin.conflicts);
+    CHECK_EQ(r.stats.propagations, pin.propagations);
+    CHECK_EQ(r.stats.solves, pin.solves);
+    CHECK_EQ(r.stats.decisions, pin.decisions);
+    // Every solve and propagation is charged to exactly one query kind.
+    std::uint64_t solves = 0;
+    std::uint64_t propagations = 0;
+    for (const sat::PdrQueryWork& w : p.engine.work) {
+      solves += w.solves;
+      propagations += w.propagations;
+    }
+    CHECK_EQ(solves, r.stats.solves);
+    CHECK_EQ(propagations, r.stats.propagations);
+    CHECK(p.engine.at(sat::PdrQuery::Induction).solves > 0);
+    if (p.method == "pdr") {
+      CHECK(p.engine.at(sat::PdrQuery::Frame).solves > 0);
+      CHECK(p.engine.at(sat::PdrQuery::Consecution).solves > 0);
+    }
+  }
+
+  // The cleanup must keep learnt clauses satisfied at level 0 and relocate
+  // (not clear) level-0 reasons, which lock learnts in reduceDB: either
+  // shortcut moves BMC's search on chain2_d1 (5425 and 5122 conflicts).
+  const lsync::SystemSpec chain =
+      lsync::chainSpec(2, 1, lsync::Encoding::OneHot);
+  const lsync::System chainSys = lsync::buildSystem(chain);
+  sat::BmcOptions bopts;
+  bopts.depth = 20;
+  bopts.capacityBound = sat::capacityBound(chain);
+  const sat::BmcResult b = sat::checkInvariants(
+      chainSys.netlist, lsync::portView(chainSys.ports), bopts);
+  CHECK(b.allHold());
+  CHECK_EQ(b.stats.conflicts, 5317u);
+  CHECK_EQ(b.stats.propagations, 1660199u);
+}
+
 void testPdrBrokenRelayCexAndReplay() {
   // Default options: the induction rung's base case is a plain BMC, so
   // it finds the depth-1 token violation first — the monitor's reset
@@ -924,6 +994,7 @@ int main() {
   testResultEmptyEdges();
   testPdrProvesHandBuiltMachines();
   testPdrCleanTopologiesProvedUnbounded();
+  testPdrSearchPinned();
   testPdrBrokenRelayCexAndReplay();
   testProofSpansNameTheCone();
   testPdrReplayOnCosimOracle();
