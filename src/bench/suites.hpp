@@ -171,11 +171,11 @@ inline constexpr unsigned kSatBmcDepth = 20;
 
 /// The SAT verification pipeline: synth → SAT-sweep (merges proven
 /// against the synthesized netlist) → protocol-invariant BMC to
-/// kSatBmcDepth → unbounded proofs (k-induction, then PDR/IC3), both
-/// with the capacity bound derived from each design's spec. The BMC
-/// rung stays even though the unbounded pass subsumes it: kSatBmcDepth
-/// is the floor the regression gate can always fall back to when a
-/// budget degrades the unbounded verdict.
+/// kSatBmcDepth → unbounded proofs (PDR/IC3), both with the capacity
+/// bound derived from each design's spec. The BMC pass stays even though
+/// the unbounded pass subsumes it: kSatBmcDepth is the floor the
+/// regression gate can always fall back to when a budget degrades the
+/// unbounded verdict.
 inline flow::Pipeline satPasses() {
   sat::BmcOptions bmc;
   bmc.depth = kSatBmcDepth;

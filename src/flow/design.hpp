@@ -152,7 +152,7 @@ public:
   /// until it ran.
   const sat::BmcResult* bmcResult() const { return bmc_ ? &*bmc_ : nullptr; }
   void setBmcResult(sat::BmcResult r) { bmc_ = std::move(r); }
-  /// Unbounded proof verdicts (k-induction / PDR), produced by the
+  /// Unbounded proof verdicts (PDR), produced by the
   /// ProveUnbounded pass; null until it ran.
   const sat::PdrResult* pdrResult() const { return pdr_ ? &*pdr_ : nullptr; }
   void setPdrResult(sat::PdrResult r) { pdr_ = std::move(r); }

@@ -476,7 +476,6 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
       sat::proveUnbounded(design.netlist(), target->ports, opts);
   ctx.metric("capacity_bound", static_cast<double>(opts.capacityBound));
   ctx.metric("all_proved", r.allProved() ? 1.0 : 0.0);
-  ctx.metric("induction_k", static_cast<double>(r.maxInductionK()));
   ctx.metric("pdr_frames", static_cast<double>(r.totalFrames()));
   ctx.metric("pdr_clauses", static_cast<double>(r.totalClauses()));
   obs::Registry& m = design.metrics();
@@ -484,7 +483,6 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
   m.set("pdr.degraded", r.anyDegraded() ? 1.0 : 0.0);
   m.set("pdr.frames", static_cast<double>(r.totalFrames()));
   m.set("pdr.clauses", static_cast<double>(r.totalClauses()));
-  m.set("pdr.induction_k", static_cast<double>(r.maxInductionK()));
   m.add("sat.conflicts", static_cast<double>(r.stats.conflicts));
   m.add("sat.decisions", static_cast<double>(r.stats.decisions));
   m.add("sat.propagations", static_cast<double>(r.stats.propagations));
@@ -520,8 +518,7 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
     const sat::ReplayResult rep =
         sat::replayTrace(design.netlist(), target->ports, p.name, p.trace, ro);
     violated += (violated.empty() ? "" : ", ") + p.name + " at depth " +
-                std::to_string(p.failDepth) + " (" + p.method +
-                "; replay " +
+                std::to_string(p.failDepth) + " (replay " +
                 (rep.reproduced ? "reproduced" : "NOT reproduced") + ")";
   }
   const bool degraded = r.anyDegraded();
@@ -630,7 +627,6 @@ void Report::run(Design& design, PassContext& ctx) {
     os << ",\n  \"unbounded\": {\"all_proved\": "
        << (u->allProved() ? "true" : "false")
        << ", \"degraded\": " << (u->anyDegraded() ? "true" : "false")
-       << ", \"induction_k\": " << u->maxInductionK()
        << ", \"frames\": " << u->totalFrames()
        << ", \"clauses\": " << u->totalClauses() << ", \"properties\": [";
     bool firstProp = true;
@@ -639,7 +635,7 @@ void Report::run(Design& design, PassContext& ctx) {
          << "\", \"proved_unbounded\": "
          << (p.provedUnbounded ? "true" : "false")
          << ", \"violated\": " << (p.violated ? "true" : "false")
-         << ", \"method\": \"" << p.method << "\", \"depth\": "
+         << ", \"depth\": "
          << (p.violated ? p.failDepth : p.depthReached) << "}";
       firstProp = false;
     }

@@ -255,8 +255,8 @@ private:
   sat::BmcOptions options_;
 };
 
-/// Unbounded proofs of the LIS protocol invariants (k-induction, then
-/// PDR/IC3 — see sat/pdr.hpp) on the design's synthesized netlist. The
+/// Unbounded proofs of the LIS protocol invariants (PDR/IC3 — see
+/// sat/pdr.hpp) on the design's synthesized netlist. The
 /// strongest verdict per property: proved for all time, or a concrete
 /// counterexample trace (a pass error naming the property and failing
 /// depth, with the trace replayed on the netlist simulator to confirm

@@ -1,11 +1,8 @@
 #pragma once
 // Bounded model checking of the LIS protocol invariants.
 //
-// checkInvariants instruments a wrapper/system netlist with a monitor:
-// per external input channel a counter of accepted tokens
-// (inValid & !inStop), per external output channel a counter of
-// delivered tokens (outValid & !outStop), and comparators deriving
-// three fail flags:
+// checkInvariants instruments a wrapper/system netlist with the protocol
+// monitor PDR uses too (sat/monitor.hpp), whose three fail flags are:
 //
 //   token conservation   some delivered_j exceeds every accepted_i by
 //                        more than the design's storage bound B — the
@@ -18,6 +15,13 @@
 //                        system makes no handshake at all for
 //                        `watchdogWindow` consecutive cycles.
 //
+// The shared monitor builds the handshake events, the watchdog and its
+// environment. BMC's own part is the counting behind the first two
+// flags: per external input channel a counter of accepted tokens
+// (inValid & !inStop), per external output channel a counter of
+// delivered tokens (outValid & !outStop), both sized to the unrolling
+// horizon, and comparators with slack B.
+//
 // The cone of influence of the fail flags (netlist::extractCone) is
 // unrolled frame by frame into one incremental SAT solver — the
 // synthesized control network and the monitor, without the pearls'
@@ -29,6 +33,10 @@
 // the capacity bound: total seed tokens plus relay storage plus
 // shell/pearl buffering — capacityBound() computes a sound (generous)
 // value from the spec.
+//
+// The unbounded proofs (sat/pdr.hpp) subsume these verdicts; BMC stays as
+// the depth-20 floor the bench gate and flowbench's prove judge read
+// whatever a budget does to the unbounded verdict.
 
 #include <cstdint>
 #include <string>
@@ -104,7 +112,8 @@ BmcResult checkInvariants(const netlist::Netlist& nl,
                           const sync::PortView& ports,
                           const BmcOptions& opts = {});
 
-/// Sound storage bounds for the canned constructions.
+/// Sound storage bounds for the canned constructions. A wrapper's bound
+/// is that of its one-pearl system, sync::wrapperSpec(cfg).
 unsigned capacityBound(const sync::SystemSpec& spec);
 unsigned capacityBound(const sync::WrapperConfig& cfg);
 

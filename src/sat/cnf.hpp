@@ -87,9 +87,9 @@ public:
   /// `sa` (and its source netlist) must outlive the unroller. Throws
   /// std::invalid_argument when the design has ROMs. With
   /// `freeInitialState` frame 0 starts from a fresh unconstrained
-  /// variable per DFF instead of the reset values — the transition
-  /// relation form the induction step and PDR consecution queries need
-  /// (reset-constant folding is then disabled for frame 0).
+  /// variable per DFF instead of the reset values — the one-step
+  /// transition relation PDR's queries run on (reset-constant folding is
+  /// then disabled for frame 0).
   Unroller(Solver& solver, const aig::SequentialAig& sa,
            std::vector<ForcedInput> forced = {},
            bool freeInitialState = false);
@@ -105,8 +105,6 @@ public:
 
   /// Solver literal of primary output `id` at `frame`.
   Lit outputLit(unsigned frame, netlist::NodeId id) const;
-
-  std::size_t numDffs() const { return initState_.size(); }
 
   /// Solver literal of DFF `dffIndex`'s state entering `frame` (frame 0
   /// is the initial state — reset constants, or fresh variables with

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "netlist/buses.hpp"
 #include "lis/lockstep.hpp"
 #include "obs/trace.hpp"
+#include "sat/monitor.hpp"
 
 namespace lis::sat {
 
@@ -33,19 +35,8 @@ using netlist::NodeId;
 // difference; counterexample traces are therefore cross-validated by the
 // exact-arithmetic cosim replay below.)
 
-struct Monitor {
-  Netlist nl;
-  NodeId tokenOut = netlist::kNoNode;
-  NodeId occOut = netlist::kNoNode;
-  NodeId wdOut = netlist::kNoNode;
-  std::vector<ForcedInput> maximalEnv; // inValid := 1, outStop := 0
-};
-
-Monitor buildUnboundedMonitor(const Netlist& base, const sync::PortView& ports,
-                              unsigned bound, unsigned watchdogWindow) {
-  Monitor mon;
-  mon.nl = base; // node ids in `ports` stay valid in the copy
-  Netlist& m = mon.nl;
+Monitor buildPdrMonitor(const Netlist& base, const sync::PortView& ports,
+                        const PdrOptions& opts) {
   // Offset register per (accept, deliver) pair: o = 1 + (acc - del),
   // clamped to [0, rail]. Reset (acc = del = 0) is o == 1, one step
   // above the token rail: the first delivery in excess of acceptances
@@ -53,133 +44,72 @@ Monitor buildUnboundedMonitor(const Netlist& base, const sync::PortView& ports,
   // band's bottom edge is unreachable rather than walk a counter B+1
   // steps. The occupancy rail sits at o == bound + 2, i.e. acc - del ==
   // bound + 1 — the first cycle the buffer bound is actually exceeded.
-  const unsigned rail = bound + 2;
+  const unsigned rail = opts.capacityBound + 2;
   const unsigned w = BusBuilder::bitsFor(rail);
+  const auto counting = [&](Netlist& m, std::vector<NodeId> accepted,
+                            std::vector<NodeId> delivered) {
+    // A channel-less side still has well-defined semantics (any delivery
+    // is then unbacked): pair against a never-firing event.
+    if (accepted.empty()) accepted.push_back(m.constant(false));
+    if (delivered.empty()) delivered.push_back(m.constant(false));
 
-  const auto sig = [&](NodeId id) {
-    return m.node(id).op == netlist::Op::Output ? m.node(id).fanin[0] : id;
-  };
-  // a + c mod 2^w over an LSB-first bus, constant c (no widening — the
-  // saturation muxes keep the value in range, so a wrap is never latched).
-  const auto addConstMod = [&](const std::vector<NodeId>& a, std::uint64_t c) {
-    std::vector<NodeId> sum(a.size());
-    NodeId carry = m.constant(false);
-    for (std::size_t i = 0; i < a.size(); i++) {
-      const bool ci = ((c >> i) & 1u) != 0;
-      if (ci) {
-        sum[i] = m.mkNot(m.mkXor(a[i], carry));
-        carry = m.mkOr(a[i], carry);
-      } else {
-        sum[i] = m.mkXor(a[i], carry);
-        carry = m.mkAnd(a[i], carry);
+    // One saturating offset register per (accept, deliver) pair; returns
+    // its two rail flags {atZero, atRail}. The ±1 updates are taken mod
+    // 2^w: the saturation muxes keep the value in range, so a wrap is
+    // never latched.
+    const auto satDiff = [&](NodeId accEv, NodeId delEv) {
+      std::vector<NodeId> q(w);
+      for (unsigned b = 0; b < w; b++) {
+        q[b] = m.mkDff(m.constant(false), netlist::kNoNode, b == 0);
+      }
+      const NodeId atZero = eqConst(m, q, 0);
+      const NodeId atRail = eqConst(m, q, rail);
+      const NodeId up =
+          m.mkAnd(m.mkAnd(accEv, m.mkNot(delEv)), m.mkNot(atRail));
+      const NodeId down =
+          m.mkAnd(m.mkAnd(delEv, m.mkNot(accEv)), m.mkNot(atZero));
+      const std::vector<NodeId> inc = addConst(m, q, 1);
+      const std::vector<NodeId> dec =
+          addConst(m, q, (std::uint64_t{1} << w) - 1); // two's-complement -1
+      for (unsigned b = 0; b < w; b++) {
+        m.setDffInputs(q[b],
+                       m.mkMux(down, m.mkMux(up, q[b], inc[b]), dec[b]));
+      }
+      return std::pair<NodeId, NodeId>{atZero, atRail};
+    };
+
+    std::vector<std::vector<NodeId>> atZero(accepted.size()),
+        atRailF(accepted.size());
+    for (std::size_t i = 0; i < accepted.size(); i++) {
+      for (std::size_t j = 0; j < delivered.size(); j++) {
+        const auto [z, r] = satDiff(accepted[i], delivered[j]);
+        atZero[i].push_back(z);
+        atRailF[i].push_back(r);
       }
     }
-    return sum;
-  };
-  const auto eqConst = [&](const std::vector<NodeId>& a, std::uint64_t c) {
-    NodeId eq = m.constant(true);
-    for (std::size_t i = 0; i < a.size(); i++) {
-      const bool ci = ((c >> i) & 1u) != 0;
-      eq = m.mkAnd(eq, ci ? a[i] : m.mkNot(a[i]));
-    }
-    return eq;
-  };
 
-  std::vector<NodeId> accepted, delivered;
-  for (std::size_t i = 0; i < ports.inValid.size(); i++) {
-    accepted.push_back(
-        m.mkAnd(ports.inValid[i], m.mkNot(sig(ports.inStop[i]))));
-  }
-  for (std::size_t j = 0; j < ports.outValid.size(); j++) {
-    delivered.push_back(
-        m.mkAnd(sig(ports.outValid[j]), m.mkNot(ports.outStop[j])));
-  }
-  // A channel-less side still has well-defined semantics (any delivery
-  // is then unbacked): pair against a never-firing event.
-  if (accepted.empty()) accepted.push_back(m.constant(false));
-  if (delivered.empty()) delivered.push_back(m.constant(false));
-
-  // One saturating offset register per (accept, deliver) pair; returns
-  // its two rail flags {atZero, atRail}.
-  const auto satDiff = [&](NodeId accEv, NodeId delEv) {
-    std::vector<NodeId> q(w);
-    for (unsigned b = 0; b < w; b++) {
-      q[b] = m.mkDff(m.constant(false), netlist::kNoNode, b == 0);
-    }
-    const NodeId atZero = eqConst(q, 0);
-    const NodeId atRail = eqConst(q, rail);
-    const NodeId up =
-        m.mkAnd(m.mkAnd(accEv, m.mkNot(delEv)), m.mkNot(atRail));
-    const NodeId down =
-        m.mkAnd(m.mkAnd(delEv, m.mkNot(accEv)), m.mkNot(atZero));
-    const std::vector<NodeId> inc = addConstMod(q, 1);
-    const std::vector<NodeId> dec =
-        addConstMod(q, (std::uint64_t{1} << w) - 1); // two's-complement -1
-    for (unsigned b = 0; b < w; b++) {
-      m.setDffInputs(q[b],
-                     m.mkMux(down, m.mkMux(up, q[b], inc[b]), dec[b]));
-    }
-    return std::pair<NodeId, NodeId>{atZero, atRail};
-  };
-
-  std::vector<std::vector<NodeId>> atZero(accepted.size()),
-      atRailF(accepted.size());
-  for (std::size_t i = 0; i < accepted.size(); i++) {
+    // token conservation: some output delivered more tokens than *every*
+    // input has accepted.
+    std::vector<NodeId> tokenTerms;
     for (std::size_t j = 0; j < delivered.size(); j++) {
-      const auto [z, r] = satDiff(accepted[i], delivered[j]);
-      atZero[i].push_back(z);
-      atRailF[i].push_back(r);
+      std::vector<NodeId> all;
+      for (std::size_t i = 0; i < accepted.size(); i++) {
+        all.push_back(atZero[i][j]);
+      }
+      tokenTerms.push_back(m.andTree(all));
     }
-  }
+    const NodeId tokenOut =
+        m.addOutput("__pdr_token_fail", m.orTree(tokenTerms));
 
-  // token conservation: some output delivered more tokens than *every*
-  // input has accepted.
-  std::vector<NodeId> tokenTerms;
-  for (std::size_t j = 0; j < delivered.size(); j++) {
-    std::vector<NodeId> all;
+    // buffer occupancy: some input out-ran *every* output by more than B.
+    std::vector<NodeId> occTerms;
     for (std::size_t i = 0; i < accepted.size(); i++) {
-      all.push_back(atZero[i][j]);
+      occTerms.push_back(m.andTree(atRailF[i]));
     }
-    tokenTerms.push_back(m.andTree(all));
-  }
-  mon.tokenOut = m.addOutput("__pdr_token_fail", m.orTree(tokenTerms));
-
-  // buffer occupancy: some input out-ran *every* output by more than B.
-  std::vector<NodeId> occTerms;
-  for (std::size_t i = 0; i < accepted.size(); i++) {
-    occTerms.push_back(m.andTree(atRailF[i]));
-  }
-  mon.occOut = m.addOutput("__pdr_occupancy_fail", m.orTree(occTerms));
-
-  // deadlock watchdog: saturating consecutive-stall counter, identical
-  // to the BMC monitor's (already finite-state).
-  const unsigned window = std::max(1u, watchdogWindow);
-  const unsigned ww = BusBuilder::bitsFor(window);
-  std::vector<NodeId> events;
-  for (std::size_t i = 0; i < ports.inValid.size(); i++) {
-    events.push_back(
-        m.mkAnd(ports.inValid[i], m.mkNot(sig(ports.inStop[i]))));
-  }
-  for (std::size_t j = 0; j < ports.outValid.size(); j++) {
-    events.push_back(
-        m.mkAnd(sig(ports.outValid[j]), m.mkNot(ports.outStop[j])));
-  }
-  if (events.empty()) events.push_back(m.constant(false));
-  const NodeId stall = m.mkNot(m.orTree(events));
-  std::vector<NodeId> cnt(ww);
-  for (unsigned i = 0; i < ww; i++) cnt[i] = m.mkDff(m.constant(false));
-  const NodeId atW = eqConst(cnt, window);
-  std::vector<NodeId> wq(cnt);
-  const std::vector<NodeId> winc = addConstMod(wq, 1);
-  for (unsigned i = 0; i < ww; i++) {
-    const NodeId wBit = m.constant(((window >> i) & 1u) != 0);
-    m.setDffInputs(cnt[i], m.mkAnd(stall, m.mkMux(atW, winc[i], wBit)));
-  }
-  mon.wdOut = m.addOutput("__pdr_watchdog_fail", atW);
-
-  for (const NodeId v : ports.inValid) mon.maximalEnv.push_back({v, true});
-  for (const NodeId s : ports.outStop) mon.maximalEnv.push_back({s, false});
-  return mon;
+    return std::pair{tokenOut,
+                     m.addOutput("__pdr_occupancy_fail", m.orTree(occTerms))};
+  };
+  return buildMonitor(base, ports, opts.watchdogWindow, counting);
 }
 
 // ---------------------------------------------------------------------------
@@ -233,7 +163,6 @@ public:
 
   PdrPropertyResult run() {
     result_.trace.inputs = freeInputs_;
-    if (runInduction()) return result_;
     runPdr();
     return result_;
   }
@@ -259,122 +188,9 @@ private:
     return vals;
   }
 
-  // --- k-induction rung --------------------------------------------------
-  // Returns true when the property is decided (proved / violated /
-  // degraded); false hands over to PDR with the base-case bound kept.
-
-  bool runInduction() {
-    Solver base(opts_.seed);
-    base.setBudget({opts_.conflictBudget, opts_.propagationBudget});
-    Unroller bu(base, sa_, forced_);
-    Solver step(opts_.seed);
-    step.setBudget({opts_.conflictBudget, opts_.propagationBudget});
-    Unroller su(step, sa_, forced_, /*freeInitialState=*/true);
-    bool decided = false;
-    for (unsigned k = 0; k <= opts_.maxInductionK && !decided; k++) {
-      if (cancelled()) {
-        result_.degraded = true;
-        result_.method = "bmc";
-        decided = true;
-        break;
-      }
-      // Base case: plain BMC at depth k (a SAT answer is a real
-      // counterexample with its exact depth).
-      {
-        obs::Span frameSpan("sat.bmc.frame");
-        frameSpan.arg("depth", static_cast<double>(k));
-        bu.pushFrame();
-        const Result r = base.solve({bu.outputLit(k, badOut_)});
-        if (r == Result::Sat) {
-          result_.violated = true;
-          result_.method = "bmc";
-          result_.failDepth = k;
-          for (unsigned f = 0; f <= k; f++) {
-            result_.trace.frames.push_back(modelInputs(base, bu, f));
-          }
-          decided = true;
-        } else if (r == Result::Unknown) {
-          result_.degraded = true;
-          result_.method = "bmc";
-          decided = true;
-        } else {
-          result_.depthReached = k;
-        }
-      }
-      if (decided) break;
-      // Inductive step at k: free initial state, ¬bad on frames 0..k-1
-      // (permanent units — they only strengthen as k grows), pairwise
-      // loop-free constraints over states 0..k, bad queried at frame k.
-      su.pushFrame(); // frames 0..k now exist
-      if (k >= 1) {
-        step.addClause({litNeg(su.outputLit(k - 1, badOut_))});
-        addDistinctness(step, su, k);
-      }
-      const Result r = step.solve({su.outputLit(k, badOut_)});
-      if (r == Result::Unsat) {
-        result_.provedUnbounded = true;
-        result_.method = "induction";
-        result_.inductionK = k;
-        decided = true;
-      } else if (r == Result::Unknown) {
-        result_.degraded = true;
-        result_.method = "bmc";
-        decided = true;
-      }
-    }
-    statsOut_.accumulate(base.stats());
-    statsOut_.accumulate(step.stats());
-    PdrQueryWork& work = result_.engine.at(PdrQuery::Induction);
-    work.solves = base.stats().solves + step.stats().solves;
-    work.propagations = base.stats().propagations + step.stats().propagations;
-    spentConflicts_ = base.stats().conflicts + step.stats().conflicts;
-    spentProps_ = base.stats().propagations + step.stats().propagations;
-    return decided;
-  }
-
-  /// Loop-free constraint: state `k` differs from each earlier state in
-  /// at least one bit. Literal-identical state vectors make the clause
-  /// empty — then every k-path revisits a state, the recurrence diameter
-  /// is below k, and the (already clean) base case covers all of
-  /// reachability, so the resulting top-level UNSAT is a sound proof.
-  void addDistinctness(Solver& step, const Unroller& su, unsigned k) {
-    for (unsigned a = 0; a < k; a++) {
-      std::vector<Lit> diff;
-      bool alwaysDistinct = false;
-      for (std::size_t j = 0; j < su.numDffs() && !alwaysDistinct; j++) {
-        const Lit la = su.stateLit(a, j);
-        const Lit lb = su.stateLit(k, j);
-        if (la == lb) continue;
-        if (la == litNeg(lb)) {
-          alwaysDistinct = true;
-          break;
-        }
-        const Lit x = mkLit(step.newVar(), false);
-        step.addClause({litNeg(x), la, lb});
-        step.addClause({litNeg(x), litNeg(la), litNeg(lb)});
-        diff.push_back(x);
-      }
-      if (!alwaysDistinct) step.addClause(diff);
-    }
-  }
-
-  // --- PDR/IC3 rung ------------------------------------------------------
-
   void runPdr() {
     Solver solver(opts_.seed);
-    const std::uint64_t confl =
-        opts_.conflictBudget == 0
-            ? 0
-            : (opts_.conflictBudget > spentConflicts_
-                   ? opts_.conflictBudget - spentConflicts_
-                   : 1);
-    const std::uint64_t props =
-        opts_.propagationBudget == 0
-            ? 0
-            : (opts_.propagationBudget > spentProps_
-                   ? opts_.propagationBudget - spentProps_
-                   : 1);
-    solver.setBudget({confl, props});
+    solver.setBudget({opts_.conflictBudget, opts_.propagationBudget});
     solver_ = &solver;
     Unroller tr(solver, sa_, forced_, /*freeInitialState=*/true);
     tr_ = &tr;
@@ -440,7 +256,6 @@ private:
           }
           if (frames_[k].empty()) {
             result_.provedUnbounded = true;
-            result_.method = "pdr";
             finishPdr(top);
             return;
           }
@@ -448,7 +263,6 @@ private:
       }
     } catch (const Stop&) {
       result_.degraded = true;
-      if (result_.method.empty()) result_.method = "pdr";
       finishPdr(top);
     }
   }
@@ -456,9 +270,6 @@ private:
   void finishPdr(unsigned top) {
     result_.frames = top;
     result_.clauses = liveClauses();
-    if (!result_.provedUnbounded && result_.method.empty()) {
-      result_.method = "pdr";
-    }
     charge(lastQuery_); // whatever the last query left uncharged
     statsOut_.accumulate(solver_->stats());
     solver_ = nullptr;
@@ -792,7 +603,6 @@ private:
 
   void assembleTrace(const std::vector<Obligation>& pool, std::size_t from) {
     result_.violated = true;
-    result_.method = "pdr";
     auto& frames = result_.trace.frames;
     frames.clear();
     for (std::size_t i = from; i != SIZE_MAX; i = pool[i].parent) {
@@ -809,8 +619,6 @@ private:
   std::vector<NodeId> freeInputs_;
   std::vector<bool> reset_; // per DFF index
   PdrPropertyResult result_;
-  std::uint64_t spentConflicts_ = 0;
-  std::uint64_t spentProps_ = 0;
 
   // PDR state (valid during runPdr only).
   Solver* solver_ = nullptr;
@@ -826,7 +634,6 @@ private:
 
 const char* pdrQueryName(PdrQuery q) {
   switch (q) {
-    case PdrQuery::Induction: return "induction";
     case PdrQuery::Frame: return "frame";
     case PdrQuery::Lift: return "lift";
     case PdrQuery::Consecution: return "consecution";
@@ -858,9 +665,7 @@ PdrResult proveUnbounded(const netlist::Netlist& nl,
                          const PdrOptions& opts) {
   obs::Span span("sat.pdr");
   span.arg("capacity_bound", static_cast<double>(opts.capacityBound));
-  const Monitor mon =
-      buildUnboundedMonitor(nl, ports, opts.capacityBound,
-                            opts.watchdogWindow);
+  const Monitor mon = buildPdrMonitor(nl, ports, opts);
 
   struct Property {
     const char* name;
@@ -906,6 +711,18 @@ PdrResult proveUnbounded(const netlist::Netlist& nl,
 
 namespace {
 
+enum class Property : std::uint8_t { Token, Occupancy, Watchdog };
+
+/// The property `name` names; any other name throws, so a misspelt one
+/// can never replay a different property.
+Property propertyNamed(const std::string& name) {
+  if (name == "token_conservation") return Property::Token;
+  if (name == "occupancy_bound") return Property::Occupancy;
+  if (name == "deadlock_watchdog") return Property::Watchdog;
+  throw std::invalid_argument("sat::replayTrace: unknown property \"" + name +
+                              "\"");
+}
+
 struct Accounting {
   /// Software mirror of the monitor's per-(input, output) saturating
   /// offset registers — reset 1, clamped to [0, bound + 2] — and the
@@ -940,9 +757,8 @@ struct Accounting {
   /// Property check against the *registered* offsets (events strictly
   /// before the current cycle — the monitor's fail flags read the
   /// registers the same way).
-  bool violatedNow(const std::string& property, unsigned bound,
-                   unsigned window) const {
-    if (property == "token_conservation") {
+  bool violatedNow(Property property, unsigned bound, unsigned window) const {
+    if (property == Property::Token) {
       for (std::size_t j = 0; j < off[0].size(); j++) {
         bool all = true;
         for (std::size_t i = 0; i < off.size(); i++) all &= off[i][j] == 0;
@@ -950,7 +766,7 @@ struct Accounting {
       }
       return false;
     }
-    if (property == "occupancy_bound") {
+    if (property == Property::Occupancy) {
       const unsigned rail = bound + 2;
       for (std::size_t i = 0; i < off.size(); i++) {
         bool all = true;
@@ -971,6 +787,7 @@ ReplayResult replayTrace(const netlist::Netlist& nl,
                          const sync::PortView& ports,
                          const std::string& property, const PdrTrace& trace,
                          const ReplayOptions& opts, sync::Oracle* oracle) {
+  const Property prop = propertyNamed(property);
   ReplayResult res;
   res.oracleChecked = oracle != nullptr;
   sync::Lockstep ls(nl, ports, {oracle});
@@ -1010,7 +827,7 @@ ReplayResult replayTrace(const netlist::Netlist& nl,
     ls.settle(f);
 
     if (!res.reproduced &&
-        acct.violatedNow(property, opts.capacityBound, window)) {
+        acct.violatedNow(prop, opts.capacityBound, window)) {
       res.reproduced = true;
       res.violationCycle = f;
     }
@@ -1026,7 +843,7 @@ ReplayResult replayTrace(const netlist::Netlist& nl,
   // trace frame's events is observable one settle after that frame's
   // clock edge.
   if (!res.reproduced &&
-      acct.violatedNow(property, opts.capacityBound, window)) {
+      acct.violatedNow(prop, opts.capacityBound, window)) {
     res.reproduced = true;
     res.violationCycle = static_cast<unsigned>(trace.frames.size());
   }

@@ -1,43 +1,36 @@
 #pragma once
-// Unbounded proofs of the LIS protocol invariants: k-induction and
-// PDR/IC3 over the incremental CDCL core.
+// Unbounded proofs of the LIS protocol invariants: PDR/IC3 over the
+// incremental CDCL core.
 //
 // proveUnbounded answers the question checkInvariants (sat/bmc.hpp) can
 // only bound: do token conservation, the buffer-occupancy bound and the
-// deadlock watchdog hold for *all* time? The monitor differs from the
-// BMC one — BMC's token counters are sized to the unrolling horizon and
-// wrap past it, so they cannot carry an unbounded argument. Here every
-// (input i, output j) channel pair gets one finite saturating
-// difference register, offset-encoded so diff == accepted_i −
-// delivered_j + 1 lives in [0, B+2]: the low rail means some output
-// delivered a token every input still owes it (token conservation —
-// reset sits one step above this rail, so the first excess delivery is
-// caught immediately), the high rail means some input out-ran every
-// output by more than B (occupancy). Updates are ±1 per cycle and a
-// rail is only ever *reached* exactly, so saturation never masks the
-// first violation of either G-property. The watchdog's saturating
-// stall counter is the BMC one unchanged.
+// deadlock watchdog hold for *all* time? Both engines instrument the
+// design with the one protocol monitor of sat/monitor.hpp — the same
+// handshake events, stall watchdog and maximal-progress environment —
+// and differ only in how they count tokens. BMC's token counters are
+// sized to the unrolling horizon and wrap past it, so they cannot carry
+// an unbounded argument. Here every (input i, output j) channel pair
+// gets one finite saturating difference register, offset-encoded so
+// diff == accepted_i − delivered_j + 1 lives in [0, B+2]: the low rail
+// means some output delivered a token every input still owes it (token
+// conservation — reset sits one step above this rail, so the first
+// excess delivery is caught immediately), the high rail means some input
+// out-ran every output by more than B (occupancy). Updates are ±1 per
+// cycle and a rail is only ever *reached* exactly, so saturation never
+// masks the first violation of either G-property.
 //
-// Per property the engine climbs two rungs:
-//
-//   k-induction  base case = plain BMC frames over sat::Unroller (a SAT
-//                answer is a genuine counterexample with its exact
-//                depth); inductive step = a second unrolling from a
-//                *free* initial state with pairwise state-distinctness
-//                (loop-free) constraints and ¬fail assumed on every
-//                frame but the last. Cheap, and complete in the limit —
-//                but capped at a small k.
-//   PDR/IC3      frame-relative clause trapezoid F_1 ⊇ F_2 ⊇ … over a
-//                one-step transition relation (a free-initial-state
-//                Unroller with a single frame), a proof-obligation
-//                priority queue, inductive generalization driven by the
-//                solver's unsat cores over the assumption literals,
-//                clause pushing after every new frame, and fixpoint
-//                detection (some frame's delta empties) → proved for
-//                all time.
+// The engine, per property, is PDR/IC3: a frame-relative clause
+// trapezoid F_1 ⊇ F_2 ⊇ … over a one-step transition relation (a
+// free-initial-state Unroller with a single frame), a proof-obligation
+// priority queue, inductive generalization driven by the solver's unsat
+// cores over the assumption literals, clause pushing after every new
+// frame, and fixpoint detection (some frame's delta empties) → proved
+// for all time. An obligation cube that meets the reset state closes a
+// concrete counterexample: a bad reset state is reported at depth 0
+// with a one-frame trace.
 //
 // Each property runs on its own cone of influence: the monitor is built
-// once over the whole design, then the engines unroll only the sequential
+// once over the whole design, then the engine unrolls only the sequential
 // cone of that property's fail output (netlist::extractCone: transitive
 // fanin through gates and DFF data/enable pins). Shells and relay
 // stations compute valid/stop from their control state alone, so the
@@ -46,7 +39,7 @@
 // and only the size of every SAT query shrinks.
 //
 // The enabled properties are independent: each builds its own cone and
-// owns its solvers, and only reads the shared monitor. proveUnbounded
+// owns its solver, and only reads the shared monitor. proveUnbounded
 // fans them out through PdrOptions::runner (the flow's ProveUnbounded
 // pass points it at its Executor), so they may run concurrently; their
 // results and solver totals are joined in property order, so the
@@ -59,9 +52,9 @@
 // through sync::Lockstep, as cosim and fault injection do;
 // given a behavioural oracle (sync::Oracle) it also compares the netlist
 // with it in lockstep — the cosim cross-validation of the monitor.
-// A budget/cancellation stop degrades to the bounded result
-// (`degraded = true`, depthReached = the BMC bound established on the
-// way up), never to `proved`.
+// A budget/cancellation/frame-cap stop degrades to a bounded result
+// (`degraded = true`, depthReached = the deepest frame PDR cleared of
+// bad states, 0 when it cleared none), never to `proved`.
 
 #include <array>
 #include <cstddef>
@@ -83,10 +76,6 @@ struct PdrOptions {
   /// Storage bound B and watchdog window, as in BmcOptions.
   unsigned capacityBound = 8;
   unsigned watchdogWindow = 8;
-  /// k-induction rung: largest inductive step tried before PDR takes
-  /// over (0 skips straight to PDR; the base-case BMC frames are kept
-  /// either way as the degraded-result bound).
-  unsigned maxInductionK = 4;
   /// PDR frame cap — a trapezoid this tall without a fixpoint degrades.
   unsigned maxFrames = 128;
   /// Literal-drop attempts per inductive generalization beyond the
@@ -125,7 +114,6 @@ struct PdrTrace {
 /// The kinds of SAT query a property's proof issues, for the solver work
 /// split in PdrEngineStats::work.
 enum class PdrQuery : std::uint8_t {
-  Induction,   // both k-induction solvers: base-case BMC frames and steps
   Frame,       // PDR's bad-state query on the top frame
   Lift,        // shrinking a model's state to a cube (bad or predecessor)
   Consecution, // an obligation's relative-induction query
@@ -133,9 +121,9 @@ enum class PdrQuery : std::uint8_t {
   Forward,     // pushing a just-learned clause forward, after a block
   Push,        // the push phase after a new frame
 };
-inline constexpr std::size_t kPdrQueryKinds = 7;
+inline constexpr std::size_t kPdrQueryKinds = 6;
 
-/// "induction", "frame", "lift", "consecution", "mic", "forward", "push".
+/// "frame", "lift", "consecution", "mic", "forward", "push".
 const char* pdrQueryName(PdrQuery q);
 
 struct PdrQueryWork {
@@ -143,7 +131,7 @@ struct PdrQueryWork {
   std::uint64_t propagations = 0;
 };
 
-/// Aggregate engine counters (summed over both rungs).
+/// Aggregate engine counters of one property's proof.
 struct PdrEngineStats {
   std::uint64_t obligations = 0;     // proof obligations dequeued
   std::uint64_t cubesBlocked = 0;    // clauses learned into the trapezoid
@@ -151,12 +139,11 @@ struct PdrEngineStats {
   std::uint64_t micDroppedLits = 0;  // further literals dropped by MIC passes
   std::uint64_t pushedClauses = 0;   // clauses propagated forward a frame
   std::uint64_t liftedLits = 0;      // literals dropped lifting model cubes
-  /// Solver work per query kind, indexed by PdrQuery. Induction holds its
-  /// two solvers whole; on the PDR solver, work done between queries
-  /// (encoding the transition relation, adding clauses) is charged to the
-  /// query that follows it, and any after the last query to that one. The
-  /// kinds sum to the property's share of PdrResult::stats.solves and
-  /// .propagations.
+  /// Solver work per query kind, indexed by PdrQuery. Work done between
+  /// queries (encoding the transition relation, adding clauses) is charged
+  /// to the query that follows it, and any after the last query to that
+  /// one. The kinds sum to the property's share of PdrResult::stats.solves
+  /// and .propagations.
   std::array<PdrQueryWork, kPdrQueryKinds> work{};
 
   PdrQueryWork& at(PdrQuery q) { return work[static_cast<std::size_t>(q)]; }
@@ -170,12 +157,11 @@ struct PdrPropertyResult {
   bool provedUnbounded = false;
   bool violated = false;
   bool degraded = false;       // budget/cancel/frame-cap stop: bounded only
-  std::string method;          // "induction" | "pdr" | "bmc" (violations/degrades)
-  unsigned inductionK = 0;     // proving k (method == "induction")
   unsigned frames = 0;         // PDR trapezoid height at exit
   unsigned clauses = 0;        // live trapezoid clauses at exit
   unsigned failDepth = 0;      // first violating cycle (valid when violated)
-  unsigned depthReached = 0;   // deepest cycle proven clean (bounded sense)
+  unsigned depthReached = 0;   // deepest frame PDR cleared of bad states:
+                               // no cycle up to it is bad (0: none cleared)
   unsigned coneDffs = 0;       // DFFs in the fail output's cone (see header)
   PdrTrace trace;              // non-empty when violated
   PdrEngineStats engine;
@@ -183,7 +169,7 @@ struct PdrPropertyResult {
 
 struct PdrResult {
   std::vector<PdrPropertyResult> properties;
-  SolverStats stats; // summed over every solver the engine ran
+  SolverStats stats; // summed over the properties' solvers
 
   /// Vacuously true with zero enabled properties (same contract as
   /// BmcResult::allHold / minDepthReached: never reads as a proof).
@@ -216,13 +202,6 @@ struct PdrResult {
       d = p.depthReached < d ? p.depthReached : d;
     }
     return d;
-  }
-  unsigned maxInductionK() const {
-    unsigned k = 0;
-    for (const PdrPropertyResult& p : properties) {
-      k = p.inductionK > k ? p.inductionK : k;
-    }
-    return k;
   }
   unsigned totalFrames() const {
     unsigned f = 0;
@@ -271,7 +250,8 @@ struct ReplayResult {
 
 /// Replay `trace` on the design netlist with exact token accounting,
 /// independent of the SAT monitor (property is the result's name:
-/// "token_conservation" | "occupancy_bound" | "deadlock_watchdog"). The
+/// "token_conservation" | "occupancy_bound" | "deadlock_watchdog"; any
+/// other name throws std::invalid_argument before the replay). The
 /// frames drive the channel ports through sync::Lockstep;
 /// inputs outside `ports` are not driven. With `oracle`, the behavioural
 /// network runs in lockstep and the netlist's stop/valid/data ports are

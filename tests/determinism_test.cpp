@@ -153,11 +153,9 @@ void checkSamePdr(const lis::sat::PdrResult& a, const lis::sat::PdrResult& b) {
     const lis::sat::PdrPropertyResult& x = a.properties[p];
     const lis::sat::PdrPropertyResult& y = b.properties[p];
     CHECK(x.name == y.name);
-    CHECK(x.method == y.method);
     CHECK_EQ(x.provedUnbounded, y.provedUnbounded);
     CHECK_EQ(x.violated, y.violated);
     CHECK_EQ(x.degraded, y.degraded);
-    CHECK_EQ(x.inductionK, y.inductionK);
     CHECK_EQ(x.frames, y.frames);
     CHECK_EQ(x.clauses, y.clauses);
     CHECK_EQ(x.depthReached, y.depthReached);

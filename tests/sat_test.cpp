@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -453,7 +455,7 @@ void testBmcBrokenRelayKnownDepth() {
 }
 
 // ---------------------------------------------------------------------------
-// unbounded proofs (k-induction + PDR)
+// unbounded proofs (PDR)
 
 /// The deliberately broken relay from testBmcBrokenRelayKnownDepth,
 /// shared by the unbounded-proof counterexample tests.
@@ -509,8 +511,8 @@ void testResultEmptyEdges() {
 }
 
 void testPdrProvesHandBuiltMachines() {
-  // A register that holds its reset value for ever: bad = !q is
-  // 1-inductive, so the induction rung proves it without PDR.
+  // A register that holds its reset value for ever: PDR must find the
+  // one-clause inductive invariant (q) and hit the fixpoint.
   {
     nlx::Netlist nl("hold");
     const nlx::NodeId q = nl.mkDff(nl.constant(false), nlx::kNoNode, true);
@@ -523,27 +525,27 @@ void testPdrProvesHandBuiltMachines() {
     CHECK(r.provedUnbounded);
     CHECK(!r.violated);
     CHECK(!r.degraded);
-    CHECK(r.method == "induction");
-    CHECK(r.inductionK <= 1u);
-    CHECK(stats.solves > 0);
-  }
-  // Same machine with the induction rung disabled: PDR must find the
-  // one-clause inductive invariant (q) and hit the fixpoint.
-  {
-    nlx::Netlist nl("hold_pdr");
-    const nlx::NodeId q = nl.mkDff(nl.constant(false), nlx::kNoNode, true);
-    nl.setDffInputs(q, q);
-    const nlx::NodeId bad = nl.addOutput("bad", nl.mkNot(q));
-    sat::SolverStats stats;
-    sat::PdrOptions opts;
-    opts.maxInductionK = 0;
-    const sat::PdrPropertyResult r =
-        sat::provePropertyUnbounded(nl, bad, {}, opts, stats);
-    CHECK(r.provedUnbounded);
-    CHECK(r.method == "pdr");
     CHECK(r.frames >= 2u);
     CHECK(r.clauses >= 1u);
     CHECK(r.engine.cubesBlocked >= 1u);
+    CHECK(stats.solves > 0);
+  }
+  // A register that resets to 1 and loads 0, with bad = q: the reset
+  // state itself is bad. PDR's first bad state meets init, so the
+  // violation comes back at depth 0 with a one-frame trace.
+  {
+    nlx::Netlist nl("bad_reset");
+    const nlx::NodeId q = nl.mkDff(nl.constant(false), nlx::kNoNode, true);
+    const nlx::NodeId bad = nl.addOutput("bad", q);
+    sat::SolverStats stats;
+    sat::PdrOptions opts;
+    const sat::PdrPropertyResult r =
+        sat::provePropertyUnbounded(nl, bad, {}, opts, stats);
+    CHECK(r.violated);
+    CHECK(!r.provedUnbounded);
+    CHECK(!r.degraded);
+    CHECK_EQ(r.failDepth, 0u);
+    CHECK_EQ(r.trace.frames.size(), 1u);
   }
   // A 3-bit counter that saturates at 7 with bad = (value == 2) — but 2
   // is unreachable because the counter steps 0,1,3,7 (shift-in style).
@@ -564,11 +566,9 @@ void testPdrProvesHandBuiltMachines() {
         "bad", nl.mkAnd(q[1], nl.mkAnd(nl.mkNot(q[0]), nl.mkNot(q[2]))));
     sat::SolverStats stats;
     sat::PdrOptions opts;
-    opts.maxInductionK = 0;
     const sat::PdrPropertyResult r =
         sat::provePropertyUnbounded(nl, bad, {}, opts, stats);
     CHECK(r.provedUnbounded);
-    CHECK(r.method == "pdr");
   }
   // A forced input outside the property's cone is dropped before the
   // unrolling, and the trace still carries the caller's forced list:
@@ -624,20 +624,33 @@ void testPdrCleanTopologiesProvedUnbounded() {
 }
 
 void testPdrSearchPinned() {
-  // The solver's level-0 cleanup and the per-kind accounting leave the
-  // search exactly as it was: ringSpec(Binary), one property at a time,
-  // default options, reproduces the trapezoid and solver counters of the
-  // solver without the cleanup. token_conservation runs the cleanup 33
-  // times, occupancy_bound twice, the watchdog once.
+  // PDR's search is pinned on ringSpec(Binary), one property at a time,
+  // default options: the trapezoid, the solver totals and the solver
+  // work of every query kind. The solver's level-0 cleanup runs 33 times
+  // on token_conservation, twice on occupancy_bound and once on the
+  // watchdog without moving any of them; a change to the netlist the
+  // protocol monitor builds would move them.
   struct Pin {
     const char* name;
     unsigned frames, clauses;
     std::uint64_t conflicts, propagations, solves, decisions;
+    // Solves / propagations per PDR query kind, in kinds order.
+    sat::PdrQueryWork work[6];
   };
+  const sat::PdrQuery kinds[] = {
+      sat::PdrQuery::Frame,       sat::PdrQuery::Lift,
+      sat::PdrQuery::Consecution, sat::PdrQuery::Mic,
+      sat::PdrQuery::Forward,     sat::PdrQuery::Push};
   const Pin pins[] = {
-      {"token_conservation", 17, 486, 5443, 2279676, 12350, 65888},
-      {"occupancy_bound", 9, 65, 411, 157871, 933, 7379},
-      {"deadlock_watchdog", 11, 43, 94, 52370, 473, 1885},
+      {"token_conservation", 17, 486, 5413, 2274760, 12340, 65634,
+       {{29, 3241}, {315, 60759}, {965, 175990}, {6631, 1273296},
+        {539, 103799}, {3861, 657675}}},
+      {"occupancy_bound", 9, 65, 390, 153576, 923, 7131,
+       {{16, 1765}, {45, 8516}, {111, 17955}, {529, 92595}, {52, 8549},
+        {170, 24196}}},
+      {"deadlock_watchdog", 11, 43, 87, 50273, 463, 1761,
+       {{16, 938}, {35, 4558}, {75, 8367}, {106, 12945}, {46, 5305},
+        {185, 18160}}},
   };
   const lsync::SystemSpec spec = lsync::ringSpec(lsync::Encoding::Binary);
   const lsync::System sys = lsync::buildSystem(spec);
@@ -660,6 +673,10 @@ void testPdrSearchPinned() {
     CHECK_EQ(r.stats.propagations, pin.propagations);
     CHECK_EQ(r.stats.solves, pin.solves);
     CHECK_EQ(r.stats.decisions, pin.decisions);
+    for (std::size_t k = 0; k < std::size(kinds); ++k) {
+      CHECK_EQ(p.engine.at(kinds[k]).solves, pin.work[k].solves);
+      CHECK_EQ(p.engine.at(kinds[k]).propagations, pin.work[k].propagations);
+    }
     // Every solve and propagation is charged to exactly one query kind.
     std::uint64_t solves = 0;
     std::uint64_t propagations = 0;
@@ -669,16 +686,12 @@ void testPdrSearchPinned() {
     }
     CHECK_EQ(solves, r.stats.solves);
     CHECK_EQ(propagations, r.stats.propagations);
-    CHECK(p.engine.at(sat::PdrQuery::Induction).solves > 0);
-    if (p.method == "pdr") {
-      CHECK(p.engine.at(sat::PdrQuery::Frame).solves > 0);
-      CHECK(p.engine.at(sat::PdrQuery::Consecution).solves > 0);
-    }
   }
 
   // The cleanup must keep learnt clauses satisfied at level 0 and relocate
   // (not clear) level-0 reasons, which lock learnts in reduceDB: either
   // shortcut moves BMC's search on chain2_d1 (5425 and 5122 conflicts).
+  // So would any change to the netlist the shared monitor builds for BMC.
   const lsync::SystemSpec chain =
       lsync::chainSpec(2, 1, lsync::Encoding::OneHot);
   const lsync::System chainSys = lsync::buildSystem(chain);
@@ -693,11 +706,11 @@ void testPdrSearchPinned() {
 }
 
 void testPdrBrokenRelayCexAndReplay() {
-  // Default options: the induction rung's base case is a plain BMC, so
-  // it finds the depth-1 token violation first — the monitor's reset
-  // sits one step above the token rail, so the first unbacked delivery
-  // (cycle 0, observable through the registers at cycle 1) is caught
-  // immediately, independent of the capacity bound.
+  // The counterexample comes out of PDR's obligation chain at the
+  // (provably minimal) depth 1: the monitor's reset sits one step above
+  // the token rail, so the first unbacked delivery (cycle 0, observable
+  // through the registers at cycle 1) is caught immediately, independent
+  // of the capacity bound.
   lsync::PortView view;
   const nlx::Netlist nl = brokenRelay(view);
   sat::PdrOptions opts;
@@ -738,23 +751,36 @@ void testPdrBrokenRelayCexAndReplay() {
     CHECK(wd.name == "deadlock_watchdog");
     CHECK(!wd.violated);
   }
-  // Induction rung off: the counterexample must come out of PDR's
-  // obligation chain instead, at the same (provably minimal) depth,
-  // and replay identically.
-  {
-    sat::PdrOptions pdrOnly = opts;
-    pdrOnly.maxInductionK = 0;
-    const sat::PdrResult r = sat::proveUnbounded(nl, view, pdrOnly);
-    const sat::PdrPropertyResult& token = r.properties[0];
-    CHECK(token.violated);
-    CHECK(token.method == "pdr");
-    CHECK_EQ(token.failDepth, 1u);
-    CHECK_EQ(token.trace.frames.size(), 2u);
-    checkConeTrace(token.trace);
+}
+
+void testReplayRejectsUnknownProperty() {
+  // A misspelt property name is rejected, never replayed as some other
+  // property.
+  lsync::PortView view;
+  const nlx::Netlist nl = brokenRelay(view);
+  sat::PdrOptions opts;
+  opts.capacityBound = 2;
+  opts.occupancyBound = false;
+  opts.deadlockWatchdog = false;
+  const sat::PdrResult r = sat::proveUnbounded(nl, view, opts);
+  CHECK_EQ(r.properties.size(), 1u);
+  if (r.properties.size() != 1) return;
+  const sat::PdrTrace& trace = r.properties[0].trace;
+  sat::ReplayOptions ropts;
+  ropts.capacityBound = 2;
+  std::string message;
+  try {
+    sat::replayTrace(nl, view, "token_conservaton", trace, ropts);
+  } catch (const std::invalid_argument& e) {
+    message = e.what();
+  }
+  CHECK(message.find("token_conservaton") != std::string::npos);
+  // The three property names still replay.
+  for (const char* name :
+       {"token_conservation", "occupancy_bound", "deadlock_watchdog"}) {
     const sat::ReplayResult rep =
-        sat::replayTrace(nl, view, token.name, token.trace, ropts);
-    CHECK(rep.reproduced);
-    CHECK_EQ(rep.violationCycle, 1u);
+        sat::replayTrace(nl, view, name, trace, ropts);
+    CHECK_EQ(rep.reproduced, std::string(name) == "token_conservation");
   }
 }
 
@@ -831,7 +857,6 @@ void testPdrReplayOnCosimOracle() {
     const nlx::Netlist broken = brokenRelay(bview);
     sat::PdrOptions opts;
     opts.capacityBound = 2;
-    opts.maxInductionK = 0;
     // Re-derive the PDR counterexample for the token property alone.
     sat::PdrResult r = sat::proveUnbounded(broken, bview, opts);
     const sat::PdrPropertyResult& token = r.properties[0];
@@ -996,6 +1021,7 @@ int main() {
   testPdrCleanTopologiesProvedUnbounded();
   testPdrSearchPinned();
   testPdrBrokenRelayCexAndReplay();
+  testReplayRejectsUnknownProperty();
   testProofSpansNameTheCone();
   testPdrReplayOnCosimOracle();
   testPdrBudgetDegradesToBound();
