@@ -1,18 +1,16 @@
-// lis_bench: performance trajectory for the simulation + equivalence +
-// synthesis stack.
+// lis_bench: performance trajectory of the synthesis and verification
+// flow.
 //
-// Measures scalar vs. 64-way bit-parallel simulation throughput on a large
-// generated netlist, end-to-end equivalence-check wall time on adder /
-// mux-tree / ROM pairs, and — through the flow::Pipeline — every flow
-// suite: the wrapper matrix, the chain / fork / join topologies, the
-// mesh/pipeline scaling sweep (16–100 pearls), their optimize-pipeline
-// twins, fault campaigns and SAT verification. The suites run through
-// Pipeline::runMany on a work-stealing pool: `--jobs N` picks the worker
-// count (default 1 = serial), and when N > 1 the suites are re-run
-// serially afterwards so the "sweep" header reports the observed speedup
-// against `--jobs 1`. All design-derived numbers are deterministic and
-// identical at any job count; `--strip-times` zeroes the wall-clock- and
-// job-count-dependent fields so two runs can be diffed byte-for-byte.
+// Runs every flow suite through the flow::Pipeline: the wrapper matrix,
+// the chain / fork / join topologies, the mesh/pipeline scaling sweep
+// (16–100 pearls), their optimize-pipeline twins, fault campaigns and SAT
+// verification. The suites run through Pipeline::runMany on a
+// work-stealing pool: `--jobs N` picks the worker count (default 1 =
+// serial), and when N > 1 the suites are re-run serially afterwards so the
+// "sweep" header reports the observed speedup against `--jobs 1`. All
+// design-derived numbers are deterministic and identical at any job count;
+// `--strip-times` zeroes the wall-clock- and job-count-dependent fields so
+// two runs can be diffed byte-for-byte.
 //
 // Every flow design yields one row of "metrics.configs": {suite, design,
 // failed, counters, seconds}. The counters are the design's metrics
@@ -23,15 +21,17 @@
 // successive PRs can track the numbers; CI gates the rows with the rule
 // tables of tools/check_bench_regression.py.
 //
-// Observability: spans are always recorded (the utilization numbers are
-// derived from them even without --trace); `--trace out.json` additionally
-// writes the Chrome trace-event JSON. Beside the rows, the "metrics" JSON
-// section reports process-wide engine counters, pool scheduling stats,
-// and the executor utilization derived from the trace. `--suite quick`
-// runs only the wrapper + fault + sat suites — the cheap smoke set CI
-// traces on every push. `--suite scale` runs only the production-scale
-// sweep (pipe256/pipe1024/mesh16x16/mesh32x32) under CI's wall-clock
-// ceiling; `--suite full` is everything: all plus scale.
+// Observability: beside the rows, the "metrics" JSON section reports
+// process-wide engine counters, pool scheduling stats and each suite's
+// parallel efficiency: the process CPU time its runMany used over
+// (jobs x its wall). `--trace out.json` writes the Chrome trace-event
+// JSON of the flow spans. `--suite quick` runs only the wrapper + fault +
+// sat suites — the cheap smoke set CI traces on every push. `--suite
+// scale` runs only the production-scale sweep
+// (pipe256/pipe1024/mesh16x16/mesh32x32) under CI's wall-clock ceiling;
+// `--suite full` is everything: all plus scale.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <array>
@@ -50,22 +50,10 @@
 #include "flow/executor.hpp"
 #include "flow/pipeline.hpp"
 #include "lis/synth.hpp"
-#include "netlist/bitsim.hpp"
-#include "netlist/equiv.hpp"
-#include "netlist/generate.hpp"
-#include "netlist/netlist_sim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/utilization.hpp"
-#include "support/rng.hpp"
 
 namespace {
-
-using lis::netlist::BitSim;
-using lis::netlist::Netlist;
-using lis::netlist::NetlistSim;
-using lis::netlist::NodeId;
-namespace gen = lis::netlist::gen;
 
 template <class F>
 double secondsOf(F&& f) {
@@ -75,78 +63,22 @@ double secondsOf(F&& f) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// User + system CPU time of the whole process, every thread included.
+double cpuSeconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto sec = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return sec(ru.ru_utime) + sec(ru.ru_stime);
+}
+
 // --strip-times support: every wall-clock- or job-count-dependent value is
 // emitted through scrub(), so a stripped run's stdout and JSON are a pure
 // function of the design suites — byte-identical across job counts.
 bool gStripTimes = false;
 double scrub(double v) { return gStripTimes ? 0.0 : v; }
-
-struct SimBench {
-  std::size_t nodes = 0;
-  std::size_t gates = 0;
-  double scalarPatternsPerSec = 0;
-  double bitsimPatternsPerSec = 0;
-  double speedup = 0;
-  unsigned bitsimWords = 0;
-  std::uint64_t checksum = 0; // keeps the loops honest
-};
-
-SimBench benchSim() {
-  SimBench r;
-  const Netlist dag = gen::randomDag(64, 8000, 32, /*seed=*/42);
-  r.nodes = dag.nodeCount();
-  r.gates = dag.stats().gates;
-  const NodeId probe = dag.outputs().front();
-
-  lis::support::SplitMix64 rng(1);
-
-  NetlistSim scalar(dag);
-  const unsigned scalarPatterns = 2048;
-  const double tScalar = secondsOf([&] {
-    for (unsigned p = 0; p < scalarPatterns; ++p) {
-      for (NodeId in : dag.inputs()) scalar.setInput(in, (rng.next() & 1u) != 0);
-      scalar.settle();
-      r.checksum += scalar.value(probe) ? 1 : 0;
-    }
-  });
-  r.scalarPatternsPerSec = scalarPatterns / tScalar;
-
-  const unsigned words = 4;
-  r.bitsimWords = words;
-  BitSim bits(dag, words);
-  const unsigned rounds = 256;
-  const double tBits = secondsOf([&] {
-    for (unsigned round = 0; round < rounds; ++round) {
-      for (NodeId in : dag.inputs()) {
-        for (unsigned w = 0; w < words; ++w) bits.setInputWord(in, w, rng.next());
-      }
-      bits.settle();
-      r.checksum += bits.word(probe, 0) & 1u;
-    }
-  });
-  r.bitsimPatternsPerSec = double(rounds) * 64 * words / tBits;
-  r.speedup = r.bitsimPatternsPerSec / r.scalarPatternsPerSec;
-  return r;
-}
-
-struct EquivBench {
-  std::string name;
-  double seconds = 0;
-  bool equivalent = false;
-  bool foundBySimulation = false;
-  bool hasCounterexample = false;
-};
-
-EquivBench benchEquiv(std::string name, const Netlist& a, const Netlist& b) {
-  EquivBench r;
-  r.name = std::move(name);
-  lis::netlist::EquivResult res;
-  r.seconds = secondsOf([&] { res = lis::netlist::checkCombEquivalence(a, b); });
-  r.equivalent = res.equivalent;
-  r.foundBySimulation = res.foundBySimulation;
-  r.hasCounterexample = res.counterexample.has_value();
-  return r;
-}
 
 // Replay every buffered diagnostic in submission order (that ordering is
 // the parallel-vs-serial determinism contract) and count the designs that
@@ -170,26 +102,16 @@ std::size_t reportFailures(const std::vector<lis::flow::RunResult>& results) {
   return failed;
 }
 
-std::string jsonEquiv(const EquivBench& e) {
-  std::ostringstream os;
-  os << "    {\"name\": \"" << e.name << "\", \"seconds\": "
-     << scrub(e.seconds)
-     << ", \"equivalent\": " << (e.equivalent ? "true" : "false")
-     << ", \"counterexample_by_sim\": "
-     << (e.foundBySimulation ? "true" : "false")
-     << ", \"has_counterexample\": "
-     << (e.hasCounterexample ? "true" : "false") << "}";
-  return os.str();
-}
-
 // One flow suite's run: its designs and their results in submission
-// order, plus the counters its stdout lines show (the JSON rows carry all
-// of them).
+// order, the counters its stdout lines show (the JSON rows carry all of
+// them), and the wall and process CPU time of its runMany.
 struct SuiteRun {
   const char* suite = "";
   std::vector<const char*> shown;
   std::vector<lis::flow::Design> designs;
   std::vector<lis::flow::RunResult> results;
+  double wallSeconds = 0;
+  double cpuSeconds = 0;
 };
 
 constexpr std::uint64_t kMatrixCosimCycles = 2000;
@@ -203,10 +125,10 @@ enum class SuiteMode { Quick, All, Scale, Full };
 
 // The sat suite stays in the smoke set because it is acceptance-gated
 // (check_bench_regression's sat rules), although it is the slowest
-// suite: 20 s of wall (49 s busy) at --jobs 4 on a 4-thread Xeon VM,
+// suite: 10 s of wall (29 s of CPU) at --jobs 4 on a 4-thread VM,
 // Release build, mostly in the unbounded PDR proofs.
-// Each suite's runMany is wrapped in a "suite"-category span: those
-// windows are what computeUtilization measures.
+// Each suite's runMany is wrapped in a "suite"-category span for the
+// trace and timed as wall and process CPU for its parallel efficiency.
 std::vector<SuiteRun> runFlowSuites(lis::flow::Executor& exec,
                                     SuiteMode mode) {
   using lis::flow::Pipeline;
@@ -225,7 +147,10 @@ std::vector<SuiteRun> runFlowSuites(lis::flow::Executor& exec,
     r.suite = suite;
     r.shown = std::move(shown);
     r.designs = std::move(designs);
-    r.results = pipe.runMany(r.designs, exec);
+    const double cpu0 = cpuSeconds();
+    r.wallSeconds =
+        secondsOf([&] { r.results = pipe.runMany(r.designs, exec); });
+    r.cpuSeconds = cpuSeconds() - cpu0;
   };
   const bool matrix = mode == SuiteMode::All || mode == SuiteMode::Full;
   if (mode != SuiteMode::Scale) {
@@ -350,47 +275,12 @@ int main(int argc, char** argv) {
   }
 
   lis::obs::setThreadName("main");
-  // Spans are recorded unconditionally: the executor-utilization numbers
-  // in the "metrics" section are derived from them, with or without a
-  // --trace file to also write.
-  lis::obs::Tracer::instance().enable();
-
-  const SimBench sim = benchSim();
-  std::printf("sim: %zu nodes (%zu gates), scalar %.0f pat/s, bit-parallel "
-              "%.0f pat/s (%u words), speedup %.1fx\n",
-              sim.nodes, sim.gates, scrub(sim.scalarPatternsPerSec),
-              scrub(sim.bitsimPatternsPerSec), sim.bitsimWords,
-              scrub(sim.speedup));
-
-  std::vector<EquivBench> equivs;
-  equivs.push_back(benchEquiv("adder16_equivalent", gen::adder(16),
-                              gen::adder(16, /*swapOperands=*/true)));
-  equivs.push_back(benchEquiv("adder16_inequivalent", gen::adder(16),
-                              gen::adder(16, false, /*corruptMsb=*/true)));
-  equivs.push_back(benchEquiv(
-      "muxtree16_equivalent", gen::muxTree(4, gen::MuxStyle::Tree),
-      gen::muxTree(4, gen::MuxStyle::SumOfProducts)));
-  equivs.push_back(benchEquiv("rom64x8_equivalent",
-                              gen::romReader(6, 8, /*seed=*/7),
-                              gen::romReader(6, 8, 7, /*asLogic=*/true)));
-  equivs.push_back(benchEquiv("rom64x8_inequivalent",
-                              gen::romReader(6, 8, 7),
-                              gen::romReader(6, 8, 7, false, /*corrupt=*/true)));
-  for (const EquivBench& e : equivs) {
-    std::printf("equiv %-22s %.4fs equivalent=%d by_sim=%d\n", e.name.c_str(),
-                scrub(e.seconds), e.equivalent ? 1 : 0,
-                e.foundBySimulation ? 1 : 0);
-  }
+  if (!tracePath.empty()) lis::obs::Tracer::instance().enable();
 
   // The flow suites, scheduled across the pool. When parallel, a serial
   // re-run afterwards yields the observed speedup vs --jobs 1 (fresh
   // Designs each time — the artifact caches would otherwise turn the
   // re-run into a no-op).
-  // Engine counters from here on belong to the flow suites: the
-  // microbenches above already flushed their engines' lifetime totals into
-  // the global registry, and their numbers are reported in their own
-  // sections.
-  lis::obs::Registry::global().reset();
   // Both measured runs (parallel here, serial re-run below) start from a
   // cold synthesis cache: a warm cache would hand the second run its
   // minimized covers for free and overstate the speedup.
@@ -404,16 +294,12 @@ int main(int argc, char** argv) {
     failedConfigs += reportFailures(run.results);
   }
 
-  // Snapshot trace, engine counters and pool stats before the serial
-  // re-run below: its duplicated work must pollute neither the exported
-  // trace (suspend/resume) nor the engine/utilization numbers, so both
-  // stay a pure function of the parallel run.
-  const std::vector<lis::obs::TraceEvent> traceEvents =
-      lis::obs::Tracer::instance().snapshot();
+  // Snapshot engine counters and pool stats before the serial re-run
+  // below: its duplicated work must pollute neither them nor the exported
+  // trace (suspend/resume), so all stay a pure function of the parallel
+  // run.
   const std::string engineJson = lis::obs::Registry::global().json();
   const lis::flow::Executor::PoolStats pool = exec.poolStats();
-  const lis::obs::UtilizationReport util =
-      lis::obs::computeUtilization(traceEvents, jobs);
 
   // The serial re-run only exists to measure speedup — whose fields are
   // scrubbed to 0 under --strip-times, so skip the (doubled) work there.
@@ -484,36 +370,31 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
+  // Parallel efficiency: the process CPU a suite's runMany used over the
+  // core-seconds `jobs` workers had in its wall.
+  const auto efficiency = [jobs](double cpu, double wall) {
+    return wall > 0 ? cpu / (jobs * wall) : 0.0;
+  };
+  double suitesCpu = 0;
+  double suitesWall = 0;
+  for (const SuiteRun& run : runs) {
+    suitesCpu += run.cpuSeconds;
+    suitesWall += run.wallSeconds;
+  }
   if (!gStripTimes) {
     std::printf("utilization: %.2f overall parallel efficiency over %u "
                 "worker(s)\n",
-                util.overallParallelEfficiency, util.workers);
-    for (const lis::obs::SuiteUtilization& su : util.suites) {
-      std::printf("utilization: %-12s wall %.3fs busy %.3fs (%u threads) "
-                  "efficiency %.2f\n",
-                  su.suite.c_str(), su.wallSeconds, su.busySeconds,
-                  su.threads, su.parallelEfficiency);
+                efficiency(suitesCpu, suitesWall), jobs);
+    for (const SuiteRun& run : runs) {
+      std::printf("utilization: %-12s wall %.3fs cpu %.3fs efficiency "
+                  "%.2f\n",
+                  run.suite, run.wallSeconds, run.cpuSeconds,
+                  efficiency(run.cpuSeconds, run.wallSeconds));
     }
   }
 
   std::ostringstream js;
   js << "{\n"
-     << "  \"sim\": {\n"
-     << "    \"netlist_nodes\": " << sim.nodes << ",\n"
-     << "    \"netlist_gates\": " << sim.gates << ",\n"
-     << "    \"scalar_patterns_per_sec\": " << scrub(sim.scalarPatternsPerSec)
-     << ",\n"
-     << "    \"bitsim_patterns_per_sec\": " << scrub(sim.bitsimPatternsPerSec)
-     << ",\n"
-     << "    \"bitsim_words\": " << sim.bitsimWords << ",\n"
-     << "    \"speedup\": " << scrub(sim.speedup) << ",\n"
-     << "    \"checksum\": " << sim.checksum << "\n"
-     << "  },\n"
-     << "  \"equiv\": [\n";
-  for (std::size_t i = 0; i < equivs.size(); ++i) {
-    js << jsonEquiv(equivs[i]) << (i + 1 < equivs.size() ? ",\n" : "\n");
-  }
-  js << "  ],\n"
      << "  \"settings\": {\"opt_effort\": " << lis::bench::kOptEffort
      << ", \"opt_map_rounds\": " << lis::bench::kOptMapRounds
      << ", \"fault_inject_cycles\": "
@@ -533,23 +414,22 @@ int main(int argc, char** argv) {
   if (gStripTimes) {
     // Utilization is wall-clock-derived, so it is null under
     // --strip-times (the regression gate only requires it of timed
-    // parallel runs). Untraced runs still report it: the spans it is
-    // computed from are recorded whether or not --trace writes a file.
+    // parallel runs).
     js << "    \"utilization\": null\n";
   } else {
-    js << "    \"utilization\": {\"workers\": " << util.workers
+    js << "    \"utilization\": {\"workers\": " << jobs
        << ", \"suites\": [\n";
-    for (std::size_t i = 0; i < util.suites.size(); ++i) {
-      const lis::obs::SuiteUtilization& su = util.suites[i];
-      js << "      {\"suite\": \"" << su.suite
-         << "\", \"wall_seconds\": " << su.wallSeconds
-         << ", \"busy_seconds\": " << su.busySeconds
-         << ", \"threads\": " << su.threads
-         << ", \"parallel_efficiency\": " << su.parallelEfficiency << "}"
-         << (i + 1 < util.suites.size() ? ",\n" : "\n");
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const SuiteRun& run = runs[i];
+      js << "      {\"suite\": \"" << run.suite
+         << "\", \"wall_seconds\": " << run.wallSeconds
+         << ", \"cpu_seconds\": " << run.cpuSeconds
+         << ", \"parallel_efficiency\": "
+         << efficiency(run.cpuSeconds, run.wallSeconds) << "}"
+         << (i + 1 < runs.size() ? ",\n" : "\n");
     }
     js << "    ], \"overall_parallel_efficiency\": "
-       << util.overallParallelEfficiency << "}\n";
+       << efficiency(suitesCpu, suitesWall) << "}\n";
   }
   js << "  },\n"
      << "  \"sweep\": {\n"

@@ -205,7 +205,7 @@ inline techmap::MapOptions optMapOptions() {
 inline flow::Pipeline optPasses() {
   flow::Pipeline pipe;
   pipe.synthesizeControl()
-      .optimizeAig(kOptEffort, /*prove=*/true)
+      .optimizeAig(kOptEffort)
       .mapLuts(4, kOptMapRounds)
       .sta();
   return pipe;

@@ -6,8 +6,8 @@
 // a prebuilt netlist (generators, hand-built test circuits). Every derived
 // artifact — synthesized netlist, LUT mapping, area report, timing report,
 // FSM minimization stats — is computed lazily on first access, cached, and
-// wall-timed, so passes stay cheap to reorder and a Report pass only pays
-// for what earlier passes (or direct accessor calls) actually produced.
+// wall-timed, so passes stay cheap to reorder and each pays only for the
+// artifacts it reads.
 //
 // Invalidation: remapping with a different (k, rounds) drops the area and
 // timing caches but never the synthesized netlist; running the AIG
@@ -122,8 +122,8 @@ public:
   const techmap::AreaReport& area(const techmap::MapOptions& options);
   const techmap::AreaReport& area(unsigned k = 4);
   /// Timing under `params`. Cached until the mapping changes; the params
-  /// of the first call after a (re)map stick — pass them through the Sta
-  /// pass to change them.
+  /// of the first call after a (re)map stick, and the Sta pass asks for
+  /// the defaults.
   const timing::TimingReport& timing(const timing::TechParams& params = {});
 
   bool hasNetlist() const { return netlistPtr() != nullptr; }
@@ -172,9 +172,11 @@ public:
   void setVerilog(std::string v) { verilog_ = std::move(v); }
 
   /// Per-config metrics registry, filled by the passes that ran on this
-  /// design (aig.*, cosim.*, fault.*, proof.*, ...) and serialized by the
-  /// Report pass / the bench. Single-writer like the other pass-produced
-  /// artifacts: exactly one pipeline task owns a Design at a time.
+  /// design (each number once, through PassContext::metric, under the
+  /// pass's namespace: aig.*, cosim.*, fault.*, proof.*, ...; plus the
+  /// sat.* solver sums) and serialized by the Report pass / the bench.
+  /// Single-writer like the other pass-produced artifacts: exactly one
+  /// pipeline task owns a Design at a time.
   obs::Registry& metrics() { return *metrics_; }
   const obs::Registry& metrics() const { return *metrics_; }
 

@@ -39,8 +39,9 @@ void PassContext::error(std::string message) {
   failed_ = true;
 }
 
-void PassContext::metric(std::string key, double value) {
-  metrics_->emplace_back(std::move(key), value);
+void PassContext::metric(const std::string& key, double value) {
+  metrics_->emplace_back(key, value);
+  registry_->set(ns_ + "." + key, value);
 }
 
 void PassContext::parallelFor(std::size_t n,
@@ -66,28 +67,23 @@ void SynthesizeControl::run(Design& design, PassContext& ctx) {
   const netlist::Netlist& nl = design.netlist();
   design.setBuildRunner({});
   const netlist::NetlistStats st = nl.stats();
-  ctx.metric("gates", static_cast<double>(st.gates));
-  ctx.metric("dffs", static_cast<double>(st.dffs));
-  design.metrics().set("synth.gates", static_cast<double>(st.gates));
-  design.metrics().set("synth.dffs", static_cast<double>(st.dffs));
+  ctx.metric("nodes", nl.nodeCount());
+  ctx.metric("gates", st.gates);
+  ctx.metric("dffs", st.dffs);
+  ctx.metric("inputs", st.inputs);
+  ctx.metric("outputs", st.outputs);
+  ctx.metric("rom_bits", st.romBits);
   if (const sync::FsmSynthStats* fs = design.controlStats()) {
-    ctx.metric("sop_functions", static_cast<double>(fs->functions));
-    ctx.metric("sop_cubes", static_cast<double>(fs->cubesAfter));
-    ctx.metric("sop_literals", static_cast<double>(fs->literalsAfter));
-    design.metrics().set("synth.sop_cubes",
-                         static_cast<double>(fs->cubesAfter));
-    design.metrics().set("synth.sop_literals",
-                         static_cast<double>(fs->literalsAfter));
+    ctx.metric("sop_functions", fs->functions);
+    ctx.metric("sop_cubes", fs->cubesAfter);
+    ctx.metric("sop_literals", fs->literalsAfter);
   } else {
     ctx.note(design.name() + ": prebuilt netlist, nothing to synthesize");
   }
   if (const sync::SystemSpec* spec = design.systemSpec()) {
-    design.metrics().set("synth.pearls",
-                         static_cast<double>(spec->pearls.size()));
-    design.metrics().set("synth.channels",
-                         static_cast<double>(spec->channels.size()));
-    design.metrics().set("synth.relay_stations",
-                         static_cast<double>(design.system()->relayStations));
+    ctx.metric("pearls", spec->pearls.size());
+    ctx.metric("channels", spec->channels.size());
+    ctx.metric("relay_stations", design.system()->relayStations);
   }
 }
 
@@ -96,44 +92,35 @@ void OptimizeAig::run(Design& design, PassContext& ctx) {
   const netlist::Netlist& optimized =
       design.optimize({.effort = effort_});
   const aig::OptimizeStats& st = *design.optimizeStats();
-  ctx.metric("effort", static_cast<double>(effort_));
-  ctx.metric("aig_ands_before", static_cast<double>(st.andsBefore));
-  ctx.metric("aig_ands_after", static_cast<double>(st.andsAfter));
-  ctx.metric("aig_depth_before", static_cast<double>(st.depthBefore));
-  ctx.metric("aig_depth_after", static_cast<double>(st.depthAfter));
-  ctx.metric("rounds_run", static_cast<double>(st.roundsRun));
-  ctx.metric("rewrite_adoptions", static_cast<double>(st.rewriteAdoptions));
-  ctx.metric("cuts_enumerated", static_cast<double>(st.cutsEnumerated));
-  obs::Registry& m = design.metrics();
-  m.set("aig.ands_before", static_cast<double>(st.andsBefore));
-  m.set("aig.ands_after", static_cast<double>(st.andsAfter));
-  m.set("aig.rounds_run", static_cast<double>(st.roundsRun));
-  m.set("aig.rewrite_adoptions", static_cast<double>(st.rewriteAdoptions));
-  m.set("aig.cuts_enumerated", static_cast<double>(st.cutsEnumerated));
-  if (prove_) {
-    const netlist::SeqEquivResult proof =
-        netlist::checkSeqEquivalence(before, optimized, equiv_);
-    design.addProofStats(proof.proof);
-    m.set("aig.equiv_sat_conflicts",
-          static_cast<double>(proof.proof.satConflicts));
-    m.set("aig.equiv_sat_propagations",
-          static_cast<double>(proof.proof.satPropagations));
-    if (!proof.equivalent) {
-      ctx.error(design.name() +
-                ": optimized netlist is NOT equivalent: " + proof.detail);
-      return;
-    }
-    // equiv_proved counts full proofs only; a budget-degraded screen is
-    // still a pass, but reported as such with its residual confidence.
-    ctx.metric("equiv_proved", proof.degraded ? 0.0 : 1.0);
-    m.set("aig.equiv_proved", proof.degraded ? 0.0 : 1.0);
-    ctx.metric("equiv_confidence", proof.confidence);
-    if (proof.degraded) {
-      ctx.warning(design.name() + ": equivalence degraded to " +
-                  std::string(netlist::equivMethodName(proof.method)) +
-                  " screen (SAT budget exceeded), confidence " +
-                  std::to_string(proof.confidence));
-    }
+  ctx.metric("effort", effort_);
+  ctx.metric("ands_before", st.andsBefore);
+  ctx.metric("ands_after", st.andsAfter);
+  ctx.metric("depth_before", st.depthBefore);
+  ctx.metric("depth_after", st.depthAfter);
+  ctx.metric("rounds_run", st.roundsRun);
+  ctx.metric("rewrite_adoptions", st.rewriteAdoptions);
+  ctx.metric("cuts_enumerated", st.cutsEnumerated);
+  // The default EquivOptions' SAT budgets make an explosive proof degrade
+  // to a reported simulation screen instead of hanging the flow.
+  const netlist::SeqEquivResult proof =
+      netlist::checkSeqEquivalence(before, optimized);
+  design.addProofStats(proof.proof);
+  ctx.metric("equiv_sat_conflicts", proof.proof.satConflicts);
+  ctx.metric("equiv_sat_propagations", proof.proof.satPropagations);
+  if (!proof.equivalent) {
+    ctx.error(design.name() +
+              ": optimized netlist is NOT equivalent: " + proof.detail);
+    return;
+  }
+  // equiv_proved counts full proofs only; a budget-degraded screen is
+  // still a pass, but reported as such with its residual confidence.
+  ctx.metric("equiv_proved", proof.degraded ? 0.0 : 1.0);
+  ctx.metric("equiv_confidence", proof.confidence);
+  if (proof.degraded) {
+    ctx.warning(design.name() + ": equivalence degraded to " +
+                std::string(netlist::equivMethodName(proof.method)) +
+                " screen (SAT budget exceeded), confidence " +
+                std::to_string(proof.confidence));
   }
 }
 
@@ -154,27 +141,22 @@ void MapLuts::run(Design& design, PassContext& ctx) {
   }
   const techmap::MappedNetlist& mapped = design.mapped(options);
   const techmap::AreaReport& area = design.area(options);
-  ctx.metric("k", static_cast<double>(k_));
-  ctx.metric("rounds", static_cast<double>(rounds_));
-  ctx.metric("luts", static_cast<double>(area.luts));
-  ctx.metric("ffs", static_cast<double>(area.ffs));
-  ctx.metric("slices", static_cast<double>(area.slices));
-  ctx.metric("lut_depth", static_cast<double>(mapped.depth));
-  design.metrics().set("map.luts", static_cast<double>(area.luts));
-  design.metrics().set("map.ffs", static_cast<double>(area.ffs));
-  design.metrics().set("map.slices", static_cast<double>(area.slices));
-  design.metrics().set("map.lut_depth", static_cast<double>(mapped.depth));
+  ctx.metric("k", k_);
+  ctx.metric("rounds", rounds_);
+  ctx.metric("luts", area.luts);
+  ctx.metric("ffs", area.ffs);
+  ctx.metric("slices", area.slices);
+  ctx.metric("lut_depth", mapped.depth);
 }
 
 void Sta::run(Design& design, PassContext& ctx) {
   if (!design.hasMapped()) {
     ctx.warning("sta before map-luts: mapping with default k");
   }
-  const timing::TimingReport& rep = design.timing(params_);
+  const timing::TimingReport& rep = design.timing();
   ctx.metric("fmax_mhz", rep.fmaxMHz);
   ctx.metric("critical_path_ns", rep.criticalPathNs);
-  ctx.metric("logic_levels", static_cast<double>(rep.logicLevels));
-  design.metrics().set("sta.fmax_mhz", rep.fmaxMHz);
+  ctx.metric("logic_levels", rep.logicLevels);
 }
 
 void ProveEncodingEquiv::run(Design& design, PassContext& ctx) {
@@ -223,8 +205,10 @@ void ProveEncodingEquiv::run(Design& design, PassContext& ctx) {
     verdicts[i] = {res.equivalent, res.degraded, res.failingOutput,
                    res.proof};
   }, "flow.proofs");
+  netlist::ProofStats work;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     design.addProofStats(verdicts[i].proof);
+    work.accumulate(verdicts[i].proof);
     if (!verdicts[i].equivalent) {
       ctx.error(specs[i].name +
                 ": one-hot and binary control differ at output " +
@@ -236,15 +220,10 @@ void ProveEncodingEquiv::run(Design& design, PassContext& ctx) {
                   ": encoding proof degraded to a simulation screen");
     }
   }
-  ctx.metric("proofs", static_cast<double>(specs.size()));
-  if (const netlist::ProofStats* p = design.proofStats()) {
-    design.metrics().set("proof.sat_conflicts",
-                         static_cast<double>(p->satConflicts));
-    design.metrics().set("proof.sat_decisions",
-                         static_cast<double>(p->satDecisions));
-    design.metrics().set("proof.sat_propagations",
-                         static_cast<double>(p->satPropagations));
-  }
+  ctx.metric("proofs", specs.size());
+  ctx.metric("sat_conflicts", work.satConflicts);
+  ctx.metric("sat_decisions", work.satDecisions);
+  ctx.metric("sat_propagations", work.satPropagations);
 }
 
 void Cosim::run(Design& design, PassContext& ctx) {
@@ -270,20 +249,17 @@ void Cosim::run(Design& design, PassContext& ctx) {
     ctx.note(design.name() + ": prebuilt netlist has no behavioural model");
     return;
   }
-  ctx.metric("cycles", static_cast<double>(r.cyclesRun));
-  ctx.metric("fires", static_cast<double>(r.fires));
-  ctx.metric("tokens", static_cast<double>(r.tokens));
-  design.metrics().set("cosim.cycles", static_cast<double>(r.cyclesRun));
-  design.metrics().set("cosim.fires", static_cast<double>(r.fires));
-  design.metrics().set("cosim.tokens", static_cast<double>(r.tokens));
+  ctx.metric("ok", r.ok ? 1.0 : 0.0);
+  ctx.metric("cycles", r.cyclesRun);
+  ctx.metric("fires", r.fires);
+  ctx.metric("tokens", r.tokens);
   // 0 flags a vacuous run: some output never delivered a token (shards
   // shorter than the design's fill latency, or a dead channel).
   const auto least =
       std::min_element(r.tokensPerOutput.begin(), r.tokensPerOutput.end());
-  design.metrics().set("cosim.min_tokens_per_output",
-                       least == r.tokensPerOutput.end()
-                           ? 0.0
-                           : static_cast<double>(*least));
+  ctx.metric("min_tokens_per_output",
+             least == r.tokensPerOutput.end() ? 0.0
+                                              : static_cast<double>(*least));
   const bool ok = r.ok;
   const bool cancelled = r.cancelled;
   const std::string mismatch = r.mismatch;
@@ -316,25 +292,15 @@ void FaultCampaign::run(Design& design, PassContext& ctx) {
     return;
   }
   fault::CampaignResult r = fault::runCampaign(target, opts);
-  ctx.metric("sites", static_cast<double>(r.all.total()));
-  ctx.metric("detected", static_cast<double>(r.all.detected));
-  ctx.metric("recovered", static_cast<double>(r.all.recovered));
-  ctx.metric("silent", static_cast<double>(r.all.silent));
-  ctx.metric("hang", static_cast<double>(r.all.hang));
+  ctx.metric("sites", r.all.total());
+  ctx.metric("detected", r.all.detected);
+  ctx.metric("recovered", r.all.recovered);
+  ctx.metric("silent", r.all.silent);
+  ctx.metric("hang", r.all.hang);
   ctx.metric("coverage", r.all.coverage());
-  ctx.metric("control_seu_sites",
-             static_cast<double>(r.controlSeu.total()));
+  ctx.metric("control_seu_sites", r.controlSeu.total());
   ctx.metric("control_seu_coverage", r.controlSeu.coverage());
-  obs::Registry& m = design.metrics();
-  m.set("fault.sites", static_cast<double>(r.all.total()));
-  m.set("fault.detected", static_cast<double>(r.all.detected));
-  m.set("fault.recovered", static_cast<double>(r.all.recovered));
-  m.set("fault.silent", static_cast<double>(r.all.silent));
-  m.set("fault.hang", static_cast<double>(r.all.hang));
-  m.set("fault.coverage", r.all.coverage());
-  m.set("fault.control_seu_sites",
-        static_cast<double>(r.controlSeu.total()));
-  m.set("fault.control_seu_coverage", r.controlSeu.coverage());
+  ctx.metric("cancelled", r.cancelled ? 1.0 : 0.0);
   const bool cancelled = r.cancelled;
   design.setFaultResult(std::move(r));
   if (cancelled) {
@@ -342,35 +308,40 @@ void FaultCampaign::run(Design& design, PassContext& ctx) {
   }
 }
 
+namespace {
+
+/// The design-level solver sums ("sat.*"): every SAT pass adds its
+/// engine's work, so they belong to no single pass's namespace.
+void addSolverWork(Design& design, const sat::SolverStats& st) {
+  obs::Registry& m = design.metrics();
+  m.add("sat.conflicts", static_cast<double>(st.conflicts));
+  m.add("sat.decisions", static_cast<double>(st.decisions));
+  m.add("sat.propagations", static_cast<double>(st.propagations));
+}
+
+} // namespace
+
 void SatSweep::run(Design& design, PassContext& ctx) {
   const netlist::Netlist& before = design.netlist();
-  sat::NetlistSweepResult swept = sat::sweepNetlist(before, options_);
+  sat::NetlistSweepResult swept = sat::sweepNetlist(before);
   const sat::SweepStats& st = swept.stats;
-  ctx.metric("candidates", static_cast<double>(st.candidates));
-  ctx.metric("proved", static_cast<double>(st.proved));
-  ctx.metric("refuted", static_cast<double>(st.refuted));
-  ctx.metric("undecided", static_cast<double>(st.undecided));
-  ctx.metric("window_proved", static_cast<double>(st.windowProved));
-  ctx.metric("aig_ands_before", static_cast<double>(st.andsBefore));
-  ctx.metric("aig_ands_after", static_cast<double>(st.andsAfter));
-  obs::Registry& m = design.metrics();
-  m.set("sweep.candidates", static_cast<double>(st.candidates));
-  m.set("sweep.proved", static_cast<double>(st.proved));
-  m.set("sweep.window_proved", static_cast<double>(st.windowProved));
-  m.set("sweep.refuted", static_cast<double>(st.refuted));
-  m.set("sweep.undecided", static_cast<double>(st.undecided));
-  m.set("sweep.ands_before", static_cast<double>(st.andsBefore));
-  m.set("sweep.ands_after", static_cast<double>(st.andsAfter));
-  m.add("sat.conflicts", static_cast<double>(st.solver.conflicts));
-  m.add("sat.decisions", static_cast<double>(st.solver.decisions));
-  m.add("sat.propagations", static_cast<double>(st.solver.propagations));
+  ctx.metric("candidates", st.candidates);
+  ctx.metric("proved", st.proved);
+  ctx.metric("window_proved", st.windowProved);
+  ctx.metric("refuted", st.refuted);
+  ctx.metric("undecided", st.undecided);
+  ctx.metric("ands_before", st.andsBefore);
+  ctx.metric("ands_after", st.andsAfter);
+  addSolverWork(design, st.solver);
 
   // Soundness gate: a sweep that cannot be proven equivalent never
   // becomes an artifact. The proof's own SAT footprint joins the
   // design's accumulated proof stats like every other equivalence check.
   const netlist::SeqEquivResult proof =
-      netlist::checkSeqEquivalence(before, swept.netlist, equiv_);
+      netlist::checkSeqEquivalence(before, swept.netlist);
   design.addProofStats(proof.proof);
+  ctx.metric("equiv_sat_conflicts", proof.proof.satConflicts);
+  ctx.metric("equiv_sat_propagations", proof.proof.satPropagations);
   if (!proof.equivalent) {
     ctx.error(design.name() +
               ": swept netlist is NOT equivalent: " + proof.detail);
@@ -378,9 +349,7 @@ void SatSweep::run(Design& design, PassContext& ctx) {
   }
   ctx.metric("equiv_proved", proof.degraded ? 0.0 : 1.0);
   ctx.metric("equiv_confidence", proof.confidence);
-  m.set("sweep.equiv_proved", proof.degraded ? 0.0 : 1.0);
-  m.set("sweep.equiv_method",
-        static_cast<double>(static_cast<unsigned>(proof.method)));
+  ctx.metric("equiv_method", static_cast<unsigned>(proof.method));
   if (proof.degraded) {
     ctx.warning(design.name() + ": sweep equivalence degraded to " +
                 std::string(netlist::equivMethodName(proof.method)) +
@@ -425,19 +394,16 @@ void CheckInvariants::run(Design& design, PassContext& ctx) {
 
   sat::BmcResult r =
       sat::checkInvariants(design.netlist(), target->ports, opts);
-  ctx.metric("depth", static_cast<double>(opts.depth));
-  ctx.metric("capacity_bound", static_cast<double>(opts.capacityBound));
-  ctx.metric("bmc_depth", static_cast<double>(r.minDepthReached()));
-  obs::Registry& m = design.metrics();
-  m.set("bmc.depth", static_cast<double>(r.minDepthReached()));
-  m.set("bmc.degraded", r.anyDegraded() ? 1.0 : 0.0);
-  m.add("sat.conflicts", static_cast<double>(r.stats.conflicts));
-  m.add("sat.decisions", static_cast<double>(r.stats.decisions));
-  m.add("sat.propagations", static_cast<double>(r.stats.propagations));
+  ctx.metric("capacity_bound", opts.capacityBound);
+  // The depth every property reached: the gate's floor reads bmc.depth.
+  ctx.metric("depth", r.minDepthReached());
+  ctx.metric("all_hold", r.allHold() ? 1.0 : 0.0);
+  ctx.metric("degraded", r.anyDegraded() ? 1.0 : 0.0);
+  addSolverWork(design, r.stats);
   std::string violated;
   for (const sat::BmcPropertyResult& p : r.properties) {
     ctx.metric(p.name + "_ok", p.violated ? 0.0 : 1.0);
-    m.set("bmc." + p.name + "_ok", p.violated ? 0.0 : 1.0);
+    ctx.metric(p.name + "_depth", p.violated ? p.failDepth : p.depthReached);
     if (p.violated) {
       violated += (violated.empty() ? "" : ", ") + p.name + " at depth " +
                   std::to_string(p.failDepth);
@@ -449,7 +415,6 @@ void CheckInvariants::run(Design& design, PassContext& ctx) {
     ctx.error(design.name() + ": protocol invariant violated: " + violated);
     return;
   }
-  ctx.metric("degraded", degraded ? 1.0 : 0.0);
   if (degraded) {
     ctx.warning(design.name() +
                 ": BMC stopped short of the requested depth (budget)");
@@ -462,8 +427,8 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
     ctx.note(design.name() + ": prebuilt netlist has no port view");
     return;
   }
-  sat::PdrOptions opts = options_;
-  if (opts.cancel == nullptr) opts.cancel = ctx.cancel();
+  sat::PdrOptions opts;
+  opts.cancel = ctx.cancel();
   opts.capacityBound = target->capacityBound;
   // One executor task per property. Each owns its solvers and the result
   // is joined in property order, so the runner moves wall time only.
@@ -474,18 +439,13 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
 
   sat::PdrResult r =
       sat::proveUnbounded(design.netlist(), target->ports, opts);
-  ctx.metric("capacity_bound", static_cast<double>(opts.capacityBound));
+  ctx.metric("capacity_bound", opts.capacityBound);
   ctx.metric("all_proved", r.allProved() ? 1.0 : 0.0);
-  ctx.metric("pdr_frames", static_cast<double>(r.totalFrames()));
-  ctx.metric("pdr_clauses", static_cast<double>(r.totalClauses()));
+  ctx.metric("degraded", r.anyDegraded() ? 1.0 : 0.0);
+  ctx.metric("frames", r.totalFrames());
+  ctx.metric("clauses", r.totalClauses());
+  addSolverWork(design, r.stats);
   obs::Registry& m = design.metrics();
-  m.set("pdr.all_proved", r.allProved() ? 1.0 : 0.0);
-  m.set("pdr.degraded", r.anyDegraded() ? 1.0 : 0.0);
-  m.set("pdr.frames", static_cast<double>(r.totalFrames()));
-  m.set("pdr.clauses", static_cast<double>(r.totalClauses()));
-  m.add("sat.conflicts", static_cast<double>(r.stats.conflicts));
-  m.add("sat.decisions", static_cast<double>(r.stats.decisions));
-  m.add("sat.propagations", static_cast<double>(r.stats.propagations));
   m.add("sat.cores", static_cast<double>(r.stats.cores));
   m.add("sat.core_lits", static_cast<double>(r.stats.coreLits));
   for (std::size_t q = 0; q < sat::kPdrQueryKinds; ++q) {
@@ -496,18 +456,14 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
     }
     const std::string kind =
         sat::pdrQueryName(static_cast<sat::PdrQuery>(q));
-    m.set("pdr.solves." + kind, static_cast<double>(work.solves));
-    m.set("pdr.propagations." + kind, static_cast<double>(work.propagations));
-  }
-  if (r.properties.empty()) {
-    ctx.note(design.name() + ": no unbounded property enabled");
-    design.setPdrResult(std::move(r));
-    return;
+    ctx.metric("solves." + kind, work.solves);
+    ctx.metric("propagations." + kind, work.propagations);
   }
   std::string violated;
   for (const sat::PdrPropertyResult& p : r.properties) {
     ctx.metric(p.name + "_proved", p.provedUnbounded ? 1.0 : 0.0);
-    m.set("pdr." + p.name + "_proved", p.provedUnbounded ? 1.0 : 0.0);
+    ctx.metric(p.name + "_violated", p.violated ? 1.0 : 0.0);
+    ctx.metric(p.name + "_depth", p.violated ? p.failDepth : p.depthReached);
     if (!p.violated) continue;
     // Cross-validate the counterexample before reporting it: replay
     // the trace on the netlist simulator with exact token accounting
@@ -528,7 +484,6 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
     ctx.error(design.name() + ": protocol invariant violated: " + violated);
     return;
   }
-  ctx.metric("degraded", degraded ? 1.0 : 0.0);
   if (degraded) {
     ctx.warning(design.name() +
                 ": unbounded proof degraded to a bounded result (budget)");
@@ -550,110 +505,14 @@ void jsonEscape(std::ostringstream& os, const std::string& s) {
 
 } // namespace
 
-void Report::run(Design& design, PassContext& ctx) {
-  const netlist::Netlist& nl = design.netlist();
-  const netlist::NetlistStats st = nl.stats();
+void Report::run(Design& design, PassContext& /*ctx*/) {
   std::ostringstream os;
   os << "{\n  \"design\": \"";
   jsonEscape(os, design.name());
-  os << "\",\n  \"netlist\": {\"nodes\": " << nl.nodeCount()
-     << ", \"gates\": " << st.gates << ", \"dffs\": " << st.dffs
-     << ", \"inputs\": " << st.inputs << ", \"outputs\": " << st.outputs
-     << ", \"rom_bits\": " << st.romBits << "}";
-  if (const sync::FsmSynthStats* fs = design.controlStats()) {
-    os << ",\n  \"control\": {\"functions\": " << fs->functions
-       << ", \"cubes\": " << fs->cubesAfter
-       << ", \"literals\": " << fs->literalsAfter << "}";
-  }
-  if (const aig::OptimizeStats* opt = design.optimizeStats()) {
-    os << ",\n  \"optimize\": {\"aig_ands_before\": " << opt->andsBefore
-       << ", \"aig_ands_after\": " << opt->andsAfter
-       << ", \"aig_depth_before\": " << opt->depthBefore
-       << ", \"aig_depth_after\": " << opt->depthAfter
-       << ", \"rounds_run\": " << opt->roundsRun
-       << ", \"rewrite_adoptions\": " << opt->rewriteAdoptions
-       << ", \"cuts_enumerated\": " << opt->cutsEnumerated << "}";
-  }
-  if (design.hasMapped()) {
-    techmap::MapOptions mo;
-    mo.k = design.mappedK();
-    mo.rounds = design.mappedRounds();
-    const techmap::AreaReport& area = design.area(mo);
-    os << ",\n  \"area\": {\"k\": " << design.mappedK()
-       << ", \"rounds\": " << design.mappedRounds()
-       << ", \"luts\": " << area.luts << ", \"ffs\": " << area.ffs
-       << ", \"slices\": " << area.slices << "}";
-  }
-  if (design.hasTiming()) {
-    const timing::TimingReport& rep = design.timing();
-    os << ",\n  \"timing\": {\"fmax_mhz\": " << rep.fmaxMHz
-       << ", \"critical_path_ns\": " << rep.criticalPathNs
-       << ", \"logic_levels\": " << rep.logicLevels << "}";
-  }
-  if (const sync::CosimResult* r = design.cosimResult()) {
-    os << ",\n  \"cosim\": {\"ok\": " << (r->ok ? "true" : "false")
-       << ", \"cycles\": " << r->cyclesRun << ", \"fires\": " << r->fires
-       << ", \"tokens\": " << r->tokens << "}";
-  }
-  if (const netlist::ProofStats* p = design.proofStats()) {
-    os << ",\n  \"proof\": {\"sat_conflicts\": " << p->satConflicts
-       << ", \"sat_propagations\": " << p->satPropagations << "}";
-  }
-  if (const sat::NetlistSweepResult* s = design.sweepResult()) {
-    os << ",\n  \"sweep\": {\"candidates\": " << s->stats.candidates
-       << ", \"proved\": " << s->stats.proved
-       << ", \"refuted\": " << s->stats.refuted
-       << ", \"undecided\": " << s->stats.undecided
-       << ", \"window_proved\": " << s->stats.windowProved
-       << ", \"aig_ands_before\": " << s->stats.andsBefore
-       << ", \"aig_ands_after\": " << s->stats.andsAfter << "}";
-  }
-  if (const sat::BmcResult* b = design.bmcResult()) {
-    os << ",\n  \"bmc\": {\"depth_reached\": " << b->minDepthReached()
-       << ", \"all_hold\": " << (b->allHold() ? "true" : "false")
-       << ", \"degraded\": " << (b->anyDegraded() ? "true" : "false")
-       << ", \"properties\": [";
-    bool firstProp = true;
-    for (const sat::BmcPropertyResult& p : b->properties) {
-      os << (firstProp ? "" : ", ") << "{\"name\": \"" << p.name
-         << "\", \"violated\": " << (p.violated ? "true" : "false")
-         << ", \"depth\": "
-         << (p.violated ? p.failDepth : p.depthReached) << "}";
-      firstProp = false;
-    }
-    os << "]}";
-  }
-  if (const sat::PdrResult* u = design.pdrResult()) {
-    os << ",\n  \"unbounded\": {\"all_proved\": "
-       << (u->allProved() ? "true" : "false")
-       << ", \"degraded\": " << (u->anyDegraded() ? "true" : "false")
-       << ", \"frames\": " << u->totalFrames()
-       << ", \"clauses\": " << u->totalClauses() << ", \"properties\": [";
-    bool firstProp = true;
-    for (const sat::PdrPropertyResult& p : u->properties) {
-      os << (firstProp ? "" : ", ") << "{\"name\": \"" << p.name
-         << "\", \"proved_unbounded\": "
-         << (p.provedUnbounded ? "true" : "false")
-         << ", \"violated\": " << (p.violated ? "true" : "false")
-         << ", \"depth\": "
-         << (p.violated ? p.failDepth : p.depthReached) << "}";
-      firstProp = false;
-    }
-    os << "]}";
-  }
-  if (const fault::CampaignResult* f = design.faultResult()) {
-    os << ",\n  \"fault\": {\"sites\": " << f->all.total()
-       << ", \"detected\": " << f->all.detected
-       << ", \"recovered\": " << f->all.recovered
-       << ", \"silent\": " << f->all.silent << ", \"hang\": " << f->all.hang
-       << ", \"coverage\": " << f->all.coverage()
-       << ", \"control_seu_sites\": " << f->controlSeu.total()
-       << ", \"control_seu_coverage\": " << f->controlSeu.coverage()
-       << ", \"cancelled\": " << (f->cancelled ? "true" : "false") << "}";
-  }
-  // Before stage_seconds: the determinism tests strip everything from
-  // stage_seconds on, so the metrics block is asserted jobs-invariant.
-  os << ",\n  \"metrics\": " << design.metrics().json();
+  // The registry before stage_seconds: the determinism tests strip
+  // everything from stage_seconds on, so the metrics are asserted
+  // jobs-invariant.
+  os << "\",\n  \"metrics\": " << design.metrics().json();
   os << ",\n  \"stage_seconds\": {";
   bool first = true;
   for (const auto& [stage, seconds] : design.stageTimes()) {
@@ -662,10 +521,8 @@ void Report::run(Design& design, PassContext& ctx) {
   }
   os << "}\n}\n";
   design.setReportJson(os.str());
-  ctx.metric("report_bytes", static_cast<double>(design.reportJson().size()));
   if (options_.verilog) {
-    design.setVerilog(netlist::emitVerilog(nl));
-    ctx.metric("verilog_bytes", static_cast<double>(design.verilog().size()));
+    design.setVerilog(netlist::emitVerilog(design.netlist()));
   }
 }
 
@@ -678,25 +535,22 @@ Pipeline& Pipeline::synthesizeControl() {
   return add(std::make_unique<SynthesizeControl>());
 }
 
-Pipeline& Pipeline::optimizeAig(unsigned effort, bool prove,
-                                const netlist::EquivOptions& equiv) {
-  return add(std::make_unique<OptimizeAig>(effort, prove, equiv));
+Pipeline& Pipeline::optimizeAig(unsigned effort) {
+  return add(std::make_unique<OptimizeAig>(effort));
 }
 
 Pipeline& Pipeline::mapLuts(unsigned k, unsigned rounds) {
   return add(std::make_unique<MapLuts>(k, rounds));
 }
 
-Pipeline& Pipeline::sta(const timing::TechParams& params) {
-  return add(std::make_unique<Sta>(params));
-}
+Pipeline& Pipeline::sta() { return add(std::make_unique<Sta>()); }
 
 Pipeline& Pipeline::proveEncodingEquiv() {
   return add(std::make_unique<ProveEncodingEquiv>());
 }
 
-Pipeline& Pipeline::proveUnbounded(const sat::PdrOptions& options) {
-  return add(std::make_unique<ProveUnbounded>(options));
+Pipeline& Pipeline::proveUnbounded() {
+  return add(std::make_unique<ProveUnbounded>());
 }
 
 Pipeline& Pipeline::cosim(const sync::CosimOptions& options) {
@@ -707,10 +561,7 @@ Pipeline& Pipeline::faultCampaign(const fault::CampaignOptions& options) {
   return add(std::make_unique<FaultCampaign>(options));
 }
 
-Pipeline& Pipeline::satSweep(const sat::SweepOptions& options,
-                             const netlist::EquivOptions& equiv) {
-  return add(std::make_unique<SatSweep>(options, equiv));
-}
+Pipeline& Pipeline::satSweep() { return add(std::make_unique<SatSweep>()); }
 
 Pipeline& Pipeline::checkInvariants(const sat::BmcOptions& options) {
   return add(std::make_unique<CheckInvariants>(options));
@@ -725,7 +576,7 @@ Pipeline& Pipeline::report(const ReportOptions& options) {
   return add(std::make_unique<Report>(options));
 }
 
-RunResult Pipeline::runOne(Design& design, Executor* exec) {
+RunResult Pipeline::runOne(Design& design, Executor* exec) const {
   RunResult result;
   result.design = design.name();
   result.ok = true;
@@ -739,7 +590,8 @@ RunResult Pipeline::runOne(Design& design, Executor* exec) {
       deadline.setDeadlineAfter(passDeadline_);
       cancel = &deadline;
     }
-    PassContext ctx(rec.name, result.diagnostics, rec.metrics, exec, cancel);
+    PassContext ctx(rec.name, pass->metricNamespace(), result.diagnostics,
+                    rec.metrics, design.metrics(), exec, cancel);
     obs::Span span("pass:" + rec.name);
     span.arg("design", design.name());
     const auto t0 = std::chrono::steady_clock::now();
@@ -768,24 +620,16 @@ RunResult Pipeline::runOne(Design& design, Executor* exec) {
   return result;
 }
 
-bool Pipeline::run(Design& design) {
-  RunResult result = runOne(design, nullptr);
-  ok_ = result.ok;
-  records_ = std::move(result.records);
-  diagnostics_ = std::move(result.diagnostics);
-  return ok_;
+RunResult Pipeline::run(Design& design) const {
+  return runOne(design, nullptr);
 }
 
-bool Pipeline::run(Design& design, Executor& exec) {
-  RunResult result = runOne(design, &exec);
-  ok_ = result.ok;
-  records_ = std::move(result.records);
-  diagnostics_ = std::move(result.diagnostics);
-  return ok_;
+RunResult Pipeline::run(Design& design, Executor& exec) const {
+  return runOne(design, &exec);
 }
 
 std::vector<RunResult> Pipeline::runMany(std::vector<Design>& designs,
-                                         Executor& exec) {
+                                         Executor& exec) const {
   std::vector<RunResult> results(designs.size());
   // forEachAll never throws: every design runs to completion (or to its
   // own failure), and anything that escaped runOne's per-pass handling is
@@ -815,22 +659,19 @@ std::vector<RunResult> Pipeline::runMany(std::vector<Design>& designs,
 }
 
 std::vector<RunResult> Pipeline::runMany(std::vector<Design>& designs,
-                                         unsigned jobs) {
+                                         unsigned jobs) const {
   Executor exec(jobs);
   return runMany(designs, exec);
 }
 
-const PassRecord* Pipeline::record(const std::string& passName) const {
-  for (const PassRecord& rec : records_) {
+const PassRecord* RunResult::record(const std::string& passName) const {
+  for (const PassRecord& rec : records) {
     if (rec.name == passName) return &rec;
   }
   return nullptr;
 }
 
-namespace {
-
-std::string emitRunJson(bool ok, const std::vector<PassRecord>& records,
-                        const std::vector<Diagnostic>& diagnostics) {
+std::string RunResult::json() const {
   std::ostringstream os;
   os << "{\n  \"ok\": " << (ok ? "true" : "false") << ",\n  \"passes\": [";
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -855,16 +696,6 @@ std::string emitRunJson(bool ok, const std::vector<PassRecord>& records,
   }
   os << "\n  ]\n}\n";
   return os.str();
-}
-
-} // namespace
-
-std::string RunResult::json() const {
-  return emitRunJson(ok, records, diagnostics);
-}
-
-std::string Pipeline::json() const {
-  return emitRunJson(ok_, records_, diagnostics_);
 }
 
 } // namespace lis::flow

@@ -1,25 +1,36 @@
 #pragma once
 // flow::Pipeline — uniform pass objects over flow::Design, in the spirit of
 // parameterized pass structs in mature logic-synthesis codebases: each pass
-// carries its options as plain data, reports through one diagnostic
-// channel, and contributes named numeric metrics to a per-pass record that
-// the pipeline can serialize as JSON.
+// carries its options as plain data, speaks through one diagnostic
+// channel, and reports each of its numbers once, through
+// PassContext::metric: the value lands in the pass's record under its bare
+// key and in the design's metrics registry under the pass's namespace
+// ("luts" of map-luts is also "map.luts"). The registry is what the bench
+// rows and the Report pass print.
 //
-// Passes:
-//   SynthesizeControl      spec -> netlist (FSM encode + minimize + datapath)
+// Passes (registry namespace in brackets):
+//   SynthesizeControl      spec -> netlist (FSM encode + minimize +
+//                          datapath) [synth]
 //   OptimizeAig{effort}    AIG rewrite/balance of the combinational logic,
-//                          proven against the unoptimized netlist
+//                          proven against the unoptimized netlist [aig]
 //   MapLuts{k, rounds}     netlist -> k-LUT cover (rounds == 0: greedy;
-//                          >= 1: priority cuts with area recovery)
-//   Sta{TechParams}        mapped netlist -> timing report
+//                          >= 1: priority cuts with area recovery) [map]
+//   Sta                    mapped netlist -> timing report [sta]
 //   ProveEncodingEquiv     one-hot == binary control proof per FSM spec
-//   Cosim{CosimOptions}    randomized-stall co-simulation oracle
-//   Report                 design artifacts -> JSON (+ optional Verilog)
+//                          [proof]
+//   Cosim{CosimOptions}    randomized-stall co-simulation oracle [cosim]
+//   FaultCampaign{...}     seeded fault-injection campaign [fault]
+//   SatSweep               SAT-sweeping, proven against its input [sweep]
+//   CheckInvariants{Bmc}   bounded protocol-invariant proofs [bmc]
+//   ProveUnbounded         unbounded protocol-invariant proofs [pdr]
+//   Report                 design name + registry + stage times -> JSON
+//                          (+ optional Verilog)
 //
 // Pipeline::run executes the passes in order, wall-times each, and stops at
 // the first pass that reports an error (exceptions become error
-// diagnostics). The per-pass records and diagnostics survive for
-// inspection and JSON emission.
+// diagnostics). It returns the run's RunResult — the per-pass records and
+// diagnostics — and keeps nothing itself, so one Pipeline serves any number
+// of designs and threads.
 //
 // Parallel execution: Pipeline::runMany schedules independent designs
 // across an Executor's work-stealing pool — each design still sees the
@@ -46,12 +57,9 @@
 #include "flow/design.hpp"
 #include "flow/executor.hpp"
 #include "lis/cosim.hpp"
-#include "netlist/equiv.hpp"
+#include "obs/metrics.hpp"
 #include "sat/bmc.hpp"
-#include "sat/pdr.hpp"
-#include "sat/sweep.hpp"
 #include "support/cancellation.hpp"
-#include "timing/techparams.hpp"
 
 namespace lis::flow {
 
@@ -72,8 +80,9 @@ public:
   void warning(std::string message);
   /// Marks the pass (and the pipeline run) as failed.
   void error(std::string message);
-  /// Named numeric result, kept in the pass record and emitted as JSON.
-  void metric(std::string key, double value);
+  /// The one way a pass reports a number: appended to the pass record
+  /// under `key` and set in the design's registry as "<namespace>.<key>".
+  void metric(const std::string& key, double value);
   bool failed() const { return failed_; }
 
   /// Executor for intra-pass subtask fan-out; null in a plain run().
@@ -92,15 +101,20 @@ public:
 
 private:
   friend class Pipeline;
-  PassContext(std::string pass, std::vector<Diagnostic>& diags,
+  PassContext(std::string pass, std::string ns,
+              std::vector<Diagnostic>& diags,
               std::vector<std::pair<std::string, double>>& metrics,
-              Executor* exec, const support::CancellationToken* cancel)
-      : pass_(std::move(pass)), diags_(&diags), metrics_(&metrics),
-        exec_(exec), cancel_(cancel) {}
+              obs::Registry& registry, Executor* exec,
+              const support::CancellationToken* cancel)
+      : pass_(std::move(pass)), ns_(std::move(ns)), diags_(&diags),
+        metrics_(&metrics), registry_(&registry), exec_(exec),
+        cancel_(cancel) {}
 
   std::string pass_;
+  std::string ns_;
   std::vector<Diagnostic>* diags_;
   std::vector<std::pair<std::string, double>>* metrics_;
+  obs::Registry* registry_;
   Executor* exec_ = nullptr;
   const support::CancellationToken* cancel_ = nullptr;
   bool failed_ = false;
@@ -110,6 +124,8 @@ class Pass {
 public:
   virtual ~Pass() = default;
   virtual std::string name() const = 0;
+  /// Registry namespace of the pass's metrics ("map" for map-luts).
+  virtual std::string metricNamespace() const = 0;
   virtual void run(Design& design, PassContext& ctx) = 0;
 };
 
@@ -120,46 +136,41 @@ struct PassRecord {
   std::vector<std::pair<std::string, double>> metrics;
 };
 
-/// One design's buffered pipeline outcome, as produced by runMany: the
-/// records and diagnostics that run() would have left in the Pipeline,
-/// private to this design and ordered exactly as a serial run would have
-/// emitted them.
+/// One design's pipeline outcome, as run() and runMany() return it: the
+/// records and diagnostics of its passes, ordered exactly as a serial run
+/// emits them.
 struct RunResult {
   std::string design;
   bool ok = false;
   std::vector<PassRecord> records;
   std::vector<Diagnostic> diagnostics;
 
-  /// Same JSON shape as Pipeline::json().
+  /// Record of a pass by name (nullptr when it did not run).
+  const PassRecord* record(const std::string& passName) const;
+  /// Pass records + diagnostics as a JSON object.
   std::string json() const;
 };
 
 class SynthesizeControl final : public Pass {
 public:
   std::string name() const override { return "synthesize-control"; }
+  std::string metricNamespace() const override { return "synth"; }
   void run(Design& design, PassContext& ctx) override;
 };
 
 /// AIG optimization of the design's combinational logic. Every run is
 /// proven equivalent to the unoptimized netlist through the sequential
-/// envelope (netlist::checkSeqEquivalence); a failed proof is a pass
-/// error, so an unsound rewrite can never reach mapping. `prove` exists
-/// for benchmarking the optimizer in isolation, not for shipping.
+/// envelope (netlist::checkSeqEquivalence, default budgets); a failed
+/// proof is a pass error, so an unsound rewrite can never reach mapping.
 class OptimizeAig final : public Pass {
 public:
-  explicit OptimizeAig(unsigned effort = 2, bool prove = true,
-                       netlist::EquivOptions equiv = {})
-      : effort_(effort), prove_(prove), equiv_(equiv) {}
+  explicit OptimizeAig(unsigned effort = 2) : effort_(effort) {}
   std::string name() const override { return "optimize-aig"; }
+  std::string metricNamespace() const override { return "aig"; }
   void run(Design& design, PassContext& ctx) override;
 
 private:
   unsigned effort_;
-  bool prove_;
-  // Tiered-checker knobs for the proof: the SAT budgets make an explosive
-  // proof degrade to a reported simulation screen instead of hanging the
-  // flow.
-  netlist::EquivOptions equiv_;
 };
 
 class MapLuts final : public Pass {
@@ -167,6 +178,7 @@ public:
   explicit MapLuts(unsigned k = 4, unsigned rounds = 0)
       : k_(k), rounds_(rounds) {}
   std::string name() const override { return "map-luts"; }
+  std::string metricNamespace() const override { return "map"; }
   void run(Design& design, PassContext& ctx) override;
 
 private:
@@ -174,19 +186,18 @@ private:
   unsigned rounds_;
 };
 
+/// Static timing of the mapped netlist under the default TechParams.
 class Sta final : public Pass {
 public:
-  explicit Sta(timing::TechParams params = {}) : params_(params) {}
   std::string name() const override { return "sta"; }
+  std::string metricNamespace() const override { return "sta"; }
   void run(Design& design, PassContext& ctx) override;
-
-private:
-  timing::TechParams params_;
 };
 
 class ProveEncodingEquiv final : public Pass {
 public:
   std::string name() const override { return "prove-encoding-equiv"; }
+  std::string metricNamespace() const override { return "proof"; }
   void run(Design& design, PassContext& ctx) override;
 };
 
@@ -194,6 +205,7 @@ class Cosim final : public Pass {
 public:
   explicit Cosim(sync::CosimOptions options = {}) : options_(options) {}
   std::string name() const override { return "cosim"; }
+  std::string metricNamespace() const override { return "cosim"; }
   void run(Design& design, PassContext& ctx) override;
 
 private:
@@ -210,6 +222,7 @@ public:
   explicit FaultCampaign(fault::CampaignOptions options = {})
       : options_(std::move(options)) {}
   std::string name() const override { return "fault-campaign"; }
+  std::string metricNamespace() const override { return "fault"; }
   void run(Design& design, PassContext& ctx) override;
 
 private:
@@ -221,18 +234,13 @@ private:
 /// swept netlist is always proven sequentially equivalent to the input
 /// (a failed proof is a pass error), then installed as a design artifact
 /// alongside the sweep statistics — the synthesized netlist the later
-/// passes consume is untouched, so port NodeIds stay valid.
+/// passes consume is untouched, so port NodeIds stay valid. Both run with
+/// their engines' default options.
 class SatSweep final : public Pass {
 public:
-  explicit SatSweep(sat::SweepOptions options = {},
-                    netlist::EquivOptions equiv = {})
-      : options_(options), equiv_(equiv) {}
   std::string name() const override { return "sat-sweep"; }
+  std::string metricNamespace() const override { return "sweep"; }
   void run(Design& design, PassContext& ctx) override;
-
-private:
-  sat::SweepOptions options_;
-  netlist::EquivOptions equiv_;
 };
 
 /// Bounded model checking of the LIS protocol invariants (token
@@ -249,6 +257,7 @@ public:
   explicit CheckInvariants(sat::BmcOptions options = {})
       : options_(options) {}
   std::string name() const override { return "check-invariants"; }
+  std::string metricNamespace() const override { return "bmc"; }
   void run(Design& design, PassContext& ctx) override;
 
 private:
@@ -261,26 +270,26 @@ private:
 /// counterexample trace (a pass error naming the property and failing
 /// depth, with the trace replayed on the netlist simulator to confirm
 /// it), or a budget/deadline-degraded bound (warning + metric, like
-/// CheckInvariants). The storage bound is derived as in CheckInvariants.
+/// CheckInvariants). The storage bound is derived as in CheckInvariants;
+/// every other sat::PdrOptions field keeps its default.
 class ProveUnbounded final : public Pass {
 public:
-  explicit ProveUnbounded(sat::PdrOptions options = {})
-      : options_(options) {}
   std::string name() const override { return "prove-unbounded"; }
+  std::string metricNamespace() const override { return "pdr"; }
   void run(Design& design, PassContext& ctx) override;
-
-private:
-  sat::PdrOptions options_;
 };
 
 struct ReportOptions {
   bool verilog = false; // also emit structural Verilog into the design
 };
 
+/// The design's one record as JSON: its name, the metrics registry the
+/// passes before it filled, and the stage-time table.
 class Report final : public Pass {
 public:
   explicit Report(ReportOptions options = {}) : options_(options) {}
   std::string name() const override { return "report"; }
+  std::string metricNamespace() const override { return "report"; }
   void run(Design& design, PassContext& ctx) override;
 
 private:
@@ -293,17 +302,15 @@ public:
 
   // Fluent builders for the standard passes.
   Pipeline& synthesizeControl();
-  Pipeline& optimizeAig(unsigned effort = 2, bool prove = true,
-                        const netlist::EquivOptions& equiv = {});
+  Pipeline& optimizeAig(unsigned effort = 2);
   Pipeline& mapLuts(unsigned k = 4, unsigned rounds = 0);
-  Pipeline& sta(const timing::TechParams& params = {});
+  Pipeline& sta();
   Pipeline& proveEncodingEquiv();
   Pipeline& cosim(const sync::CosimOptions& options = {});
   Pipeline& faultCampaign(const fault::CampaignOptions& options = {});
-  Pipeline& satSweep(const sat::SweepOptions& options = {},
-                     const netlist::EquivOptions& equiv = {});
+  Pipeline& satSweep();
   Pipeline& checkInvariants(const sat::BmcOptions& options = {});
-  Pipeline& proveUnbounded(const sat::PdrOptions& options = {});
+  Pipeline& proveUnbounded();
   Pipeline& report(const ReportOptions& options = {});
 
   /// Wall-clock budget per pass, in seconds (0 disables, the default).
@@ -314,53 +321,36 @@ public:
   Pipeline& passDeadline(double seconds);
 
   /// Run every pass in order against `design`; stops at the first failing
-  /// pass. Records and diagnostics are reset per run. Returns overall
-  /// success.
-  bool run(Design& design);
-
-  /// Same, with `exec` available to the passes for intra-design subtask
-  /// fan-out (encoding proofs per FSM spec, cosim seed shards).
-  bool run(Design& design, Executor& exec);
+  /// pass. `exec`, when given, is available to the passes for
+  /// intra-design subtask fan-out (encoding proofs per FSM spec, cosim
+  /// seed shards).
+  RunResult run(Design& design) const;
+  RunResult run(Design& design, Executor& exec) const;
 
   /// Run the pipeline over every design, scheduling designs concurrently
-  /// on `exec`'s pool (serially, in order, for a 1-job executor). Each
-  /// design's records/diagnostics are buffered in its RunResult; the
+  /// on `exec`'s pool (serially, in order, for a 1-job executor). The
   /// returned vector is indexed by submission order, so output derived
-  /// from it is identical at any job count. Does not touch this
-  /// Pipeline's records()/diagnostics() (which stay owned by run()).
-  /// Failures are isolated per design: a design whose run escapes the
-  /// per-pass error handling (a throwing Design accessor, a non-standard
-  /// exception) yields a failure RunResult while every other design still
-  /// completes.
+  /// from it is identical at any job count. Failures are isolated per
+  /// design: a design whose run escapes the per-pass error handling (a
+  /// throwing Design accessor, a non-standard exception) yields a failure
+  /// RunResult while every other design still completes.
   ///
   /// Every pass runs inside its design's task ("flow.designs"); passes
   /// that fan out further (cosim shards, fault batches, encoding proofs)
   /// nest their batches on the same pool, so a design's cosim overlaps
   /// the other designs' earlier passes.
   std::vector<RunResult> runMany(std::vector<Design>& designs,
-                                 Executor& exec);
+                                 Executor& exec) const;
   /// Convenience: runMany on a fresh Executor(jobs).
   std::vector<RunResult> runMany(std::vector<Design>& designs,
-                                 unsigned jobs);
-
-  const std::vector<PassRecord>& records() const { return records_; }
-  const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
-  /// Record of a pass by name (nullptr when it did not run).
-  const PassRecord* record(const std::string& passName) const;
-  bool ok() const { return ok_; }
-
-  /// Pass records + diagnostics of the last run as a JSON object.
-  std::string json() const;
+                                 unsigned jobs) const;
 
 private:
   /// Runs every pass against `design`, stopping at the first failure.
-  RunResult runOne(Design& design, Executor* exec);
+  RunResult runOne(Design& design, Executor* exec) const;
 
   std::vector<std::unique_ptr<Pass>> passes_;
-  std::vector<PassRecord> records_;
-  std::vector<Diagnostic> diagnostics_;
   double passDeadline_ = 0; // seconds; 0 = no deadline
-  bool ok_ = false;
 };
 
 } // namespace lis::flow

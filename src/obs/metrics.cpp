@@ -26,20 +26,6 @@ void Registry::set(std::string_view name, double value) {
   }
 }
 
-void Registry::observe(std::string_view name, double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    histograms_.emplace(std::string(name), Histogram{1, value, value, value});
-    return;
-  }
-  Histogram& h = it->second;
-  ++h.count;
-  h.sum += value;
-  if (value < h.min) h.min = value;
-  if (value > h.max) h.max = value;
-}
-
 double Registry::value(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (auto it = counters_.find(name); it != counters_.end()) return it->second;
@@ -47,54 +33,10 @@ double Registry::value(std::string_view name) const {
   return 0.0;
 }
 
-Registry::Histogram Registry::histogram(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (auto it = histograms_.find(name); it != histograms_.end()) {
-    return it->second;
-  }
-  return {};
-}
-
-void Registry::merge(const Registry& other) {
-  // Copy under the source lock, fold under ours (avoids lock-order issues).
-  std::map<std::string, double, std::less<>> counters;
-  std::map<std::string, double, std::less<>> gauges;
-  std::map<std::string, Histogram, std::less<>> histograms;
-  {
-    std::lock_guard<std::mutex> lock(other.mutex_);
-    counters = other.counters_;
-    gauges = other.gauges_;
-    histograms = other.histograms_;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, v] : counters) counters_[name] += v;
-  for (const auto& [name, v] : gauges) gauges_[name] = v;
-  for (const auto& [name, h] : histograms) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, h);
-      continue;
-    }
-    Histogram& mine = it->second;
-    if (h.count > 0) {
-      if (mine.count == 0 || h.min < mine.min) mine.min = h.min;
-      if (mine.count == 0 || h.max > mine.max) mine.max = h.max;
-      mine.count += h.count;
-      mine.sum += h.sum;
-    }
-  }
-}
-
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   counters_.clear();
   gauges_.clear();
-  histograms_.clear();
-}
-
-bool Registry::empty() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_.empty() && gauges_.empty() && histograms_.empty();
 }
 
 std::string Registry::json() const {
@@ -103,12 +45,6 @@ std::string Registry::json() const {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [name, v] : counters_) flat[name] = v;
     for (const auto& [name, v] : gauges_) flat[name] = v;
-    for (const auto& [name, h] : histograms_) {
-      flat[name + ".count"] = static_cast<double>(h.count);
-      flat[name + ".sum"] = h.sum;
-      flat[name + ".min"] = h.min;
-      flat[name + ".max"] = h.max;
-    }
   }
   std::ostringstream os;
   os << "{";

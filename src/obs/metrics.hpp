@@ -1,5 +1,5 @@
 #pragma once
-// obs::Registry — named counters, gauges and histograms.
+// obs::Registry — named counters and gauges.
 //
 // One registry per flow::Design collects per-config engine stats (AIG
 // rewrite adoptions, cosim cycles, fault coverage, ...); Registry::global()
@@ -10,7 +10,6 @@
 // thread-safe; callers on hot paths should accumulate locally and flush
 // once (the engine destructor pattern) rather than call add() per event.
 
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
@@ -20,13 +19,6 @@ namespace lis::obs {
 
 class Registry {
  public:
-  struct Histogram {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
@@ -35,22 +27,13 @@ class Registry {
   void add(std::string_view name, double delta = 1.0);
   /// Set a gauge to its latest value.
   void set(std::string_view name, double value);
-  /// Record one histogram observation (count/sum/min/max are kept).
-  void observe(std::string_view name, double value);
 
   /// Current counter or gauge value; 0 when the name is unknown.
   double value(std::string_view name) const;
-  /// Histogram summary; all-zero when the name is unknown.
-  Histogram histogram(std::string_view name) const;
 
-  /// Fold another registry in: counters add, gauges overwrite, histograms
-  /// merge.
-  void merge(const Registry& other);
   void reset();
-  bool empty() const;
 
-  /// One flat JSON object, keys sorted (histograms expand to
-  /// name.count/.sum/.min/.max), values printed by formatValue().
+  /// One flat JSON object, keys sorted, values printed by formatValue().
   /// Deterministic for deterministic values.
   std::string json() const;
 
@@ -61,7 +44,6 @@ class Registry {
   mutable std::mutex mutex_;
   std::map<std::string, double, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 /// A value as the registry prints it: integral values as integers, any

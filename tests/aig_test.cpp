@@ -278,20 +278,20 @@ void testDesignCacheAndPipeline() {
   flow::Design d(cfg);
   flow::Pipeline pipe;
   pipe.synthesizeControl().optimizeAig(2).mapLuts(4, 3).sta();
-  const bool ok = pipe.run(d);
-  if (!ok) {
-    for (const auto& diag : pipe.diagnostics()) {
+  const flow::RunResult run = pipe.run(d);
+  if (!run.ok) {
+    for (const auto& diag : run.diagnostics) {
       std::printf("%s [%s]: %s\n", severityName(diag.severity),
                   diag.pass.c_str(), diag.message.c_str());
     }
   }
-  CHECK(ok);
+  CHECK(run.ok);
   CHECK(d.hasOptimized());
   CHECK(d.optimizeStats() != nullptr);
   CHECK(d.optimizeStats()->andsAfter <= d.optimizeStats()->andsBefore);
   CHECK_EQ(d.mappedK(), 4u);
   CHECK_EQ(d.mappedRounds(), 3u);
-  const flow::PassRecord* opt = pipe.record("optimize-aig");
+  const flow::PassRecord* opt = run.record("optimize-aig");
   CHECK(opt != nullptr);
   bool proved = false;
   for (const auto& [key, value] : opt->metrics) {

@@ -20,6 +20,7 @@
 #include "flow/design.hpp"
 #include "flow/executor.hpp"
 #include "flow/pipeline.hpp"
+#include "flow_checks.hpp"
 #include "lis/cosim.hpp"
 #include "lis/fsm.hpp"
 #include "lis/synth.hpp"
@@ -369,6 +370,16 @@ std::string stripTimes(const std::string& json) {
   return pos == std::string::npos ? json : json.substr(0, pos);
 }
 
+/// Every run of `results` wrote each of its numbers once (see
+/// flow_checks.hpp); results[i] is designs[i]'s run.
+void checkSingleWrites(const std::vector<RunResult>& results,
+                       const std::vector<Design>& designs) {
+  CHECK_EQ(results.size(), designs.size());
+  for (std::size_t i = 0; i < results.size() && i < designs.size(); ++i) {
+    checkSingleWrite(results[i], designs[i]);
+  }
+}
+
 void checkIdenticalResults(const std::vector<RunResult>& a,
                            const std::vector<RunResult>& b) {
   CHECK_EQ(a.size(), b.size());
@@ -386,9 +397,6 @@ void checkIdenticalResults(const std::vector<RunResult>& a,
       for (std::size_t m = 0;
            m < ra.metrics.size() && m < rb.metrics.size(); ++m) {
         CHECK(ra.metrics[m].first == rb.metrics[m].first);
-        // report_bytes counts the stage_seconds digits inside the report
-        // — the one metric that is wall-clock-derived by construction.
-        if (ra.metrics[m].first == "report_bytes") continue;
         CHECK(ra.metrics[m].second == rb.metrics[m].second);
       }
     }
@@ -421,6 +429,8 @@ void testRunManyJobs1VsJobs8() {
   const std::vector<RunResult> parallel = pipe.runMany(designs8, 8u);
 
   checkIdenticalResults(serial, parallel);
+  checkSingleWrites(serial, designs1);
+  checkSingleWrites(parallel, designs8);
   for (std::size_t i = 0; i < designs1.size(); ++i) {
     CHECK(serial[i].ok);
     CHECK(stripTimes(designs1[i].reportJson()) ==
@@ -442,6 +452,8 @@ void testRunManySweepSection() {
   const std::vector<RunResult> serial = pipe.runMany(sweep1, 1u);
   const std::vector<RunResult> parallel = pipe.runMany(sweep8, 8u);
   checkIdenticalResults(serial, parallel);
+  checkSingleWrites(serial, sweep1);
+  checkSingleWrites(parallel, sweep8);
   for (std::size_t i = 0; i < sweep1.size(); ++i) {
     CHECK(serial[i].ok);
     CHECK(stripTimes(sweep1[i].reportJson()) ==
@@ -460,6 +472,8 @@ void testRunManyOptPipeline() {
   const std::vector<RunResult> serial = pipe.runMany(designs1, 1u);
   const std::vector<RunResult> parallel = pipe.runMany(designs8, 8u);
   checkIdenticalResults(serial, parallel);
+  checkSingleWrites(serial, designs1);
+  checkSingleWrites(parallel, designs8);
   for (std::size_t i = 0; i < designs1.size(); ++i) {
     CHECK(serial[i].ok);
     CHECK(designs1[i].hasOptimized());
@@ -485,6 +499,8 @@ void testRunManySatPipeline() {
   const std::vector<RunResult> serial = pipe.runMany(designs1, 1u);
   const std::vector<RunResult> parallel = pipe.runMany(designs8, 8u);
   checkIdenticalResults(serial, parallel);
+  checkSingleWrites(serial, designs1);
+  checkSingleWrites(parallel, designs8);
   for (std::size_t i = 0; i < designs1.size(); ++i) {
     CHECK(serial[i].ok);
     // The proofs themselves: sweep soundness held and every protocol
@@ -519,6 +535,9 @@ void testRunManySatPipeline() {
               static_cast<double>(sw->stats.undecided));
       }
       CHECK(m.value("bmc.degraded") == (bmc->anyDegraded() ? 1.0 : 0.0));
+      // bmc.depth is the depth every property reached (the gate's floor).
+      CHECK(m.value("bmc.depth") ==
+            static_cast<double>(bmc->minDepthReached()));
       CHECK(m.value("pdr.degraded") == (pdr->anyDegraded() ? 1.0 : 0.0));
       // The per-kind PDR work adds up to the engine's solver totals.
       double solves = 0.0;
@@ -583,7 +602,9 @@ void testFaultCampaignJobsInvariant() {
   Design d(cfg);
   Pipeline pipe;
   pipe.faultCampaign(opts);
-  CHECK(pipe.run(d, pool));
+  const RunResult run = pipe.run(d, pool);
+  CHECK(run.ok);
+  checkSingleWrite(run, d);
   CHECK(d.faultResult() != nullptr);
   if (d.faultResult() == nullptr) return;
   const lis::fault::CampaignResult& parallel = *d.faultResult();
@@ -615,8 +636,7 @@ void testFaultCampaignJobsInvariant() {
 
 void testRunManyBuffersFailuresPerDesign() {
   // A failing design among healthy ones: its diagnostics stay in its own
-  // RunResult slot (no interleaving), neighbours are untouched, and the
-  // Pipeline's own run() state is not clobbered by runMany.
+  // RunResult slot (no interleaving) and neighbours are untouched.
   std::vector<Design> designs;
   lis::sync::WrapperConfig good;
   good.numInputs = 1;
@@ -642,6 +662,7 @@ void testRunManyBuffersFailuresPerDesign() {
   }
   CHECK(named);
   CHECK(results[1].json().find("\"ok\": false") != std::string::npos);
+  checkSingleWrites(results, designs);
 }
 
 void testTraceStructureJobsInvariant() {
@@ -658,6 +679,7 @@ void testTraceStructureJobsInvariant() {
     const std::vector<RunResult> results = pipe.runMany(designs, jobs);
     tracer.disable();
     for (const RunResult& r : results) CHECK(r.ok);
+    checkSingleWrites(results, designs);
     std::map<std::string, std::size_t> counts;
     for (const lis::obs::TraceEvent& e : tracer.snapshot()) {
       CHECK(e.endNs >= e.startNs);

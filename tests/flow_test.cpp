@@ -1,7 +1,8 @@
 // Tests for the flow layer: Design's lazy cached artifacts and wall-time
 // accounting, Pipeline pass sequencing, the diagnostic channel (errors
-// stop the pipeline; exceptions become diagnostics), per-pass metrics, and
-// JSON / Verilog report emission.
+// stop the pipeline; exceptions become diagnostics), per-pass metrics and
+// their single write into the design registry, and JSON / Verilog report
+// emission.
 
 #include <cstdio>
 #include <stdexcept>
@@ -9,11 +10,13 @@
 
 #include "flow/design.hpp"
 #include "flow/pipeline.hpp"
+#include "flow_checks.hpp"
 #include "netlist/generate.hpp"
 #include "test_util.hpp"
 
 using lis::flow::Design;
 using lis::flow::Pipeline;
+using lis::flow::RunResult;
 namespace gen = lis::netlist::gen;
 
 namespace {
@@ -22,8 +25,8 @@ bool contains(const std::string& hay, const std::string& needle) {
   return hay.find(needle) != std::string::npos;
 }
 
-void dumpDiags(const Pipeline& pipe) {
-  for (const auto& d : pipe.diagnostics()) {
+void dumpDiags(const RunResult& run) {
+  for (const auto& d : run.diagnostics) {
     std::printf("%s [%s]: %s\n", severityName(d.severity), d.pass.c_str(),
                 d.message.c_str());
   }
@@ -45,14 +48,15 @@ void testWrapperPipelineHappyPath() {
       .proveEncodingEquiv()
       .cosim(cosim)
       .report({/*verilog=*/true});
-  const bool ok = pipe.run(d);
-  if (!ok) dumpDiags(pipe);
-  CHECK(ok);
-  CHECK_EQ(pipe.records().size(), 6u);
-  for (const auto& rec : pipe.records()) CHECK(rec.ok);
+  const RunResult run = pipe.run(d);
+  if (!run.ok) dumpDiags(run);
+  CHECK(run.ok);
+  CHECK_EQ(run.records.size(), 6u);
+  for (const auto& rec : run.records) CHECK(rec.ok);
+  checkSingleWrite(run, d);
 
   // Metrics surfaced by the standard passes.
-  const lis::flow::PassRecord* map = pipe.record("map-luts");
+  const lis::flow::PassRecord* map = run.record("map-luts");
   CHECK(map != nullptr);
   bool sawLuts = false;
   for (const auto& [key, value] : map->metrics) {
@@ -66,10 +70,24 @@ void testWrapperPipelineHappyPath() {
   const lis::obs::Registry& m = d.metrics();
   CHECK(m.value("map.luts") == static_cast<double>(d.area().luts));
   CHECK(m.value("map.ffs") == static_cast<double>(d.area().ffs));
+  CHECK(m.value("map.k") == 4.0);
   CHECK(m.value("sta.fmax_mhz") == d.timing().fmaxMHz);
+  CHECK(m.value("sta.critical_path_ns") == d.timing().criticalPathNs);
   CHECK(m.value("synth.sop_literals") ==
         static_cast<double>(d.controlStats()->literalsAfter));
-  const lis::flow::PassRecord* cos = pipe.record("cosim");
+  CHECK(m.value("synth.nodes") ==
+        static_cast<double>(d.netlist().nodeCount()));
+  CHECK(m.value("synth.inputs") ==
+        static_cast<double>(d.netlist().stats().inputs));
+  CHECK(m.value("cosim.ok") == 1.0);
+  CHECK(m.value("cosim.cycles") == 800.0);
+  // proveEncodingEquiv's SAT work, the design's only proof here.
+  CHECK(d.proofStats() != nullptr);
+  CHECK(m.value("proof.sat_conflicts") ==
+        static_cast<double>(d.proofStats()->satConflicts));
+  CHECK(m.value("proof.sat_propagations") ==
+        static_cast<double>(d.proofStats()->satPropagations));
+  const lis::flow::PassRecord* cos = run.record("cosim");
   CHECK(cos != nullptr);
   CHECK(d.cosimResult() != nullptr);
   CHECK(d.cosimResult()->ok);
@@ -81,19 +99,16 @@ void testWrapperPipelineHappyPath() {
   CHECK(d.stageSeconds("sta") > 0.0);
   CHECK_EQ(d.stageSeconds("nonsense"), 0.0);
 
-  // Report pass artifacts: design JSON + structural Verilog.
-  CHECK(contains(d.reportJson(), "\"design\""));
-  CHECK(contains(d.reportJson(), "\"area\""));
-  CHECK(contains(d.reportJson(), "\"timing\""));
-  CHECK(contains(d.reportJson(), "\"cosim\""));
-  // proveEncodingEquiv ran, so the accumulated SAT proof stats surface.
-  CHECK(contains(d.reportJson(), "\"proof\""));
-  CHECK(contains(d.reportJson(), "\"sat_conflicts\""));
+  // Report pass artifacts: the design's name, registry and stage times,
+  // plus structural Verilog. The report records no number of its own.
+  CHECK(contains(d.reportJson(), "\"design\": \"wrapper_n2m2d2_binary\""));
+  CHECK(contains(d.reportJson(), "\"stage_seconds\""));
+  CHECK(run.record("report")->metrics.empty());
   CHECK(contains(d.verilog(), "module wrapper_n2m2d2_binary"));
   CHECK(contains(d.verilog(), "always @(posedge clk)"));
 
-  // Pipeline JSON carries the pass records and an empty diagnostics list.
-  const std::string js = pipe.json();
+  // The run's JSON carries the pass records and an empty diagnostics list.
+  const std::string js = run.json();
   CHECK(contains(js, "\"ok\": true"));
   CHECK(contains(js, "\"map-luts\""));
   CHECK(contains(js, "\"fmax_mhz\""));
@@ -129,20 +144,21 @@ void testInvalidConfigStopsPipeline() {
   Design d(cfg);
   Pipeline pipe;
   pipe.synthesizeControl().mapLuts(4).sta();
-  CHECK(!pipe.run(d));
-  CHECK(!pipe.ok());
+  const RunResult run = pipe.run(d);
+  CHECK(!run.ok);
   // Only the failing pass ran, and the diagnostic names the bad field.
-  CHECK_EQ(pipe.records().size(), 1u);
-  CHECK(!pipe.records().front().ok);
+  CHECK_EQ(run.records.size(), 1u);
+  CHECK(!run.records.front().ok);
   bool sawError = false;
-  for (const auto& diag : pipe.diagnostics()) {
+  for (const auto& diag : run.diagnostics) {
     if (diag.severity == lis::flow::Severity::Error &&
         contains(diag.message, "numInputs")) {
       sawError = true;
     }
   }
   CHECK(sawError);
-  CHECK(contains(pipe.json(), "\"ok\": false"));
+  CHECK(contains(run.json(), "\"ok\": false"));
+  checkSingleWrite(run, d);
 }
 
 void testPrebuiltDesignSkipsModelPasses() {
@@ -151,15 +167,20 @@ void testPrebuiltDesignSkipsModelPasses() {
   Design d(gen::muxTree(3, gen::MuxStyle::Tree));
   Pipeline pipe;
   pipe.synthesizeControl().mapLuts(4).sta().proveEncodingEquiv().cosim();
-  const bool ok = pipe.run(d);
-  if (!ok) dumpDiags(pipe);
-  CHECK(ok);
-  CHECK_EQ(pipe.records().size(), 5u);
+  const RunResult run = pipe.run(d);
+  if (!run.ok) dumpDiags(run);
+  CHECK(run.ok);
+  CHECK_EQ(run.records.size(), 5u);
   bool sawNote = false;
-  for (const auto& diag : pipe.diagnostics()) {
+  for (const auto& diag : run.diagnostics) {
     if (diag.severity == lis::flow::Severity::Note) sawNote = true;
   }
   CHECK(sawNote);
+  checkSingleWrite(run, d);
+  // A prebuilt netlist still reports its size; the skipped passes record
+  // nothing.
+  CHECK(d.metrics().value("synth.gates") > 0);
+  CHECK(run.record("cosim")->metrics.empty());
 }
 
 void testSystemDesignThroughPipeline() {
@@ -168,9 +189,10 @@ void testSystemDesignThroughPipeline() {
   lis::sync::CosimOptions cosim;
   cosim.cycles = 600;
   pipe.synthesizeControl().mapLuts(4).sta().cosim(cosim).report();
-  const bool ok = pipe.run(d);
-  if (!ok) dumpDiags(pipe);
-  CHECK(ok);
+  const RunResult run = pipe.run(d);
+  if (!run.ok) dumpDiags(run);
+  CHECK(run.ok);
+  checkSingleWrite(run, d);
   CHECK(d.systemSpec() != nullptr);
   CHECK(d.controlStats() != nullptr);
   CHECK(d.controlStats()->functions > 0);
@@ -199,12 +221,14 @@ void testPassDeadlineCancelsCosim() {
   cosim.cycles = 50'000'000; // far more work than the deadline allows
   Pipeline pipe;
   pipe.synthesizeControl().cosim(cosim).passDeadline(0.5);
-  CHECK(!pipe.run(d));
-  CHECK_EQ(pipe.records().size(), 2u);
-  CHECK(pipe.records().front().ok);
-  CHECK(!pipe.records().back().ok);
+  const RunResult run = pipe.run(d);
+  CHECK(!run.ok);
+  CHECK_EQ(run.records.size(), 2u);
+  CHECK(run.records.front().ok);
+  CHECK(!run.records.back().ok);
+  checkSingleWrite(run, d);
   bool sawCancel = false;
-  for (const auto& diag : pipe.diagnostics()) {
+  for (const auto& diag : run.diagnostics) {
     if (diag.severity == lis::flow::Severity::Error &&
         contains(diag.message, "cancelled")) {
       sawCancel = true;
@@ -223,27 +247,32 @@ void testPassDeadlineFlagsStubbornPass() {
   Design d(cfg);
   Pipeline pipe;
   pipe.synthesizeControl().passDeadline(1e-9);
-  CHECK(!pipe.run(d));
-  CHECK_EQ(pipe.records().size(), 1u);
-  CHECK(!pipe.records().front().ok);
+  const RunResult run = pipe.run(d);
+  CHECK(!run.ok);
+  CHECK_EQ(run.records.size(), 1u);
+  CHECK(!run.records.front().ok);
+  checkSingleWrite(run, d);
   bool sawDeadline = false;
-  for (const auto& diag : pipe.diagnostics()) {
+  for (const auto& diag : run.diagnostics) {
     if (contains(diag.message, "deadline")) sawDeadline = true;
   }
   CHECK(sawDeadline);
 }
 
 void testReusablePipeline() {
-  // One pipeline, many designs — records reset per run.
+  // One pipeline, many designs — each run returns its own records.
   Pipeline pipe;
   pipe.synthesizeControl().mapLuts(4).sta();
   for (unsigned n = 1; n <= 2; ++n) {
     lis::sync::WrapperConfig cfg;
     cfg.numInputs = n;
     Design d(cfg);
-    CHECK(pipe.run(d));
-    CHECK_EQ(pipe.records().size(), 3u);
+    const RunResult run = pipe.run(d);
+    CHECK(run.ok);
+    CHECK(run.design == d.name());
+    CHECK_EQ(run.records.size(), 3u);
     CHECK(d.area(4).slices > 0);
+    checkSingleWrite(run, d);
   }
 }
 

@@ -430,14 +430,14 @@ void testFlowPipelineVerify() {
     opts.seed = 0xF10 + static_cast<unsigned>(enc);
     lis::flow::Pipeline pipe;
     pipe.synthesizeControl().proveEncodingEquiv().cosim(opts);
-    const bool ok = pipe.run(d);
-    if (!ok) {
-      for (const auto& diag : pipe.diagnostics()) {
+    const lis::flow::RunResult run = pipe.run(d);
+    if (!run.ok) {
+      for (const auto& diag : run.diagnostics) {
         std::printf("%s [%s]: %s\n", severityName(diag.severity),
                     diag.pass.c_str(), diag.message.c_str());
       }
     }
-    CHECK(ok);
+    CHECK(run.ok);
     CHECK(d.cosimResult() != nullptr);
     CHECK(d.cosimResult()->ok);
     CHECK_EQ(d.cosimResult()->cyclesRun, 1500u);

@@ -233,14 +233,14 @@ void testForkJoinThroughPipeline() {
       opts.seed = fork ? 0xF04C : 0x101A;
       lis::flow::Pipeline pipe;
       pipe.synthesizeControl().proveEncodingEquiv().cosim(opts);
-      const bool ok = pipe.run(d);
-      if (!ok) {
-        for (const auto& diag : pipe.diagnostics()) {
+      const lis::flow::RunResult run = pipe.run(d);
+      if (!run.ok) {
+        for (const auto& diag : run.diagnostics) {
           std::printf("%s [%s]: %s\n", severityName(diag.severity),
                       diag.pass.c_str(), diag.message.c_str());
         }
       }
-      CHECK(ok);
+      CHECK(run.ok);
       const lis::sync::CosimResult* r = d.cosimResult();
       CHECK(r != nullptr);
       CHECK(r->ok);
@@ -255,7 +255,7 @@ void testForkJoinThroughPipeline() {
         CHECK(r->tokens > 300);
       }
       // The proof pass covered every distinct FSM spec in the system.
-      const lis::flow::PassRecord* proof = pipe.record("prove-encoding-equiv");
+      const lis::flow::PassRecord* proof = run.record("prove-encoding-equiv");
       CHECK(proof != nullptr);
       CHECK(!proof->metrics.empty());
     }

@@ -217,8 +217,9 @@ def check_metrics(baseline, fresh):
     """Gate the executor utilization of the "metrics" section.
 
     Returns (failures, warnings). Utilization is *required* of timed
-    parallel runs (sweep.jobs > 1): the bench derives it from always-on
-    span recording, so a null there means the instrumentation broke.
+    parallel runs (sweep.jobs > 1): the bench measures every suite's
+    process CPU and wall around its runMany, parallel_efficiency being
+    cpu / (jobs x wall), so a null there means the instrumentation broke.
     Serial or --strip-times runs (jobs <= 1, where jobs is emitted as 0)
     warn and skip. The sweep suite's parallel_efficiency must clear an
     absolute floor and not collapse relative to the baseline; a baseline
@@ -577,7 +578,7 @@ def self_test():
     f, _ = check_metrics(doc(), util_file(0.8))
     checks.append(("missing baseline utilization passes", not f))
     # Null utilization in a timed parallel run (sweep.jobs > 1) fails:
-    # spans are always recorded, so only broken instrumentation nulls it.
+    # every timed run measures it, so only broken instrumentation nulls it.
     timed_parallel = doc()
     timed_parallel["sweep"] = {"jobs": 4}
     f, _ = check_metrics({}, timed_parallel)
