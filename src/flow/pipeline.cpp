@@ -444,6 +444,17 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
   ctx.metric("degraded", r.anyDegraded() ? 1.0 : 0.0);
   ctx.metric("frames", r.totalFrames());
   ctx.metric("clauses", r.totalClauses());
+  std::string uncertified;
+  std::size_t invariantClauses = 0;
+  for (const sat::PdrPropertyResult& p : r.properties) {
+    invariantClauses += p.invariant.size();
+    if (!p.certificateError.empty()) {
+      uncertified += (uncertified.empty() ? "" : ", ") + p.name + " (" +
+                     p.certificateError + ")";
+    }
+  }
+  ctx.metric("certified", uncertified.empty() ? 1.0 : 0.0);
+  ctx.metric("invariant_clauses", static_cast<double>(invariantClauses));
   addSolverWork(design, r.stats);
   obs::Registry& m = design.metrics();
   m.add("sat.cores", static_cast<double>(r.stats.cores));
@@ -480,6 +491,10 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
   const bool degraded = r.anyDegraded();
   const bool anyViolated = !violated.empty();
   design.setPdrResult(std::move(r));
+  if (!uncertified.empty()) {
+    ctx.error(design.name() +
+              ": unbounded proof failed its certificate: " + uncertified);
+  }
   if (anyViolated) {
     ctx.error(design.name() + ": protocol invariant violated: " + violated);
     return;

@@ -266,7 +266,9 @@ private:
 
 /// Unbounded proofs of the LIS protocol invariants (PDR/IC3 — see
 /// sat/pdr.hpp) on the design's synthesized netlist. The
-/// strongest verdict per property: proved for all time, or a concrete
+/// strongest verdict per property: proved for all time (its inductive
+/// invariant checked by a fresh solver; a failed check is a pass error
+/// naming the property, and `certified` reads 0), or a concrete
 /// counterexample trace (a pass error naming the property and failing
 /// depth, with the trace replayed on the netlist simulator to confirm
 /// it), or a budget/deadline-degraded bound (warning + metric, like

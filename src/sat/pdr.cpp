@@ -1,6 +1,7 @@
 #include "sat/pdr.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
@@ -14,8 +15,6 @@
 #include "sat/monitor.hpp"
 
 namespace lis::sat {
-
-namespace {
 
 using netlist::BusBuilder;
 using netlist::Netlist;
@@ -112,6 +111,8 @@ Monitor buildPdrMonitor(const Netlist& base, const sync::PortView& ports,
   return buildMonitor(base, ports, opts.watchdogWindow, counting);
 }
 
+namespace {
+
 // ---------------------------------------------------------------------------
 // Engine
 
@@ -167,8 +168,26 @@ public:
     return result_;
   }
 
+  /// A proof's inductive invariant, as cubes over the cone's DFF indices:
+  /// every cube above the frame whose delta emptied. Empty otherwise.
+  const std::vector<Cube>& invariant() const { return invariant_; }
+
 private:
   struct Stop {}; // budget / cancellation / frame-cap unwind
+
+  /// One solver holding the one-step transition relation T (a
+  /// free-initial-state Unroller with a single frame) plus whatever
+  /// clauses its role adds.
+  struct TransitionSolver {
+    TransitionSolver(const aig::SequentialAig& sa,
+                     const std::vector<ForcedInput>& forced,
+                     std::uint64_t seed)
+        : solver(seed), tr(solver, sa, forced, /*freeInitialState=*/true) {
+      tr.pushFrame();
+    }
+    Solver solver;
+    Unroller tr;
+  };
 
   bool cancelled() const {
     return opts_.cancel != nullptr && opts_.cancel->cancelled();
@@ -178,27 +197,41 @@ private:
     return value ? base : litNeg(base);
   }
 
-  std::vector<bool> modelInputs(const Solver& solver, const Unroller& unr,
-                                unsigned frame) const {
+  std::unique_ptr<TransitionSolver> newSolver() const {
+    return std::make_unique<TransitionSolver>(sa_, forced_, opts_.seed);
+  }
+
+  std::vector<bool> modelInputs(const TransitionSolver& f) const {
     std::vector<bool> vals;
     vals.reserve(freeInputs_.size());
     for (const NodeId id : freeInputs_) {
-      vals.push_back(solver.modelValue(unr.inputLit(frame, id)));
+      vals.push_back(f.solver.modelValue(f.tr.inputLit(0, id)));
     }
     return vals;
   }
 
+  /// c's literals on the state `frame` steps into f's transition (0 = the
+  /// current state, 1 = the successor).
+  static std::vector<Lit> cubeLits(const TransitionSolver& f, const Cube& c,
+                                   unsigned frame) {
+    std::vector<Lit> lits;
+    lits.reserve(c.size());
+    for (const std::uint32_t e : c) {
+      lits.push_back(onLit(f.tr.stateLit(frame, cubeIdx(e)), cubeVal(e)));
+    }
+    return lits;
+  }
+
   void runPdr() {
-    Solver solver(opts_.seed);
-    solver.setBudget({opts_.conflictBudget, opts_.propagationBudget});
-    solver_ = &solver;
-    Unroller tr(solver, sa_, forced_, /*freeInitialState=*/true);
-    tr_ = &tr;
-    tr.pushFrame();
-    badLit_ = tr.outputLit(0, badOut_);
-    frames_.assign(2, {});  // index 0 unused (F_0 = init); F_1 live
-    act_.assign(2, kLitUndef);
-    act_[1] = mkLit(solver.newVar(), false);
+    lift_ = newSolver();
+    // F_0 is the reset state: T plus one unit per DFF.
+    solvers_.push_back(newSolver());
+    TransitionSolver& init = *solvers_[0];
+    for (std::size_t j = 0; j < reset_.size(); j++) {
+      init.solver.addClause({onLit(init.tr.stateLit(0, j), reset_[j])});
+    }
+    frames_.emplace_back(); // index 0 unused: F_0 blocks nothing
+    ensureFrame(1);
     unsigned top = 1;
 
     try {
@@ -209,17 +242,16 @@ private:
           frameSpan.arg("frame", static_cast<double>(top));
           for (;;) {
             if (cancelled()) throw Stop{};
-            std::vector<Lit> assumps = frameAssumps(top);
-            assumps.push_back(badLit_);
-            const Result r = solver.solve(assumps);
+            TransitionSolver& f = *solvers_[top];
+            const Lit bad[] = {f.tr.outputLit(0, badOut_)};
+            const Result r = solve(f, bad);
             charge(PdrQuery::Frame);
             if (r == Result::Unknown) throw Stop{};
             if (r == Result::Unsat) break;
             Obligation root;
-            root.inputs = modelInputs(solver, tr, 0);
+            root.inputs = modelInputs(f);
             root.frame = top;
-            const Lit badTarget[] = {badLit_};
-            root.cube = liftModelState(badTarget);
+            root.cube = liftModelState(f, nullptr);
             if (!blockObligations(std::move(root), top)) {
               finishPdr(top);
               return; // violated; trace assembled
@@ -241,12 +273,7 @@ private:
           const std::vector<Cube> snapshot = frames_[k];
           for (const Cube& c : snapshot) {
             if (cancelled()) throw Stop{};
-            std::vector<Lit> assumps = frameAssumps(k);
-            for (const std::uint32_t e : c) {
-              assumps.push_back(
-                  onLit(tr.stateLit(1, cubeIdx(e)), cubeVal(e)));
-            }
-            const Result r = solver.solve(assumps);
+            const Result r = solve(*solvers_[k], cubeLits(*solvers_[k], c, 1));
             charge(PdrQuery::Push);
             if (r == Result::Unknown) throw Stop{};
             if (r == Result::Unsat) {
@@ -256,6 +283,10 @@ private:
           }
           if (frames_[k].empty()) {
             result_.provedUnbounded = true;
+            for (std::size_t j = k + 1; j < frames_.size(); j++) {
+              invariant_.insert(invariant_.end(), frames_[j].begin(),
+                                frames_[j].end());
+            }
             finishPdr(top);
             return;
           }
@@ -271,15 +302,43 @@ private:
     result_.frames = top;
     result_.clauses = liveClauses();
     charge(lastQuery_); // whatever the last query left uncharged
-    statsOut_.accumulate(solver_->stats());
-    solver_ = nullptr;
-    tr_ = nullptr;
+    statsOut_.accumulate(totals());
+    solvers_.clear();
+    lift_.reset();
   }
 
-  /// Charge the PDR solver's work since the previous charge to query kind
-  /// `q` (see PdrEngineStats::work).
+  /// Solver totals over the property's solvers.
+  SolverStats totals() const {
+    SolverStats sum = lift_->solver.stats();
+    for (const auto& f : solvers_) sum.accumulate(f->solver.stats());
+    return sum;
+  }
+
+  /// Solve on `f` within what the property's whole-run budgets leave.
+  Result solve(TransitionSolver& f, std::span<const Lit> assumps) {
+    const SolverStats spent = totals();
+    const SolverStats& own = f.solver.stats();
+    SolverBudget budget;
+    if (opts_.conflictBudget != 0) {
+      if (spent.conflicts >= opts_.conflictBudget) return Result::Unknown;
+      budget.maxConflicts =
+          own.conflicts + (opts_.conflictBudget - spent.conflicts);
+    }
+    if (opts_.propagationBudget != 0) {
+      if (spent.propagations >= opts_.propagationBudget) {
+        return Result::Unknown;
+      }
+      budget.maxPropagations =
+          own.propagations + (opts_.propagationBudget - spent.propagations);
+    }
+    f.solver.setBudget(budget);
+    return f.solver.solve(assumps);
+  }
+
+  /// Charge the property's solver work since the previous charge to query
+  /// kind `q` (see PdrEngineStats::work).
   void charge(PdrQuery q) {
-    const SolverStats& s = solver_->stats();
+    const SolverStats s = totals();
     PdrQueryWork& work = result_.engine.at(q);
     work.solves += s.solves - charged_.solves;
     work.propagations += s.propagations - charged_.propagations;
@@ -293,83 +352,65 @@ private:
     return n;
   }
 
+  /// Solvers and deltas up to F_k; a new frame starts as T alone (no cube
+  /// is blocked above the old top).
   void ensureFrame(unsigned k) {
-    while (act_.size() <= k) {
-      act_.push_back(mkLit(solver_->newVar(), false));
+    while (solvers_.size() <= k) {
+      solvers_.push_back(newSolver());
       frames_.emplace_back();
     }
   }
 
-  /// Assumptions selecting F_k: activate every frame literal at or
-  /// above k, *deactivate* the rest (leaving them free would let the
-  /// solver impose stronger frames and turn a genuine SAT into UNSAT).
-  std::vector<Lit> frameAssumps(unsigned k) const {
-    std::vector<Lit> assumps;
-    assumps.reserve(act_.size() - 1);
-    for (unsigned j = 1; j < act_.size(); j++) {
-      assumps.push_back(j >= k ? act_[j] : litNeg(act_[j]));
-    }
-    return assumps;
+  /// Add ¬c to f over the current state.
+  static void addCubeClause(TransitionSolver& f, const Cube& c) {
+    std::vector<Lit> clause = cubeLits(f, c, 0);
+    for (Lit& l : clause) l = litNeg(l);
+    f.solver.addClause(clause);
   }
 
-  std::vector<Lit> initAssumps() const {
-    std::vector<Lit> assumps;
-    assumps.reserve(reset_.size());
-    for (std::size_t j = 0; j < reset_.size(); j++) {
-      assumps.push_back(onLit(tr_->stateLit(0, j), reset_[j]));
-    }
-    // The frame activations still need pinning off: their clauses
-    // constrain the same current-state variables.
-    for (unsigned j = 1; j < act_.size(); j++) {
-      assumps.push_back(litNeg(act_[j]));
-    }
-    return assumps;
-  }
-
-  /// Shrink the current model's frame-0 state to the literals the
-  /// transition actually needs to drive the successor into `target` (a
-  /// conjunction of solver literals: a cube's primed literals, or the
-  /// bad output). The lift query assumes the model's inputs and full
-  /// state and forbids the target through a temporary clause — the
-  /// transition function is deterministic, so it is UNSAT and its core
-  /// names the necessary state bits. Every state in the lifted cube
-  /// reaches `target` under the same inputs, which is what keeps
-  /// counterexample chains concretely replayable. Falls back to the
-  /// full model cube on a budget trip (sound, just weaker).
-  Cube liftModelState(std::span<const Lit> target) {
+  /// Shrink `from`'s model state to the literals the transition actually
+  /// needs to drive the successor into `target` (a cube's primed
+  /// literals; null = the bad output). The lift query runs on the T-only
+  /// solver: it assumes the model's inputs and full state and forbids the
+  /// target through a temporary clause — the transition function is
+  /// deterministic, so it is UNSAT and its core names the necessary state
+  /// bits. Every state in the lifted cube reaches `target` under the same
+  /// inputs, which is what keeps counterexample chains concretely
+  /// replayable. Falls back to the full model cube on a budget trip
+  /// (sound, just weaker).
+  Cube liftModelState(const TransitionSolver& from, const Cube* target) {
     std::vector<bool> sVal(reset_.size());
     for (std::size_t j = 0; j < reset_.size(); j++) {
-      sVal[j] = solver_->modelValue(tr_->stateLit(0, j));
+      sVal[j] = from.solver.modelValue(from.tr.stateLit(0, j));
     }
-    std::vector<bool> iVal;
-    iVal.reserve(freeInputs_.size());
-    for (const NodeId id : freeInputs_) {
-      iVal.push_back(solver_->modelValue(tr_->inputLit(0, id)));
-    }
+    const std::vector<bool> iVal = modelInputs(from);
 
-    const Lit u = mkLit(solver_->newVar(), false);
+    TransitionSolver& f = *lift_;
+    const Lit u = mkLit(f.solver.newVar(), false);
     std::vector<Lit> notTarget;
+    if (target == nullptr) {
+      notTarget.push_back(f.tr.outputLit(0, badOut_));
+    } else {
+      notTarget = cubeLits(f, *target, 1);
+    }
+    for (Lit& l : notTarget) l = litNeg(l);
     notTarget.push_back(litNeg(u));
-    for (const Lit l : target) notTarget.push_back(litNeg(l));
-    solver_->addClause(notTarget);
+    f.solver.addClause(notTarget);
 
     std::vector<Lit> assumps;
-    for (unsigned j = 1; j < act_.size(); j++) {
-      assumps.push_back(litNeg(act_[j]));
-    }
     assumps.push_back(u);
     for (std::size_t i = 0; i < freeInputs_.size(); i++) {
-      assumps.push_back(onLit(tr_->inputLit(0, freeInputs_[i]), iVal[i]));
+      assumps.push_back(onLit(f.tr.inputLit(0, freeInputs_[i]), iVal[i]));
     }
     const std::size_t first = assumps.size();
     for (std::size_t j = 0; j < reset_.size(); j++) {
-      assumps.push_back(onLit(tr_->stateLit(0, j), sVal[j]));
+      assumps.push_back(onLit(f.tr.stateLit(0, j), sVal[j]));
     }
-    const Result r = solver_->solve(assumps);
+    const Result r = solve(f, assumps);
     Cube c;
     if (r == Result::Unsat) {
-      const std::unordered_set<Lit> core(solver_->unsatAssumptions().begin(),
-                                         solver_->unsatAssumptions().end());
+      const std::unordered_set<Lit> core(f.solver.unsatAssumptions().begin(),
+                                         f.solver.unsatAssumptions().end());
       for (std::size_t j = 0; j < reset_.size(); j++) {
         if (core.count(assumps[first + j]) != 0) {
           c.push_back(static_cast<std::uint32_t>(j) << 1 |
@@ -383,7 +424,7 @@ private:
                     (sVal[j] ? 1u : 0u));
       }
     }
-    solver_->addClause({litNeg(u)});
+    f.solver.releaseVar(litNeg(u));
     charge(PdrQuery::Lift);
     return c;
   }
@@ -407,42 +448,37 @@ private:
     return false;
   }
 
-  /// One consecution query: SAT(F_{k-1} ∧ ¬c ∧ T ∧ c'), charged to
-  /// `kind`. Returns the solver result; on UNSAT fills `core` with the
-  /// subset of c's literal positions the refutation used.
+  /// One consecution query on F_{k-1}'s solver: SAT(F_{k-1} ∧ ¬c ∧ T ∧
+  /// c'), charged to `kind`. Returns the solver result; on UNSAT fills
+  /// `core` with the subset of c's literal positions the refutation used.
+  /// The ¬c clause sits behind an activation literal the query releases,
+  /// so the solver recycles its variable.
   Result consecution(PdrQuery kind, const Cube& c, unsigned k,
                      std::vector<bool>* core) {
-    // Temporary activation for the ¬c clause, retired permanently after
-    // the query (and its MIC follow-ups) by a unit clause.
-    const Lit t = mkLit(solver_->newVar(), false);
-    std::vector<Lit> notC;
+    TransitionSolver& f = *solvers_[k - 1];
+    const Lit t = mkLit(f.solver.newVar(), false);
+    std::vector<Lit> notC = cubeLits(f, c, 0);
+    for (Lit& l : notC) l = litNeg(l);
     notC.push_back(litNeg(t));
-    for (const std::uint32_t e : c) {
-      notC.push_back(litNeg(onLit(tr_->stateLit(0, cubeIdx(e)), cubeVal(e))));
-    }
-    solver_->addClause(notC);
+    f.solver.addClause(notC);
 
-    std::vector<Lit> assumps =
-        k - 1 == 0 ? initAssumps() : frameAssumps(k - 1);
-    assumps.push_back(t);
-    const std::size_t first = assumps.size();
-    for (const std::uint32_t e : c) {
-      assumps.push_back(onLit(tr_->stateLit(1, cubeIdx(e)), cubeVal(e)));
-    }
-    const Result r = solver_->solve(assumps);
+    std::vector<Lit> assumps = {t};
+    const std::vector<Lit> primed = cubeLits(f, c, 1);
+    assumps.insert(assumps.end(), primed.begin(), primed.end());
+    const Result r = solve(f, assumps);
     if (r == Result::Unsat && core != nullptr) {
       core->assign(c.size(), false);
       std::unordered_map<Lit, std::vector<std::size_t>> posOf;
       for (std::size_t i = 0; i < c.size(); i++) {
-        posOf[assumps[first + i]].push_back(i);
+        posOf[primed[i]].push_back(i);
       }
-      for (const Lit l : solver_->unsatAssumptions()) {
+      for (const Lit l : f.solver.unsatAssumptions()) {
         const auto it = posOf.find(l);
         if (it == posOf.end()) continue;
         for (const std::size_t i : it->second) (*core)[i] = true;
       }
     }
-    solver_->addClause({litNeg(t)});
+    f.solver.releaseVar(litNeg(t));
     charge(kind);
     return r;
   }
@@ -490,6 +526,7 @@ private:
     return g;
   }
 
+  /// Block g at level j: solvers 1..j gain ¬g.
   void addBlockedCube(Cube g, unsigned j) {
     // Drop cubes the new clause subsumes anywhere it is active.
     for (std::size_t lvl = 1; lvl <= j && lvl < frames_.size(); lvl++) {
@@ -499,29 +536,18 @@ private:
                    [&](const Cube& d) { return d != g && subsumes(g, d); }),
                fs.end());
     }
-    std::vector<Lit> clause;
-    clause.push_back(litNeg(act_[j]));
-    for (const std::uint32_t e : g) {
-      clause.push_back(
-          litNeg(onLit(tr_->stateLit(0, cubeIdx(e)), cubeVal(e))));
-    }
-    solver_->addClause(clause);
+    for (unsigned lvl = 1; lvl <= j; lvl++) addCubeClause(*solvers_[lvl], g);
     frames_[j].push_back(std::move(g));
     result_.engine.cubesBlocked++;
   }
 
+  /// Push c from level `from` to `to` = from + 1: only F_to's solver
+  /// lacks ¬c.
   void moveCube(const Cube& c, unsigned from, unsigned to) {
-    ensureFrame(to);
     auto& fs = frames_[from];
     const auto it = std::find(fs.begin(), fs.end(), c);
     if (it != fs.end()) fs.erase(it);
-    std::vector<Lit> clause;
-    clause.push_back(litNeg(act_[to]));
-    for (const std::uint32_t e : c) {
-      clause.push_back(
-          litNeg(onLit(tr_->stateLit(0, cubeIdx(e)), cubeVal(e))));
-    }
-    solver_->addClause(clause);
+    addCubeClause(*solvers_[to], c);
     frames_[to].push_back(c);
   }
 
@@ -561,16 +587,12 @@ private:
           consecution(PdrQuery::Consecution, pool[oi].cube, frame, &core);
       if (r == Result::Unknown) throw Stop{};
       if (r == Result::Sat) {
-        // Predecessor in F_{frame-1}; for frame 1 the init assumptions
-        // make it the initial state itself, caught at its dequeue.
+        // Predecessor in F_{frame-1}; for frame 1 that is the reset state
+        // itself, caught at its dequeue.
+        const TransitionSolver& f = *solvers_[frame - 1];
         Obligation pred;
-        pred.inputs = modelInputs(*solver_, *tr_, 0);
-        std::vector<Lit> target;
-        target.reserve(pool[oi].cube.size());
-        for (const std::uint32_t e : pool[oi].cube) {
-          target.push_back(onLit(tr_->stateLit(1, cubeIdx(e)), cubeVal(e)));
-        }
-        pred.cube = liftModelState(target);
+        pred.inputs = modelInputs(f);
+        pred.cube = liftModelState(f, &pool[oi].cube);
         pred.frame = frame - 1;
         pred.parent = oi;
         pred.seq = seq++;
@@ -619,15 +641,14 @@ private:
   std::vector<NodeId> freeInputs_;
   std::vector<bool> reset_; // per DFF index
   PdrPropertyResult result_;
+  std::vector<Cube> invariant_;
 
   // PDR state (valid during runPdr only).
-  Solver* solver_ = nullptr;
-  PdrQueryWork charged_;                 // solver totals at the last charge
+  std::vector<std::unique_ptr<TransitionSolver>> solvers_; // F_k at index k
+  std::unique_ptr<TransitionSolver> lift_;                 // T alone
+  PdrQueryWork charged_; // solver totals at the last charge
   PdrQuery lastQuery_ = PdrQuery::Frame;
-  Unroller* tr_ = nullptr;
-  Lit badLit_ = kLitUndef;
   std::vector<std::vector<Cube>> frames_; // delta encoding: level k only
-  std::vector<Lit> act_;                  // frame activation literals
 };
 
 } // namespace
@@ -651,13 +672,90 @@ PdrPropertyResult provePropertyUnbounded(const netlist::Netlist& nl,
                                          SolverStats& statsOut) {
   const NodeId roots[] = {badOutput};
   const ConeAig model(nl, roots, forced);
-  PdrPropertyResult r = Engine(model.sa, model.cone.toCone[badOutput],
-                               model.forced, opts, statsOut)
-                            .run();
+  Engine engine(model.sa, model.cone.toCone[badOutput], model.forced, opts,
+                statsOut);
+  PdrPropertyResult r = engine.run();
   for (NodeId& id : r.trace.inputs) id = model.cone.toSource[id];
+  const std::vector<NodeId>& coneDffs = model.cone.netlist.dffs();
+  for (const Cube& c : engine.invariant()) {
+    StateCube& sc = r.invariant.emplace_back();
+    for (const std::uint32_t e : c) {
+      sc.push_back({model.cone.toSource[coneDffs[cubeIdx(e)]], cubeVal(e)});
+    }
+  }
+  if (r.provedUnbounded) {
+    // A fixpoint counts as a proof only once a fresh solver has checked
+    // its invariant.
+    obs::Span span("sat.pdr.certificate");
+    span.arg("cubes", static_cast<double>(r.invariant.size()));
+    const InvariantCheck check =
+        checkInvariant(nl, badOutput, forced, r.invariant);
+    span.arg("ok", check.ok ? 1.0 : 0.0);
+    if (!check.ok) {
+      r.provedUnbounded = false;
+      r.certificateError = check.detail;
+    }
+  }
   r.trace.forced = std::move(forced);
-  r.coneDffs = static_cast<unsigned>(model.cone.netlist.dffs().size());
+  r.coneDffs = static_cast<unsigned>(coneDffs.size());
   return r;
+}
+
+InvariantCheck checkInvariant(const netlist::Netlist& nl,
+                              netlist::NodeId badOutput,
+                              std::span<const ForcedInput> forced,
+                              const std::vector<StateCube>& invariant) {
+  InvariantCheck out;
+  const NodeId roots[] = {badOutput};
+  const ConeAig model(nl, roots, forced);
+  const std::vector<NodeId>& dffs = model.cone.netlist.dffs();
+  std::unordered_map<NodeId, std::size_t> dffIndex; // cone node -> index
+  for (std::size_t j = 0; j < dffs.size(); j++) dffIndex[dffs[j]] = j;
+
+  Solver solver;
+  Unroller tr(solver, model.sa, model.forced, /*freeInitialState=*/true);
+  tr.pushFrame();
+  // Inv blocks each cube on the current state; next[i] is cube i on the
+  // successor state.
+  std::vector<std::vector<Lit>> next(invariant.size());
+  for (std::size_t i = 0; i < invariant.size(); i++) {
+    bool meetsReset = true;
+    std::vector<Lit> blocking;
+    for (const StateLit& l : invariant[i]) {
+      const NodeId c =
+          l.dff < model.cone.toCone.size() ? model.cone.toCone[l.dff]
+                                           : netlist::kNoNode;
+      const auto it = dffIndex.find(c);
+      if (it == dffIndex.end()) {
+        out.detail = "cube " + std::to_string(i) + " names node " +
+                     std::to_string(l.dff) + ", not a DFF of the cone";
+        return out;
+      }
+      const Lit s = tr.stateLit(0, it->second);
+      blocking.push_back(l.value ? litNeg(s) : s);
+      const Lit n = tr.stateLit(1, it->second);
+      next[i].push_back(l.value ? n : litNeg(n));
+      meetsReset &= l.value == tr.resetValue(it->second);
+    }
+    if (meetsReset) {
+      out.detail = "cube " + std::to_string(i) + " meets the reset state";
+      return out;
+    }
+    solver.addClause(blocking);
+  }
+  if (solver.solve({tr.outputLit(0, model.cone.toCone[badOutput])}) !=
+      Result::Unsat) {
+    out.detail = "a state of the invariant is bad";
+    return out;
+  }
+  for (std::size_t i = 0; i < next.size(); i++) {
+    if (solver.solve(next[i]) != Result::Unsat) {
+      out.detail = "the invariant steps into cube " + std::to_string(i);
+      return out;
+    }
+  }
+  out.ok = true;
+  return out;
 }
 
 PdrResult proveUnbounded(const netlist::Netlist& nl,
@@ -698,7 +796,11 @@ PdrResult proveUnbounded(const netlist::Netlist& nl,
     propSpan.arg("proved", r.provedUnbounded ? 1.0 : 0.0);
   };
   if (opts.runner) {
-    opts.runner(props.size(), prove);
+    // Task i proves property n-1-i: a thread waiting for its own tasks
+    // runs the newest first, so token_conservation, usually the longest,
+    // starts first instead of last.
+    const std::size_t n = props.size();
+    opts.runner(n, [&](std::size_t i) { prove(n - 1 - i); });
   } else {
     for (std::size_t i = 0; i < props.size(); i++) prove(i);
   }

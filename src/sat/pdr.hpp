@@ -20,7 +20,7 @@
 // masks the first violation of either G-property.
 //
 // The engine, per property, is PDR/IC3: a frame-relative clause
-// trapezoid F_1 ⊇ F_2 ⊇ … over a one-step transition relation (a
+// trapezoid F_1 ⊇ F_2 ⊇ … over a one-step transition relation T (a
 // free-initial-state Unroller with a single frame), a proof-obligation
 // priority queue, inductive generalization driven by the solver's unsat
 // cores over the assumption literals, clause pushing after every new
@@ -28,6 +28,25 @@
 // for all time. An obligation cube that meets the reset state closes a
 // concrete counterexample: a bad reset state is reported at depth 0
 // with a one-frame trace.
+//
+// Solver layout (as in IC3ref): one Solver and Unroller per frame. F_0's
+// solver holds T plus the reset state as units; F_k's holds T plus
+// exactly the cubes blocked at levels ≥ k (a cube blocked at level j goes
+// into solvers 1..j, a push from k to k+1 adds it to solver k+1), so a
+// query only ever watches its own frame's clauses. One more T-only solver
+// answers the lift queries. Every temporary clause (consecution, MIC,
+// forward push, lift) sits behind an activation literal the query hands
+// back through Solver::releaseVar, so each solver's variables are
+// recycled instead of piling up. The budgets in PdrOptions are per
+// property, summed over its solvers.
+//
+// Certificates: a fixpoint at frame k makes the cubes above k an
+// inductive invariant Inv. The result exports it (PdrPropertyResult::
+// invariant, over the caller's DFF nodes) and provePropertyUnbounded
+// reports the property proved only after checkInvariant — a fresh cone,
+// unrolling and solver — confirms that no cube meets reset, Inv ∧ bad is
+// UNSAT and Inv ∧ T ∧ c′ is UNSAT for every cube c. A rejected fixpoint
+// comes back unproved with certificateError set.
 //
 // Each property runs on its own cone of influence: the monitor is built
 // once over the whole design, then the engine unrolls only the sequential
@@ -60,6 +79,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +87,7 @@
 #include "netlist/netlist.hpp"
 #include "sat/bmc.hpp"
 #include "sat/cnf.hpp"
+#include "sat/monitor.hpp"
 #include "sat/solver.hpp"
 #include "support/cancellation.hpp"
 
@@ -81,7 +102,8 @@ struct PdrOptions {
   /// Literal-drop attempts per inductive generalization beyond the
   /// unsat-core shrink (0 = core only).
   unsigned micAttempts = 24;
-  /// Whole-run solver budgets per property, absolute (0 = unlimited).
+  /// Whole-run solver budgets per property, summed over its solvers
+  /// (0 = unlimited).
   std::uint64_t conflictBudget = 1u << 22;
   std::uint64_t propagationBudget = 0;
   bool tokenConservation = true;
@@ -152,9 +174,19 @@ struct PdrEngineStats {
   }
 };
 
+/// One literal of an invariant cube: DFF `dff`, a node of the netlist the
+/// caller passed, holds `value`.
+struct StateLit {
+  netlist::NodeId dff = netlist::kNoNode;
+  bool value = false;
+};
+
+/// The states in which every literal holds.
+using StateCube = std::vector<StateLit>;
+
 struct PdrPropertyResult {
   std::string name;
-  bool provedUnbounded = false;
+  bool provedUnbounded = false; // fixpoint reached and its invariant checked
   bool violated = false;
   bool degraded = false;       // budget/cancel/frame-cap stop: bounded only
   unsigned frames = 0;         // PDR trapezoid height at exit
@@ -165,6 +197,13 @@ struct PdrPropertyResult {
   unsigned coneDffs = 0;       // DFFs in the fail output's cone (see header)
   PdrTrace trace;              // non-empty when violated
   PdrEngineStats engine;
+  /// At a fixpoint, the inductive invariant: the states in none of these
+  /// cubes (every cube above the frame whose delta emptied). Empty
+  /// otherwise.
+  std::vector<StateCube> invariant;
+  /// Why checkInvariant rejected the fixpoint's invariant (the property is
+  /// then not proved); empty when it passed or PDR reached no fixpoint.
+  std::string certificateError;
 };
 
 struct PdrResult {
@@ -215,6 +254,13 @@ struct PdrResult {
   }
 };
 
+/// The protocol monitor proveUnbounded instruments `nl` with: the shared
+/// handshake events and watchdog (sat/monitor.hpp) plus one saturating
+/// offset register per (input, output) channel pair for the token and
+/// occupancy outputs (see header).
+Monitor buildPdrMonitor(const netlist::Netlist& nl,
+                        const sync::PortView& ports, const PdrOptions& opts);
+
 /// Prove the protocol invariants on `nl` seen through `ports` for all
 /// time (or find counterexample traces / degrade to a bound). The enabled
 /// properties run through `opts.runner` when one is set; the result lists
@@ -234,6 +280,21 @@ PdrPropertyResult provePropertyUnbounded(const netlist::Netlist& nl,
                                          std::vector<ForcedInput> forced,
                                          const PdrOptions& opts,
                                          SolverStats& statsOut);
+
+struct InvariantCheck {
+  bool ok = false;
+  std::string detail; // the first check that failed; empty when ok
+};
+
+/// Check `invariant` as a proof that output `badOutput` of `nl` never
+/// asserts with `forced` pinned every cycle, on a fresh cone, Unroller and
+/// Solver: no cube meets the reset state, Inv ∧ bad is UNSAT, and
+/// Inv ∧ T ∧ c′ is UNSAT for every cube c. A literal naming a node that
+/// is not a DFF of bad's cone fails the check.
+InvariantCheck checkInvariant(const netlist::Netlist& nl,
+                              netlist::NodeId badOutput,
+                              std::span<const ForcedInput> forced,
+                              const std::vector<StateCube>& invariant);
 
 struct ReplayOptions {
   unsigned capacityBound = 8;

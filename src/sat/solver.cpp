@@ -57,20 +57,39 @@ Solver::~Solver() {
 }
 
 Var Solver::newVar() {
-  const Var v = static_cast<Var>(assign_.size());
-  assign_.push_back(kUndef);
-  polarity_.push_back(0);
-  seen_.push_back(0);
-  level_.push_back(0);
-  reasonOf_.push_back(kCRefUndef);
   // A deterministic sub-ULP jitter diversifies activity tie-breaks per
   // construction seed without disturbing real bump ordering.
-  activity_.push_back(static_cast<double>(rng_.next() >> 16) * 1e-14);
-  heapPos_.push_back(kNoPos);
-  watches_.emplace_back();
-  watches_.emplace_back();
+  const double jitter = static_cast<double>(rng_.next() >> 16) * 1e-14;
+  Var v;
+  if (!freeVars_.empty()) {
+    // The cleanup that freed v left it unassigned, unwatched and off the
+    // heap (see removeSatisfied).
+    v = freeVars_.back();
+    freeVars_.pop_back();
+    polarity_[v] = 0;
+    level_[v] = 0;
+    reasonOf_[v] = kCRefUndef;
+    activity_[v] = jitter;
+  } else {
+    v = static_cast<Var>(assign_.size());
+    assign_.push_back(kUndef);
+    polarity_.push_back(0);
+    seen_.push_back(0);
+    level_.push_back(0);
+    reasonOf_.push_back(kCRefUndef);
+    activity_.push_back(jitter);
+    heapPos_.push_back(kNoPos);
+    watches_.emplace_back();
+    watches_.emplace_back();
+  }
   heapInsert(v);
   return v;
+}
+
+void Solver::releaseVar(Lit l) {
+  // As addClause({l}): a literal false at level 0 leaves the formula UNSAT.
+  if (valueLit(l) != kTrue && !addClause({l})) return;
+  released_.push_back(litVar(l));
 }
 
 float Solver::clauseActivity(std::uint32_t c) const {
@@ -375,24 +394,55 @@ bool Solver::satisfiedAtLevel0(std::uint32_t c) const {
   return false;
 }
 
+bool Solver::mentionsReleased(std::uint32_t c) const {
+  const Lit* lits = clauseLits(c);
+  for (std::uint32_t k = 0; k < clauseSize(c); k++) {
+    if (seen_[litVar(lits[k])] != 0) return true;
+  }
+  return false;
+}
+
 void Solver::removeSatisfied() {
   assert(decisionLevel() == 0);
-  cleanedTrail_ = trail_.size();
-  // Compact the arena in place, keeping clause order: tombstoned learnts
-  // and satisfied originals go. fwd[old] is a kept clause's new reference,
-  // kCRefUndef for a dropped one.
+  // Released variables are marked in seen_ for the duration.
+  const bool releasing = !released_.empty();
+  for (const Var v : released_) seen_[v] = 1;
+  // Compact the arena in place, keeping clause order: tombstoned learnts,
+  // satisfied originals and learnts naming a released variable go; a kept
+  // original loses its released (false) literals. fwd[old] is a kept
+  // clause's new reference, kCRefUndef for a dropped one.
   std::vector<std::uint32_t> fwd(arena_.size(), kCRefUndef);
   std::uint32_t out = 0;
   for (std::uint32_t c = 0; c < arena_.size();) {
     const std::uint32_t words = clauseWords(c);
     const bool learnt = clauseLearnt(c);
-    if (!clauseDeleted(c) && (learnt || !satisfiedAtLevel0(c))) {
-      fwd[c] = out;
-      std::copy(arena_.begin() + c, arena_.begin() + c + words,
+    const bool keep =
+        !clauseDeleted(c) &&
+        (learnt ? !(releasing && mentionsReleased(c)) : !satisfiedAtLevel0(c));
+    if (keep) {
+      // Writes never pass the read position (out <= c) but may land on
+      // c's header, so it is read first. A kept original is not
+      // satisfied, so both its watches are unassigned: a released (false)
+      // literal sits at index 2 or later and goes without touching the
+      // watchers.
+      const std::uint32_t header = arena_[c];
+      const std::uint32_t lead = words - clauseSize(c); // header (+ activity)
+      std::copy(arena_.begin() + c, arena_.begin() + c + lead,
                 arena_.begin() + out);
-      out += words;
+      std::uint32_t size = 0;
+      for (std::uint32_t k = lead; k < words; k++) {
+        const Lit l = arena_[c + k];
+        if (seen_[litVar(l)] == 0) arena_[out + lead + size++] = l;
+      }
+      assert(size >= 2);
+      arena_[out] = (size << 2) | (header & 1u);
+      fwd[c] = out;
+      out += lead + size;
     } else if (!learnt) {
       numClauses_--;
+    } else if (!clauseDeleted(c)) {
+      liveLearnts_--;
+      stats_.deletedClauses++;
     }
     c += words;
   }
@@ -404,13 +454,54 @@ void Solver::removeSatisfied() {
     }
     ws.resize(j);
   }
-  for (std::uint32_t& cref : learnts_) cref = fwd[cref];
+  std::size_t kept = 0;
+  for (const std::uint32_t cref : learnts_) {
+    if (fwd[cref] != kCRefUndef) learnts_[kept++] = fwd[cref];
+  }
+  learnts_.resize(kept);
   // A learnt reason keeps locking its clause in reduceDB; a dropped
-  // original reason is never read again (analysis stops above level 0).
+  // reason is never read again (analysis stops above level 0).
   for (const Lit p : trail_) {
     std::uint32_t& reason = reasonOf_[litVar(p)];
     if (reason != kCRefUndef) reason = fwd[reason];
   }
+  if (releasing) {
+    // Off the trail and the heap, into the free pool.
+    std::size_t j = 0;
+    for (const Lit p : trail_) {
+      if (seen_[litVar(p)] == 0) trail_[j++] = p;
+    }
+    trail_.resize(j);
+    qhead_ = j;
+    rebuildHeap();
+    for (const Var v : released_) {
+      // Every clause naming v went or lost v above.
+      assert(watches_[mkLit(v)].empty() && watches_[mkLit(v, true)].empty());
+      seen_[v] = 0;
+      assign_[v] = kUndef;
+      freeVars_.push_back(v);
+    }
+    released_.clear();
+  }
+  cleanedTrail_ = trail_.size();
+}
+
+void Solver::rebuildHeap() {
+  // Keep the unassigned variables (level-0 assignments, the released ones
+  // included, leave for good), then restore the heap order bottom-up.
+  std::size_t j = 0;
+  for (const Var v : heap_) {
+    if (assign_[v] == kUndef) {
+      heap_[j++] = v;
+    } else {
+      heapPos_[v] = kNoPos;
+    }
+  }
+  heap_.resize(j);
+  for (std::size_t i = 0; i < j; i++) {
+    heapPos_[heap_[i]] = static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t i = j / 2; i-- > 0;) heapDown(static_cast<std::uint32_t>(i));
 }
 
 void Solver::varBumpActivity(Var v) {
@@ -588,7 +679,10 @@ Result Solver::solve(std::span<const Lit> assumptions) {
     maxLearnts_ =
         std::max(1000.0, static_cast<double>(numClauses_) * (1.0 / 3.0));
   }
-  if (trail_.size() >= cleanedTrail_ + kCleanupUnits) removeSatisfied();
+  if (trail_.size() >= cleanedTrail_ + kCleanupUnits ||
+      released_.size() >= kCleanupReleased) {
+    removeSatisfied();
+  }
   Result status = Result::Unknown;
   for (int curr = 0; status == Result::Unknown; curr++) {
     status = search(

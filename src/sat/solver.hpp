@@ -7,15 +7,26 @@
 // (header word + literals); reduceDB tombstones a deleted learnt's header
 // and lets propagate() drop its stale watchers lazily.
 //
-// Level-0 cleanup: once kCleanupUnits new level-0 units have accumulated,
-// solve() drops every original clause satisfied at level 0 (PDR retires
-// each query's activation variable with a unit, leaving the query's
-// clause dead on the state variables' watchers), compacts the arena in
-// clause order, drops dead watchers and relocates the learnt list and the
+// Level-0 cleanup: once kCleanupUnits new level-0 units have accumulated
+// (or kCleanupReleased variables were released, see below), solve() drops
+// every original clause satisfied at level 0, compacts the arena in clause
+// order, drops dead watchers and relocates the learnt list and the
 // reasons of level-0 units. A satisfied clause never propagates or
-// conflicts, the surviving watchers keep their order, learnt clauses all
-// stay (reduceDB ranks them) and a reason still locks its clause, so the
-// search is exactly the one without the cleanup.
+// conflicts, the surviving watchers keep their order, learnt clauses stay
+// (reduceDB ranks them) and a reason still locks its clause, so the search
+// is exactly the one without the cleanup.
+//
+// Variable recycling (MiniSat's releaseVar): releaseVar(l) fixes l at
+// level 0 and promises the caller never names var(l) again. The next
+// cleanup then also drops the learnt clauses that mention a released
+// variable (only those: dropping every satisfied learnt would move the
+// search of a solver that releases nothing), strips the released
+// variables' false literals from the original clauses it keeps, takes the
+// variables off the trail and the decision heap, and hands them to the
+// next newVar() calls. PDR retires every temporary clause this way, so a
+// solver answering many queries keeps bounded variable arrays, watch
+// lists, heap and model copy. A solver that never releases a variable
+// searches exactly as before.
 //
 // The solver is incremental: newVar()/addClause() stay legal between
 // solve() calls, and solve(assumptions) answers queries under a set of
@@ -107,9 +118,17 @@ public:
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
+  /// A fresh variable: a recycled one when a cleanup freed some (see
+  /// header), otherwise the next index.
   Var newVar();
+  /// Variables allocated, the recycled pool included.
   std::size_t numVars() const { return assign_.size(); }
   std::size_t numClauses() const { return numClauses_; }
+
+  /// Fix `l` true at level 0, as addClause({l}) does (a literal already
+  /// false makes the formula UNSAT), and recycle var(l) at the next
+  /// cleanup; the caller must not name var(l) afterwards (top level only).
+  void releaseVar(Lit l);
 
   /// Add a clause (top level only). Satisfied/tautological clauses are
   /// absorbed; false literals are stripped. Returns false when the
@@ -147,8 +166,11 @@ private:
   static constexpr std::uint32_t kCRefUndef = 0xffffffffu;
   static constexpr std::uint8_t kFalse = 0, kTrue = 1, kUndef = 2;
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
-  /// New level-0 units between two level-0 cleanups (see header).
+  /// New level-0 units, or released variables, that trigger the next
+  /// level-0 cleanup (see header). Released variables come sooner: each
+  /// leaves a dead temporary clause on the watchers until then.
   static constexpr std::size_t kCleanupUnits = 256;
+  static constexpr std::size_t kCleanupReleased = 64;
 
   std::uint8_t valueLit(Lit l) const {
     const std::uint8_t a = assign_[litVar(l)];
@@ -177,7 +199,9 @@ private:
   float clauseActivity(std::uint32_t c) const;
   void setClauseActivity(std::uint32_t c, float a);
   bool satisfiedAtLevel0(std::uint32_t c) const;
+  bool mentionsReleased(std::uint32_t c) const;
   void removeSatisfied();
+  void rebuildHeap();
 
   void attachClause(std::uint32_t cref);
   void uncheckedEnqueue(Lit p, std::uint32_t from = kCRefUndef);
@@ -220,6 +244,8 @@ private:
   std::vector<Lit> conflictAssumps_;
   std::vector<Var> toClear_;
   std::vector<std::uint8_t> model_;
+  std::vector<Var> released_; // released since the last cleanup
+  std::vector<Var> freeVars_; // recycled, handed out by newVar()
   std::size_t qhead_ = 0;
   std::size_t cleanedTrail_ = 0; // level-0 trail size at the last cleanup
   std::size_t numClauses_ = 0;

@@ -4,6 +4,7 @@
 // over the bench's own suites emits identical artifacts, metrics and
 // diagnostics ordering at --jobs 1 and --jobs 8.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <map>
@@ -171,6 +173,18 @@ void checkSamePdr(const lis::sat::PdrResult& a, const lis::sat::PdrResult& b) {
       CHECK_EQ(x.engine.work[q].solves, y.engine.work[q].solves);
       CHECK_EQ(x.engine.work[q].propagations, y.engine.work[q].propagations);
     }
+    // The same invariant, cube for cube and literal for literal.
+    CHECK(x.certificateError == y.certificateError);
+    CHECK_EQ(x.invariant.size(), y.invariant.size());
+    for (std::size_t c = 0;
+         c < x.invariant.size() && c < y.invariant.size(); ++c) {
+      CHECK_EQ(x.invariant[c].size(), y.invariant[c].size());
+      for (std::size_t l = 0;
+           l < x.invariant[c].size() && l < y.invariant[c].size(); ++l) {
+        CHECK_EQ(x.invariant[c][l].dff, y.invariant[c][l].dff);
+        CHECK_EQ(x.invariant[c][l].value, y.invariant[c][l].value);
+      }
+    }
   }
   CHECK_EQ(a.stats.conflicts, b.stats.conflicts);
   CHECK_EQ(a.stats.decisions, b.stats.decisions);
@@ -208,6 +222,34 @@ void testPdrPropertyFanOut() {
     CHECK_EQ(serial.properties.size(), 3u);
     CHECK(serial.allProved());
     checkSamePdr(serial, fanned);
+    if (enc != lis::sync::Encoding::Binary) continue;
+    // A thread waiting for its own tasks runs the newest first. Under
+    // such a runner token_conservation, usually the longest, must start
+    // first, and the result is still joined in property order.
+    opts.runner = [](std::size_t n,
+                     const std::function<void(std::size_t)>& f) {
+      for (std::size_t i = n; i-- > 0;) f(i);
+    };
+    lis::obs::Tracer& tracer = lis::obs::Tracer::instance();
+    tracer.enable();
+    const lis::sat::PdrResult newestFirst =
+        lis::sat::proveUnbounded(sys.netlist, ports, opts);
+    tracer.disable();
+    checkSamePdr(serial, newestFirst);
+    std::vector<std::pair<std::int64_t, std::string>> starts;
+    for (const lis::obs::TraceEvent& e : tracer.snapshot()) {
+      if (e.name != "sat.pdr.property") continue;
+      for (const lis::obs::TraceArg& a : e.args) {
+        if (a.key == "name") starts.emplace_back(e.startNs, a.text);
+      }
+    }
+    std::sort(starts.begin(), starts.end());
+    CHECK_EQ(starts.size(), 3u);
+    if (starts.size() == 3) {
+      CHECK(starts[0].second == "token_conservation");
+      CHECK(starts[1].second == "occupancy_bound");
+      CHECK(starts[2].second == "deadlock_watchdog");
+    }
   }
 }
 
@@ -539,6 +581,15 @@ void testRunManySatPipeline() {
       CHECK(m.value("bmc.depth") ==
             static_cast<double>(bmc->minDepthReached()));
       CHECK(m.value("pdr.degraded") == (pdr->anyDegraded() ? 1.0 : 0.0));
+      // Every proof passed its certificate check.
+      CHECK(m.value("pdr.certified") == 1.0);
+      double invariantClauses = 0.0;
+      for (const lis::sat::PdrPropertyResult& p : pdr->properties) {
+        CHECK(p.certificateError.empty());
+        invariantClauses += static_cast<double>(p.invariant.size());
+      }
+      CHECK(invariantClauses > 0.0);
+      CHECK(m.value("pdr.invariant_clauses") == invariantClauses);
       // The per-kind PDR work adds up to the engine's solver totals.
       double solves = 0.0;
       double propagations = 0.0;

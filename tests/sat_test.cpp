@@ -245,6 +245,139 @@ void testSolverDeterminism() {
   CHECK_EQ(static_cast<int>(s2.solve()), static_cast<int>(sat::Result::Unsat));
 }
 
+void testReleasedVarsRecycleSoundly() {
+  // PDR's query pattern on one solver: each query adds temporary clauses
+  // behind a fresh activation literal t, solves under t and a few more
+  // assumptions, then releases !t. Over 1200 queries the level-0 cleanups
+  // (one per 64 released literals) recycle the activation variables, so
+  // later queries reuse old indices, and every answer — model and core
+  // included — must still match brute force over the base variables.
+  // Some queries also add (t | c): once !t is released, c holds for good,
+  // so a cleanup that recycles t must keep c.
+  const unsigned n = 10;
+  lis::support::SplitMix64 rng(0x7ec7c1e);
+  sat::Solver s(3);
+  for (unsigned v = 0; v < n; v++) s.newVar();
+  const auto randomClause = [&](unsigned width) {
+    std::vector<sat::Lit> cl;
+    while (cl.size() < width) {
+      const sat::Var v = static_cast<sat::Var>(rng.below(n));
+      bool dup = false;
+      for (const sat::Lit l : cl) dup = dup || sat::litVar(l) == v;
+      if (!dup) cl.push_back(sat::mkLit(v, rng.flip()));
+    }
+    return cl;
+  };
+  // Does some assignment of the n variables satisfy `cls` and `units`?
+  const auto bruteSat = [&](const std::vector<std::vector<sat::Lit>>& cls,
+                            const std::vector<sat::Lit>& units) {
+    for (std::uint32_t a = 0; a < (1u << n); a++) {
+      const auto holds = [a](sat::Lit l) {
+        return (((a >> sat::litVar(l)) & 1u) != 0) != sat::litSign(l);
+      };
+      bool all = true;
+      for (const sat::Lit u : units) all = all && holds(u);
+      for (std::size_t c = 0; all && c < cls.size(); c++) {
+        bool any = false;
+        for (const sat::Lit l : cls[c]) any = any || holds(l);
+        all = any;
+      }
+      if (all) return true;
+    }
+    return false;
+  };
+  // A permanent clause is kept only while the base stays satisfiable, so
+  // no query is refuted at top level.
+  std::vector<std::vector<sat::Lit>> base;
+  const auto consistentWith = [&](const std::vector<sat::Lit>& cl) {
+    std::vector<std::vector<sat::Lit>> more = base;
+    more.push_back(cl);
+    return bruteSat(more, {});
+  };
+  sat::Var highest = n - 1;
+  unsigned reused = 0, sats = 0, unsats = 0;
+  for (unsigned q = 0; q < 1200; q++) {
+    if (q % 40 == 0) {
+      const std::vector<sat::Lit> cl = randomClause(3);
+      if (consistentWith(cl)) {
+        base.push_back(cl);
+        s.addClause(cl);
+      }
+    }
+    const sat::Var t = s.newVar();
+    if (t <= highest) {
+      reused++;
+    } else {
+      highest = t;
+    }
+    std::vector<std::vector<sat::Lit>> clauses = base;
+    const unsigned temps = 1 + static_cast<unsigned>(rng.below(3));
+    for (unsigned k = 0; k < temps; k++) {
+      std::vector<sat::Lit> cl =
+          randomClause(2 + static_cast<unsigned>(rng.below(2)));
+      clauses.push_back(cl);
+      cl.push_back(sat::mkLit(t, true));
+      s.addClause(cl);
+    }
+    std::vector<sat::Lit> later;
+    if (rng.below(16) == 0) {
+      later = randomClause(3);
+      if (consistentWith(later)) {
+        std::vector<sat::Lit> cl = later;
+        cl.push_back(sat::mkLit(t));
+        s.addClause(cl);
+      } else {
+        later.clear();
+      }
+    }
+    std::vector<sat::Lit> assumps = {sat::mkLit(t)};
+    const unsigned extra = static_cast<unsigned>(rng.below(5));
+    for (unsigned k = 0; k < extra; k++) {
+      assumps.push_back(sat::mkLit(static_cast<sat::Var>(rng.below(n)),
+                                   rng.flip()));
+    }
+    const std::vector<sat::Lit> baseAssumps(assumps.begin() + 1,
+                                            assumps.end());
+    const sat::Result r = s.solve(assumps);
+    const bool expectSat = bruteSat(clauses, baseAssumps);
+    CHECK_EQ(static_cast<int>(r), static_cast<int>(expectSat
+                                                       ? sat::Result::Sat
+                                                       : sat::Result::Unsat));
+    if (r == sat::Result::Sat) {
+      sats++;
+      for (const auto& cl : clauses) {
+        bool any = false;
+        for (const sat::Lit l : cl) any = any || s.modelValue(l);
+        CHECK(any);
+      }
+      for (const sat::Lit a : assumps) CHECK(s.modelValue(a));
+    } else if (r == sat::Result::Unsat) {
+      unsats++;
+      // The core is a subset of the assumptions that alone refutes.
+      std::vector<sat::Lit> core;
+      bool withT = false;
+      for (const sat::Lit l : s.unsatAssumptions()) {
+        CHECK(std::find(assumps.begin(), assumps.end(), l) != assumps.end());
+        if (l == sat::mkLit(t)) {
+          withT = true;
+        } else {
+          core.push_back(l);
+        }
+      }
+      CHECK(!bruteSat(withT ? clauses : base, core));
+    }
+    s.releaseVar(sat::mkLit(t, true));
+    if (!later.empty()) base.push_back(later);
+  }
+  CHECK(s.okay());
+  CHECK(sats > 0);
+  CHECK(unsats > 0);
+  // Many cleanups ran, and the pool stays bounded: without recycling
+  // every query would add a variable.
+  CHECK(reused >= 1000u);
+  CHECK(s.numVars() <= n + 2 * 64);
+}
+
 // ---------------------------------------------------------------------------
 // CNF encoding
 
@@ -529,6 +662,14 @@ void testPdrProvesHandBuiltMachines() {
     CHECK(r.clauses >= 1u);
     CHECK(r.engine.cubesBlocked >= 1u);
     CHECK(stats.solves > 0);
+    // The certificate is the one cube q == 0, named by the DFF node.
+    CHECK(r.certificateError.empty());
+    CHECK_EQ(r.invariant.size(), 1u);
+    if (r.invariant.size() == 1) {
+      CHECK_EQ(r.invariant[0].size(), 1u);
+      CHECK(r.invariant[0][0].dff == q);
+      CHECK(!r.invariant[0][0].value);
+    }
   }
   // A register that resets to 1 and loads 0, with bad = q: the reset
   // state itself is bad. PDR's first bad state meets init, so the
@@ -613,6 +754,10 @@ void testPdrCleanTopologiesProvedUnbounded() {
       CHECK(!r.anyViolated());
       CHECK(!r.anyDegraded());
       CHECK_EQ(r.minDepthReached(), ~0u);
+      // A proof is reported only with a checked invariant.
+      for (const sat::PdrPropertyResult& p : r.properties) {
+        CHECK(p.certificateError.empty());
+      }
       // The counter properties are proved on their cone, which leaves
       // out the pearls' datapath registers.
       for (std::size_t p = 0; p < 2 && p < r.properties.size(); ++p) {
@@ -623,16 +768,66 @@ void testPdrCleanTopologiesProvedUnbounded() {
   }
 }
 
+void testPdrCertificateChecker() {
+  // ringSpec(Binary)'s watchdog proof through the public pieces: the PDR
+  // monitor, the single-property entry and the checker. The checker
+  // accepts the exported invariant and rejects every way of spoiling it.
+  const lsync::SystemSpec spec = lsync::ringSpec(lsync::Encoding::Binary);
+  const lsync::System sys = lsync::buildSystem(spec);
+  sat::PdrOptions opts;
+  opts.capacityBound = sat::capacityBound(spec);
+  const sat::Monitor mon =
+      sat::buildPdrMonitor(sys.netlist, lsync::portView(sys.ports), opts);
+  sat::SolverStats stats;
+  const sat::PdrPropertyResult r = sat::provePropertyUnbounded(
+      mon.nl, mon.wdOut, mon.maximalEnv, opts, stats);
+  CHECK(r.provedUnbounded);
+  CHECK(r.certificateError.empty());
+  CHECK(!r.invariant.empty());
+  if (r.invariant.empty()) return;
+  const auto check = [&](const std::vector<sat::StateCube>& inv) {
+    return sat::checkInvariant(mon.nl, mon.wdOut, mon.maximalEnv, inv);
+  };
+  CHECK(check(r.invariant).ok);
+  CHECK(check(r.invariant).detail.empty());
+  // No invariant at all admits a bad state.
+  const sat::InvariantCheck none = check({});
+  CHECK(!none.ok);
+  CHECK(none.detail.find("bad") != std::string::npos);
+  // A cube that meets reset excludes the initial state.
+  std::vector<sat::StateCube> withReset = r.invariant;
+  sat::StateCube resetCube = r.invariant[0];
+  for (sat::StateLit& l : resetCube) l.value = mon.nl.node(l.dff).resetValue;
+  withReset.push_back(resetCube);
+  const sat::InvariantCheck meets = check(withReset);
+  CHECK(!meets.ok);
+  CHECK(meets.detail.find("reset") != std::string::npos);
+  // A literal on a node that is no DFF of the watchdog's cone.
+  std::vector<sat::StateCube> stray = r.invariant;
+  stray[0].push_back({mon.wdOut, true});
+  CHECK(!check(stray).ok);
+  // The invariant is not padding: dropping some one cube breaks it.
+  std::size_t needed = 0;
+  for (std::size_t i = 0; i < r.invariant.size(); i++) {
+    std::vector<sat::StateCube> weaker = r.invariant;
+    weaker.erase(weaker.begin() + static_cast<std::ptrdiff_t>(i));
+    if (!check(weaker).ok) needed++;
+  }
+  CHECK(needed >= 1u);
+}
+
 void testPdrSearchPinned() {
   // PDR's search is pinned on ringSpec(Binary), one property at a time,
-  // default options: the trapezoid, the solver totals and the solver
-  // work of every query kind. The solver's level-0 cleanup runs 33 times
-  // on token_conservation, twice on occupancy_bound and once on the
-  // watchdog without moving any of them; a change to the netlist the
-  // protocol monitor builds would move them.
+  // default options: the trapezoid, the invariant, the solver totals over
+  // the property's per-frame and lift solvers, and the solver work of
+  // every query kind. Each query's activation variable is released and
+  // recycled at the next level-0 cleanup of its frame's solver; a change
+  // to the recycling, to the solver layout or to the netlist the protocol
+  // monitor builds would move them.
   struct Pin {
     const char* name;
     unsigned frames, clauses;
+    std::size_t invariant;
     std::uint64_t conflicts, propagations, solves, decisions;
     // Solves / propagations per PDR query kind, in kinds order.
     sat::PdrQueryWork work[6];
@@ -642,15 +837,15 @@ void testPdrSearchPinned() {
       sat::PdrQuery::Consecution, sat::PdrQuery::Mic,
       sat::PdrQuery::Forward,     sat::PdrQuery::Push};
   const Pin pins[] = {
-      {"token_conservation", 17, 486, 5413, 2274760, 12340, 65634,
-       {{29, 3241}, {315, 60759}, {965, 175990}, {6631, 1273296},
-        {539, 103799}, {3861, 657675}}},
-      {"occupancy_bound", 9, 65, 390, 153576, 923, 7131,
-       {{16, 1765}, {45, 8516}, {111, 17955}, {529, 92595}, {52, 8549},
-        {170, 24196}}},
-      {"deadlock_watchdog", 11, 43, 87, 50273, 463, 1761,
-       {{16, 938}, {35, 4558}, {75, 8367}, {106, 12945}, {46, 5305},
-        {185, 18160}}},
+      {"token_conservation", 21, 515, 221, 7580, 2237783, 13112, 73781,
+       {{36, 4209}, {329, 60207}, {943, 165188}, {5790, 1036606},
+        {457, 94253}, {5557, 877320}}},
+      {"occupancy_bound", 10, 85, 66, 836, 242991, 1435, 9685,
+       {{17, 1859}, {60, 10980}, {154, 24190}, {868, 151620}, {83, 16261},
+        {253, 38081}}},
+      {"deadlock_watchdog", 13, 55, 29, 375, 59229, 682, 2637,
+       {{18, 1307}, {40, 4917}, {92, 8382}, {126, 12522}, {70, 7282},
+        {336, 24819}}},
   };
   const lsync::SystemSpec spec = lsync::ringSpec(lsync::Encoding::Binary);
   const lsync::System sys = lsync::buildSystem(spec);
@@ -669,6 +864,7 @@ void testPdrSearchPinned() {
     CHECK(p.provedUnbounded);
     CHECK_EQ(p.frames, pin.frames);
     CHECK_EQ(p.clauses, pin.clauses);
+    CHECK_EQ(p.invariant.size(), pin.invariant);
     CHECK_EQ(r.stats.conflicts, pin.conflicts);
     CHECK_EQ(r.stats.propagations, pin.propagations);
     CHECK_EQ(r.stats.solves, pin.solves);
@@ -688,8 +884,9 @@ void testPdrSearchPinned() {
     CHECK_EQ(propagations, r.stats.propagations);
   }
 
-  // The cleanup must keep learnt clauses satisfied at level 0 and relocate
-  // (not clear) level-0 reasons, which lock learnts in reduceDB: either
+  // BMC releases no variable, so its cleanups must keep every learnt
+  // clause, the ones satisfied at level 0 included, and relocate (not
+  // clear) level-0 reasons, which lock learnts in reduceDB: either
   // shortcut moves BMC's search on chain2_d1 (5425 and 5122 conflicts).
   // So would any change to the netlist the shared monitor builds for BMC.
   const lsync::SystemSpec chain =
@@ -1010,6 +1207,7 @@ int main() {
   testAssumptionsAndUnsatCore();
   testBudgetTiering();
   testSolverDeterminism();
+  testReleasedVarsRecycleSoundly();
   testCnfVsExhaustiveEvaluation();
   testUnrollerCountsFrames();
   testSweepMergesRedundantXor();
@@ -1019,6 +1217,7 @@ int main() {
   testResultEmptyEdges();
   testPdrProvesHandBuiltMachines();
   testPdrCleanTopologiesProvedUnbounded();
+  testPdrCertificateChecker();
   testPdrSearchPinned();
   testPdrBrokenRelayCexAndReplay();
   testReplayRejectsUnknownProperty();

@@ -85,7 +85,9 @@ ABSOLUTE_RULES = (
         "protocol invariants not proved unbounded"),
        ("sat", "pdr.degraded", "==", 0,
         "unbounded proof degraded to the bounded verdict (solver budget or "
-        "frame cap exhausted)")]
+        "frame cap exhausted)"),
+       ("sat", "pdr.certified", "==", 1,
+        "unbounded proof failed its inductive-invariant certificate")]
     + [("sat", f"pdr.{p}_proved", "==", 1, f"{p} not proved unbounded")
        for p in PROTOCOL_INVARIANTS]
     + [("sat", c, ">=", 0, "SAT engine counters")
@@ -437,7 +439,8 @@ def self_test():
                                "fault.control_seu_coverage": 1.0})
     sat = row("sat", "c", {
         "bmc.depth": 20, "sweep.equiv_proved": 1, "sweep.equiv_method": 2,
-        "pdr.all_proved": 1, "pdr.degraded": 0, "pdr.frames": 38,
+        "pdr.all_proved": 1, "pdr.degraded": 0, "pdr.certified": 1,
+        "pdr.frames": 38,
         "sat.conflicts": 22982, "sat.decisions": 10449225,
         "sat.propagations": 80798306,
         **{f"bmc.{p}_ok": 1 for p in PROTOCOL_INVARIANTS},
@@ -511,6 +514,8 @@ def self_test():
         ("pdr degraded verdict fails naming the degradation", base,
          but(changed(sat, {"pdr.all_proved": 0, "pdr.degraded": 1})), "fail",
          "degraded"),
+        ("pdr uncertified proof fails", base,
+         but(changed(sat, {"pdr.certified": 0})), "fail", "certificate"),
         ("pdr inconsistent verdicts fail", base,
          but(changed(sat, {"pdr.occupancy_bound_proved": 0})), "fail",
          "occupancy_bound not proved"),
