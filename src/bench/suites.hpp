@@ -18,7 +18,6 @@
 #include "flow/design.hpp"
 #include "flow/pipeline.hpp"
 #include "lis/system.hpp"
-#include "lis/wrapper.hpp"
 #include "techmap/lutmap.hpp"
 
 namespace lis::bench {

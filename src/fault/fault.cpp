@@ -31,22 +31,12 @@ const char* outcomeName(Outcome o) {
   return "?";
 }
 
-Target targetOf(const sync::Wrapper& w, const sync::WrapperConfig& cfg) {
-  Target t;
-  t.netlist = &w.netlist;
-  t.ports = sync::portView(w.ports);
-  t.dataWidth = cfg.dataWidth;
-  t.wrapperCfg = &cfg;
-  return t;
+Target targetOf(const sync::System& s, const sync::SystemSpec& spec) {
+  return {&s.netlist, sync::portView(s.ports), spec};
 }
 
-Target targetOf(const sync::System& s, const sync::SystemSpec& spec) {
-  Target t;
-  t.netlist = &s.netlist;
-  t.ports = sync::portView(s.ports);
-  t.dataWidth = spec.dataWidth;
-  t.systemSpec = &spec;
-  return t;
+Target targetOf(const sync::System& s, const sync::WrapperConfig& cfg) {
+  return targetOf(s, sync::wrapperSpec(cfg));
 }
 
 namespace {
@@ -154,7 +144,7 @@ struct Experiment {
              const InjectionOptions& opts, const Target& t)
       : traffic(seed, opts.offerPercent, opts.stallPercent,
                 t.ports.inValid.size(), t.ports.outValid.size(),
-                t.dataWidth),
+                t.spec.dataWidth),
         accepted(t.ports.inValid.size(), 0),
         delivered(t.ports.outValid.size(), 0) {
     res.site = site;
@@ -176,10 +166,8 @@ std::vector<FaultResult> injectBatch(const Target& t,
                                      std::span<const std::uint64_t> seeds,
                                      const InjectionOptions& opts,
                                      const support::CancellationToken* cancel) {
-  if (t.netlist == nullptr ||
-      (t.wrapperCfg == nullptr) == (t.systemSpec == nullptr)) {
-    throw std::invalid_argument(
-        "injectOne: target needs a netlist and exactly one oracle spec");
+  if (t.netlist == nullptr) {
+    throw std::invalid_argument("injectOne: target needs a netlist");
   }
   if (sites.size() != seeds.size()) {
     throw std::invalid_argument("injectBatch: one seed per site");
@@ -194,9 +182,7 @@ std::vector<FaultResult> injectBatch(const Target& t,
   oracles.reserve(n);
   lanes.reserve(n);
   for (std::size_t l = 0; l < n; ++l) {
-    oracles.push_back(t.wrapperCfg != nullptr
-                          ? std::make_unique<sync::Oracle>(*t.wrapperCfg)
-                          : std::make_unique<sync::Oracle>(*t.systemSpec));
+    oracles.push_back(std::make_unique<sync::Oracle>(t.spec));
     refs.push_back(oracles.back().get());
     lanes.emplace_back(sites[l], seeds[l], opts, t);
   }
@@ -204,7 +190,7 @@ std::vector<FaultResult> injectBatch(const Target& t,
   // its fault-free twin rides in the same word (Lockstep's lane layout).
   sync::Lockstep ls(nl, t.ports, std::move(refs), /*twin=*/true);
   netlist::BitSim& gate = ls.gate();
-  const std::uint64_t mask = sync::widthMask(t.dataWidth);
+  const std::uint64_t mask = sync::widthMask(t.spec.dataWidth);
   // The register count is a deliberately loose storage bound; the
   // checker is a backstop for gross token fabrication — in practice the
   // oracle comparison flags those faults first.

@@ -88,19 +88,19 @@ struct FaultResult {
 };
 
 /// What a fault experiment runs against: the synthesized netlist with its
-/// uniform channel ports, plus whichever spec builds the behavioural
-/// oracle. Holds pointers — the wrapper/system and its config must outlive
-/// the Target (flow::Design guarantees this for the campaign pass).
+/// channel ports, and the spec it was built from, which builds the
+/// behavioural oracle. The netlist must outlive the Target (flow::Design
+/// guarantees this for the campaign pass).
 struct Target {
   const netlist::Netlist* netlist = nullptr;
   sync::PortView ports;
-  unsigned dataWidth = 0;
-  const sync::WrapperConfig* wrapperCfg = nullptr; // exactly one of these
-  const sync::SystemSpec* systemSpec = nullptr;    // two is non-null
+  sync::SystemSpec spec;
 };
 
-Target targetOf(const sync::Wrapper& w, const sync::WrapperConfig& cfg);
 Target targetOf(const sync::System& s, const sync::SystemSpec& spec);
+/// targetOf(s, sync::wrapperSpec(cfg)). Kept for flowbench; the library
+/// itself builds every target from a SystemSpec.
+Target targetOf(const sync::System& s, const sync::WrapperConfig& cfg);
 
 /// DFFs holding FSM state: registerBus names state bits "<prefix>_s_<i>"
 /// (shell and relay-station controllers both synthesize through it), so

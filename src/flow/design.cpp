@@ -51,11 +51,8 @@ private:
   obs::Span span_;
 };
 
-Design::Design(sync::WrapperConfig cfg) : cfg_(std::move(cfg)) {
-  name_ = "wrapper_n" + std::to_string(cfg_->numInputs) + "m" +
-          std::to_string(cfg_->numOutputs) + "d" +
-          std::to_string(cfg_->relayDepth) + "_" +
-          sync::encodingName(cfg_->encoding);
+Design::Design(sync::WrapperConfig cfg) : Design(sync::wrapperSpec(cfg)) {
+  cfg_ = cfg;
 }
 
 Design::Design(sync::SystemSpec spec) : spec_(std::move(spec)) {
@@ -69,7 +66,6 @@ Design::Design(netlist::Netlist prebuilt)
 
 const netlist::Netlist* Design::netlistPtr() const {
   if (prebuilt_ != nullptr) return prebuilt_.get();
-  if (wrapper_ != nullptr) return &wrapper_->netlist;
   if (system_ != nullptr) return &system_->netlist;
   return nullptr;
 }
@@ -89,12 +85,8 @@ void Design::ensureSynthesized() {
 
 void Design::synthesize() {
   StageFrame frame(*this, "synthesize");
-  if (cfg_) {
-    wrapper_ = std::make_unique<sync::Wrapper>(sync::buildWrapper(*cfg_));
-  } else {
-    system_ = std::make_unique<sync::System>(
-        sync::buildSystem(*spec_, sync::BuildOptions{buildRunner_}));
-  }
+  system_ = std::make_unique<sync::System>(
+      sync::buildSystem(*spec_, sync::BuildOptions{buildRunner_}));
 }
 
 const netlist::Netlist& Design::netlist() {
@@ -102,18 +94,9 @@ const netlist::Netlist& Design::netlist() {
   return *netlistPtr();
 }
 
-const sync::Wrapper* Design::wrapper() {
-  if (cfg_) ensureSynthesized();
-  return wrapper_.get();
-}
-
 const sync::System* Design::system() {
   if (spec_) ensureSynthesized();
   return system_.get();
-}
-
-const sync::WrapperPorts* Design::wrapperPorts() {
-  return wrapper() != nullptr ? &wrapper_->ports : nullptr;
 }
 
 const sync::SystemPorts* Design::systemPorts() {
@@ -121,9 +104,7 @@ const sync::SystemPorts* Design::systemPorts() {
 }
 
 const sync::FsmSynthStats* Design::controlStats() {
-  if (wrapper() != nullptr) return &wrapper_->control;
-  if (system() != nullptr) return &system_->control;
-  return nullptr;
+  return system() != nullptr ? &system_->control : nullptr;
 }
 
 const netlist::Netlist& Design::optimize(const aig::OptimizeOptions& options) {

@@ -1,9 +1,9 @@
 #pragma once
 // flow::Design — the artifact container the pass pipeline operates on.
 //
-// A Design is backed by one of three sources: a WrapperConfig (the single
-// shell + relay composition), a SystemSpec (an arbitrary LIS topology), or
-// a prebuilt netlist (generators, hand-built test circuits). Every derived
+// A Design is backed by one of two sources: a SystemSpec (an LIS topology;
+// a WrapperConfig names the one-pearl system sync::wrapperSpec(cfg)) or a
+// prebuilt netlist (generators, hand-built test circuits). Every derived
 // artifact — synthesized netlist, LUT mapping, area report, timing report,
 // FSM minimization stats — is computed lazily on first access, cached, and
 // wall-timed, so passes stay cheap to reorder and each pays only for the
@@ -43,7 +43,6 @@
 #include "fault/campaign.hpp"
 #include "lis/cosim.hpp"
 #include "lis/system.hpp"
-#include "lis/wrapper.hpp"
 #include "netlist/equiv.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
@@ -58,6 +57,8 @@ namespace lis::flow {
 
 class Design {
 public:
+  /// The system design sync::wrapperSpec(cfg), named like its netlist
+  /// ("wrapper_n<i>m<o>d<d>_<encoding>").
   explicit Design(sync::WrapperConfig cfg);
   explicit Design(sync::SystemSpec spec);
   explicit Design(netlist::Netlist prebuilt);
@@ -78,10 +79,7 @@ public:
     buildRunner_ = std::move(runner);
   }
 
-  /// Non-null for the corresponding backing source.
-  const sync::WrapperConfig* wrapperConfig() const {
-    return cfg_ ? &*cfg_ : nullptr;
-  }
+  /// The backing spec; null for a prebuilt netlist.
   const sync::SystemSpec* systemSpec() const {
     return spec_ ? &*spec_ : nullptr;
   }
@@ -90,16 +88,24 @@ public:
   /// Synthesized (or prebuilt) netlist. Throws what the builder throws on
   /// an invalid spec.
   const netlist::Netlist& netlist();
-  /// The whole synthesized composition (netlist + ports + stats); null for
-  /// the other backing kinds. Synthesizes on demand. This is what lets the
+  /// The whole synthesized system (netlist + ports + stats); null for a
+  /// prebuilt netlist. Synthesizes on demand. This is what lets the
   /// Cosim pass drive the cached netlist instead of rebuilding it.
-  const sync::Wrapper* wrapper();
   const sync::System* system();
-  /// Wrapper/system port map; null for prebuilt designs.
-  const sync::WrapperPorts* wrapperPorts();
+  /// System port map; null for prebuilt designs.
   const sync::SystemPorts* systemPorts();
   /// Aggregated FSM minimization stats; null for prebuilt designs.
   const sync::FsmSynthStats* controlStats();
+
+  /// Kept for flowbench: on a design built from a WrapperConfig, that
+  /// config, system() and systemPorts(); null on every other design.
+  const sync::WrapperConfig* wrapperConfig() const {
+    return cfg_ ? &*cfg_ : nullptr;
+  }
+  const sync::System* wrapper() { return cfg_ ? system() : nullptr; }
+  const sync::WrapperPorts* wrapperPorts() {
+    return cfg_ ? systemPorts() : nullptr;
+  }
 
   /// AIG-optimized netlist (see aig::optimizeNetlist), derived from the
   /// synthesized netlist and cached per effort. Once it exists, mapping
@@ -209,13 +215,12 @@ private:
   void recordStage(const char* stage, double seconds);
 
   std::string name_;
-  std::optional<sync::WrapperConfig> cfg_;
   std::optional<sync::SystemSpec> spec_;
+  std::optional<sync::WrapperConfig> cfg_; // read only by wrapperConfig()
   sync::BuildOptions::Runner buildRunner_;
   // Exactly one of these holds the netlist once built; unique_ptrs keep
   // its address stable across Design moves (MappedNetlist::source).
   std::unique_ptr<netlist::Netlist> prebuilt_;
-  std::unique_ptr<sync::Wrapper> wrapper_;
   std::unique_ptr<sync::System> system_;
   // Optimized netlist + its stats; boxed for address stability
   // (MappedNetlist::source points at it once mapping reran).

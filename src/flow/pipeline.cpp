@@ -163,26 +163,23 @@ void ProveEncodingEquiv::run(Design& design, PassContext& ctx) {
   // Collect the distinct FSM specs the design's control was built from.
   // The transition function is independent of the reset state, so seeded
   // relays prove together with their unseeded twins.
-  std::vector<sync::FsmSpec> specs;
-  if (const sync::WrapperConfig* cfg = design.wrapperConfig()) {
-    specs.push_back(sync::shellFsm(cfg->numInputs, cfg->numOutputs));
-    specs.push_back(sync::relayFsm(cfg->relayDepth));
-  } else if (const sync::SystemSpec* spec = design.systemSpec()) {
-    std::set<std::pair<unsigned, unsigned>> shells;
-    std::set<unsigned> relays;
-    for (const sync::PearlSpec& p : spec->pearls) {
-      if (shells.insert({p.numInputs, p.numOutputs}).second) {
-        specs.push_back(sync::shellFsm(p.numInputs, p.numOutputs));
-      }
-    }
-    for (const sync::ChannelSpec& ch : spec->channels) {
-      if (ch.relays > 0 && relays.insert(ch.relayDepth).second) {
-        specs.push_back(sync::relayFsm(ch.relayDepth));
-      }
-    }
-  } else {
+  const sync::SystemSpec* spec = design.systemSpec();
+  if (spec == nullptr) {
     ctx.note(design.name() + ": prebuilt netlist has no control spec");
     return;
+  }
+  std::vector<sync::FsmSpec> specs;
+  std::set<std::pair<unsigned, unsigned>> shells;
+  std::set<unsigned> relays;
+  for (const sync::PearlSpec& p : spec->pearls) {
+    if (shells.insert({p.numInputs, p.numOutputs}).second) {
+      specs.push_back(sync::shellFsm(p.numInputs, p.numOutputs));
+    }
+  }
+  for (const sync::ChannelSpec& ch : spec->channels) {
+    if (ch.relays > 0 && relays.insert(ch.relayDepth).second) {
+      specs.push_back(sync::relayFsm(ch.relayDepth));
+    }
   }
 
   // Each spec's encode+prove is an independent subtask; verdicts are
@@ -228,7 +225,7 @@ void ProveEncodingEquiv::run(Design& design, PassContext& ctx) {
 
 void Cosim::run(Design& design, PassContext& ctx) {
   // Drive the design's cached synthesis (building it on first access)
-  // rather than re-running buildWrapper/buildSystem inside the oracle.
+  // rather than re-running buildSystem inside the oracle.
   // Seed shards fan out onto the executor's pool; the sharded result is a
   // pure function of the options (see CosimOptions::shards), so wiring
   // the runner changes wall time only, never the outcome.
@@ -240,15 +237,12 @@ void Cosim::run(Design& design, PassContext& ctx) {
       exec->forEach(n, f, nullptr, "cosim.shards");
     };
   }
-  sync::CosimResult r;
-  if (const sync::WrapperConfig* cfg = design.wrapperConfig()) {
-    r = sync::cosimWrapper(*design.wrapper(), *cfg, opts);
-  } else if (const sync::SystemSpec* spec = design.systemSpec()) {
-    r = sync::cosimSystem(*design.system(), *spec, opts);
-  } else {
+  const sync::SystemSpec* spec = design.systemSpec();
+  if (spec == nullptr) {
     ctx.note(design.name() + ": prebuilt netlist has no behavioural model");
     return;
   }
+  sync::CosimResult r = sync::cosimSystem(*design.system(), *spec, opts);
   ctx.metric("ok", r.ok ? 1.0 : 0.0);
   ctx.metric("cycles", r.cyclesRun);
   ctx.metric("fires", r.fires);
@@ -282,16 +276,13 @@ void FaultCampaign::run(Design& design, PassContext& ctx) {
       exec->forEach(n, f, nullptr, "fault.batches");
     };
   }
-  fault::Target target;
-  if (const sync::WrapperConfig* cfg = design.wrapperConfig()) {
-    target = fault::targetOf(*design.wrapper(), *cfg);
-  } else if (const sync::SystemSpec* spec = design.systemSpec()) {
-    target = fault::targetOf(*design.system(), *spec);
-  } else {
+  const sync::SystemSpec* spec = design.systemSpec();
+  if (spec == nullptr) {
     ctx.note(design.name() + ": prebuilt netlist has no behavioural model");
     return;
   }
-  fault::CampaignResult r = fault::runCampaign(target, opts);
+  fault::CampaignResult r =
+      fault::runCampaign(fault::targetOf(*design.system(), *spec), opts);
   ctx.metric("sites", r.all.total());
   ctx.metric("detected", r.all.detected);
   ctx.metric("recovered", r.all.recovered);
@@ -361,23 +352,18 @@ void SatSweep::run(Design& design, PassContext& ctx) {
 namespace {
 
 /// What both invariant passes read off a design: its port view and the
-/// storage bound B derived from its wrapper config or system spec. Empty
-/// for a prebuilt netlist, which has neither.
+/// storage bound B derived from its system spec. Empty for a prebuilt
+/// netlist, which has neither.
 struct InvariantTarget {
   sync::PortView ports;
   unsigned capacityBound = 0;
 };
 
 std::optional<InvariantTarget> invariantTarget(Design& design) {
-  if (const sync::WrapperPorts* wp = design.wrapperPorts()) {
-    return InvariantTarget{sync::portView(*wp),
-                           sat::capacityBound(*design.wrapperConfig())};
-  }
-  if (const sync::SystemPorts* sp = design.systemPorts()) {
-    return InvariantTarget{sync::portView(*sp),
-                           sat::capacityBound(*design.systemSpec())};
-  }
-  return std::nullopt;
+  const sync::SystemPorts* sp = design.systemPorts();
+  if (sp == nullptr) return std::nullopt;
+  return InvariantTarget{sync::portView(*sp),
+                         sat::capacityBound(*design.systemSpec())};
 }
 
 } // namespace

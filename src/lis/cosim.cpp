@@ -92,14 +92,19 @@ CosimResult driveCosim(const netlist::Netlist& nl, const PortView& ports,
   return result;
 }
 
-/// Both entry points: shard fan-out, or one run against a fresh oracle.
-template <class Spec>
-CosimResult cosim(const netlist::Netlist& nl, const PortView& ports,
-                  const Spec& spec, const CosimOptions& opts) {
+} // namespace
+
+CosimResult cosimSystem(const SystemSpec& spec, const CosimOptions& opts) {
+  return cosimSystem(buildSystem(spec), spec, opts);
+}
+
+/// Shard fan-out, or one run against a fresh oracle.
+CosimResult cosimSystem(const System& sys, const SystemSpec& spec,
+                        const CosimOptions& opts) {
   if (opts.shards > 1) {
     std::vector<CosimResult> parts(opts.shards);
     const auto body = [&](std::size_t i) {
-      parts[i] = cosim(nl, ports, spec, cosimShardOptions(opts, i));
+      parts[i] = cosimSystem(sys, spec, cosimShardOptions(opts, i));
     };
     if (opts.runner) {
       opts.runner(opts.shards, body);
@@ -109,27 +114,7 @@ CosimResult cosim(const netlist::Netlist& nl, const PortView& ports,
     return cosimMergeShards(std::move(parts));
   }
   Oracle beh(spec);
-  return driveCosim(nl, ports, beh, opts);
-}
-
-} // namespace
-
-CosimResult cosimWrapper(const WrapperConfig& cfg, const CosimOptions& opts) {
-  return cosimWrapper(buildWrapper(cfg), cfg, opts);
-}
-
-CosimResult cosimWrapper(const Wrapper& w, const WrapperConfig& cfg,
-                         const CosimOptions& opts) {
-  return cosim(w.netlist, portView(w.ports), cfg, opts);
-}
-
-CosimResult cosimSystem(const SystemSpec& spec, const CosimOptions& opts) {
-  return cosimSystem(buildSystem(spec), spec, opts);
-}
-
-CosimResult cosimSystem(const System& sys, const SystemSpec& spec,
-                        const CosimOptions& opts) {
-  return cosim(sys.netlist, portView(sys.ports), spec, opts);
+  return driveCosim(sys.netlist, portView(sys.ports), beh, opts);
 }
 
 } // namespace lis::sync

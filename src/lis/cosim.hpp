@@ -9,13 +9,11 @@
 // already fan out over the executor's threads, and packing them into one
 // word would put a whole design's cosim on one thread.
 //
-// Two entry points:
-//   cosimWrapper  the single buildWrapper composition (shell + one relay
-//                 station per output channel)
-//   cosimSystem   any SystemSpec topology, checked against the compiled
-//                 behavioural reference network of the spec (sync::Oracle:
-//                 one shell and pearl stub per pearl, one ring per relay
-//                 station), with per-channel randomized offers and stalls
+// One entry point, cosimSystem: any SystemSpec topology (the wrapper is
+// wrapperSpec(cfg)), checked against the compiled behavioural reference
+// network of the spec (sync::Oracle: one shell and pearl stub per pearl,
+// one ring per relay station), with per-channel randomized offers and
+// stalls.
 
 #include <cstddef>
 #include <cstdint>
@@ -24,7 +22,6 @@
 #include <vector>
 
 #include "lis/system.hpp"
-#include "lis/wrapper.hpp"
 #include "support/cancellation.hpp"
 
 namespace lis::sync {
@@ -65,21 +62,12 @@ struct CosimResult {
   bool cancelled = false;   // ended early by a tripped CancellationToken
 };
 
-/// Build the wrapper for `cfg` and co-simulate it against the behavioural
-/// models for opts.cycles cycles.
-CosimResult cosimWrapper(const WrapperConfig& cfg,
-                         const CosimOptions& opts = {});
-
-/// Same oracle over an already-built wrapper (must match `cfg`) — callers
-/// holding a synthesized netlist (flow::Design) skip the rebuild.
-CosimResult cosimWrapper(const Wrapper& w, const WrapperConfig& cfg,
-                         const CosimOptions& opts = {});
-
 /// Build the system for `spec` and co-simulate it against the behavioural
 /// reference network for opts.cycles cycles.
 CosimResult cosimSystem(const SystemSpec& spec, const CosimOptions& opts = {});
 
-/// Same oracle over an already-built system (must match `spec`).
+/// Same oracle over an already-built system (must match `spec`) — callers
+/// holding a synthesized netlist (flow::Design) skip the rebuild.
 CosimResult cosimSystem(const System& sys, const SystemSpec& spec,
                         const CosimOptions& opts = {});
 

@@ -9,16 +9,15 @@ using netlist::NodeId;
 
 Bus shellDatapath(BusBuilder& bb, unsigned numInputs, unsigned dataWidth,
                   FsmInstance& ctl, const std::vector<Bus>& inData,
-                  const std::string& prefix, netlist::Fragment* frag) {
+                  const std::string& prefix, netlist::Fragment& frag) {
   Bus sum;
   for (unsigned i = 0; i < numInputs; ++i) {
     Bus buf = bb.registerBus(dataWidth, 0, prefix + "buf" + std::to_string(i));
     bb.connectRegister(buf, inData[i], ctl.mealy("cap" + std::to_string(i)));
     // The buffer-occupied state bit doubles as the operand select: a full
-    // buffer holds the token the pearl must consume this fire. In fragment
-    // mode the select is a parent Moore node and needs a local proxy.
-    const NodeId mooreSel = ctl.moore("stopo" + std::to_string(i));
-    const NodeId sel = frag != nullptr ? frag->import(mooreSel) : mooreSel;
+    // buffer holds the token the pearl must consume this fire. The select
+    // is a parent Moore node and needs a local proxy.
+    const NodeId sel = frag.import(ctl.moore("stopo" + std::to_string(i)));
     const Bus operand = bb.mux(sel, inData[i], buf);
     sum = i == 0 ? operand : bb.adder(sum, operand);
   }
@@ -35,20 +34,6 @@ std::vector<Bus> makeRelaySlots(BusBuilder& bb, unsigned width, unsigned depth,
     slots[k] = bb.registerBus(width, 0, prefix + "_q" + std::to_string(k));
   }
   return slots;
-}
-
-void connectRelaySlots(Netlist& nl, BusBuilder& bb,
-                       const std::vector<Bus>& slots, FsmInstance& rs,
-                       const Bus& din) {
-  const unsigned depth = static_cast<unsigned>(slots.size());
-  const NodeId pop = rs.mealy("pop");
-  for (unsigned k = 0; k < depth; ++k) {
-    const Bus shifted =
-        k + 1 < depth ? bb.mux(pop, slots[k], slots[k + 1]) : slots[k];
-    const NodeId we = rs.mealy("we" + std::to_string(k));
-    const Bus next = bb.mux(we, shifted, din);
-    bb.connectRegister(slots[k], next, nl.mkOr(we, pop));
-  }
 }
 
 void connectRelaySlots(netlist::Fragment& frag, const std::vector<Bus>& slots,
@@ -72,13 +57,6 @@ void connectRelaySlots(netlist::Fragment& frag, const std::vector<Bus>& slots,
       frag.patchDff(slots[k][i], next[i], enable);
     }
   }
-}
-
-Bus relayDatapath(Netlist& nl, BusBuilder& bb, unsigned width, unsigned depth,
-                  FsmInstance& rs, const Bus& din, const std::string& prefix) {
-  std::vector<Bus> slots = makeRelaySlots(bb, width, depth, prefix);
-  connectRelaySlots(nl, bb, slots, rs, din);
-  return slots[0];
 }
 
 } // namespace lis::sync

@@ -1,7 +1,7 @@
 #pragma once
-// Datapath construction helpers shared by the one-shot wrapper builders
-// (wrapper.cpp) and the system elaborator (system.cpp): the shell's input
-// buffers + pearl stub, and the relay station's shift-FIFO slots.
+// Datapath construction helpers of the system elaborator (system.cpp):
+// the shell's input buffers + pearl stub, and the relay station's
+// shift-FIFO slots, each built into a netlist::Fragment.
 //
 // Relay slots are split into a create phase (registers only, so the head
 // bus exists before the relay FSM is elaborated — system composition needs
@@ -22,15 +22,14 @@ namespace lis::sync {
 /// operands plus the clock-gated accumulator. Register names are prefixed
 /// so several shells can share one netlist.
 ///
-/// Fragment mode (`frag` non-null): `bb` must build into the fragment's
-/// netlist, `inData` must already be fragment-local, and `ctl` must have
-/// been elaborated into the same fragment (its Mealy ids are local; its
-/// Moore ids are parent ids imported here).
+/// `bb` must build into `frag`'s netlist, `inData` must already be
+/// fragment-local, and `ctl` must have been elaborated into the same
+/// fragment (its Mealy ids are local; its Moore ids are parent ids
+/// imported here).
 netlist::Bus shellDatapath(netlist::BusBuilder& bb, unsigned numInputs,
                            unsigned dataWidth, FsmInstance& ctl,
                            const std::vector<netlist::Bus>& inData,
-                           const std::string& prefix,
-                           netlist::Fragment* frag = nullptr);
+                           const std::string& prefix, netlist::Fragment& frag);
 
 /// Phase 1 of a relay station's data slots: the registers alone. The head
 /// of the FIFO is slots[0]; callers may feed it onward before the slots are
@@ -41,22 +40,12 @@ std::vector<netlist::Bus> makeRelaySlots(netlist::BusBuilder& bb,
 
 /// Phase 2: wire the shift-FIFO behaviour. The FSM's pop output shifts
 /// toward the head, we<k> writes the incoming token into slot k; slots are
-/// clock-gated when neither applies.
-void connectRelaySlots(netlist::Netlist& nl, netlist::BusBuilder& bb,
-                       const std::vector<netlist::Bus>& slots,
-                       FsmInstance& rs, const netlist::Bus& din);
-
-/// Fragment-mode phase 2: `slots` and `din` are parent ids (imported
-/// internally), `rs` must have been elaborated into `frag` (local Mealy
-/// ids), and the slot registers are wired through deferred DFF patches.
+/// clock-gated when neither applies. `slots` and `din` are parent ids
+/// (imported internally), `rs` must have been elaborated into `frag`
+/// (local Mealy ids), and the slot registers are wired through deferred
+/// DFF patches.
 void connectRelaySlots(netlist::Fragment& frag,
                        const std::vector<netlist::Bus>& slots,
                        FsmInstance& rs, const netlist::Bus& din);
-
-/// Both phases at once, for callers whose FSM is already elaborated.
-/// Returns the head bus.
-netlist::Bus relayDatapath(netlist::Netlist& nl, netlist::BusBuilder& bb,
-                           unsigned width, unsigned depth, FsmInstance& rs,
-                           const netlist::Bus& din, const std::string& prefix);
 
 } // namespace lis::sync

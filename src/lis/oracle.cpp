@@ -4,15 +4,9 @@
 
 namespace lis::sync {
 
-PortView portView(const WrapperPorts& p) {
-  return {p.inValid, p.inData, p.inStop, p.outValid, p.outData, p.outStop};
-}
-
 PortView portView(const SystemPorts& p) {
   return {p.inValid, p.inData, p.inStop, p.outValid, p.outData, p.outStop};
 }
-
-Oracle::Oracle(const WrapperConfig& cfg) : Oracle(wrapperSpec(cfg)) {}
 
 Oracle::Oracle(const SystemSpec& spec) : dataWidth_(spec.dataWidth) {
   // Every endpoint below is used as an index.

@@ -1,8 +1,9 @@
 #pragma once
-// sync::Oracle — the behavioural reference network of a wrapper or a whole
-// SystemSpec topology, so that co-simulation, the fault-injection campaigns
-// (src/fault/) and counterexample replay (src/sat/pdr) share one oracle
-// with one port addressing scheme. It is compiled from the spec, never from
+// sync::Oracle — the behavioural reference network of a SystemSpec
+// topology (a wrapper is the one-pearl system wrapperSpec(cfg)), so that
+// co-simulation, the fault-injection campaigns (src/fault/) and
+// counterexample replay (src/sat/pdr) share one oracle with one port
+// addressing scheme. It is compiled from the spec, never from
 // the netlist, so a levelization error on either side shows up as a cosim
 // mismatch.
 //
@@ -32,9 +33,8 @@
 // compare → step() — belongs to sync::Lockstep (lis/lockstep.hpp), the only
 // caller of the drive methods.
 //
-// PortView is the matching uniform view of the *netlist* side:
-// WrapperPorts and SystemPorts are structurally identical, and Lockstep
-// indexes channels the same way on both.
+// PortView is the matching channel-indexed view of the *netlist* side
+// (portView(SystemPorts)); Lockstep indexes channels the same way on both.
 
 #include <cstddef>
 #include <cstdint>
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "lis/system.hpp"
-#include "lis/wrapper.hpp"
 
 namespace lis::sync {
 
@@ -56,7 +55,8 @@ inline std::uint64_t widthMask(unsigned dataWidth) {
                          : (std::uint64_t{1} << dataWidth) - 1;
 }
 
-/// Uniform channel-indexed view of WrapperPorts/SystemPorts.
+/// Channel-indexed view of a netlist's LIS ports (SystemPorts, or a
+/// hand-built circuit's).
 struct PortView {
   std::vector<netlist::NodeId> inValid;
   std::vector<netlist::Bus> inData;
@@ -66,13 +66,10 @@ struct PortView {
   std::vector<netlist::NodeId> outStop;
 };
 
-PortView portView(const WrapperPorts& p);
 PortView portView(const SystemPorts& p);
 
 class Oracle {
 public:
-  /// The buildWrapper composition: the network of wrapperSpec(cfg).
-  explicit Oracle(const WrapperConfig& cfg);
   /// The network of a SystemSpec topology. Throws std::invalid_argument
   /// for a spec SystemSpec::validate rejects.
   explicit Oracle(const SystemSpec& spec);

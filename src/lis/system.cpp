@@ -32,6 +32,34 @@ std::string chanErr(std::size_t c, const std::string& what) {
   return msg;
 }
 
+std::string pearlErr(const PearlSpec& ps, const std::string& what) {
+  return "SystemSpec: pearl " + ps.name + ": " + what;
+}
+
+/// "<field> must be in 1..<hi>, got <v>" when v is outside 1..hi.
+std::optional<std::string> outOfRange(const char* field, unsigned v,
+                                      unsigned hi) {
+  if (v >= 1 && v <= hi) return std::nullopt;
+  return std::string(field) + " must be in 1.." + std::to_string(hi) +
+         ", got " + std::to_string(v);
+}
+
+/// Output channel j of a shell carries its pearl's result ^ j, truncated
+/// to the data bus by both the gate-level datapath and the oracle, so a
+/// bus narrower than the tags would alias outputs without any oracle
+/// noticing.
+void checkOutputTags(const PearlSpec& ps, unsigned dataWidth) {
+  const unsigned tagBits = BusBuilder::bitsFor(ps.numOutputs - 1);
+  if (tagBits > dataWidth) {
+    throw std::invalid_argument(pearlErr(
+        ps, std::to_string(ps.numOutputs) + " output channels need " +
+                std::to_string(tagBits) +
+                "-bit tags but the data bus is only " +
+                std::to_string(dataWidth) +
+                " bit(s) wide; widen dataWidth or reduce outputs"));
+  }
+}
+
 /// Pearls grouped into waves: wave w holds every pearl whose longest chain
 /// of relay-free upstream channels has length w. Pearls within a wave never
 /// feed each other through relay-free channels, so their shells elaborate
@@ -92,8 +120,8 @@ std::vector<unsigned> pearlTopoOrder(const SystemSpec& spec) {
 }
 
 void SystemSpec::validate() const {
-  if (dataWidth == 0 || dataWidth > 64) {
-    throw std::invalid_argument("SystemSpec: dataWidth must be in 1..64");
+  if (auto bad = outOfRange("dataWidth", dataWidth, 64)) {
+    throw std::invalid_argument("SystemSpec: " + *bad);
   }
   if (pearls.empty()) {
     throw std::invalid_argument("SystemSpec: no pearls");
@@ -109,13 +137,14 @@ void SystemSpec::validate() const {
       throw std::invalid_argument("SystemSpec: duplicate pearl name " +
                                   ps.name);
     }
-    if (ps.numInputs == 0 || ps.numInputs > 4 || ps.numOutputs == 0 ||
-        ps.numOutputs > 8) {
-      throw std::invalid_argument("SystemSpec: pearl " + ps.name +
-                                  ": supported shell shapes are 1..4 inputs, "
-                                  "1..8 outputs");
+    // shellFsm's bounds.
+    if (auto bad = outOfRange("numInputs", ps.numInputs, 4)) {
+      throw std::invalid_argument(pearlErr(ps, *bad));
     }
-    checkOutputTags(ps.numOutputs, dataWidth, "SystemSpec: pearl ", ps.name);
+    if (auto bad = outOfRange("numOutputs", ps.numOutputs, 8)) {
+      throw std::invalid_argument(pearlErr(ps, *bad));
+    }
+    checkOutputTags(ps, dataWidth);
   }
 
   // Every pearl port must be connected exactly once.
@@ -148,8 +177,10 @@ void SystemSpec::validate() const {
     if (ch.relays > 64) {
       throw std::invalid_argument(chanErr(c, "more than 64 relay stations"));
     }
-    if (ch.relays > 0 && (ch.relayDepth == 0 || ch.relayDepth > 8)) {
-      throw std::invalid_argument(chanErr(c, "relayDepth must be in 1..8"));
+    if (ch.relays > 0) {
+      if (auto bad = outOfRange("relayDepth", ch.relayDepth, 8)) {
+        throw std::invalid_argument(chanErr(c, *bad));
+      }
     }
     if (ch.initialTokens > ch.relays) {
       throw std::invalid_argument(
@@ -434,8 +465,7 @@ System buildSystem(const SystemSpec& spec, const BuildOptions& opts) {
       for (const Bus& b : inData) inLocal.push_back(frag.importAll(b));
       BusBuilder lbb(frag.netlist());
       const Bus base = shellDatapath(lbb, ps.numInputs, spec.dataWidth,
-                                     shells[p], inLocal, ps.name + "_",
-                                     &frag);
+                                     shells[p], inLocal, ps.name + "_", frag);
       taggedLocal[idx].reserve(ps.numOutputs);
       for (unsigned j = 0; j < ps.numOutputs; ++j) {
         taggedLocal[idx].push_back(
@@ -544,7 +574,9 @@ System buildSystem(const SystemSpec& spec, const BuildOptions& opts) {
 
 SystemSpec wrapperSpec(const WrapperConfig& cfg) {
   SystemSpec spec;
-  spec.name = "wrapper";
+  spec.name = "wrapper_n" + std::to_string(cfg.numInputs) + "m" +
+              std::to_string(cfg.numOutputs) + "d" +
+              std::to_string(cfg.relayDepth);
   spec.dataWidth = cfg.dataWidth;
   spec.encoding = cfg.encoding;
   spec.pearls = {{"pearl", cfg.numInputs, cfg.numOutputs}};

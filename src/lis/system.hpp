@@ -1,8 +1,9 @@
 #pragma once
 // System-topology specification and elaboration: whole networks of IP
 // pearls connected by latency-insensitive channels with relay-station
-// chains — the paper's actual subject, generalized from the single
-// shell + per-output relay of buildWrapper.
+// chains — the paper's actual subject. The paper's synchronization wrapper
+// (one shell plus a relay station on every output channel) is the
+// one-pearl system, wrapperSpec(cfg), and elaborates here like any other.
 //
 // A SystemSpec is a graph: pearls (each wrapped in a shell of the standard
 // shape, with the deterministic accumulator pearl stub) and channels. A
@@ -17,6 +18,18 @@
 // so elaboration only needs a topological order of the pearls over
 // relay-free channels; validate() rejects relay-free cycles (they would be
 // combinational fire loops in hardware too).
+//
+// Channel protocol at the boundary (LIS valid/stop, all stop outputs Moore):
+//   in<k>_valid, in<k>_data_*    token offered on external input k
+//   in<k>_stop                   output: the first relay station (or
+//                                shell buffer) of input k is full,
+//                                upstream must hold
+//   out<k>_valid, out<k>_data_*  token emitted on external output k
+//   out<k>_stop                  downstream stall into the system
+//
+// The embedded pearl stub is deterministic and stateful so co-simulation
+// checks clock gating for real: it sums its per-channel operands into an
+// accumulator enabled by `fire`, and output channel j carries sum ^ j.
 
 #include <cstdint>
 #include <functional>
@@ -24,11 +37,21 @@
 #include <vector>
 
 #include "lis/synth.hpp"
-#include "lis/wrapper.hpp"
 #include "netlist/buses.hpp"
 #include "netlist/netlist.hpp"
 
 namespace lis::sync {
+
+/// The paper's synchronization wrapper: one shell of numInputs x
+/// numOutputs channels and a relay station of relayDepth on every output.
+/// wrapperSpec(cfg) is its one-pearl system.
+struct WrapperConfig {
+  unsigned numInputs = 1;
+  unsigned numOutputs = 1;
+  unsigned dataWidth = 8;
+  unsigned relayDepth = 2; // capacity of each output relay station
+  Encoding encoding = Encoding::Binary;
+};
 
 /// One IP pearl and the shape of its synchronization shell.
 struct PearlSpec {
@@ -59,14 +82,16 @@ struct SystemSpec {
   std::vector<PearlSpec> pearls;
   std::vector<ChannelSpec> channels;
 
-  /// Structural well-formedness: endpoint/port indices in range, every
-  /// pearl port connected to exactly one channel, initialTokens <= relays,
+  /// Structural well-formedness: dataWidth in 1..64, every pearl's
+  /// numInputs in 1..4 and numOutputs in 1..8, endpoint/port indices in
+  /// range, every pearl port connected to exactly one channel, relayDepth
+  /// in 1..8 on a channel with relays, initialTokens <= relays,
   /// no cycle of relay-free channels, and every pearl's output-channel
   /// tags representable in dataWidth bits (output j carries data ^ j; a
   /// too-narrow bus would silently alias the tags on both the gate and
   /// behavioural side — rejected here, with the pearl named, instead of
   /// elaborating an unsound netlist). Throws std::invalid_argument with
-  /// the offending pearl/channel named.
+  /// the offending pearl/channel and field named.
   void validate() const;
 
   /// Channel indices crossing the boundary, in spec order. External input
@@ -76,8 +101,9 @@ struct SystemSpec {
 };
 
 /// Port nodes of a built system, indexed by external-channel order (see
-/// SystemSpec::externalInputs/externalOutputs). Same read/drive convention
-/// as WrapperPorts.
+/// SystemSpec::externalInputs/externalOutputs). inValid/inData/outStop are
+/// Input nodes (drive them); inStop/outValid/outData are Output nodes (read
+/// them). Data buses are LSB first.
 struct SystemPorts {
   std::vector<netlist::NodeId> inValid;
   std::vector<netlist::Bus> inData;
@@ -86,6 +112,9 @@ struct SystemPorts {
   std::vector<netlist::Bus> outData;
   std::vector<netlist::NodeId> outStop;
 };
+
+/// Kept for flowbench, which names a wrapper design's ports this way.
+using WrapperPorts = SystemPorts;
 
 struct System {
   netlist::Netlist netlist;
@@ -124,9 +153,11 @@ System buildSystem(const SystemSpec& spec, const BuildOptions& opts);
 
 // --- canonical topologies (the bench and test scenarios) -----------------
 
-/// The buildWrapper composition as a one-pearl system: cfg.numInputs
-/// relay-free external inputs into pearl "pearl", and one relay station of
-/// cfg.relayDepth on each of its cfg.numOutputs external outputs.
+/// The synchronization wrapper as a one-pearl system named
+/// "wrapper_n<i>m<o>d<d>": cfg.numInputs relay-free external inputs into
+/// pearl "pearl", and one relay station of cfg.relayDepth on each of its
+/// cfg.numOutputs external outputs. Builds whatever cfg says; validate()
+/// (and so buildSystem and the oracle) rejects a bad field by name.
 SystemSpec wrapperSpec(const WrapperConfig& cfg);
 
 /// numPearls 1-in/1-out pearls in a row, `relaysPerChannel` stations on

@@ -1,8 +1,7 @@
 #pragma once
 // NetlistSim: cycle-accurate scalar simulator for the gate-level IR — one
-// input pattern at a time, for tests, counterexample checks and the
-// bench's scalar-throughput row. (The LIS traffic loop, sync::Lockstep,
-// drives BitSim lanes directly.)
+// input pattern at a time, for directed tests and counterexample checks.
+// (The LIS traffic loop, sync::Lockstep, drives BitSim lanes directly.)
 //
 // Since the 64-way engine landed, this is a thin single-pattern view over
 // lane 0 of a one-word BitSim: same semantics as the historical scalar

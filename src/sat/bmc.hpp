@@ -1,7 +1,7 @@
 #pragma once
 // Bounded model checking of the LIS protocol invariants.
 //
-// checkInvariants instruments a wrapper/system netlist with the protocol
+// checkInvariants instruments an LIS netlist with the protocol
 // monitor PDR uses too (sat/monitor.hpp), whose three fail flags are:
 //
 //   token conservation   some delivered_j exceeds every accepted_i by
@@ -44,7 +44,6 @@
 
 #include "lis/oracle.hpp"
 #include "lis/system.hpp"
-#include "lis/wrapper.hpp"
 #include "netlist/netlist.hpp"
 #include "sat/solver.hpp"
 #include "support/cancellation.hpp"
@@ -112,9 +111,10 @@ BmcResult checkInvariants(const netlist::Netlist& nl,
                           const sync::PortView& ports,
                           const BmcOptions& opts = {});
 
-/// Sound storage bounds for the canned constructions. A wrapper's bound
-/// is that of its one-pearl system, sync::wrapperSpec(cfg).
+/// Sound storage bound of a spec's construction.
 unsigned capacityBound(const sync::SystemSpec& spec);
+/// capacityBound(sync::wrapperSpec(cfg)). Kept for flowbench; the library
+/// itself reads the bound off the spec.
 unsigned capacityBound(const sync::WrapperConfig& cfg);
 
 } // namespace lis::sat

@@ -19,7 +19,6 @@
 #include "lis/fsm.hpp"
 #include "lis/synth.hpp"
 #include "lis/system.hpp"
-#include "lis/wrapper.hpp"
 #include "flow/design.hpp"
 #include "flow/executor.hpp"
 #include "flow/pipeline.hpp"
@@ -105,7 +104,7 @@ void testRoundTrips() {
   sync::WrapperConfig cfg;
   cfg.numInputs = 2;
   cfg.numOutputs = 2;
-  checkSeqRoundTrip(sync::buildWrapper(cfg).netlist);
+  checkSeqRoundTrip(sync::buildSystem(sync::wrapperSpec(cfg)).netlist);
 }
 
 void checkOptimizeSound(const Netlist& nl, unsigned effort) {
@@ -136,7 +135,7 @@ void testOptimizeSoundness() {
   sync::WrapperConfig cfg;
   cfg.numInputs = 3;
   cfg.numOutputs = 1;
-  checkOptimizeSound(sync::buildWrapper(cfg).netlist, 2);
+  checkOptimizeSound(sync::buildSystem(sync::wrapperSpec(cfg)).netlist, 2);
 }
 
 void testRewriteShrinksSop() {
@@ -217,7 +216,7 @@ void testPriorityCutMapper() {
   sync::WrapperConfig cfg;
   cfg.numInputs = 2;
   cfg.numOutputs = 2;
-  designs.push_back(sync::buildWrapper(cfg).netlist);
+  designs.push_back(sync::buildSystem(sync::wrapperSpec(cfg)).netlist);
 
   for (const Netlist& nl : designs) {
     const techmap::MappedNetlist greedy = techmap::mapToLuts(nl, 4);

@@ -27,7 +27,6 @@
 #include "lis/fsm.hpp"
 #include "lis/synth.hpp"
 #include "lis/system.hpp"
-#include "lis/wrapper.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -373,12 +372,13 @@ void testShardedCosimReproducible() {
   lis::sync::WrapperConfig cfg;
   cfg.numInputs = 2;
   cfg.numOutputs = 1;
-  const lis::sync::Wrapper w = lis::sync::buildWrapper(cfg);
+  const lis::sync::SystemSpec spec = lis::sync::wrapperSpec(cfg);
+  const lis::sync::System w = lis::sync::buildSystem(spec);
 
   lis::sync::CosimOptions opts;
   opts.cycles = 1200;
   opts.shards = 4;
-  const lis::sync::CosimResult serial = lis::sync::cosimWrapper(w, cfg, opts);
+  const lis::sync::CosimResult serial = lis::sync::cosimSystem(w, spec, opts);
   CHECK(serial.ok);
   CHECK_EQ(serial.cyclesRun, 1200u);
 
@@ -389,7 +389,7 @@ void testShardedCosimReproducible() {
     pool.forEach(n, f);
   };
   const lis::sync::CosimResult parallel =
-      lis::sync::cosimWrapper(w, cfg, opts);
+      lis::sync::cosimSystem(w, spec, opts);
   CHECK(parallel.ok);
   CHECK_EQ(parallel.cyclesRun, serial.cyclesRun);
   CHECK_EQ(parallel.fires, serial.fires);
@@ -401,7 +401,7 @@ void testShardedCosimReproducible() {
 
   // Sharded and unsharded runs are *different* experiments (independent
   // from-reset slices vs one long run) — but each is self-reproducible.
-  const lis::sync::CosimResult again = lis::sync::cosimWrapper(w, cfg, opts);
+  const lis::sync::CosimResult again = lis::sync::cosimSystem(w, spec, opts);
   CHECK_EQ(again.tokens, parallel.tokens);
 }
 
@@ -633,8 +633,9 @@ void testFaultCampaignJobsInvariant() {
   lis::sync::WrapperConfig cfg;
   cfg.numInputs = 2;
   cfg.numOutputs = 1;
-  const lis::sync::Wrapper w = lis::sync::buildWrapper(cfg);
-  const lis::fault::Target target = lis::fault::targetOf(w, cfg);
+  const lis::sync::SystemSpec spec = lis::sync::wrapperSpec(cfg);
+  const lis::sync::System w = lis::sync::buildSystem(spec);
+  const lis::fault::Target target = lis::fault::targetOf(w, spec);
 
   lis::fault::CampaignOptions opts;
   opts.inject.cycles = 200;
@@ -693,7 +694,7 @@ void testRunManyBuffersFailuresPerDesign() {
   good.numInputs = 1;
   designs.emplace_back(good);
   lis::sync::WrapperConfig bad;
-  bad.numInputs = 0; // rejected by checkWrapperConfig inside synthesis
+  bad.numInputs = 0; // rejected by SystemSpec::validate inside synthesis
   designs.emplace_back(bad);
   designs.emplace_back(good);
 
@@ -745,7 +746,7 @@ void testTraceStructureJobsInvariant() {
   CHECK(serial.at("flow.designs/task") >= 2);
   CHECK(serial.count("pass:synthesize-control") == 1);
   CHECK(serial.at("cosim.shards") >= 1);
-  CHECK(serial.at("buildWrapper") >= 1);
+  CHECK(serial.at("buildSystem") >= 1);
 
   // The export is well-formed JSON-ish output with the canonical header.
   lis::obs::Tracer& tracer = lis::obs::Tracer::instance();

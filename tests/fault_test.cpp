@@ -3,8 +3,8 @@
 // with known classifications, the budget-guarded tiered equivalence
 // checker, the acceptance-criteria campaigns (control-register SEU
 // detection-or-recovery coverage on the 3x1 wrapper and the 4x4 mesh),
-// batched campaigns against injectOne and the pinned scalar-engine
-// tallies, and campaign cancellation.
+// batched campaigns against injectOne and pinned campaign tallies, and
+// campaign cancellation.
 
 #include <cstdio>
 #include <functional>
@@ -16,7 +16,6 @@
 #include "fault/fault.hpp"
 #include "lis/synth.hpp"
 #include "lis/system.hpp"
-#include "lis/wrapper.hpp"
 #include "netlist/bitsim.hpp"
 #include "netlist/equiv.hpp"
 #include "netlist/generate.hpp"
@@ -98,7 +97,8 @@ void testRegisterClassification() {
   cfg.numInputs = 3;
   cfg.numOutputs = 1;
   cfg.relayDepth = 2;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const lsync::SystemSpec spec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(spec);
 
   const std::vector<NodeId> ctrl = fault::controlRegisters(w.netlist);
   const std::vector<NodeId> data = fault::dataRegisters(w.netlist);
@@ -123,8 +123,9 @@ void testDetectableControlSeu() {
   lsync::WrapperConfig cfg;
   cfg.numInputs = 1;
   cfg.numOutputs = 1;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
-  const fault::Target target = fault::targetOf(w, cfg);
+  const lsync::SystemSpec spec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(spec);
+  const fault::Target target = fault::targetOf(w, spec);
 
   fault::InjectionOptions opts;
   opts.cycles = 300;
@@ -158,8 +159,9 @@ void testMaskedFaultIsSilent() {
   lsync::WrapperConfig cfg;
   cfg.numInputs = 1;
   cfg.numOutputs = 1;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
-  const fault::Target target = fault::targetOf(w, cfg);
+  const lsync::SystemSpec spec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(spec);
+  const fault::Target target = fault::targetOf(w, spec);
 
   fault::InjectionOptions opts;
   opts.cycles = 120;
@@ -190,8 +192,9 @@ void testStallBurstRecovers() {
   lsync::WrapperConfig cfg;
   cfg.numInputs = 2;
   cfg.numOutputs = 1;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
-  const fault::Target target = fault::targetOf(w, cfg);
+  const lsync::SystemSpec spec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(spec);
+  const fault::Target target = fault::targetOf(w, spec);
 
   fault::InjectionOptions opts;
   opts.cycles = 300;
@@ -211,7 +214,8 @@ void testGlitchIsDetected() {
   lsync::WrapperConfig cfg;
   cfg.numInputs = 1;
   cfg.numOutputs = 1;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const lsync::SystemSpec spec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(spec);
   fault::InjectionOptions opts;
   opts.cycles = 300;
   fault::FaultSite site;
@@ -219,7 +223,7 @@ void testGlitchIsDetected() {
   site.channel = 0;
   site.cycle = 40;
   const fault::FaultResult r =
-      fault::injectOne(fault::targetOf(w, cfg), site, opts);
+      fault::injectOne(fault::targetOf(w, spec), site, opts);
   CHECK(r.outcome == fault::Outcome::Detected);
   CHECK_EQ(r.atCycle, 43u); // three cycles after the glitch
   CHECK(!r.detail.empty());
@@ -234,8 +238,9 @@ void testBoundedStuckAtsClear() {
   lsync::WrapperConfig cfg;
   cfg.numInputs = 1;
   cfg.numOutputs = 1;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
-  const fault::Target target = fault::targetOf(w, cfg);
+  const lsync::SystemSpec spec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(spec);
+  const fault::Target target = fault::targetOf(w, spec);
   fault::InjectionOptions opts;
   opts.cycles = 300;
   const std::vector<NodeId> gates = fault::gateNodes(w.netlist);
@@ -264,60 +269,64 @@ void testBoundedStuckAtsClear() {
 // reading out of bounds or reporting a never-injected fault as recovered.
 void testRejectsSiteNodeOutOfRange() {
   lsync::WrapperConfig cfg;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const lsync::SystemSpec spec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(spec);
   fault::FaultSite site;
   site.kind = fault::FaultKind::SeuFlip;
   site.node = static_cast<NodeId>(w.netlist.nodeCount());
   site.cycle = 40;
-  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, {}),
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, spec), site, {}),
                std::invalid_argument);
   site.kind = fault::FaultKind::StuckAt1;
-  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, {}),
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, spec), site, {}),
                std::invalid_argument);
 }
 
 void testRejectsSeuOnGate() {
   lsync::WrapperConfig cfg;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const lsync::SystemSpec spec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(spec);
   fault::FaultSite site;
   site.kind = fault::FaultKind::SeuFlip;
   site.node = fault::gateNodes(w.netlist).front();
   site.cycle = 40;
-  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, {}),
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, spec), site, {}),
                std::invalid_argument);
 }
 
 void testRejectsChannelOutOfRange() {
   lsync::WrapperConfig cfg;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const lsync::SystemSpec spec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(spec);
   fault::FaultSite site;
   site.kind = fault::FaultKind::ChannelStall;
   site.channel = 5; // the 1x1 wrapper has one output channel
   site.cycle = 40;
-  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, {}),
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, spec), site, {}),
                std::invalid_argument);
   site.kind = fault::FaultKind::ChannelGlitch;
   site.channel = 3; // ... and one input channel
-  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, {}),
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, spec), site, {}),
                std::invalid_argument);
 }
 
 void testRejectsCycleBeyondHorizon() {
   lsync::WrapperConfig cfg;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const lsync::SystemSpec spec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(spec);
   fault::InjectionOptions opts;
   opts.cycles = 400;
   fault::FaultSite site;
   site.kind = fault::FaultKind::SeuFlip;
   site.node = fault::controlRegisters(w.netlist).front();
   site.cycle = 1000;
-  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, opts),
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, spec), site, opts),
                std::invalid_argument);
   site.cycle = opts.cycles; // the horizon itself is one past the last cycle
-  CHECK_THROWS(fault::injectOne(fault::targetOf(w, cfg), site, opts),
+  CHECK_THROWS(fault::injectOne(fault::targetOf(w, spec), site, opts),
                std::invalid_argument);
   site.cycle = opts.cycles - 1; // the last cycle still fires
-  CHECK(fault::injectOne(fault::targetOf(w, cfg), site, opts).outcome !=
+  CHECK(fault::injectOne(fault::targetOf(w, spec), site, opts).outcome !=
         fault::Outcome::Hang);
 }
 
@@ -356,7 +365,8 @@ void testSeqEquivBudgetDegrades() {
   lsync::WrapperConfig cfg;
   cfg.numInputs = 1;
   cfg.numOutputs = 1;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const lsync::SystemSpec spec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(spec);
   const lis::sat::NetlistSweepResult swept = lis::sat::sweepNetlist(w.netlist);
   lis::netlist::EquivOptions opts;
   opts.satConflictBudget = 1;
@@ -403,9 +413,12 @@ void checkBatchMatchesInjectOne(const fault::Target& target,
   }
 }
 
-/// Detected/recovered/silent/hang tallies and the summed atCycle, as the
-/// one-experiment-at-a-time engine reported them before campaigns were
-/// batched: pins the batched engine to the scalar one, not to itself.
+/// Detected/recovered/silent/hang tallies and the summed atCycle of a
+/// seeded campaign, pinned so a change to the site plan, the traffic
+/// stream or the classification shows up as a changed number. (That each
+/// batched result equals its lone injectOne is checkBatchMatchesInjectOne's
+/// job, site by site.) The plan draws data-register and gate sites by
+/// index in node-id order, so re-pin when elaboration reorders nodes.
 void checkPinned(const fault::CampaignResult& r, std::size_t detected,
                  std::size_t recovered, std::size_t silent,
                  std::uint64_t atCycleSum) {
@@ -428,13 +441,13 @@ fault::CampaignOptions wrapperCampaign() {
   return opts;
 }
 
-lsync::WrapperConfig wrapper3x1(lsync::Encoding enc) {
+lsync::SystemSpec wrapper3x1(lsync::Encoding enc) {
   lsync::WrapperConfig cfg;
   cfg.numInputs = 3;
   cfg.numOutputs = 1;
   cfg.relayDepth = 2;
   cfg.encoding = enc;
-  return cfg;
+  return lsync::wrapperSpec(cfg);
 }
 
 void testWrapperCampaignCoverage() {
@@ -444,17 +457,17 @@ void testWrapperCampaignCoverage() {
   // comparison covers every fault kind the plan draws.
   for (lsync::Encoding enc :
        {lsync::Encoding::OneHot, lsync::Encoding::Binary}) {
-    const lsync::WrapperConfig cfg = wrapper3x1(enc);
-    const lsync::Wrapper w = lsync::buildWrapper(cfg);
-    const fault::Target target = fault::targetOf(w, cfg);
+    const lsync::SystemSpec spec = wrapper3x1(enc);
+    const lsync::System w = lsync::buildSystem(spec);
+    const fault::Target target = fault::targetOf(w, spec);
     const fault::CampaignOptions opts = wrapperCampaign();
     const fault::CampaignResult r =
         campaignCoverageCheck(target, opts, lsync::encodingName(enc));
     checkBatchMatchesInjectOne(target, opts, r);
     if (enc == lsync::Encoding::OneHot) {
-      checkPinned(r, 32, 10, 0, 8399);
+      checkPinned(r, 31, 11, 0, 8730);
     } else {
-      checkPinned(r, 37, 5, 0, 7090);
+      checkPinned(r, 36, 6, 0, 7421);
     }
   }
 }
@@ -522,9 +535,9 @@ void testLatentGlitchIsSilent() {
 }
 
 void testCampaignCancellation() {
-  const lsync::WrapperConfig cfg = wrapper3x1(lsync::Encoding::Binary);
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
-  const fault::Target target = fault::targetOf(w, cfg);
+  const lsync::SystemSpec spec = wrapper3x1(lsync::Encoding::Binary);
+  const lsync::System w = lsync::buildSystem(spec);
+  const fault::Target target = fault::targetOf(w, spec);
   fault::CampaignOptions opts = wrapperCampaign();
   const fault::CampaignResult full = fault::runCampaign(target, opts);
   CHECK(full.results.size() > fault::kBatchExperiments);

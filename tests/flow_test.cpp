@@ -209,6 +209,41 @@ void testSystemDesignThroughPipeline() {
   CHECK(contains(d.reportJson(), "chain2_d1_onehot"));
 }
 
+void testFlowbenchWrapperNames() {
+  // flowbench reads a wrapper design through wrapperConfig(), wrapper()
+  // and wrapperPorts(), and builds its fault target and capacity bound from
+  // the config. Each forwards to the system path the library itself uses.
+  lis::sync::WrapperConfig cfg;
+  cfg.numInputs = 2;
+  cfg.numOutputs = 2;
+  Design w(cfg);
+  CHECK(w.name() == "wrapper_n2m2d2_binary");
+  CHECK(w.systemSpec() != nullptr);
+  CHECK(w.wrapperConfig() != nullptr);
+  if (const lis::sync::WrapperConfig* c = w.wrapperConfig()) {
+    CHECK_EQ(c->numInputs, 2u);
+    CHECK_EQ(c->numOutputs, 2u);
+    CHECK_EQ(c->relayDepth, cfg.relayDepth);
+  }
+  CHECK(w.system() != nullptr);
+  CHECK(w.wrapper() == w.system());
+  CHECK(w.wrapperPorts() == w.systemPorts());
+  CHECK(w.system()->netlist.name() == w.name());
+  CHECK_EQ(lis::sat::capacityBound(cfg),
+           lis::sat::capacityBound(*w.systemSpec()));
+  const lis::fault::Target viaCfg =
+      lis::fault::targetOf(*w.system(), cfg);
+  CHECK(viaCfg.netlist == &w.netlist());
+  CHECK(viaCfg.spec.name == w.systemSpec()->name);
+  CHECK_EQ(viaCfg.spec.channels.size(), w.systemSpec()->channels.size());
+
+  Design sys(lis::sync::chainSpec(2, 1, lis::sync::Encoding::Binary));
+  CHECK(sys.system() != nullptr);
+  CHECK(sys.wrapperConfig() == nullptr);
+  CHECK(sys.wrapper() == nullptr);
+  CHECK(sys.wrapperPorts() == nullptr);
+}
+
 void testPassDeadlineCancelsCosim() {
   // A pass deadline reaches cooperative passes through the cancellation
   // token: a cosim sized far beyond the budget winds down early with a
@@ -284,6 +319,7 @@ int main() {
   testInvalidConfigStopsPipeline();
   testPrebuiltDesignSkipsModelPasses();
   testSystemDesignThroughPipeline();
+  testFlowbenchWrapperNames();
   testPassDeadlineCancelsCosim();
   testPassDeadlineFlagsStubbornPass();
   testReusablePipeline();

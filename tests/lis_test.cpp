@@ -1,20 +1,25 @@
 // Tests for the src/lis synchronization-wrapper synthesis subsystem: FSM
 // spec semantics, directed netlist behaviour, randomized co-simulation of
-// synthesized wrappers against the behavioural oracle, the formal one-hot
-// vs binary control-equivalence proof, config validation, and the
+// synthesized wrappers (the one-pearl systems wrapperSpec(cfg)) against the
+// behavioural oracle, the formal one-hot vs binary control-equivalence
+// proof, config validation, pinned wrapper-matrix sizes, and the
 // flow::Pipeline-driven verification flow.
 
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "bench/suites.hpp"
 #include "flow/design.hpp"
 #include "flow/pipeline.hpp"
 #include "lis/cosim.hpp"
 #include "lis/fsm.hpp"
 #include "lis/lockstep.hpp"
 #include "lis/synth.hpp"
-#include "lis/wrapper.hpp"
+#include "lis/system.hpp"
 #include "netlist/equiv.hpp"
 #include "netlist/netlist_sim.hpp"
 #include "test_util.hpp"
@@ -85,39 +90,55 @@ void testShellSpecSemantics() {
   CHECK_THROWS(broken.validate(), std::invalid_argument);
 }
 
-// Directed relay-station run: tokens come out in order, stalls hold them,
-// capacity backpressures. Exercises the synthesized netlist directly.
+// Directed relay-station run through the 1x1 wrapper: with the output
+// stalled the pearl fires into the relay station until it is full, then the
+// shell buffers the next offer and stops its input; draining the station
+// releases the tokens in order, and the buffered one fires once the
+// station's (Moore) stop has dropped. Every output is the pearl's running
+// sum, worked out by hand. Exercises the synthesized netlist directly.
 void testRelayStationNetlist(Encoding enc) {
-  Wrapper rs = buildRelayStation(8, 2, enc);
-  NetlistSim sim(rs.netlist);
+  WrapperConfig cfg;
+  cfg.encoding = enc;
+  const System w = buildSystem(wrapperSpec(cfg));
+  NetlistSim sim(w.netlist);
   sim.reset();
 
   auto drive = [&](bool v, std::uint64_t d, bool stop) {
-    sim.setInput(rs.ports.inValid[0], v);
-    sim.setInputBus(rs.ports.inData[0], d);
-    sim.setInput(rs.ports.outStop[0], stop);
+    sim.setInput(w.ports.inValid[0], v);
+    sim.setInputBus(w.ports.inData[0], d);
+    sim.setInput(w.ports.outStop[0], stop);
     sim.settle();
   };
-  auto valid = [&] { return sim.value(rs.ports.outValid[0]); };
-  auto stopo = [&] { return sim.value(rs.ports.inStop[0]); };
-  auto data = [&] { return sim.busValue(rs.ports.outData[0]); };
+  auto valid = [&] { return sim.value(w.ports.outValid[0]); };
+  auto stopo = [&] { return sim.value(w.ports.inStop[0]); };
+  auto data = [&] { return sim.busValue(w.ports.outData[0]); };
 
   CHECK(!valid());
   CHECK(!stopo());
-  drive(true, 0xAA, true); // push first token, downstream stalled
+  drive(true, 0xAA, true); // fires 0 + 0xAA into the relay, output stalled
   sim.clock();
   CHECK(valid());
   CHECK_EQ(data(), 0xAAu);
   CHECK(!stopo());
-  drive(true, 0xBB, true); // push second while stalled: now full
+  drive(true, 0x11, true); // fires 0xAA + 0x11: the relay is now full
+  sim.clock();
+  CHECK(valid());
+  CHECK_EQ(data(), 0xAAu); // head unchanged
+  CHECK(!stopo());
+  drive(true, 0x22, true); // relay full: the shell buffers the offer
+  sim.clock();
+  CHECK(stopo()); // ... and stops its input
+  CHECK_EQ(data(), 0xAAu);
+  drive(false, 0, false); // drain one; the shell still saw a full relay
   sim.clock();
   CHECK(stopo());
-  CHECK_EQ(data(), 0xAAu); // head unchanged
-  drive(false, 0, false); // drain one
+  CHECK(valid());
+  CHECK_EQ(data(), 0xBBu); // second token shifted to the head
+  drive(false, 0, false); // drain the second; the buffered token fires
   sim.clock();
   CHECK(!stopo());
   CHECK(valid());
-  CHECK_EQ(data(), 0xBBu); // second token shifted to the head
+  CHECK_EQ(data(), 0xDDu); // 0xBB + 0x22
   drive(false, 0, false); // drain the last
   sim.clock();
   CHECK(!valid());
@@ -125,13 +146,17 @@ void testRelayStationNetlist(Encoding enc) {
 
 // Directed shell run with hand-computed pearl math: always-valid inputs,
 // never stalled -> fires every cycle; out0 = acc + sum(inputs), out1 tag.
+// The 2x2 wrapper with every channel relay-free is the shell alone.
 void testShellPearlMath(Encoding enc) {
   WrapperConfig cfg;
   cfg.numInputs = 2;
   cfg.numOutputs = 2;
   cfg.dataWidth = 8;
   cfg.encoding = enc;
-  Wrapper sh = buildShell(cfg);
+  SystemSpec spec = wrapperSpec(cfg);
+  for (ChannelSpec& ch : spec.channels) ch.relays = 0;
+  const System sh = buildSystem(spec);
+  CHECK_EQ(sh.relayStations, 0u);
   NetlistSim sim(sh.netlist);
   sim.reset();
 
@@ -175,7 +200,7 @@ void testCosimMatrix() {
       CosimOptions opts;
       opts.cycles = 1500;
       opts.seed = 0xBEEF + shape.in * 10 + shape.out;
-      const CosimResult r = cosimWrapper(cfg, opts);
+      const CosimResult r = cosimSystem(wrapperSpec(cfg), opts);
       if (!r.ok) {
         std::printf("cosim %ux%u %s: %s\n", shape.in, shape.out,
                     encodingName(enc), r.mismatch.c_str());
@@ -203,7 +228,7 @@ void testCosimSeededStreamPinned() {
   CosimOptions opts;
   opts.cycles = 1500;
   opts.seed = 0xBEEF + 21;
-  const CosimResult r = cosimWrapper(cfg, opts);
+  const CosimResult r = cosimSystem(wrapperSpec(cfg), opts);
   CHECK(r.ok);
   CHECK_EQ(r.tokens, 828u);
   CHECK_EQ(r.fires, 828u);
@@ -215,8 +240,8 @@ void testCosimSeededStreamPinned() {
 void testLockstepRejectsMismatchedOracle() {
   WrapperConfig two;
   two.numInputs = 2;
-  const Wrapper w = buildWrapper(two);
-  Oracle one{WrapperConfig{}};
+  const System w = buildSystem(wrapperSpec(two));
+  Oracle one{wrapperSpec(WrapperConfig{})};
   CHECK_THROWS(Lockstep(w.netlist, portView(w.ports), {&one}),
                std::invalid_argument);
   CHECK_THROWS(Lockstep(w.netlist, portView(w.ports), {}),
@@ -260,7 +285,7 @@ void testCosimDepthsAndExtremes() {
     CosimOptions opts;
     opts.cycles = 1200;
     opts.seed = 77 + depth;
-    const CosimResult r = cosimWrapper(cfg, opts);
+    const CosimResult r = cosimSystem(wrapperSpec(cfg), opts);
     if (!r.ok) std::printf("cosim depth %u: %s\n", depth, r.mismatch.c_str());
     CHECK(r.ok);
   }
@@ -272,7 +297,8 @@ void testCosimDepthsAndExtremes() {
   opts.cycles = 1000;
   opts.offerPercent = 100;
   opts.stallPercent = 0;
-  const CosimResult r = cosimWrapper(cfg, opts);
+  const System w = buildSystem(wrapperSpec(cfg));
+  const CosimResult r = cosimSystem(w, wrapperSpec(cfg), opts);
   CHECK(r.ok);
   CHECK(r.tokens >= opts.cycles - 2);
   // Permanent stall: relay fills, shell stalls, nothing is delivered and
@@ -281,7 +307,7 @@ void testCosimDepthsAndExtremes() {
   blocked.cycles = 1000;
   blocked.offerPercent = 100;
   blocked.stallPercent = 100;
-  const CosimResult rb = cosimWrapper(cfg, blocked);
+  const CosimResult rb = cosimSystem(w, wrapperSpec(cfg), blocked);
   CHECK(rb.ok);
   CHECK_EQ(rb.tokens, 0u);
   CHECK(rb.fires <= cfg.relayDepth);
@@ -350,69 +376,63 @@ void testTransitionNetlistMatchesSpec() {
   }
 }
 
-// Malformed configs must be rejected up front with a precise message, not
-// lowered into malformed FSM specs.
+// Malformed configs must be rejected up front with a message naming the
+// bad field, not lowered into malformed FSM specs — by the elaborator and
+// the oracle alike, since both validate the same spec.
 void testConfigValidation() {
   auto withField = [](auto set) {
     WrapperConfig cfg;
     set(cfg);
     return cfg;
   };
-  CHECK_THROWS(
-      buildShell(withField([](WrapperConfig& c) { c.numInputs = 0; })),
-      std::invalid_argument);
-  CHECK_THROWS(
-      buildShell(withField([](WrapperConfig& c) { c.numInputs = 5; })),
-      std::invalid_argument);
-  CHECK_THROWS(
-      buildShell(withField([](WrapperConfig& c) { c.numOutputs = 0; })),
-      std::invalid_argument);
-  CHECK_THROWS(
-      buildShell(withField([](WrapperConfig& c) { c.numOutputs = 9; })),
-      std::invalid_argument);
-  CHECK_THROWS(
-      buildShell(withField([](WrapperConfig& c) { c.dataWidth = 0; })),
-      std::invalid_argument);
-  CHECK_THROWS(
-      buildShell(withField([](WrapperConfig& c) { c.dataWidth = 65; })),
-      std::invalid_argument);
-  CHECK_THROWS(
-      buildWrapper(withField([](WrapperConfig& c) { c.numInputs = 0; })),
-      std::invalid_argument);
-  CHECK_THROWS(
-      buildWrapper(withField([](WrapperConfig& c) { c.numOutputs = 0; })),
-      std::invalid_argument);
-  CHECK_THROWS(
-      buildWrapper(withField([](WrapperConfig& c) { c.relayDepth = 0; })),
-      std::invalid_argument);
-  CHECK_THROWS(
-      buildWrapper(withField([](WrapperConfig& c) { c.relayDepth = 9; })),
-      std::invalid_argument);
-  CHECK_THROWS(buildRelayStation(8, 0, Encoding::Binary),
-               std::invalid_argument);
-  CHECK_THROWS(buildRelayStation(0, 2, Encoding::Binary),
-               std::invalid_argument);
+  auto rejects = [](const WrapperConfig& cfg, const char* field) {
+    std::string what;
+    try {
+      (void)buildSystem(wrapperSpec(cfg));
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
+    }
+    if (what.find(field) == std::string::npos) {
+      std::printf("bad %s: got \"%s\"\n", field, what.c_str());
+    }
+    CHECK(what.find(field) != std::string::npos);
+    CHECK_THROWS(Oracle{wrapperSpec(cfg)}, std::invalid_argument);
+  };
+  rejects(withField([](WrapperConfig& c) { c.numInputs = 0; }), "numInputs");
+  rejects(withField([](WrapperConfig& c) { c.numInputs = 5; }), "numInputs");
+  rejects(withField([](WrapperConfig& c) { c.numOutputs = 0; }),
+          "numOutputs");
+  rejects(withField([](WrapperConfig& c) { c.numOutputs = 9; }),
+          "numOutputs");
+  rejects(withField([](WrapperConfig& c) { c.dataWidth = 0; }), "dataWidth");
+  rejects(withField([](WrapperConfig& c) { c.dataWidth = 65; }),
+          "dataWidth");
+  rejects(withField([](WrapperConfig& c) { c.relayDepth = 0; }),
+          "relayDepth");
+  rejects(withField([](WrapperConfig& c) { c.relayDepth = 9; }),
+          "relayDepth");
   // Output j carries data ^ j, so four outputs need 2-bit tags: on a 1-bit
-  // bus they would alias, as SystemSpec::validate rejects for a pearl.
-  // Two outputs (tags 0 and 1) still fit, and the oracle of a wrapper
-  // accepts exactly the configs buildWrapper does.
-  const WrapperConfig aliased = withField([](WrapperConfig& c) {
-    c.numOutputs = 4;
-    c.dataWidth = 1;
-  });
-  CHECK_THROWS(buildShell(aliased), std::invalid_argument);
-  CHECK_THROWS(buildWrapper(aliased), std::invalid_argument);
-  CHECK_THROWS(Oracle{aliased}, std::invalid_argument);
+  // bus they would alias. Two outputs (tags 0 and 1) still fit.
+  rejects(withField([](WrapperConfig& c) {
+            c.numOutputs = 4;
+            c.dataWidth = 1;
+          }),
+          "dataWidth");
   const WrapperConfig narrow = withField([](WrapperConfig& c) {
     c.numOutputs = 2;
     c.dataWidth = 1;
   });
-  CHECK_EQ(buildWrapper(narrow).ports.outData.size(), 2u);
-  CHECK_EQ(Oracle{narrow}.numOutputs(), 2u);
-  // A shell alone has no relay stations: relayDepth == 0 is acceptable.
-  const Wrapper sh =
-      buildShell(withField([](WrapperConfig& c) { c.relayDepth = 0; }));
-  CHECK(sh.netlist.stats().dffs > 0);
+  CHECK_EQ(buildSystem(wrapperSpec(narrow)).ports.outData.size(), 2u);
+  CHECK_EQ(Oracle{wrapperSpec(narrow)}.numOutputs(), 2u);
+  // The exact wording for a bad shell shape.
+  std::string what;
+  try {
+    (void)buildSystem(
+        wrapperSpec(withField([](WrapperConfig& c) { c.numInputs = 0; })));
+  } catch (const std::invalid_argument& e) {
+    what = e.what();
+  }
+  CHECK(what == "SystemSpec: pearl pearl: numInputs must be in 1..4, got 0");
 }
 
 // The full verification flow through the pass pipeline: synthesize, prove
@@ -452,13 +472,50 @@ void testSynthStats() {
   cfg.numOutputs = 2;
   for (Encoding enc : {Encoding::OneHot, Encoding::Binary}) {
     cfg.encoding = enc;
-    const Wrapper w = buildWrapper(cfg);
+    const System w = buildSystem(wrapperSpec(cfg));
     CHECK(w.control.functions > 0);
     CHECK(w.control.cubesAfter < w.control.cubesBefore);
     CHECK(w.control.literalsAfter < w.control.literalsBefore);
     const auto st = w.netlist.stats();
     CHECK(st.dffs > 0);
     CHECK(st.gates > 0);
+  }
+}
+
+// The Table-1 wrapper matrix, pinned: nodes, gates, DFFs, minimized SOP
+// literals, and the greedy k=4 mapping's LUTs, slices and fmax. A change
+// to elaboration may reorder nodes or rename registers, but must not move
+// these; the bench gate alone would let slices drift by 25 %.
+void testWrapperSuitePinned() {
+  const struct {
+    const char* name;
+    double nodes, gates, dffs, literals, luts, slices, fmaxMhz;
+  } pins[] = {
+      {"wrapper_n1m1d2_onehot", 175, 117, 37, 52, 77, 39, 66.357},
+      {"wrapper_n1m1d2_binary", 165, 109, 35, 43, 73, 37, 66.357},
+      {"wrapper_n2m1d2_onehot", 296, 218, 47, 109, 132, 66, 52.770},
+      {"wrapper_n2m1d2_binary", 265, 190, 44, 79, 118, 59, 56.338},
+      {"wrapper_n2m2d2_onehot", 414, 306, 66, 173, 181, 91, 52.192},
+      {"wrapper_n2m2d2_binary", 368, 264, 62, 128, 164, 82, 55.679},
+      {"wrapper_n3m1d2_onehot", 540, 440, 59, 287, 226, 113, 46.232},
+      {"wrapper_n3m1d2_binary", 396, 302, 53, 147, 179, 90, 48.780},
+  };
+  std::vector<lis::flow::Design> designs = lis::bench::wrapperSuite();
+  CHECK_EQ(designs.size(), std::size(pins));
+  lis::flow::Pipeline pipe;
+  pipe.synthesizeControl().mapLuts(4).sta();
+  for (std::size_t i = 0; i < designs.size() && i < std::size(pins); ++i) {
+    lis::flow::Design& d = designs[i];
+    CHECK(pipe.run(d).ok);
+    CHECK(d.name() == pins[i].name);
+    const lis::obs::Registry& m = d.metrics();
+    CHECK_EQ(m.value("synth.nodes"), pins[i].nodes);
+    CHECK_EQ(m.value("synth.gates"), pins[i].gates);
+    CHECK_EQ(m.value("synth.dffs"), pins[i].dffs);
+    CHECK_EQ(m.value("synth.sop_literals"), pins[i].literals);
+    CHECK_EQ(m.value("map.luts"), pins[i].luts);
+    CHECK_EQ(m.value("map.slices"), pins[i].slices);
+    CHECK(std::fabs(m.value("sta.fmax_mhz") - pins[i].fmaxMhz) < 1e-3);
   }
 }
 
@@ -481,5 +538,6 @@ int main() {
   testConfigValidation();
   testFlowPipelineVerify();
   testSynthStats();
+  testWrapperSuitePinned();
   return testExit();
 }

@@ -14,7 +14,7 @@
 
 #include "flow/design.hpp"
 #include "flow/executor.hpp"
-#include "lis/wrapper.hpp"
+#include "lis/system.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/thread_pool.hpp"

@@ -15,7 +15,6 @@
 #include "aig/aig.hpp"
 #include "lis/oracle.hpp"
 #include "lis/system.hpp"
-#include "lis/wrapper.hpp"
 #include "netlist/equiv.hpp"
 #include "netlist/generate.hpp"
 #include "netlist/seq_equiv.hpp"
@@ -497,7 +496,7 @@ void testSweepSoundnessOnRealConfigs() {
     cfg.numInputs = 2;
     cfg.numOutputs = 1;
     cfg.encoding = enc;
-    const lsync::Wrapper w = lsync::buildWrapper(cfg);
+    const lsync::System w = lsync::buildSystem(lsync::wrapperSpec(cfg));
     const sat::NetlistSweepResult swept = sat::sweepNetlist(w.netlist);
     const nlx::SeqEquivResult r =
         nlx::checkSeqEquivalence(w.netlist, swept.netlist);
@@ -532,10 +531,11 @@ void testBmcHoldsOnCleanDesigns() {
   lsync::WrapperConfig cfg;
   cfg.numInputs = 1;
   cfg.numOutputs = 1;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const lsync::SystemSpec wspec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(wspec);
   sat::BmcOptions wopts;
   wopts.depth = 10;
-  wopts.capacityBound = sat::capacityBound(cfg);
+  wopts.capacityBound = sat::capacityBound(wspec);
   const sat::BmcResult wr =
       sat::checkInvariants(w.netlist, lsync::portView(w.ports), wopts);
   CHECK(wr.allHold());
@@ -1032,7 +1032,8 @@ void testPdrReplayOnCosimOracle() {
   lsync::WrapperConfig cfg;
   cfg.numInputs = 1;
   cfg.numOutputs = 1;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
+  const lsync::SystemSpec wspec = lsync::wrapperSpec(cfg);
+  const lsync::System w = lsync::buildSystem(wspec);
   const lsync::PortView wview = lsync::portView(w.ports);
   sat::PdrTrace trace;
   trace.inputs = {wview.inValid[0], wview.inData[0][0], wview.outStop[0]};
@@ -1040,9 +1041,9 @@ void testPdrReplayOnCosimOracle() {
     trace.frames.push_back({true, (f & 1) != 0, false});
   }
   sat::ReplayOptions ropts;
-  ropts.capacityBound = sat::capacityBound(cfg);
+  ropts.capacityBound = sat::capacityBound(wspec);
   {
-    lsync::Oracle beh(cfg);
+    lsync::Oracle beh(wspec);
     const sat::ReplayResult rep = sat::replayTrace(
         w.netlist, wview, "token_conservation", trace, ropts, &beh);
     CHECK(rep.oracleChecked);
@@ -1060,7 +1061,7 @@ void testPdrReplayOnCosimOracle() {
     CHECK(token.violated);
     sat::ReplayOptions bropts;
     bropts.capacityBound = 2;
-    lsync::Oracle beh(cfg);
+    lsync::Oracle beh(wspec);
     const sat::ReplayResult rep = sat::replayTrace(
         broken, bview, token.name, token.trace, bropts, &beh);
     CHECK(rep.reproduced);

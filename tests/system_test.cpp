@@ -186,9 +186,8 @@ void testShardedMeshCosimPinned() {
 }
 
 // A single pearl with direct external inputs and one relay station per
-// output channel is exactly the buildWrapper composition (wrapperSpec, the
-// wrapper oracle's network) — the system elaborator must agree with the
-// behavioural network on it too.
+// output channel is the paper's wrapper (wrapperSpec) — the system
+// elaborator must agree with the behavioural network on it too.
 void testWrapperShapedSystem() {
   for (Encoding enc : {Encoding::OneHot, Encoding::Binary}) {
     WrapperConfig cfg;

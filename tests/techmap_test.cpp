@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "flow/design.hpp"
-#include "lis/wrapper.hpp"
+#include "lis/system.hpp"
 #include "netlist/bitsim.hpp"
 #include "netlist/buses.hpp"
 #include "netlist/generate.hpp"

@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string>
 
-#include "lis/wrapper.hpp"
+#include "lis/system.hpp"
 #include "netlist/buses.hpp"
 #include "netlist/generate.hpp"
 #include "netlist/netlist.hpp"
@@ -60,8 +60,8 @@ void testGoldenFile() {
 }
 
 void testWrapperEmission() {
-  const lis::sync::Wrapper w =
-      lis::sync::buildWrapper({2, 1, 4, 2, lis::sync::Encoding::Binary});
+  const lis::sync::System w = lis::sync::buildSystem(
+      lis::sync::wrapperSpec({2, 1, 4, 2, lis::sync::Encoding::Binary}));
   const std::string v = emitVerilog(w.netlist);
   CHECK(contains(v, "module wrapper_n2m1d2_binary"));
   CHECK(contains(v, "input wire clk;"));

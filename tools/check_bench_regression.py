@@ -15,7 +15,9 @@ loop:
 - ABSOLUTE_RULES, (suite, counter, op, bound, message): every fresh,
   non-failed row of the suite must satisfy `counter op bound`. Among them:
   every output of a standard-suite cosim delivered a token
-  (cosim.min_tokens_per_output > 0).
+  (cosim.min_tokens_per_output > 0), and every campaign drew a
+  control-register SEU (fault.control_seu_sites > 0), without which its
+  control-SEU coverage reads a vacuous 1.0.
 - RELATIVE_RULES, (suite, counter, better, slack): the fresh value may be
   worse than the baseline row's by at most slack, an absolute margin, or
   the --max-regress ratio when slack is None.
@@ -72,6 +74,9 @@ ABSOLUTE_RULES = (
     + [(s, "aig.cuts_enumerated", ">", 0, "AIG rewriting enumerated no cuts")
        for s in OPT_SUITES]
     + [("fault", "fault.sites", ">", 0, "campaign injected no faults"),
+       ("fault", "fault.control_seu_sites", ">", 0,
+        "campaign drew no control-register SEU (no *_s_<n> state register "
+        "found), so its coverage of 1.0 is vacuous"),
        ("fault", "fault.control_seu_coverage", ">=", 0.95,
         "control-SEU detection-or-recovery coverage below the 0.95 floor")]
     + [("sat", f"bmc.{p}_ok", "==", 1, f"protocol invariant {p} violated")
@@ -436,6 +441,7 @@ def self_test():
     wrapper_opt = row("wrapper_opt", "w", dict(opt, **{"map.slices": 31}))
     system_opt = row("system_opt", "s", dict(opt, **{"map.slices": 90}))
     fault = row("fault", "f", {"fault.sites": 52,
+                               "fault.control_seu_sites": 32,
                                "fault.control_seu_coverage": 1.0})
     sat = row("sat", "c", {
         "bmc.depth": 20, "sweep.equiv_proved": 1, "sweep.equiv_method": 2,
@@ -492,6 +498,9 @@ def self_test():
         ("fault coverage within slack passes", base,
          but(changed(fault, {"fault.control_seu_coverage": 0.97})), "clean",
          ""),
+        ("no control-register SEU fails", base,
+         but(changed(fault, {"fault.control_seu_sites": 0})), "fail",
+         "vacuous"),
         ("dropped fault design fails", base,
          but(drop=[("fault", "f")]), "fail", "missing from fresh"),
         ("sat violated invariant fails", base,
