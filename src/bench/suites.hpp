@@ -77,9 +77,8 @@ inline std::vector<flow::Design> sweepSuite() {
 
 /// Production-scale suite behind `--suite scale` / `--suite full`: the
 /// topologies an SoC-sized pearl network actually has. These sizes are
-/// what the parallel elaboration, the synthesis cache and the flat cut
-/// store exist for; the sweep above stops at 100 pearls so the default
-/// bench stays fast. Binary encoding for the same reason as sweepSuite.
+/// what the synthesis cache and the flat cut store exist for; the sweep
+/// above stops at 100 pearls so the default bench stays fast. Binary encoding for the same reason as sweepSuite.
 inline std::vector<flow::Design> scaleSuite() {
   const sync::Encoding enc = sync::Encoding::Binary;
   std::vector<flow::Design> designs;

@@ -85,8 +85,7 @@ void Design::ensureSynthesized() {
 
 void Design::synthesize() {
   StageFrame frame(*this, "synthesize");
-  system_ = std::make_unique<sync::System>(
-      sync::buildSystem(*spec_, sync::BuildOptions{buildRunner_}));
+  system_ = std::make_unique<sync::System>(sync::buildSystem(*spec_));
 }
 
 const netlist::Netlist& Design::netlist() {

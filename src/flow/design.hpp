@@ -20,7 +20,8 @@
 //
 // Thread-safety: the lazy producers are guarded per artifact, not by one
 // Design-wide mutex — synthesis behind a once-latch (concurrent first
-// accessors race to run it exactly once; the netlist is immutable after),
+// accessors race to run it exactly once, serially on the winner's thread;
+// the netlist is immutable after),
 // the map→area→timing chain behind its own mutex (they share one
 // invalidation lifetime: a remap drops both dependents), and the stage-time
 // table behind a third. Every accessor completes the synth latch *before*
@@ -69,15 +70,6 @@ public:
   Design& operator=(Design&&) = default;
 
   const std::string& name() const { return name_; }
-
-  /// Runner handed to buildSystem's parallel elaboration (see
-  /// sync::BuildOptions). Must be installed before the netlist is first
-  /// touched to have any effect; the composed netlist is byte-identical
-  /// with or without it, so this is a wall-clock-only knob (and therefore
-  /// not part of any artifact cache key).
-  void setBuildRunner(sync::BuildOptions::Runner runner) {
-    buildRunner_ = std::move(runner);
-  }
 
   /// The backing spec; null for a prebuilt netlist.
   const sync::SystemSpec* systemSpec() const {
@@ -217,7 +209,6 @@ private:
   std::string name_;
   std::optional<sync::SystemSpec> spec_;
   std::optional<sync::WrapperConfig> cfg_; // read only by wrapperConfig()
-  sync::BuildOptions::Runner buildRunner_;
   // Exactly one of these holds the netlist once built; unique_ptrs keep
   // its address stable across Design moves (MappedNetlist::source).
   std::unique_ptr<netlist::Netlist> prebuilt_;

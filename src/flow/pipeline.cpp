@@ -55,17 +55,7 @@ void PassContext::parallelFor(std::size_t n,
 }
 
 void SynthesizeControl::run(Design& design, PassContext& ctx) {
-  // Hand buildSystem the executor before the netlist is first touched, so
-  // system elaboration fans out on the same pool as the passes (nested
-  // forEach is deadlock-free: waiting callers drain queued tasks). Dropped
-  // again right after — the synthesized netlist is immutable, so the
-  // runner must not outlive this pass's context.
-  design.setBuildRunner([&ctx](const char* label, std::size_t n,
-                               const std::function<void(std::size_t)>& f) {
-    ctx.parallelFor(n, f, label);
-  });
   const netlist::Netlist& nl = design.netlist();
-  design.setBuildRunner({});
   const netlist::NetlistStats st = nl.stats();
   ctx.metric("nodes", nl.nodeCount());
   ctx.metric("gates", st.gates);

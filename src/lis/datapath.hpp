@@ -1,7 +1,7 @@
 #pragma once
 // Datapath construction helpers of the system elaborator (system.cpp):
 // the shell's input buffers + pearl stub, and the relay station's
-// shift-FIFO slots, each built into a netlist::Fragment.
+// shift-FIFO slots.
 //
 // Relay slots are split into a create phase (registers only, so the head
 // bus exists before the relay FSM is elaborated — system composition needs
@@ -20,16 +20,11 @@ namespace lis::sync {
 /// Input buffers + pearl stub for a shell with `numInputs` channels.
 /// Returns the pearl result bus (`base`): sum of the selected per-channel
 /// operands plus the clock-gated accumulator. Register names are prefixed
-/// so several shells can share one netlist.
-///
-/// `bb` must build into `frag`'s netlist, `inData` must already be
-/// fragment-local, and `ctl` must have been elaborated into the same
-/// fragment (its Mealy ids are local; its Moore ids are parent ids
-/// imported here).
+/// so several shells can share one netlist. `ctl` must be elaborated.
 netlist::Bus shellDatapath(netlist::BusBuilder& bb, unsigned numInputs,
-                           unsigned dataWidth, FsmInstance& ctl,
+                           unsigned dataWidth, const FsmInstance& ctl,
                            const std::vector<netlist::Bus>& inData,
-                           const std::string& prefix, netlist::Fragment& frag);
+                           const std::string& prefix);
 
 /// Phase 1 of a relay station's data slots: the registers alone. The head
 /// of the FIFO is slots[0]; callers may feed it onward before the slots are
@@ -40,12 +35,9 @@ std::vector<netlist::Bus> makeRelaySlots(netlist::BusBuilder& bb,
 
 /// Phase 2: wire the shift-FIFO behaviour. The FSM's pop output shifts
 /// toward the head, we<k> writes the incoming token into slot k; slots are
-/// clock-gated when neither applies. `slots` and `din` are parent ids
-/// (imported internally), `rs` must have been elaborated into `frag`
-/// (local Mealy ids), and the slot registers are wired through deferred
-/// DFF patches.
-void connectRelaySlots(netlist::Fragment& frag,
+/// clock-gated when neither applies. `rs` must be elaborated.
+void connectRelaySlots(netlist::BusBuilder& bb,
                        const std::vector<netlist::Bus>& slots,
-                       FsmInstance& rs, const netlist::Bus& din);
+                       const FsmInstance& rs, const netlist::Bus& din);
 
 } // namespace lis::sync

@@ -262,10 +262,6 @@ const FsmSynthCovers& cachedCovers(const FsmSpec& spec, Encoding enc) {
 
 } // namespace
 
-void warmSynthCache(const FsmSpec& spec, Encoding enc) {
-  cachedCovers(spec, enc);
-}
-
 void synthCacheClear() {
   std::lock_guard<std::mutex> lock(synthCacheMutex());
   synthCacheMap().clear();
@@ -345,16 +341,6 @@ FsmInstance::FsmInstance(const FsmSpec& spec, Encoding enc, Netlist& nl,
   moore_ = buildMooreLogic(spec, enc, nl, regs_, &stats_);
 }
 
-FsmInstance::FsmInstance(const FsmSpec& spec, Encoding enc,
-                         netlist::Fragment& frag, std::string prefix)
-    : FsmInstance(spec, enc, frag.netlist(), std::move(prefix)) {}
-
-void FsmInstance::bind(netlist::Fragment& frag, Netlist& parent) {
-  for (NodeId& r : regs_) r = frag.parentOf(r);
-  for (auto& entry : moore_) entry.second = frag.parentOf(entry.second);
-  nl_ = &parent;
-}
-
 void FsmInstance::elaborate(std::span<const NodeId> inputNodes) {
   if (elaborated_) throw std::logic_error("FsmInstance: already elaborated");
   TransitionLogic t =
@@ -363,27 +349,6 @@ void FsmInstance::elaborate(std::span<const NodeId> inputNodes) {
   bb.connectRegister(regs_, t.nextState);
   mealy_ = std::move(t.mealy);
   elaborated_ = true;
-}
-
-void FsmInstance::elaborateIn(netlist::Fragment& frag,
-                              std::span<const NodeId> parentInputs) {
-  if (elaborated_) throw std::logic_error("FsmInstance: already elaborated");
-  const std::vector<NodeId> regsLocal = frag.importAll(regs_);
-  const std::vector<NodeId> inputsLocal = frag.importAll(parentInputs);
-  TransitionLogic t = buildTransitionLogic(*spec_, enc_, frag.netlist(),
-                                           regsLocal, inputsLocal, &stats_);
-  for (std::size_t b = 0; b < regs_.size(); ++b) {
-    frag.patchDff(regs_[b], t.nextState[b]);
-  }
-  mealy_ = std::move(t.mealy);
-  activeFrag_ = &frag;
-  elaborated_ = true;
-}
-
-void FsmInstance::adopt() {
-  if (activeFrag_ == nullptr) return;
-  for (auto& entry : mealy_) entry.second = activeFrag_->parentOf(entry.second);
-  activeFrag_ = nullptr;
 }
 
 NodeId FsmInstance::moore(const std::string& name) const {

@@ -11,7 +11,9 @@
 // map.slices, sta.fmax_mhz).
 //
 // Two consumers:
-//   FsmInstance             registered instance inside a wrapper netlist.
+//   FsmInstance             registered instance inside a system netlist
+//                           (buildSystem builds every shell and relay
+//                           station as one, in place).
 //                           Phase 1 (constructor) creates the state
 //                           registers and the Moore logic; phase 2
 //                           (elaborate) builds transition + Mealy logic
@@ -33,7 +35,6 @@
 #include "lis/fsm.hpp"
 #include "logic/minimize.hpp"
 #include "netlist/buses.hpp"
-#include "netlist/fragment.hpp"
 #include "netlist/netlist.hpp"
 
 namespace lis::sync {
@@ -48,17 +49,13 @@ const char* encodingName(Encoding e);
 /// shellFsm/relayFsm instances in a large system minimize each function
 /// exactly once; later instances replay the cached covers (and validation)
 /// into their own netlist. logic::minimize is deterministic, so cached
-/// emission is gate-identical to a fresh run. Thread-safe: concurrent
-/// first-touch of one spec blocks all but one computing thread.
+/// emission is gate-identical to a fresh run. Thread-safe, since runMany
+/// elaborates designs concurrently: concurrent first-touch of one spec
+/// blocks all but one computing thread.
 /// Registry::global() counters: synth.cache_miss / synth.cache_hit /
 /// synth.minimize_runs.
 void synthCacheClear();
 std::size_t synthCacheSize();
-
-/// Pre-compute one cache entry (validation + every minimized cover).
-/// buildSystem fans the distinct specs of a topology out on its runner so
-/// the expensive minimizations happen concurrently before elaboration.
-void warmSynthCache(const FsmSpec& spec, Encoding enc);
 
 unsigned stateBitsFor(const FsmSpec& spec, Encoding enc);
 std::uint64_t stateCode(const FsmSpec& spec, Encoding enc, unsigned state);
@@ -92,7 +89,7 @@ TransitionLogic buildTransitionLogic(const FsmSpec& spec, Encoding enc,
                                      std::span<const netlist::NodeId> inputNodes,
                                      FsmSynthStats* stats);
 
-/// A registered FSM inside a wrapper netlist. The spec must outlive the
+/// A registered FSM inside a system netlist. The spec must outlive the
 /// instance (it is consulted again by elaborate()).
 class FsmInstance {
 public:
@@ -101,32 +98,9 @@ public:
   FsmInstance(const FsmSpec& spec, Encoding enc, netlist::Netlist& nl,
               std::string prefix);
 
-  /// Phase 1 into a fragment: identical construction, but the registers
-  /// and Moore logic land in `frag`'s scratch netlist so several instances
-  /// can build concurrently. Call bind() once the fragment is spliced.
-  FsmInstance(const FsmSpec& spec, Encoding enc, netlist::Fragment& frag,
-              std::string prefix);
-
-  /// Remap the phase-1 artifacts (state registers, Moore outputs) to their
-  /// parent ids after `frag` was spliced, and retarget the instance at the
-  /// parent netlist. Required before phase 2 or any moore() read.
-  void bind(netlist::Fragment& frag, netlist::Netlist& parent);
-
   /// Phase 2: build transition + Mealy logic over the condition inputs
   /// (FsmSpec::inputs order) and close the state-register feedback loop.
   void elaborate(std::span<const netlist::NodeId> inputNodes);
-
-  /// Phase 2 into a fragment: condition inputs are *parent* ids (imported
-  /// internally), the state-register feedback is deferred through
-  /// Fragment::patchDff, and mealy() returns fragment-local ids until
-  /// adopt() remaps them after the splice. The instance must already be
-  /// bound to the parent netlist (netlist construction or bind()).
-  void elaborateIn(netlist::Fragment& frag,
-                   std::span<const netlist::NodeId> parentInputs);
-
-  /// After splicing the elaborateIn fragment: remap the Mealy outputs to
-  /// their parent ids. No-op when no fragment elaboration is pending.
-  void adopt();
 
   Encoding encoding() const { return enc_; }
   const netlist::Bus& stateRegs() const { return regs_; }
@@ -144,7 +118,6 @@ private:
   std::unordered_map<std::string, netlist::NodeId> moore_;
   std::unordered_map<std::string, netlist::NodeId> mealy_;
   FsmSynthStats stats_;
-  netlist::Fragment* activeFrag_ = nullptr; // pending elaborateIn fragment
   bool elaborated_ = false;
 };
 

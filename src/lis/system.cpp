@@ -1,6 +1,5 @@
 #include "lis/system.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <map>
@@ -10,14 +9,12 @@
 #include <utility>
 
 #include "lis/datapath.hpp"
-#include "netlist/fragment.hpp"
 #include "obs/trace.hpp"
 
 namespace lis::sync {
 
 using netlist::Bus;
 using netlist::BusBuilder;
-using netlist::Fragment;
 using netlist::kNoNode;
 using netlist::Netlist;
 using netlist::NodeId;
@@ -58,35 +55,6 @@ void checkOutputTags(const PearlSpec& ps, unsigned dataWidth) {
                 std::to_string(dataWidth) +
                 " bit(s) wide; widen dataWidth or reduce outputs"));
   }
-}
-
-/// Pearls grouped into waves: wave w holds every pearl whose longest chain
-/// of relay-free upstream channels has length w. Pearls within a wave never
-/// feed each other through relay-free channels, so their shells elaborate
-/// concurrently; within a wave pearls are listed in ascending index order,
-/// which fixes the splice (and thus node-id) order independently of the
-/// task schedule. Pipelines and meshes — all relays ≥ 1 — collapse to one
-/// wave of every pearl.
-std::vector<std::vector<unsigned>> pearlWaves(const SystemSpec& spec) {
-  const std::vector<unsigned> order = pearlTopoOrder(spec);
-  const unsigned n = static_cast<unsigned>(spec.pearls.size());
-  std::vector<std::vector<unsigned>> succ(n);
-  for (const ChannelSpec& ch : spec.channels) {
-    if (ch.relays == 0 && ch.fromPearl >= 0 && ch.toPearl >= 0) {
-      succ[ch.fromPearl].push_back(static_cast<unsigned>(ch.toPearl));
-    }
-  }
-  std::vector<unsigned> level(n, 0);
-  unsigned maxLevel = 0;
-  for (unsigned p : order) {
-    for (unsigned s : succ[p]) {
-      level[s] = std::max(level[s], level[p] + 1);
-      maxLevel = std::max(maxLevel, level[s]);
-    }
-  }
-  std::vector<std::vector<unsigned>> waves(maxLevel + 1);
-  for (unsigned p = 0; p < n; ++p) waves[level[p]].push_back(p);
-  return waves;
 }
 
 } // namespace
@@ -241,10 +209,6 @@ std::vector<std::size_t> SystemSpec::externalOutputs() const {
 }
 
 System buildSystem(const SystemSpec& spec) {
-  return buildSystem(spec, BuildOptions{});
-}
-
-System buildSystem(const SystemSpec& spec, const BuildOptions& opts) {
   spec.validate();
   obs::Span span("buildSystem");
   span.arg("pearls", static_cast<double>(spec.pearls.size()));
@@ -253,20 +217,6 @@ System buildSystem(const SystemSpec& spec, const BuildOptions& opts) {
              {}, {}, 0};
   Netlist& nl = sys.netlist;
   BusBuilder bb(nl);
-
-  // Fan a batch of independent tasks out on the caller's runner (the flow
-  // executor), or run them inline in index order. Every batch is followed
-  // by a serial splice in a fixed order, so the runner only moves wall
-  // clock — never node ids.
-  auto runTasks = [&opts](const char* label, std::size_t n,
-                          const std::function<void(std::size_t)>& f) {
-    if (n == 0) return;
-    if (opts.runner) {
-      opts.runner(label, n, f);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) f(i);
-    }
-  };
 
   const std::vector<std::size_t> extIn = spec.externalInputs();
   const std::vector<std::size_t> extOut = spec.externalOutputs();
@@ -300,192 +250,101 @@ System buildSystem(const SystemSpec& spec, const BuildOptions& opts) {
   }
 
   // Specs are cached per shape (and per reset occupancy for seeded relays)
-  // and must outlive the instances. Resolved serially up front so the
-  // parallel phases only ever read them.
+  // and must outlive the instances.
   std::deque<FsmSpec> specStore;
   std::map<std::pair<unsigned, unsigned>, const FsmSpec*> shellSpecs;
   std::map<std::pair<unsigned, unsigned>, const FsmSpec*> relaySpecs;
-  std::vector<const FsmSpec*> distinctSpecs;
-  auto shellSpecFor = [&](unsigned nIn, unsigned nOut) {
+  auto shellSpecFor = [&](unsigned nIn, unsigned nOut) -> const FsmSpec& {
     auto [it, fresh] = shellSpecs.try_emplace({nIn, nOut}, nullptr);
-    if (fresh) {
-      specStore.push_back(shellFsm(nIn, nOut));
-      it->second = &specStore.back();
-      distinctSpecs.push_back(it->second);
-    }
-    return it->second;
+    if (fresh) it->second = &specStore.emplace_back(shellFsm(nIn, nOut));
+    return *it->second;
   };
-  auto relaySpecFor = [&](unsigned depth, unsigned resetOccupancy) {
+  auto relaySpecFor = [&](unsigned depth,
+                          unsigned resetOccupancy) -> const FsmSpec& {
     auto [it, fresh] = relaySpecs.try_emplace({depth, resetOccupancy},
                                               nullptr);
     if (fresh) {
-      specStore.push_back(relayFsm(depth));
-      specStore.back().resetState = resetOccupancy;
-      it->second = &specStore.back();
-      distinctSpecs.push_back(it->second);
+      FsmSpec& rs = specStore.emplace_back(relayFsm(depth));
+      rs.resetState = resetOccupancy;
+      it->second = &rs;
     }
-    return it->second;
+    return *it->second;
   };
-  std::vector<const FsmSpec*> shellSpecOf(spec.pearls.size());
-  for (std::size_t p = 0; p < spec.pearls.size(); ++p) {
-    const PearlSpec& ps = spec.pearls[p];
-    shellSpecOf[p] = shellSpecFor(ps.numInputs, ps.numOutputs);
+
+  // Phase 1: every FSM's state registers and Moore logic, so that all
+  // cross-module signals but the fire strobes exist before any transition
+  // logic reads them: the shells in pearl order, then each channel's relay
+  // stations with their data slots, in channel order.
+  std::vector<FsmInstance> shells;
+  shells.reserve(spec.pearls.size());
+  for (const PearlSpec& ps : spec.pearls) {
+    shells.emplace_back(shellSpecFor(ps.numInputs, ps.numOutputs),
+                        spec.encoding, nl, ps.name + "_ctl");
   }
-  std::vector<std::vector<const FsmSpec*>> relaySpecOf(numChan);
+  std::vector<std::vector<FsmInstance>> relays(numChan);
+  std::vector<std::vector<std::vector<Bus>>> slots(numChan);
   for (std::size_t c = 0; c < numChan; ++c) {
     const ChannelSpec& ch = spec.channels[c];
-    relaySpecOf[c].reserve(ch.relays);
+    relays[c].reserve(ch.relays);
+    slots[c].reserve(ch.relays);
     for (unsigned k = 0; k < ch.relays; ++k) {
       // Seed tokens sit in the stations nearest the sink, so they are
       // immediately consumable at reset.
       const bool seeded = k >= ch.relays - ch.initialTokens;
-      relaySpecOf[c].push_back(relaySpecFor(ch.relayDepth, seeded ? 1 : 0));
+      const std::string prefix =
+          "ch" + std::to_string(c) + "_rs" + std::to_string(k);
+      relays[c].emplace_back(relaySpecFor(ch.relayDepth, seeded ? 1 : 0),
+                             spec.encoding, nl, prefix);
+      slots[c].push_back(
+          makeRelaySlots(bb, spec.dataWidth, ch.relayDepth, prefix));
     }
     sys.relayStations += ch.relays;
   }
 
-  // Phase 0: pre-warm the synthesis cache over the distinct FSM specs, so
-  // the expensive minimizations run concurrently exactly once each and the
-  // elaboration phases below only replay cached covers.
-  runTasks("buildSystem.synth", distinctSpecs.size(), [&](std::size_t i) {
-    warmSynthCache(*distinctSpecs[i], spec.encoding);
-  });
-
-  // Phase 1: every FSM's state registers + Moore logic, and every relay
-  // station's data slots. One fragment per pearl shell and one per relay
-  // chain; tasks are independent because phase-1 construction references no
-  // other instance.
-  struct Unit {
-    bool isPearl;
-    std::size_t index; // pearl or channel index
-  };
-  std::vector<Unit> units;
-  for (std::size_t p = 0; p < spec.pearls.size(); ++p) {
-    units.push_back({true, p});
-  }
-  for (std::size_t c = 0; c < numChan; ++c) {
-    if (spec.channels[c].relays > 0) units.push_back({false, c});
-  }
-
-  std::vector<std::optional<FsmInstance>> shellSlot(spec.pearls.size());
-  std::vector<std::vector<FsmInstance>> relays(numChan);
-  std::vector<std::vector<std::vector<Bus>>> slots(numChan);
-  std::vector<std::optional<Fragment>> unitFrags(units.size());
-  runTasks("buildSystem.elab", units.size(), [&](std::size_t u) {
-    Fragment& frag = unitFrags[u].emplace(nl);
-    if (units[u].isPearl) {
-      const std::size_t p = units[u].index;
-      shellSlot[p].emplace(*shellSpecOf[p], spec.encoding, frag,
-                           spec.pearls[p].name + "_ctl");
-    } else {
-      const std::size_t c = units[u].index;
-      const ChannelSpec& ch = spec.channels[c];
-      BusBuilder fbb(frag.netlist());
-      relays[c].reserve(ch.relays);
-      slots[c].reserve(ch.relays);
-      for (unsigned k = 0; k < ch.relays; ++k) {
-        const std::string prefix =
-            "ch" + std::to_string(c) + "_rs" + std::to_string(k);
-        relays[c].emplace_back(*relaySpecOf[c][k], spec.encoding, frag,
-                               prefix);
-        slots[c].push_back(
-            makeRelaySlots(fbb, spec.dataWidth, ch.relayDepth, prefix));
-      }
-    }
-  });
-  std::vector<FsmInstance> shells;
-  shells.reserve(spec.pearls.size());
-  {
-    OBS_SPAN("buildSystem/splice");
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      Fragment& frag = *unitFrags[u];
-      nl.splice(frag);
-      if (units[u].isPearl) {
-        // Pearls lead the unit list in index order, so shells lands in
-        // pearl order.
-        shellSlot[units[u].index]->bind(frag, nl);
-        shells.push_back(std::move(*shellSlot[units[u].index]));
-      } else {
-        const std::size_t c = units[u].index;
-        for (FsmInstance& rs : relays[c]) rs.bind(frag, nl);
-        for (std::vector<Bus>& station : slots[c]) {
-          for (Bus& bus : station) {
-            for (NodeId& id : bus) id = frag.parentOf(id);
-          }
-        }
-      }
-    }
-  }
-
-  // Phase 2: elaborate shells wave by wave. Within a wave every condition
-  // input is an immutable parent id — a relay head's Moore valid, an
-  // external port, an earlier wave's fire strobe, or a phase-1 Moore stop —
-  // so the shells' transition logic and datapaths build concurrently in
-  // per-pearl fragments.
+  // Phase 2: each shell's transition logic, datapath and output tags, in
+  // dependency order over relay-free channels, so an upstream shell's fire
+  // strobe and tagged data exist before a downstream shell reads them.
   std::vector<NodeId> fire(spec.pearls.size(), kNoNode);
   std::vector<std::vector<Bus>> tagged(spec.pearls.size());
-  for (const std::vector<unsigned>& wave : pearlWaves(spec)) {
-    std::vector<std::optional<Fragment>> waveFrags(wave.size());
-    std::vector<std::vector<Bus>> taggedLocal(wave.size());
-    runTasks("buildSystem.elab", wave.size(), [&](std::size_t idx) {
-      const unsigned p = wave[idx];
-      const PearlSpec& ps = spec.pearls[p];
-      Fragment& frag = waveFrags[idx].emplace(nl);
-      std::vector<NodeId> cond;
-      std::vector<Bus> inData; // parent ids
-      for (unsigned i = 0; i < ps.numInputs; ++i) {
-        const std::size_t c = inChan[p][i];
-        const ChannelSpec& ch = spec.channels[c];
-        if (ch.relays > 0) {
-          cond.push_back(relays[c].back().moore("vout"));
-          inData.push_back(slots[c].back()[0]);
-        } else if (ch.fromPearl == ChannelSpec::kExternal) {
-          cond.push_back(extInValid[c]);
-          inData.push_back(extInData[c]);
-        } else {
-          cond.push_back(fire[ch.fromPearl]);
-          inData.push_back(tagged[ch.fromPearl][ch.fromPort]);
-        }
+  for (const unsigned p : pearlTopoOrder(spec)) {
+    const PearlSpec& ps = spec.pearls[p];
+    std::vector<NodeId> cond;
+    std::vector<Bus> inData;
+    for (unsigned i = 0; i < ps.numInputs; ++i) {
+      const std::size_t c = inChan[p][i];
+      const ChannelSpec& ch = spec.channels[c];
+      if (ch.relays > 0) {
+        cond.push_back(relays[c].back().moore("vout"));
+        inData.push_back(slots[c].back()[0]);
+      } else if (ch.fromPearl == ChannelSpec::kExternal) {
+        cond.push_back(extInValid[c]);
+        inData.push_back(extInData[c]);
+      } else {
+        cond.push_back(fire[ch.fromPearl]);
+        inData.push_back(tagged[ch.fromPearl][ch.fromPort]);
       }
-      for (unsigned j = 0; j < ps.numOutputs; ++j) {
-        const std::size_t c = outChan[p][j];
-        const ChannelSpec& ch = spec.channels[c];
-        if (ch.relays > 0) {
-          cond.push_back(relays[c].front().moore("stopo"));
-        } else if (ch.toPearl == ChannelSpec::kExternal) {
-          cond.push_back(extOutStop[c]);
-        } else {
-          cond.push_back(shells[ch.toPearl].moore(
-              "stopo" + std::to_string(ch.toPort)));
-        }
-      }
-      shells[p].elaborateIn(frag, cond);
-      std::vector<Bus> inLocal;
-      inLocal.reserve(inData.size());
-      for (const Bus& b : inData) inLocal.push_back(frag.importAll(b));
-      BusBuilder lbb(frag.netlist());
-      const Bus base = shellDatapath(lbb, ps.numInputs, spec.dataWidth,
-                                     shells[p], inLocal, ps.name + "_", frag);
-      taggedLocal[idx].reserve(ps.numOutputs);
-      for (unsigned j = 0; j < ps.numOutputs; ++j) {
-        taggedLocal[idx].push_back(
-            lbb.xorBus(base, lbb.constant(j, spec.dataWidth)));
-      }
-    });
-    OBS_SPAN("buildSystem/splice");
-    for (std::size_t idx = 0; idx < wave.size(); ++idx) {
-      const unsigned p = wave[idx];
-      Fragment& frag = *waveFrags[idx];
-      nl.splice(frag);
-      shells[p].adopt();
-      tagged[p].reserve(taggedLocal[idx].size());
-      for (Bus& bus : taggedLocal[idx]) {
-        for (NodeId& id : bus) id = frag.parentOf(id);
-        tagged[p].push_back(std::move(bus));
-      }
-      fire[p] = shells[p].mealy("fire");
-      sys.control.accumulate(shells[p].stats());
     }
+    for (unsigned j = 0; j < ps.numOutputs; ++j) {
+      const std::size_t c = outChan[p][j];
+      const ChannelSpec& ch = spec.channels[c];
+      if (ch.relays > 0) {
+        cond.push_back(relays[c].front().moore("stopo"));
+      } else if (ch.toPearl == ChannelSpec::kExternal) {
+        cond.push_back(extOutStop[c]);
+      } else {
+        cond.push_back(
+            shells[ch.toPearl].moore("stopo" + std::to_string(ch.toPort)));
+      }
+    }
+    shells[p].elaborate(cond);
+    const Bus base = shellDatapath(bb, ps.numInputs, spec.dataWidth,
+                                   shells[p], inData, ps.name + "_");
+    tagged[p].reserve(ps.numOutputs);
+    for (unsigned j = 0; j < ps.numOutputs; ++j) {
+      tagged[p].push_back(bb.xorBus(base, bb.constant(j, spec.dataWidth)));
+    }
+    fire[p] = shells[p].mealy("fire");
+    sys.control.accumulate(shells[p].stats());
   }
 
   // A channel's source-side valid/data as seen by its first relay station
@@ -508,20 +367,12 @@ System buildSystem(const SystemSpec& spec, const BuildOptions& opts) {
                : shells[ch.toPearl].moore("stopo" + std::to_string(ch.toPort));
   };
 
-  // Phase 3: elaborate the relay chains and wire their shift FIFOs, one
-  // fragment per chain. Neighbouring stations couple only through Moore
-  // vout/stopo (parent ids since phase 1) and the previous station's head
-  // slot register (a parent Dff whose Q is read, never its wiring), so
-  // whole chains are mutually independent.
-  std::vector<std::size_t> chainChans;
+  // Phase 3: each relay chain's transition logic and shift-FIFO wiring, in
+  // channel order. Neighbouring stations couple only through Moore
+  // vout/stopo and the previous station's head slot register, all built in
+  // phase 1.
   for (std::size_t c = 0; c < numChan; ++c) {
-    if (spec.channels[c].relays > 0) chainChans.push_back(c);
-  }
-  std::vector<std::optional<Fragment>> chainFrags(chainChans.size());
-  runTasks("buildSystem.elab", chainChans.size(), [&](std::size_t idx) {
-    const std::size_t c = chainChans[idx];
     const ChannelSpec& ch = spec.channels[c];
-    Fragment& frag = chainFrags[idx].emplace(nl);
     for (unsigned k = 0; k < ch.relays; ++k) {
       const NodeId vin =
           k == 0 ? sourceValid(c) : relays[c][k - 1].moore("vout");
@@ -529,25 +380,14 @@ System buildSystem(const SystemSpec& spec, const BuildOptions& opts) {
                                 ? relays[c][k + 1].moore("stopo")
                                 : sinkStop(c);
       const NodeId cond[] = {vin, stopIn};
-      relays[c][k].elaborateIn(frag, cond);
+      relays[c][k].elaborate(cond);
       const Bus& din = k == 0 ? sourceData(c) : slots[c][k - 1][0];
-      connectRelaySlots(frag, slots[c][k], relays[c][k], din);
-    }
-  });
-  {
-    OBS_SPAN("buildSystem/splice");
-    for (std::size_t idx = 0; idx < chainChans.size(); ++idx) {
-      const std::size_t c = chainChans[idx];
-      nl.splice(*chainFrags[idx]);
-      for (FsmInstance& rs : relays[c]) {
-        rs.adopt();
-        sys.control.accumulate(rs.stats());
-      }
+      connectRelaySlots(bb, slots[c][k], relays[c][k], din);
+      sys.control.accumulate(relays[c][k].stats());
     }
   }
 
   // Phase 4: boundary outputs.
-  OBS_SPAN("buildSystem/boundary");
   for (std::size_t k = 0; k < extIn.size(); ++k) {
     const std::size_t c = extIn[k];
     const ChannelSpec& ch = spec.channels[c];

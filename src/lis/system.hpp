@@ -13,11 +13,13 @@
 // Channels on feedback loops can carry `initialTokens` seed tokens (one per
 // station, zero-valued), which is what makes back-pressure rings live.
 //
-// buildSystem elaborates the whole spec into ONE composed netlist. All
-// cross-module stall/valid signals are Moore except the shell fire strobe,
-// so elaboration only needs a topological order of the pearls over
-// relay-free channels; validate() rejects relay-free cycles (they would be
-// combinational fire loops in hardware too).
+// buildSystem elaborates the whole spec into ONE composed netlist, in one
+// serial pass: every FSM's registers and Moore logic first, then each
+// shell's transition logic and datapath, then each relay chain's, then the
+// ports. All cross-module stall/valid signals are Moore except the shell
+// fire strobe, so elaboration only needs a topological order of the pearls
+// over relay-free channels; validate() rejects relay-free cycles (they
+// would be combinational fire loops in hardware too).
 //
 // Channel protocol at the boundary (LIS valid/stop, all stop outputs Moore):
 //   in<k>_valid, in<k>_data_*    token offered on external input k
@@ -32,7 +34,6 @@
 // accumulator enabled by `fire`, and output channel j carries sum ^ j.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -130,26 +131,8 @@ struct System {
 /// the endpoints in range (validate() checks them first).
 std::vector<unsigned> pearlTopoOrder(const SystemSpec& spec);
 
-/// Knobs for buildSystem's parallel elaboration.
-struct BuildOptions {
-  /// Labeled fan-out runner with flow::Executor::forEach's shape (the
-  /// label becomes the batch span name, each index a `<label>/task` span).
-  /// Null runs the same task decomposition inline in index order — the
-  /// fragments are spliced in a fixed order either way, so the composed
-  /// netlist is byte-identical at every job count.
-  using Runner = std::function<void(const char* label, std::size_t n,
-                                    const std::function<void(std::size_t)>&)>;
-  Runner runner;
-};
-
-/// Elaborate the whole topology into one netlist.
+/// Elaborate the whole topology into one netlist, in one serial pass.
 System buildSystem(const SystemSpec& spec);
-
-/// Same, with parallel elaboration: the distinct FSM specs pre-warm the
-/// synthesis cache concurrently ("buildSystem.synth"), then shells and
-/// relay chains elaborate into netlist::Fragments fanned out on the runner
-/// ("buildSystem.elab") and are spliced deterministically.
-System buildSystem(const SystemSpec& spec, const BuildOptions& opts);
 
 // --- canonical topologies (the bench and test scenarios) -----------------
 

@@ -66,11 +66,6 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
   if (!a.dffs().empty() || !b.dffs().empty()) {
     throw std::invalid_argument("checkCombEquivalence: netlist is sequential");
   }
-  // Wide mode: beyond 64 inputs the verdict machinery is unchanged (the
-  // sweep and the SAT miter are width-agnostic) but the compact
-  // uint64 counterexample cannot be formed, so it stays empty.
-  const bool wide = a.inputs().size() > 64;
-
   std::map<std::string, NodeId> bInputByName;
   for (NodeId id : b.inputs()) bInputByName[b.node(id).name] = id;
   std::map<std::string, NodeId> aOutByName, bOutByName;
@@ -108,19 +103,15 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
           EquivResult result;
           result.equivalent = false;
           result.failingOutput = name;
-          result.foundBySimulation = true;
           // A concrete mismatch is an exact disproof, budget or not.
           result.method = EquivMethod::Sim;
           result.confidence = 1.0;
           CexReport report;
           report.output = name;
-          std::uint64_t cex = 0;
-          for (std::size_t i = 0; i < a.inputs().size(); ++i) {
-            const bool v = simA.lane(a.inputs()[i], laneIdx);
-            report.inputs.emplace_back(a.node(a.inputs()[i]).name, v);
-            if (v && i < 64) cex |= std::uint64_t{1} << i;
+          for (const NodeId in : a.inputs()) {
+            report.inputs.emplace_back(a.node(in).name,
+                                       simA.lane(in, laneIdx));
           }
-          if (!wide) result.counterexample = cex;
           result.cex = std::move(report);
           return result;
         }
@@ -228,13 +219,10 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
         result.confidence = 1.0;
         CexReport report;
         report.output = name;
-        std::uint64_t compact = 0;
         for (std::size_t p = 0; p < a.inputs().size(); ++p) {
-          const bool v = solver.modelValue(cnf.piLit(p));
-          report.inputs.emplace_back(a.node(a.inputs()[p]).name, v);
-          if (v && p < 64) compact |= std::uint64_t{1} << p;
+          report.inputs.emplace_back(a.node(a.inputs()[p]).name,
+                                     solver.modelValue(cnf.piLit(p)));
         }
-        if (!wide) result.counterexample = compact;
         result.cex = std::move(report);
         result.proof = footprint();
         return result;

@@ -67,10 +67,8 @@ struct EquivOptions {
   std::uint64_t satPropagationBudget = 0;
 };
 
-/// Width-agnostic counterexample: the shared report format filled by
-/// whichever tier refuted (sim lane or SAT model). Unlike
-/// EquivResult::counterexample this also exists for interfaces wider
-/// than 64 inputs.
+/// A counterexample as named input values, filled by whichever tier
+/// refuted (sim lane or SAT model), at any interface width.
 struct CexReport {
   std::string output;                               // mismatching PO pair
   std::vector<std::pair<std::string, bool>> inputs; // name -> value
@@ -81,20 +79,13 @@ struct EquivResult {
   bool equivalent = false;
   /// Name of the first mismatching output, when not equivalent.
   std::string failingOutput;
-  /// A distinguishing input assignment (bit i = input i of `a`), if found.
-  /// Never populated for interfaces wider than 64 inputs (the verdict is
-  /// still exact; only this compact witness cannot be encoded — see `cex`
-  /// for the width-agnostic report).
-  std::optional<std::uint64_t> counterexample;
-  /// Width-agnostic named-input counterexample, populated by every tier
-  /// that refutes with a concrete assignment (including wide mode).
+  /// The distinguishing input assignment (inputs in `a`'s order), set by
+  /// every tier that refutes.
   std::optional<CexReport> cex;
-  /// True when the counterexample came out of a simulation sweep rather
-  /// than a SAT model.
-  bool foundBySimulation = false;
-  /// How the verdict was reached, and how much to trust it. A completed
-  /// SAT proof or any concrete counterexample has confidence 1;
-  /// a budget-degraded "equivalent" is a screen, reported with
+  /// How the verdict was reached, and how much to trust it: a refutation
+  /// is Sim when a simulation sweep found it and Sat when it is a SAT
+  /// model. A completed SAT proof or any concrete counterexample has
+  /// confidence 1; a budget-degraded "equivalent" is a screen, reported with
   /// degraded=true and a confidence strictly below 1 derived from the
   /// number of random patterns that failed to distinguish the designs.
   EquivMethod method = EquivMethod::Sat;
@@ -106,9 +97,8 @@ struct EquivResult {
 /// Check that two combinational netlists with identical input/output name
 /// sets compute the same functions. Throws std::invalid_argument if the
 /// interfaces differ, a netlist names two inputs or two outputs alike, or
-/// either netlist has registers. Interfaces wider
-/// than 64 inputs are proven the same way (sim sweep + SAT miter), just
-/// without a compact counterexample.
+/// either netlist has registers. Any interface width is proven the same
+/// way (sim sweep + SAT miter).
 EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
                                  const EquivOptions& opts = {});
 

@@ -80,8 +80,6 @@ struct NetlistStats {
   std::size_t romBits = 0; // total ROM storage bits
 };
 
-class Fragment;
-
 class Netlist {
 public:
   explicit Netlist(std::string name = "top");
@@ -117,13 +115,6 @@ public:
   /// (throws std::invalid_argument beyond that).
   NodeId mkRomBit(std::uint32_t romId, std::uint32_t bit,
                   std::span<const NodeId> addr);
-
-  /// Recreate a Fragment's nodes inside this netlist (which must be the
-  /// fragment's parent), resolving its import proxies and applying its
-  /// deferred DFF patches. Call once per fragment, single-threaded, in a
-  /// deterministic order — splice order assigns the node ids. See
-  /// netlist/fragment.hpp.
-  void splice(Fragment& frag);
 
   // --- inspection ---------------------------------------------------------
   std::size_t nodeCount() const { return nodes_.size(); }

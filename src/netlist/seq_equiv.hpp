@@ -15,8 +15,8 @@
 // envelopes equivalent with checkCombEquivalence — identical next-state,
 // enable, address and output functions over identical storage implies the
 // machines are cycle-accurate equivalents from reset. Envelope interfaces
-// routinely exceed 64 inputs, so the combinational checker runs in its
-// wide mode (no compact counterexample; see EquivOptions).
+// routinely exceed 64 inputs, which the combinational checker handles
+// like any other width.
 
 #include <string>
 

@@ -21,34 +21,28 @@ using namespace lis::netlist;
 
 namespace {
 
-/// Replay a counterexample (bit i = input i of `a`; matched into `b` by
-/// name) and confirm the named output really disagrees.
-void verifyCounterexample(const Netlist& a, const Netlist& b,
-                          const EquivResult& res) {
-  CHECK(res.counterexample.has_value());
-  if (!res.counterexample) return;
-  const std::uint64_t cex = *res.counterexample;
-
-  NetlistSim simA(a), simB(b);
-  for (std::size_t i = 0; i < a.inputs().size(); ++i) {
-    const bool v = ((cex >> i) & 1u) != 0;
-    simA.setInput(a.inputs()[i], v);
-    const std::string& name = a.node(a.inputs()[i]).name;
-    for (NodeId ib : b.inputs()) {
-      if (b.node(ib).name == name) simB.setInput(ib, v);
-    }
+/// Replay a named-input counterexample report on both netlists and
+/// confirm the named output really disagrees (any interface width).
+bool cexReplays(const Netlist& a, const Netlist& b, const EquivResult& res) {
+  if (!res.cex.has_value() || res.cex->output != res.failingOutput) {
+    return false;
   }
+  std::map<std::string, bool> byName(res.cex->inputs.begin(),
+                                     res.cex->inputs.end());
+  NetlistSim simA(a), simB(b);
+  for (NodeId id : a.inputs()) simA.setInput(id, byName.at(a.node(id).name));
+  for (NodeId id : b.inputs()) simB.setInput(id, byName.at(b.node(id).name));
   simA.settle();
   simB.settle();
-  CHECK(simA.outputValue(res.failingOutput) !=
-        simB.outputValue(res.failingOutput));
+  return simA.outputValue(res.failingOutput) !=
+         simB.outputValue(res.failingOutput);
 }
 
 void testEquivalentPairs() {
   const EquivResult adderEq =
       checkCombEquivalence(gen::adder(12), gen::adder(12, true));
   CHECK(adderEq.equivalent);
-  CHECK(!adderEq.counterexample.has_value());
+  CHECK(!adderEq.cex.has_value());
 
   const EquivResult muxEq =
       checkCombEquivalence(gen::muxTree(4, gen::MuxStyle::Tree),
@@ -63,8 +57,8 @@ void testInequivalentBysim() {
   CHECK(!res.equivalent);
   // A corrupted sum bit disagrees on ~half of all patterns: the random
   // sweep must catch it before the SAT miter is ever built.
-  CHECK(res.foundBySimulation);
-  verifyCounterexample(a, b, res);
+  CHECK(res.method == EquivMethod::Sim);
+  CHECK(cexReplays(a, b, res));
 }
 
 void testRomEquivalence() {
@@ -76,7 +70,7 @@ void testRomEquivalence() {
   const Netlist bad = gen::romReader(5, 8, 7, false, /*corrupt=*/true);
   const EquivResult neq = checkCombEquivalence(rom, bad);
   CHECK(!neq.equivalent);
-  verifyCounterexample(rom, bad, neq);
+  CHECK(cexReplays(rom, bad, neq));
 }
 
 void testSatCatchesNeedle() {
@@ -98,11 +92,14 @@ void testSatCatchesNeedle() {
 
   const EquivResult res = checkCombEquivalence(a, b);
   CHECK(!res.equivalent);
-  CHECK(!res.foundBySimulation);
   CHECK(res.method == EquivMethod::Sat);
-  CHECK(res.counterexample.has_value());
-  CHECK_EQ(res.counterexample.value_or(0), 0xffffffull);
-  verifyCounterexample(a, b, res);
+  // The one distinguishing assignment: every input 1.
+  CHECK(res.cex.has_value());
+  if (res.cex) {
+    CHECK_EQ(res.cex->inputs.size(), 24u);
+    for (const auto& [name, value] : res.cex->inputs) CHECK(value);
+  }
+  CHECK(cexReplays(a, b, res));
 }
 
 void testRomUnreachableWords() {
@@ -127,9 +124,9 @@ void testRomUnreachableWords() {
 }
 
 void testWideInterfaces() {
-  // Beyond 64 inputs the checker still proves/refutes exactly (the AIG
-  // optimization flow's envelope proofs routinely have hundreds of
-  // inputs); only the compact uint64 counterexample is unavailable.
+  // Beyond 64 inputs the checker still proves/refutes exactly, with a
+  // replayable counterexample (the AIG optimization flow's envelope proofs
+  // routinely have hundreds of inputs).
   auto wideTree = [](bool corrupt) {
     Netlist nl(corrupt ? "wide_bad" : "wide");
     std::vector<NodeId> ins;
@@ -147,7 +144,7 @@ void testWideInterfaces() {
   const EquivResult diff = checkCombEquivalence(wideTree(false),
                                                 wideTree(true));
   CHECK(!diff.equivalent);
-  CHECK(!diff.counterexample.has_value()); // wide mode: verdict only
+  CHECK(cexReplays(wideTree(false), wideTree(true), diff));
 }
 
 void testInterfaceAndSequentialThrows() {
@@ -159,23 +156,6 @@ void testInterfaceAndSequentialThrows() {
 
   const Netlist seq = gen::randomSeq(4, 20, 4, 2, 1);
   CHECK_THROWS(checkCombEquivalence(seq, seq), std::invalid_argument);
-}
-
-/// Replay a named-input counterexample report on both netlists and
-/// confirm the named output really disagrees (any interface width).
-bool cexReplays(const Netlist& a, const Netlist& b, const EquivResult& res) {
-  if (!res.cex.has_value() || res.cex->output != res.failingOutput) {
-    return false;
-  }
-  std::map<std::string, bool> byName(res.cex->inputs.begin(),
-                                     res.cex->inputs.end());
-  NetlistSim simA(a), simB(b);
-  for (NodeId id : a.inputs()) simA.setInput(id, byName.at(a.node(id).name));
-  for (NodeId id : b.inputs()) simB.setInput(id, byName.at(b.node(id).name));
-  simA.settle();
-  simB.settle();
-  return simA.outputValue(res.failingOutput) !=
-         simB.outputValue(res.failingOutput);
 }
 
 /// `nl` rebuilt with one change: gate `gate` computes a different
@@ -317,7 +297,6 @@ void testSweepRefutesMutants() {
     CHECK(!randomPatternsDiffer(before, needle));
     const EquivResult res = checkCombEquivalence(before, needle);
     CHECK(!res.equivalent);
-    CHECK(!res.foundBySimulation);
     CHECK(res.method == EquivMethod::Sat);
     CHECK(res.failingOutput == after.node(after.outputs()[deepest]).name);
     CHECK(cexReplays(before, needle, res));

@@ -408,6 +408,85 @@ void testRelayFreeChannelsPinned() {
   }
 }
 
+/// FNV-1a over every node's (op, fanins, name, resetValue, hasEnable), then
+/// the inputs(), outputs() and dffs() id lists: equal fingerprints mean the
+/// same node under the same id, so a change in elaboration order shows.
+std::uint64_t netlistFingerprint(const lis::netlist::Netlist& nl) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto mixIds = [&mix](const std::vector<lis::netlist::NodeId>& ids) {
+    mix(ids.size());
+    for (const lis::netlist::NodeId id : ids) mix(id);
+  };
+  for (const lis::netlist::Node& n : nl.nodes()) {
+    mix(static_cast<std::uint64_t>(n.op));
+    mix(n.fanin.size());
+    for (const lis::netlist::NodeId f : n.fanin) mix(f);
+    mix(n.name.size());
+    for (const char c : n.name) mix(static_cast<unsigned char>(c));
+    mix(n.resetValue);
+    mix(n.hasEnable);
+  }
+  mixIds(nl.inputs());
+  mixIds(nl.outputs());
+  mixIds(nl.dffs());
+  return h;
+}
+
+// buildSystem pinned node for node: relay-free pearl-to-pearl channels
+// (chain3_d0), fan-out and fan-in (fork, join), a seeded relay (ring), a
+// mesh, and the 2-in/2-out wrapper, in both encodings. Any change to the
+// order elaboration creates nodes in moves a fingerprint.
+void testElaborationPinned() {
+  const auto wrapper2x2 = [](Encoding enc) {
+    WrapperConfig cfg;
+    cfg.numInputs = 2;
+    cfg.numOutputs = 2;
+    cfg.encoding = enc;
+    return wrapperSpec(cfg);
+  };
+  constexpr Encoding kOneHot = Encoding::OneHot;
+  constexpr Encoding kBinary = Encoding::Binary;
+  const struct {
+    SystemSpec spec;
+    std::size_t nodes, gates, dffs;
+    std::uint64_t fingerprint;
+  } cases[] = {
+      {chainSpec(3, 0, kOneHot), 249, 174, 54, 0xa9ee1c04eac714f9ULL},
+      {chainSpec(3, 0, kBinary), 237, 165, 51, 0x5e2f7304c3d32fd8ULL},
+      {forkSpec(kOneHot), 662, 481, 149, 0x258aa342ff81a02cULL},
+      {forkSpec(kBinary), 619, 446, 141, 0x063a9307b904bdbdULL},
+      {joinSpec(kOneHot), 760, 570, 159, 0xc17f204b2239a2baULL},
+      {joinSpec(kBinary), 697, 516, 150, 0x0f73436401d8c10fULL},
+      {ringSpec(kOneHot), 626, 482, 122, 0x981d1c44e850d564ULL},
+      {ringSpec(kBinary), 564, 427, 115, 0xd0948235dd9267a1ULL},
+      {meshSpec(3, 3, 1, kOneHot), 3938, 3108, 708, 0xbec9d55aa6ba11cbULL},
+      {meshSpec(3, 3, 1, kBinary), 3488, 2700, 666, 0x01a603e51b5e113eULL},
+      {wrapper2x2(kOneHot), 414, 306, 66, 0xd09317ef0db8215eULL},
+      {wrapper2x2(kBinary), 368, 264, 62, 0x218d11346fbf4599ULL},
+  };
+  for (const auto& c : cases) {
+    const System sys = buildSystem(c.spec);
+    const lis::netlist::NetlistStats st = sys.netlist.stats();
+    const std::uint64_t fp = netlistFingerprint(sys.netlist);
+    if (sys.netlist.nodeCount() != c.nodes || st.gates != c.gates ||
+        st.dffs != c.dffs || fp != c.fingerprint) {
+      std::printf("%s: nodes=%zu gates=%zu dffs=%zu fingerprint=0x%016llx\n",
+                  sys.netlist.name().c_str(), sys.netlist.nodeCount(),
+                  st.gates, st.dffs, static_cast<unsigned long long>(fp));
+    }
+    CHECK_EQ(sys.netlist.nodeCount(), c.nodes);
+    CHECK_EQ(st.gates, c.gates);
+    CHECK_EQ(st.dffs, c.dffs);
+    CHECK_EQ(fp, c.fingerprint);
+  }
+}
+
 } // namespace
 
 int main() {
@@ -421,5 +500,6 @@ int main() {
   testRing();
   testSeededRelayChain();
   testRelayFreeChannelsPinned();
+  testElaborationPinned();
   return testExit();
 }
