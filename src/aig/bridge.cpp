@@ -21,15 +21,7 @@ SequentialAig fromNetlist(const Netlist& nl) {
   for (NodeId id : nl.inputs()) addSource(id);
   for (NodeId id : nl.dffs()) addSource(id);
 
-  const auto order = nl.topoOrder();
-  for (NodeId id : order) {
-    if (nl.node(id).op == Op::RomBit) {
-      addSource(id);
-      sa.romBits.push_back(id);
-    }
-  }
-
-  for (NodeId id : order) {
+  for (NodeId id : nl.topoOrder()) {
     const Node& n = nl.node(id);
     switch (n.op) {
       case Op::Const0: litOf[id] = kLitFalse; break;
@@ -51,7 +43,6 @@ SequentialAig fromNetlist(const Netlist& nl) {
       case Op::Output: litOf[id] = litOf[n.fanin[0]]; break;
       case Op::Input:
       case Op::Dff:
-      case Op::RomBit:
         break; // sources, lit already assigned
     }
   }
@@ -61,9 +52,6 @@ SequentialAig fromNetlist(const Netlist& nl) {
     const Node& n = nl.node(id);
     sa.aig.addPo(litOf[n.fanin[0]]);
     if (n.hasEnable) sa.aig.addPo(litOf[n.fanin[1]]);
-  }
-  for (NodeId id : sa.romBits) {
-    for (NodeId addr : nl.node(id).fanin) sa.aig.addPo(litOf[addr]);
   }
   return sa;
 }
@@ -121,8 +109,8 @@ Netlist toNetlist(const SequentialAig& sa) {
   Netlist out(src.name());
   Lowerer lower(aig, out);
 
-  // Sources first: ports, the register skeleton (data pins rewired once
-  // the logic exists), the ROM declarations.
+  // Sources first: ports, then the register skeleton (data pins rewired
+  // once the logic exists).
   std::size_t pi = 0;
   for (NodeId id : src.inputs()) {
     lower.bindPi(pi++, out.addInput(src.node(id).name));
@@ -137,31 +125,10 @@ Netlist toNetlist(const SequentialAig& sa) {
     newDffs.push_back(dff);
     lower.bindPi(pi++, dff);
   }
-  for (std::uint32_t r = 0; r < src.romCount(); ++r) {
-    const netlist::Rom& rom = src.rom(r);
-    out.addRom(rom.width, rom.words, rom.name);
-  }
 
-  // PO cursor walks the recorded order: outputs, DFF pins, ROM addresses.
-  // RomBits must materialize before the logic that reads them, and their
-  // own address POs only reference earlier sources — so do them first, in
-  // the recorded topological order.
+  // PO cursor walks the recorded order: outputs, then DFF pins.
   const std::vector<Lit>& pos = aig.pos();
-  std::size_t po = src.outputs().size();
-  for (NodeId id : src.dffs()) {
-    po += src.node(id).hasEnable ? 2 : 1;
-  }
-  for (NodeId id : sa.romBits) {
-    const Node& n = src.node(id);
-    std::vector<NodeId> addr;
-    addr.reserve(n.fanin.size());
-    for (std::size_t i = 0; i < n.fanin.size(); ++i) {
-      addr.push_back(lower.lower(pos.at(po++)));
-    }
-    lower.bindPi(pi++, out.mkRomBit(n.romId, n.romBit, addr));
-  }
-
-  po = 0;
+  std::size_t po = 0;
   for (NodeId id : src.outputs()) {
     out.addOutput(src.node(id).name, lower.lower(pos.at(po++)));
   }

@@ -2,21 +2,16 @@
 // Netlist <-> AIG bridges for sequential designs.
 //
 // fromNetlist lifts the combinational logic of a netlist into one Aig,
-// treating the sequential/storage elements as the boundary: primary
-// inputs, DFF outputs and RomBit outputs become AIG PIs; primary outputs,
-// DFF data/enable pins and RomBit address bits become AIG POs. The PI/PO
-// orders are fixed and recorded, so any restructured Aig with the same
-// shape (rewrite/balance preserve it) can be lowered back with toNetlist,
-// which rebuilds the original register/ROM skeleton (same DFF order,
-// resets, enables, names; same ROM ids and contents; same port names and
-// order) around the new combinational structure.
+// treating the registers as the boundary: primary inputs and DFF outputs
+// become AIG PIs; primary outputs and DFF data/enable pins become AIG POs.
+// The PI/PO orders are fixed and recorded, so any restructured Aig with the
+// same shape (rewrite/balance preserve it) can be lowered back with
+// toNetlist, which rebuilds the original register skeleton (same DFF order,
+// resets, enables, names; same port names and order) around the new
+// combinational structure.
 //
-// The PI order is: inputs() order, then dffs() order, then RomBit nodes in
-// topological order. The PO order is: outputs() order, then per DFF its
-// data pin (and enable pin when present), then per RomBit its address
-// bits. toNetlist recreates RomBits in the same topological order, which
-// is valid because a RomBit's address cone can only reach RomBits that
-// precede it.
+// The PI order is: inputs() order, then dffs() order. The PO order is:
+// outputs() order, then per DFF its data pin (and enable pin when present).
 
 #include <vector>
 
@@ -30,9 +25,6 @@ struct SequentialAig {
   const netlist::Netlist* source = nullptr;
   /// PI i of `aig` reads this source node of the netlist.
   std::vector<netlist::NodeId> piSource;
-  /// RomBit nodes of the source, in the (topological) order their address
-  /// POs were appended after the DFF pins.
-  std::vector<netlist::NodeId> romBits;
 };
 
 /// Lift a netlist's combinational logic into an AIG (see header comment).
@@ -40,8 +32,8 @@ SequentialAig fromNetlist(const netlist::Netlist& nl);
 
 /// Lower `sa.aig` (possibly a rewritten graph with the same PI/PO shape)
 /// back to a netlist around the original sequential skeleton. Port names
-/// and order, DFF order/resets/enables/names and ROM contents are
-/// preserved, so the result is a drop-in replacement for `*sa.source`.
+/// and order and DFF order/resets/enables/names are preserved, so the
+/// result is a drop-in replacement for `*sa.source`.
 netlist::Netlist toNetlist(const SequentialAig& sa);
 
 } // namespace lis::aig

@@ -62,7 +62,6 @@ void SynthesizeControl::run(Design& design, PassContext& ctx) {
   ctx.metric("dffs", st.dffs);
   ctx.metric("inputs", st.inputs);
   ctx.metric("outputs", st.outputs);
-  ctx.metric("rom_bits", st.romBits);
   if (const sync::FsmSynthStats* fs = design.controlStats()) {
     ctx.metric("sop_functions", fs->functions);
     ctx.metric("sop_cubes", fs->cubesAfter);

@@ -7,15 +7,6 @@
 
 namespace lis::netlist {
 
-namespace {
-/// Addresses a RomBit can actually present: limited both by the ROM depth
-/// and by the number of address bits wired to it.
-std::uint64_t reachableDepth(std::uint64_t depth, std::size_t addrBits) {
-  if (addrBits >= 64) return depth;
-  return std::min<std::uint64_t>(depth, std::uint64_t{1} << addrBits);
-}
-} // namespace
-
 BitSim::BitSim(const Netlist& nl, unsigned numWords)
     : nl_(&nl), numWords_(numWords) {
   if (numWords == 0) {
@@ -59,19 +50,7 @@ BitSim::BitSim(const Netlist& nl, unsigned numWords)
     const auto operand = [&n](std::size_t k) {
       return k < n.fanin.size() ? n.fanin[k] : NodeId{0};
     };
-    if (n.op == Op::RomBit) {
-      // Shallow ROMs: bit-sliced minterm OR beats a 64-iteration lane
-      // gather; deep ROMs: the other way round.
-      instrs_.push_back({id, static_cast<NodeId>(roms_.size()), 0, 0});
-      roms_.push_back(
-          {static_cast<std::uint32_t>(romAddr_.size()),
-           static_cast<std::uint32_t>(n.fanin.size()), n.romId, n.romBit,
-           reachableDepth(nl.rom(n.romId).words.size(), n.fanin.size()) <=
-               64});
-      romAddr_.insert(romAddr_.end(), n.fanin.begin(), n.fanin.end());
-    } else {
-      instrs_.push_back({id, operand(0), operand(1), operand(2)});
-    }
+    instrs_.push_back({id, operand(0), operand(1), operand(2)});
     ops_.push_back(n.op);
   }
   reset();
@@ -180,46 +159,6 @@ void BitSim::pin(NodeId node) {
   }
 }
 
-void BitSim::evalRom(const RomRef& r, std::uint64_t* dst) const {
-  const Rom& rom = nl_->rom(r.romId);
-  const NodeId* f = romAddr_.data() + r.addrBegin;
-  const unsigned W = numWords_;
-  const unsigned abits = r.addrCount;
-  const std::uint64_t depth = rom.words.size();
-  if (r.bitSliced) {
-    // out = OR over set addresses of AND_i (addr bit i ? v_i : ~v_i).
-    const std::uint64_t reach = reachableDepth(depth, abits);
-    for (unsigned w = 0; w < W; ++w) {
-      std::uint64_t out = 0;
-      for (std::uint64_t addr = 0; addr < reach; ++addr) {
-        if (((rom.words[addr] >> r.bit) & 1u) == 0) continue;
-        std::uint64_t m = kAllLanes;
-        for (unsigned i = 0; i < abits && m != 0; ++i) {
-          const std::uint64_t vi = val(f[i])[w];
-          m &= ((addr >> i) & 1u) != 0 ? vi : ~vi;
-        }
-        out |= m;
-      }
-      dst[w] = out;
-    }
-  } else {
-    // Gather each lane's address; out-of-range addresses read as 0.
-    for (unsigned w = 0; w < W; ++w) {
-      std::uint64_t out = 0;
-      for (unsigned l = 0; l < 64; ++l) {
-        std::uint64_t addr = 0;
-        for (unsigned i = 0; i < abits; ++i) {
-          addr |= ((val(f[i])[w] >> l) & 1u) << i;
-        }
-        if (addr < depth) {
-          out |= ((rom.words[addr] >> r.bit) & std::uint64_t{1}) << l;
-        }
-      }
-      dst[w] = out;
-    }
-  }
-}
-
 BitSim::~BitSim() {
   obs::Registry& global = obs::Registry::global();
   global.add("bitsim.settle_passes", static_cast<double>(settlePasses_));
@@ -275,9 +214,6 @@ void BitSim::evalRange(std::size_t begin, std::size_t end) {
         for (unsigned w = 0; w < W; ++w) dst[w] = a[w];
         break;
       }
-      case Op::RomBit:
-        evalRom(roms_[ins.a], dst);
-        break;
       default:
         break; // sources never enter the instruction stream
     }

@@ -6,10 +6,9 @@
 // numWords > 1, simulates 64*numWords patterns per pass. At construction the
 // netlist is flattened into an instruction stream in topological order:
 // 16-byte {dst, a, b, c} records (three operand ids, enough for a Mux) with
-// the op codes in a parallel byte array. A RomBit's `a` indexes a side
-// table holding its address slice, ROM id, bit and eval strategy. The
-// settle loop is one template, instantiated for a compile-time word count
-// of 1 (NetlistSim, every sync::Lockstep) and for the runtime count.
+// the op codes in a parallel byte array. The settle loop is one template,
+// instantiated for a compile-time word count of 1 (NetlistSim, every
+// sync::Lockstep) and for the runtime count.
 //
 // The stream is two segments, each topological:
 //
@@ -27,10 +26,7 @@
 // Value layout is node-major: values_[node * numWords + w] holds lanes
 // [w*64, (w+1)*64) of `node`, so a gate's word loop streams through
 // consecutive memory. DFF clocking honours per-lane enables and reads a
-// flat {q, d, enable} latch table built with the instruction stream. ROM
-// bits are evaluated bit-sliced (OR of address minterms over whole words)
-// when the ROM is shallow, or lane-serial (gather each lane's address) when
-// deep.
+// flat {q, d, enable} latch table built with the instruction stream.
 //
 // Lanes never interact, so each may carry a different machine: forces,
 // pokes and input writes take a lane mask, which is how sync::Lockstep
@@ -137,16 +133,9 @@ private:
   };
   struct Instr { // 16 bytes; the op code sits in ops_
     NodeId dst;
-    NodeId a, b, c; // operands (Mux: sel, a0, a1); RomBit: a = roms_ index
+    NodeId a, b, c; // operands (Mux: sel, a0, a1)
   };
   static_assert(sizeof(Instr) == 16);
-  struct RomRef {
-    std::uint32_t addrBegin; // slice [addrBegin, addrBegin+addrCount)
-    std::uint32_t addrCount; // of romAddr_
-    std::uint32_t romId;
-    std::uint32_t bit;
-    bool bitSliced; // eval strategy
-  };
 
   std::uint64_t* val(NodeId id) {
     return values_.data() + std::size_t{id} * numWords_;
@@ -156,7 +145,6 @@ private:
   }
   void checkInput(NodeId input) const;
   void writeLanes(NodeId node, std::uint64_t lanes, bool value);
-  void evalRom(const RomRef& r, std::uint64_t* dst) const;
   void pin(NodeId node);
   void latch();
   /// Pin the forces, then evaluate instrs_[begin, end).
@@ -170,8 +158,6 @@ private:
   std::vector<Instr> instrs_;    // state cone, then input cone
   std::vector<Op> ops_;          // parallel to instrs_
   std::size_t stateEnd_ = 0;     // instrs_[0, stateEnd_) is the state cone
-  std::vector<RomRef> roms_;     // one per RomBit instruction
-  std::vector<NodeId> romAddr_;  // flat RomBit address bits
   std::vector<bool> inputCone_;  // per node, see inInputCone()
   std::vector<std::uint64_t> values_;  // node-major, numWords_ per node
   std::vector<Latch> latches_;         // dffs() order

@@ -51,12 +51,6 @@ void BusBuilder::connectRegister(std::span<const NodeId> regs,
   }
 }
 
-Bus BusBuilder::notBus(std::span<const NodeId> a) {
-  Bus out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = nl_->mkNot(a[i]);
-  return out;
-}
-
 namespace {
 void checkWidths(std::span<const NodeId> a, std::span<const NodeId> b,
                  const char* what) {
@@ -65,20 +59,6 @@ void checkWidths(std::span<const NodeId> a, std::span<const NodeId> b,
   }
 }
 } // namespace
-
-Bus BusBuilder::andBus(std::span<const NodeId> a, std::span<const NodeId> b) {
-  checkWidths(a, b, "andBus");
-  Bus out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = nl_->mkAnd(a[i], b[i]);
-  return out;
-}
-
-Bus BusBuilder::orBus(std::span<const NodeId> a, std::span<const NodeId> b) {
-  checkWidths(a, b, "orBus");
-  Bus out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = nl_->mkOr(a[i], b[i]);
-  return out;
-}
 
 Bus BusBuilder::xorBus(std::span<const NodeId> a, std::span<const NodeId> b) {
   checkWidths(a, b, "xorBus");
@@ -97,30 +77,11 @@ Bus BusBuilder::mux(NodeId sel, std::span<const NodeId> a0,
   return out;
 }
 
-NodeId BusBuilder::reduceAnd(std::span<const NodeId> a) {
-  return nl_->andTree(a);
-}
-
-NodeId BusBuilder::reduceOr(std::span<const NodeId> a) { return nl_->orTree(a); }
-
-NodeId BusBuilder::isZero(std::span<const NodeId> a) {
-  return nl_->mkNot(reduceOr(a));
-}
-
 NodeId BusBuilder::eqConst(std::span<const NodeId> a, std::uint64_t value) {
   std::vector<NodeId> terms(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     const bool bit = ((value >> i) & 1u) != 0;
     terms[i] = bit ? a[i] : nl_->mkNot(a[i]);
-  }
-  return nl_->andTree(terms);
-}
-
-NodeId BusBuilder::eq(std::span<const NodeId> a, std::span<const NodeId> b) {
-  checkWidths(a, b, "eq");
-  std::vector<NodeId> terms(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    terms[i] = nl_->mkXnor(a[i], b[i]);
   }
   return nl_->andTree(terms);
 }
@@ -146,26 +107,6 @@ Bus BusBuilder::incrementer(std::span<const NodeId> a) {
     carry = nl_->mkAnd(a[i], carry);
   }
   return sum;
-}
-
-Bus BusBuilder::decrementer(std::span<const NodeId> a) {
-  // a - 1 = a + all-ones.
-  Bus sum(a.size());
-  NodeId borrow = nl_->constant(true); // subtract one
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    sum[i] = nl_->mkXor(a[i], borrow);
-    borrow = nl_->mkAnd(nl_->mkNot(a[i]), borrow);
-  }
-  return sum;
-}
-
-Bus BusBuilder::romRead(std::uint32_t romId, std::span<const NodeId> addr) {
-  const Rom& rom = nl_->rom(romId);
-  Bus out(rom.width);
-  for (unsigned bit = 0; bit < rom.width; ++bit) {
-    out[bit] = nl_->mkRomBit(romId, bit, addr);
-  }
-  return out;
 }
 
 unsigned BusBuilder::bitsFor(std::uint64_t maxValue) {

@@ -1,8 +1,9 @@
 #pragma once
 // BusBuilder: word-level construction helpers over the bit-level netlist.
 // Buses are vectors of NodeId, LSB first. These are the building blocks the
-// synchronization-processor synthesizer and the FSM synthesizer use:
-// registers with enables, incrementers, comparators, muxes, reductions.
+// FSM synthesizer, the shell and relay-station datapaths and the netlist
+// generators use: ports, registers with enables, muxes, constant
+// comparators and ripple-carry arithmetic.
 
 #include <cstdint>
 #include <span>
@@ -38,27 +39,16 @@ public:
                        std::span<const NodeId> data, NodeId enable = kNoNode);
 
   // Element-wise logic.
-  Bus notBus(std::span<const NodeId> a);
-  Bus andBus(std::span<const NodeId> a, std::span<const NodeId> b);
-  Bus orBus(std::span<const NodeId> a, std::span<const NodeId> b);
   Bus xorBus(std::span<const NodeId> a, std::span<const NodeId> b);
   Bus mux(NodeId sel, std::span<const NodeId> a0, std::span<const NodeId> a1);
 
-  // Reductions and comparisons.
-  NodeId reduceAnd(std::span<const NodeId> a);
-  NodeId reduceOr(std::span<const NodeId> a);
-  NodeId isZero(std::span<const NodeId> a);
+  /// 1 exactly when bus `a` holds `value`.
   NodeId eqConst(std::span<const NodeId> a, std::uint64_t value);
-  NodeId eq(std::span<const NodeId> a, std::span<const NodeId> b);
 
   // Arithmetic (ripple-carry; the control counters here are narrow).
   Bus adder(std::span<const NodeId> a, std::span<const NodeId> b,
             NodeId carryIn = kNoNode);
   Bus incrementer(std::span<const NodeId> a);
-  Bus decrementer(std::span<const NodeId> a);
-
-  /// Asynchronous ROM lookup: full data word at `addr`.
-  Bus romRead(std::uint32_t romId, std::span<const NodeId> addr);
 
   /// Number of bits needed to count 0..maxValue.
   static unsigned bitsFor(std::uint64_t maxValue);

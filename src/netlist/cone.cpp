@@ -18,13 +18,7 @@ Cone extractCone(const Netlist& nl, std::span<const NodeId> roots) {
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    const Node& node = nl.node(id);
-    if (node.op == Op::RomBit) {
-      throw std::invalid_argument("netlist::extractCone: RomBit " +
-                                  std::to_string(id) + " in a cone of " +
-                                  nl.name());
-    }
-    for (const NodeId f : node.fanin) {
+    for (const NodeId f : nl.node(id).fanin) {
       if (mark[f] != 0) continue;
       mark[f] = 1;
       stack.push_back(f);
@@ -71,7 +65,6 @@ Cone extractCone(const Netlist& nl, std::span<const NodeId> roots) {
         break;
       case Op::Input:
       case Op::Dff:
-      case Op::RomBit:
         break;
     }
   }

@@ -32,8 +32,7 @@ struct Cone {
 
 /// Copy the sequential cone of `roots` out of `nl`. A root may be any
 /// node; a non-root Output reached as a fanin reads through to its
-/// driver. Throws std::invalid_argument when the cone reaches a RomBit
-/// (no proof engine unrolls ROMs) and std::out_of_range on a bad root.
+/// driver. Throws std::out_of_range on a bad root.
 Cone extractCone(const Netlist& nl, std::span<const NodeId> roots);
 
 } // namespace lis::netlist

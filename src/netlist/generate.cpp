@@ -50,37 +50,6 @@ Netlist muxTree(unsigned selBits, MuxStyle style) {
   return nl;
 }
 
-Netlist romReader(unsigned addrBits, unsigned width, std::uint64_t seed,
-                  bool asLogic, bool corrupt) {
-  Netlist nl("rom_reader");
-  BusBuilder bb(nl);
-  Bus addr = bb.inputBus("addr", addrBits);
-
-  const std::uint64_t depth = std::uint64_t{1} << addrBits;
-  const std::uint64_t mask =
-      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-  support::SplitMix64 rng(seed);
-  std::vector<std::uint64_t> words(depth);
-  for (std::uint64_t& w : words) w = rng.next() & mask;
-  if (corrupt) words[0] ^= 1u;
-
-  if (!asLogic) {
-    const std::uint32_t romId = nl.addRom(width, words, "rom0");
-    bb.outputBus("data", bb.romRead(romId, addr));
-  } else {
-    for (unsigned bit = 0; bit < width; ++bit) {
-      std::vector<NodeId> terms;
-      for (std::uint64_t address = 0; address < depth; ++address) {
-        if (((words[address] >> bit) & 1u) != 0) {
-          terms.push_back(bb.eqConst(addr, address));
-        }
-      }
-      nl.addOutput("data_" + std::to_string(bit), nl.orTree(terms));
-    }
-  }
-  return nl;
-}
-
 namespace {
 
 /// Gate soup shared by randomDag/randomSeq: appends ~numGates gates over

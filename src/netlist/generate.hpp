@@ -1,8 +1,8 @@
 #pragma once
 // Deterministic netlist generators shared by the benchmark harness and the
-// randomized tests: classic structures (adders, mux trees, ROM readers) in
-// deliberately different but functionally equal variants for equivalence
-// checking, plus seeded random DAGs for simulator stress.
+// randomized tests: classic structures (adders, mux trees) in deliberately
+// different but functionally equal variants for equivalence checking, plus
+// seeded random DAGs for simulator stress.
 
 #include <cstdint>
 
@@ -25,13 +25,6 @@ enum class MuxStyle {
 /// 2^selBits : 1 multiplexer: inputs d_0..d_{2^selBits-1} and sel_*,
 /// output y. The two styles are structurally unrelated but equivalent.
 Netlist muxTree(unsigned selBits, MuxStyle style);
-
-/// Asynchronous ROM reader: inputs addr_*, outputs data_*. Contents are
-/// seeded random. `asLogic` expands the contents into two-level logic
-/// instead of RomBit nodes (same function, no ROM). `corrupt` flips bit 0
-/// of word 0, producing an inequivalent twin.
-Netlist romReader(unsigned addrBits, unsigned width, std::uint64_t seed,
-                  bool asLogic = false, bool corrupt = false);
 
 /// Random combinational DAG: numInputs inputs x_*, ~numGates random gates
 /// (Not/And/Or/Xor/Mux over earlier nodes, distinct fanins so nothing

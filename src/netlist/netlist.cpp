@@ -1,7 +1,5 @@
 #include "netlist/netlist.hpp"
 
-#include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace lis::netlist {
@@ -18,7 +16,6 @@ const char* opName(Op op) {
     case Op::Xor: return "xor";
     case Op::Mux: return "mux";
     case Op::Dff: return "dff";
-    case Op::RomBit: return "rombit";
   }
   return "?";
 }
@@ -175,32 +172,6 @@ NodeId Netlist::orTree(std::span<const NodeId> terms) {
   return level.front();
 }
 
-std::uint32_t Netlist::addRom(unsigned width, std::vector<std::uint64_t> words,
-                              std::string name) {
-  if (width == 0 || width > 64) {
-    throw std::invalid_argument("Netlist::addRom: width must be 1..64");
-  }
-  roms_.push_back(Rom{width, std::move(words), std::move(name)});
-  return static_cast<std::uint32_t>(roms_.size() - 1);
-}
-
-NodeId Netlist::mkRomBit(std::uint32_t romId, std::uint32_t bit,
-                         std::span<const NodeId> addr) {
-  if (romId >= roms_.size()) throw std::out_of_range("mkRomBit: bad rom id");
-  if (bit >= roms_[romId].width) throw std::out_of_range("mkRomBit: bad bit");
-  // Every evaluator (BitSim, the CNF encoder) forms the address in a
-  // uint64_t; wider addresses could not select a representable word anyway.
-  if (addr.size() > 64) {
-    throw std::invalid_argument("mkRomBit: more than 64 address bits");
-  }
-  Node n;
-  n.op = Op::RomBit;
-  n.romId = romId;
-  n.romBit = bit;
-  n.fanin.assign(addr.begin(), addr.end());
-  return addNode(std::move(n));
-}
-
 NetlistStats Netlist::stats() const {
   NetlistStats s;
   s.inputs = inputs_.size();
@@ -208,16 +179,15 @@ NetlistStats Netlist::stats() const {
   s.dffs = dffs_.size();
   for (const Node& n : nodes_) {
     switch (n.op) {
-      case Op::Not: ++s.nots; ++s.gates; break;
-      case Op::And: ++s.ands; ++s.gates; break;
-      case Op::Or: ++s.ors; ++s.gates; break;
-      case Op::Xor: ++s.xors; ++s.gates; break;
-      case Op::Mux: ++s.muxes; ++s.gates; break;
+      case Op::Not:
+      case Op::And:
+      case Op::Or:
+      case Op::Xor:
+      case Op::Mux: ++s.gates; break;
       default:
         break;
     }
   }
-  for (const Rom& r : roms_) s.romBits += r.width * r.words.size();
   return s;
 }
 
@@ -247,7 +217,6 @@ std::vector<NodeId> Netlist::topoOrder() const {
     }
     pending[id] = static_cast<std::uint32_t>(n.fanin.size());
     for (NodeId f : n.fanin) consumers[f].push_back(id);
-    if (n.fanin.empty()) ready.push_back(id);
   }
 
   std::vector<NodeId> order;
@@ -277,25 +246,6 @@ std::vector<NodeId> Netlist::topoOrder() const {
                              name_);
   }
   return order;
-}
-
-std::string Netlist::toDot() const {
-  std::ostringstream os;
-  os << "digraph \"" << name_ << "\" {\n  rankdir=LR;\n";
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    const Node& n = nodes_[id];
-    os << "  n" << id << " [label=\"" << opName(n.op);
-    if (!n.name.empty()) os << "\\n" << n.name;
-    os << "\"";
-    if (n.op == Op::Dff) os << ", shape=box";
-    if (n.op == Op::Input || n.op == Op::Output) os << ", shape=ellipse, style=filled";
-    os << "];\n";
-    for (NodeId f : n.fanin) {
-      os << "  n" << f << " -> n" << id << ";\n";
-    }
-  }
-  os << "}\n";
-  return os.str();
 }
 
 } // namespace lis::netlist

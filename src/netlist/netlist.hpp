@@ -1,8 +1,8 @@
 #pragma once
 // Netlist: gate-level intermediate representation for wrapper synthesis.
 //
-// Every wrapper generator in this repository (one-hot / binary FSM,
-// shift-register, synchronization processor) lowers to this IR; the
+// The system elaborator (sync::buildSystem: shells with one-hot or binary
+// FSM control, relay stations, their datapaths) lowers to this IR; the
 // technology mapper, static timing analyzer, netlist simulator, SAT
 // equivalence checker and structural Verilog emitter all consume it.
 //
@@ -12,18 +12,13 @@
 //   Not / And / Or / Xor / Mux   combinational gates (Mux: sel, a0, a1)
 //   Dff                D flip-flop with optional clock-enable and a
 //                      synchronous reset value
-//   RomBit             one data bit of an asynchronous ROM; fanins are the
-//                      address bits (LSB first). ROM contents are stored in
-//                      the netlist and costed separately from logic slices,
-//                      mirroring how the paper's synchronization-processor
-//                      program memory is an async ROM next to the datapath.
 
+#include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
-
-#include "support/small_vec.hpp"
 
 namespace lis::netlist {
 
@@ -41,14 +36,28 @@ enum class Op : std::uint8_t {
   Xor,
   Mux,
   Dff,
-  RomBit,
 };
 
 const char* opName(Op op);
 
-/// Fanin list: inline up to the 3 operands of a Mux (the widest gate), so
-/// ordinary nodes never heap-allocate; only RomBit address lists spill.
-using FaninList = support::SmallVec<NodeId, 3>;
+/// Fanin list: at most the 3 operands of a Mux (the widest gate), inline.
+class FaninList {
+public:
+  FaninList() = default;
+  FaninList(std::initializer_list<NodeId> ids) {
+    assert(ids.size() <= 3 && "a node has at most three fanins");
+    for (NodeId id : ids) ids_[size_++] = id;
+  }
+
+  std::size_t size() const { return size_; }
+  NodeId operator[](std::size_t i) const { return ids_[i]; }
+  const NodeId* begin() const { return ids_; }
+  const NodeId* end() const { return ids_ + size_; }
+
+private:
+  NodeId ids_[3] = {};
+  std::uint8_t size_ = 0;
+};
 
 struct Node {
   Op op = Op::Const0;
@@ -56,28 +65,13 @@ struct Node {
   std::string name;     // non-empty for ports and named registers
   bool resetValue = false; // Dff only
   bool hasEnable = false;  // Dff only: fanin = {d, enable}
-  std::uint32_t romId = 0;     // RomBit only
-  std::uint32_t romBit = 0;    // RomBit only
-};
-
-/// Contents of one asynchronous ROM: `depth` words of `width` bits.
-struct Rom {
-  unsigned width = 0;
-  std::vector<std::uint64_t> words;
-  std::string name;
 };
 
 struct NetlistStats {
   std::size_t inputs = 0;
   std::size_t outputs = 0;
-  std::size_t gates = 0; // Not/And/Or/Xor/Mux (sum of the by-type counts)
-  std::size_t nots = 0;
-  std::size_t ands = 0;
-  std::size_t ors = 0;
-  std::size_t xors = 0;
-  std::size_t muxes = 0;
+  std::size_t gates = 0; // Not/And/Or/Xor/Mux
   std::size_t dffs = 0;
-  std::size_t romBits = 0; // total ROM storage bits
 };
 
 class Netlist {
@@ -108,14 +102,6 @@ public:
   NodeId andTree(std::span<const NodeId> terms);
   NodeId orTree(std::span<const NodeId> terms);
 
-  /// Declare a ROM; returns its id.
-  std::uint32_t addRom(unsigned width, std::vector<std::uint64_t> words,
-                       std::string name);
-  /// One output bit of a ROM. `addr` is LSB-first; at most 64 address bits
-  /// (throws std::invalid_argument beyond that).
-  NodeId mkRomBit(std::uint32_t romId, std::uint32_t bit,
-                  std::span<const NodeId> addr);
-
   // --- inspection ---------------------------------------------------------
   std::size_t nodeCount() const { return nodes_.size(); }
   const Node& node(NodeId id) const { return nodes_[id]; }
@@ -123,8 +109,6 @@ public:
   const std::vector<NodeId>& inputs() const { return inputs_; }
   const std::vector<NodeId>& outputs() const { return outputs_; }
   const std::vector<NodeId>& dffs() const { return dffs_; }
-  const Rom& rom(std::uint32_t id) const { return roms_[id]; }
-  std::size_t romCount() const { return roms_.size(); }
 
   NetlistStats stats() const;
 
@@ -136,9 +120,6 @@ public:
   /// std::runtime_error on a combinational cycle.
   std::vector<NodeId> topoOrder() const;
 
-  /// Graphviz dump for debugging.
-  std::string toDot() const;
-
 private:
   NodeId addNode(Node n);
 
@@ -147,7 +128,6 @@ private:
   std::vector<NodeId> inputs_;
   std::vector<NodeId> outputs_;
   std::vector<NodeId> dffs_;
-  std::vector<Rom> roms_;
   NodeId const0_ = kNoNode;
   NodeId const1_ = kNoNode;
 };

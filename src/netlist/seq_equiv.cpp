@@ -1,7 +1,5 @@
 #include "netlist/seq_equiv.hpp"
 
-#include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,9 +16,7 @@ Netlist combEnvelope(const Netlist& nl) {
     map[nl.dffs()[i]] = env.addInput("__q" + std::to_string(i));
   }
 
-  std::map<std::pair<std::uint32_t, std::uint32_t>, NodeId> romBitSeen;
-  const auto order = nl.topoOrder();
-  for (NodeId id : order) {
+  for (NodeId id : nl.topoOrder()) {
     const Node& n = nl.node(id);
     switch (n.op) {
       case Op::Input:
@@ -43,22 +39,6 @@ Netlist combEnvelope(const Netlist& nl) {
         map[id] = env.mkMux(map[n.fanin[0]], map[n.fanin[1]],
                             map[n.fanin[2]]);
         break;
-      case Op::RomBit: {
-        const auto key = std::make_pair(n.romId, n.romBit);
-        if (!romBitSeen.emplace(key, id).second) {
-          throw std::invalid_argument(
-              "combEnvelope: duplicate RomBit for rom " +
-              std::to_string(n.romId) + " bit " + std::to_string(n.romBit));
-        }
-        const std::string tag =
-            std::to_string(n.romId) + "_" + std::to_string(n.romBit);
-        map[id] = env.addInput("__rom" + tag);
-        for (std::size_t j = 0; j < n.fanin.size(); ++j) {
-          env.addOutput("__addr" + tag + "_" + std::to_string(j),
-                        map[n.fanin[j]]);
-        }
-        break;
-      }
     }
   }
 
@@ -89,18 +69,6 @@ SeqEquivResult checkSeqEquivalence(const Netlist& a, const Netlist& b,
     const Node& nb = b.node(b.dffs()[i]);
     if (na.resetValue != nb.resetValue || na.hasEnable != nb.hasEnable) {
       r.detail = "DFF " + std::to_string(i) + " shape differs";
-      return r;
-    }
-  }
-  if (a.romCount() != b.romCount()) {
-    r.detail = "ROM count differs";
-    return r;
-  }
-  for (std::uint32_t i = 0; i < a.romCount(); ++i) {
-    const Rom& ra = a.rom(i);
-    const Rom& rb = b.rom(i);
-    if (ra.width != rb.width || ra.words != rb.words) {
-      r.detail = "ROM " + std::to_string(i) + " contents differ";
       return r;
     }
   }

@@ -1,22 +1,20 @@
 #pragma once
-// Sequential equivalence for netlists that share a register/ROM skeleton —
+// Sequential equivalence for netlists that share a register skeleton —
 // the proof obligation of the AIG optimization flow, which restructures
-// combinational logic but never touches storage.
+// combinational logic but never touches the registers.
 //
 // combEnvelope turns a sequential netlist into a purely combinational one
-// by cutting at the storage boundary: every DFF output becomes an input
-// `__q<i>` (index in dffs() order), every RomBit output an input
-// `__rom<id>_<bit>`, and the sinks gain outputs for every DFF data pin
-// (`__d<i>`), enable pin (`__en<i>`) and RomBit address bit
-// (`__addr<id>_<bit>_<j>`), alongside the original primary outputs.
+// by cutting at the register boundary: every DFF output becomes an input
+// `__q<i>` (index in dffs() order), and the sinks gain outputs for every
+// DFF data pin (`__d<i>`) and enable pin (`__en<i>`), alongside the
+// original primary outputs.
 //
 // checkSeqEquivalence first matches the skeletons (DFF count and per-index
-// reset/enable shape, ROM count and contents) and then proves the two
-// envelopes equivalent with checkCombEquivalence — identical next-state,
-// enable, address and output functions over identical storage implies the
-// machines are cycle-accurate equivalents from reset. Envelope interfaces
-// routinely exceed 64 inputs, which the combinational checker handles
-// like any other width.
+// reset/enable shape) and then proves the two envelopes equivalent with
+// checkCombEquivalence — identical next-state, enable and output functions
+// over identical registers imply the machines are cycle-accurate
+// equivalents from reset. Envelope interfaces routinely exceed 64 inputs,
+// which the combinational checker handles like any other width.
 
 #include <string>
 
@@ -25,9 +23,7 @@
 
 namespace lis::netlist {
 
-/// Combinational envelope (see header comment). Throws
-/// std::invalid_argument if two RomBit nodes share one (rom, bit) pair —
-/// the name-based matching would be ambiguous.
+/// Combinational envelope (see header comment).
 Netlist combEnvelope(const Netlist& nl);
 
 struct SeqEquivResult {
@@ -46,7 +42,7 @@ struct SeqEquivResult {
 };
 
 /// Prove two same-skeleton sequential netlists equivalent (see header
-/// comment). DFFs are matched by dffs() index, ROMs by id.
+/// comment). DFFs are matched by dffs() index.
 SeqEquivResult checkSeqEquivalence(const Netlist& a, const Netlist& b,
                                    const EquivOptions& opts = {});
 

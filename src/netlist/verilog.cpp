@@ -1,7 +1,5 @@
 #include "netlist/verilog.hpp"
 
-#include <algorithm>
-#include <map>
 #include <sstream>
 #include <unordered_set>
 #include <vector>
@@ -17,15 +15,29 @@ bool isIdentChar(char c, bool first) {
   return !first && c >= '0' && c <= '9';
 }
 
+/// Every IEEE 1364-2001 keyword, plus the clock and reset port names.
 const std::unordered_set<std::string>& reservedWords() {
   static const std::unordered_set<std::string> words = {
-      "always",  "assign",   "begin",  "case",   "casex",  "casez",
-      "clk",     "default",  "else",   "end",    "endcase", "endfunction",
-      "endmodule", "for",    "function", "if",   "initial", "input",
-      "integer", "module",   "negedge", "not",   "or",      "output",
-      "and",     "nand",     "nor",    "xor",    "xnor",    "buf",
-      "parameter", "posedge", "reg",   "repeat", "rst",     "wait",
-      "while",   "wire"};
+      "always", "and", "assign", "automatic", "begin", "buf", "bufif0",
+      "bufif1", "case", "casex", "casez", "cell", "cmos", "config",
+      "deassign", "default", "defparam", "design", "disable", "edge",
+      "else", "end", "endcase", "endconfig", "endfunction", "endgenerate",
+      "endmodule", "endprimitive", "endspecify", "endtable", "endtask",
+      "event", "for", "force", "forever", "fork", "function", "generate",
+      "genvar", "highz0", "highz1", "if", "ifnone", "incdir", "include",
+      "initial", "inout", "input", "instance", "integer", "join", "large",
+      "liblist", "library", "localparam", "macromodule", "medium", "module",
+      "nand", "negedge", "nmos", "nor", "noshowcancelled", "not", "notif0",
+      "notif1", "or", "output", "parameter", "pmos", "posedge", "primitive",
+      "pull0", "pull1", "pulldown", "pullup", "pulsestyle_ondetect",
+      "pulsestyle_onevent", "rcmos", "real", "realtime", "reg", "release",
+      "repeat", "rnmos", "rpmos", "rtran", "rtranif0", "rtranif1",
+      "scalared", "showcancelled", "signed", "small", "specify",
+      "specparam", "strong0", "strong1", "supply0", "supply1", "table",
+      "task", "time", "tran", "tranif0", "tranif1", "tri", "tri0", "tri1",
+      "triand", "trior", "trireg", "unsigned", "use", "vectored", "wait",
+      "wand", "weak0", "weak1", "while", "wire", "wor", "xnor", "xor",
+      "clk", "rst"};
   return words;
 }
 
@@ -56,12 +68,6 @@ private:
   std::unordered_set<std::string> used_;
 };
 
-std::string hexWord(std::uint64_t value, unsigned width) {
-  std::ostringstream os;
-  os << width << "'h" << std::hex << value;
-  return os.str();
-}
-
 } // namespace
 
 std::string emitVerilog(const Netlist& nl) {
@@ -85,39 +91,6 @@ std::string emitVerilog(const Netlist& nl) {
     if (nodes[id].op == Op::Const1) return "1'b1";
     return ident[id];
   };
-
-  // Group RomBit nodes that read one ROM through one address vector into a
-  // shared read port (one case block, many bit selects).
-  std::map<std::pair<std::uint32_t, std::vector<NodeId>>,
-           std::vector<NodeId>> romPorts;
-  for (NodeId id = 0; id < nodes.size(); ++id) {
-    if (nodes[id].op == Op::RomBit) {
-      romPorts[{nodes[id].romId,
-                std::vector<NodeId>(nodes[id].fanin.begin(),
-                                    nodes[id].fanin.end())}]
-          .push_back(id);
-    }
-  }
-  std::vector<std::string> romPortName;
-  romPortName.reserve(romPorts.size());
-  {
-    std::size_t port = 0;
-    for (const auto& [key, bits] : romPorts) {
-      (void)bits;
-      const Rom& rom = nl.rom(key.first);
-      std::string base = rom.name;
-      if (base.empty()) {
-        base = "rom";
-        base += std::to_string(key.first);
-      }
-      base += "_r";
-      base += std::to_string(port);
-      std::string tag = "p";
-      tag += std::to_string(port);
-      romPortName.push_back(names.claim(base, tag));
-      ++port;
-    }
-  }
 
   const bool sequential = !nl.dffs().empty();
   std::ostringstream os;
@@ -149,7 +122,6 @@ std::string emitVerilog(const Netlist& nl) {
       case Op::Or:
       case Op::Xor:
       case Op::Mux:
-      case Op::RomBit:
         os << "  wire " << ident[id] << ";\n";
         break;
       case Op::Dff:
@@ -157,16 +129,6 @@ std::string emitVerilog(const Netlist& nl) {
         break;
       default:
         break;
-    }
-  }
-  {
-    std::size_t port = 0;
-    for (const auto& [key, bits] : romPorts) {
-      (void)bits;
-      const Rom& rom = nl.rom(key.first);
-      os << "  reg [" << rom.width - 1 << ":0] " << romPortName[port]
-         << ";\n";
-      ++port;
     }
   }
   os << "\n";
@@ -196,43 +158,6 @@ std::string emitVerilog(const Netlist& nl) {
         break;
       default:
         break;
-    }
-  }
-
-  // ROM read ports: one case block per (rom, address vector) group.
-  {
-    std::size_t port = 0;
-    for (const auto& [key, bits] : romPorts) {
-      const Rom& rom = nl.rom(key.first);
-      const std::vector<NodeId>& addr = key.second;
-      const std::string& rdata = romPortName[port];
-      if (addr.empty()) {
-        os << "  always @* " << rdata << " = "
-           << hexWord(rom.words.empty() ? 0 : rom.words.front(), rom.width)
-           << ";\n";
-      } else {
-        os << "  always @* begin\n    case ({";
-        for (std::size_t i = addr.size(); i-- > 0;) {
-          os << ref(addr[i]) << (i > 0 ? ", " : "");
-        }
-        os << "})\n";
-        const std::uint64_t reach =
-            addr.size() >= 64
-                ? rom.words.size()
-                : std::min<std::uint64_t>(rom.words.size(),
-                                          std::uint64_t{1} << addr.size());
-        for (std::uint64_t a = 0; a < reach; ++a) {
-          os << "      " << addr.size() << "'d" << a << ": " << rdata
-             << " = " << hexWord(rom.words[a], rom.width) << ";\n";
-        }
-        os << "      default: " << rdata << " = " << rom.width << "'h0;\n"
-           << "    endcase\n  end\n";
-      }
-      for (NodeId id : bits) {
-        os << "  assign " << ident[id] << " = " << rdata << "["
-           << nodes[id].romBit << "];\n";
-      }
-      ++port;
     }
   }
 

@@ -6,11 +6,9 @@
 //     Dff becomes an always @(posedge clk) block with a synchronous reset
 //     to its resetValue and an optional clock enable.
 //   * Combinational gates become continuous assigns (~ & | ^ ?:).
-//   * RomBit nodes sharing one ROM and one address vector are grouped into
-//     a single always @* case block over the address, with a default of 0
-//     for addresses beyond the ROM depth (matching BitSim semantics).
 //   * Port and register names are sanitized to legal identifiers and
-//     uniquified; anonymous nodes are named n<id>.
+//     uniquified; a name that is a Verilog-2001 keyword (or `clk`/`rst`)
+//     gets a suffix. Anonymous nodes are named n<id>.
 
 #include <string>
 

@@ -1,6 +1,5 @@
 #include "sat/cnf.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -103,9 +102,6 @@ void AigCnf::encodeNode(std::uint32_t root) {
 Unroller::Unroller(Solver& solver, const aig::SequentialAig& sa,
                    std::vector<ForcedInput> forced, bool freeInitialState)
     : solver_(solver), sa_(sa), forced_(std::move(forced)) {
-  if (!sa_.romBits.empty()) {
-    throw std::invalid_argument("sat::Unroller: ROMs are not supported");
-  }
   const netlist::Netlist& nl = *sa_.source;
   constTrue_ = mkLit(solver_.newVar(), false);
   solver_.addClause({constTrue_});
@@ -310,28 +306,6 @@ std::vector<aig::Lit> appendCombinational(
     case netlist::Op::Output:
       litOf[id] = litOf[n.fanin[0]];
       break;
-    case netlist::Op::RomBit: {
-      // Sum of address minterms; words past what the wired address bits
-      // can select read as 0 (same rule as BitSim).
-      const netlist::Rom& rom = nl.rom(n.romId);
-      std::uint64_t depth = rom.words.size();
-      if (n.fanin.size() < 64) {
-        depth = std::min(depth, std::uint64_t{1} << n.fanin.size());
-      }
-      aig::Lit f = aig::kLitFalse;
-      for (std::uint64_t addr = 0; addr < depth; ++addr) {
-        if (((rom.words[addr] >> n.romBit) & 1u) == 0) continue;
-        aig::Lit minterm = aig::kLitTrue;
-        for (std::size_t i = 0; i < n.fanin.size(); ++i) {
-          const aig::Lit bit = litOf[n.fanin[i]];
-          minterm = aig.addAnd(
-              minterm, ((addr >> i) & 1u) != 0 ? bit : aig::litNot(bit));
-        }
-        f = aig.addOr(f, minterm);
-      }
-      litOf[id] = f;
-      break;
-    }
     case netlist::Op::Dff:
       throw std::invalid_argument(
           "sat::appendCombinational: sequential netlist (Dff node " +

@@ -23,7 +23,7 @@
 // the transition function, so the cone reachable from reset state
 // shrinks as it is unrolled instead of being encoded blindly. Inputs
 // can be forced to constants across all frames (the BMC watchdog's
-// "sink never stalls" environment). ROMs are not supported.
+// "sink never stalls" environment).
 //
 // ConeAig is what the proof engines unroll: the sequential cone of the
 // properties' fail outputs (netlist::extractCone), lifted to an AIG, so
@@ -84,8 +84,7 @@ struct ForcedInput {
 
 class Unroller {
 public:
-  /// `sa` (and its source netlist) must outlive the unroller. Throws
-  /// std::invalid_argument when the design has ROMs. With
+  /// `sa` (and its source netlist) must outlive the unroller. With
   /// `freeInitialState` frame 0 starts from a fresh unconstrained
   /// variable per DFF instead of the reset values — the one-step
   /// transition relation PDR's queries run on (reset-constant folding is
@@ -165,9 +164,7 @@ struct ConeAig {
 /// Lower the combinational logic of `nl` into `aig`: `inputLit(id)`
 /// supplies the AIG literal of each primary input; the returned vector
 /// holds one AIG literal per nl.outputs() entry. DFFs are rejected
-/// (lift sequential designs through aig::fromNetlist instead); RomBits
-/// are expanded into their address-minterm form, reading words past what
-/// the wired address bits can select as 0, as BitSim does.
+/// (lift sequential designs through aig::fromNetlist instead).
 std::vector<aig::Lit> appendCombinational(
     aig::Aig& aig, const netlist::Netlist& nl,
     const std::function<aig::Lit(netlist::NodeId)>& inputLit);

@@ -32,7 +32,7 @@
 //
 // sweepNetlist round-trips a sequential netlist through the
 // aig::fromNetlist / toNetlist bridges, sweeping the combinational
-// core while preserving the register/ROM skeleton — the SatSweep
+// core while preserving the register skeleton — the SatSweep
 // pipeline pass proves the result sequentially equivalent anyway.
 
 #include <cstdint>

@@ -115,7 +115,7 @@ private:
   void collectSinks() {
     for (NodeId id = 0; id < nl_.nodeCount(); ++id) {
       const Node& n = nl_.node(id);
-      if (n.op == Op::Output || n.op == Op::Dff || n.op == Op::RomBit) {
+      if (n.op == Op::Output || n.op == Op::Dff) {
         for (NodeId f : n.fanin) {
           if (isGate(nl_.node(f).op)) sinks_.push_back(f);
         }
@@ -231,7 +231,7 @@ private:
     const auto order = nl_.topoOrder();
     for (NodeId id : order) {
       const Node& n = nl_.node(id);
-      if (!isGate(n.op) && n.op != Op::RomBit) continue;
+      if (!isGate(n.op)) continue;
       unsigned lvl = 0;
       for (NodeId f : n.fanin) lvl = std::max(lvl, level[f]);
       level[id] = lvl + 1;
@@ -240,25 +240,14 @@ private:
     std::vector<std::vector<NodeId>> byLevel(maxLevel + 1);
     for (NodeId id : order) {
       const Node& n = nl_.node(id);
-      if (isGate(n.op) || n.op == Op::RomBit) {
-        byLevel[level[id]].push_back(id);
-      }
+      if (isGate(n.op)) byLevel[level[id]].push_back(id);
     }
-    const auto runOne = [this](NodeId id) {
-      if (nl_.node(id).op == Op::RomBit) {
-        unsigned a = 0;
-        for (NodeId f : nl_.node(id).fanin) a = std::max(a, arrival_[f]);
-        arrival_[id] = a + 1;
-        return;
-      }
-      enumerateNode(id);
-    };
     for (const std::vector<NodeId>& nodes : byLevel) {
       if (options_.runner && nodes.size() > 1) {
         options_.runner(nodes.size(),
-                        [&](std::size_t i) { runOne(nodes[i]); });
+                        [&](std::size_t i) { enumerateNode(nodes[i]); });
       } else {
-        for (NodeId id : nodes) runOne(id);
+        for (NodeId id : nodes) enumerateNode(id);
       }
     }
   }
@@ -290,11 +279,6 @@ private:
     for (NodeId s : sinks_) relax(s, target);
     for (NodeId id = static_cast<NodeId>(nl_.nodeCount()); id-- > 0;) {
       const Node& n = nl_.node(id);
-      if (n.op == Op::RomBit) {
-        if (required_[id] == kInfDepth) continue;
-        for (NodeId f : n.fanin) relax(f, required_[id] - 1);
-        continue;
-      }
       if (!isGate(n.op) || refs_[id] == 0 || required_[id] == kInfDepth) {
         continue;
       }
@@ -415,20 +399,9 @@ private:
     mapped.source = &nl_;
     mapped.k = options_.k;
     mapped.ffCount = nl_.dffs().size();
-    for (std::size_t r = 0; r < nl_.romCount(); ++r) {
-      mapped.romBits += nl_.rom(static_cast<std::uint32_t>(r)).width *
-                        nl_.rom(static_cast<std::uint32_t>(r)).words.size();
-    }
     std::vector<unsigned> level(nl_.nodeCount(), 0);
     for (NodeId id : nl_.topoOrder()) {
-      const Node& n = nl_.node(id);
-      if (n.op == Op::RomBit) {
-        unsigned lvl = 0;
-        for (NodeId f : n.fanin) lvl = std::max(lvl, level[f]);
-        level[id] = lvl + 1;
-        continue;
-      }
-      if (!isGate(n.op) || refs_[id] == 0) continue;
+      if (!isGate(nl_.node(id).op) || refs_[id] == 0) continue;
       Lut lut;
       lut.root = id;
       lut.leaves.assign(chosen_[id].leafSpan().begin(),
@@ -477,11 +450,6 @@ MappedNetlist mapGreedy(const Netlist& nl, unsigned k) {
   mapped.source = &nl;
   mapped.k = k;
   mapped.ffCount = nl.dffs().size();
-  for (std::size_t r = 0; r < nl.romCount(); ++r) {
-    mapped.romBits +=
-        nl.rom(static_cast<std::uint32_t>(r)).width *
-        nl.rom(static_cast<std::uint32_t>(r)).words.size();
-  }
 
   const auto fanout = nl.fanoutCounts();
   const auto order = nl.topoOrder();
@@ -545,12 +513,6 @@ MappedNetlist mapGreedy(const Netlist& nl, unsigned k) {
 
   for (NodeId id : order) {
     const Node& n = nl.node(id);
-    if (n.op == Op::RomBit) {
-      unsigned lvl = 0;
-      for (NodeId f : n.fanin) lvl = std::max(lvl, level[f]);
-      level[id] = lvl + 1;
-      continue;
-    }
     if (!isGate(n.op)) {
       if (n.op == Op::Output) level[id] = level[n.fanin[0]];
       continue;
@@ -591,9 +553,6 @@ AreaReport areaOf(const MappedNetlist& mapped) {
   a.luts = mapped.luts.size();
   a.ffs = mapped.ffCount;
   a.slices = std::max((a.luts + 1) / 2, (a.ffs + 1) / 2);
-  a.romBits = mapped.romBits;
-  const std::size_t romLuts = (a.romBits + 15) / 16;
-  a.romEquivalentSlices = (romLuts + 1) / 2;
   return a;
 }
 

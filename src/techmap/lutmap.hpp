@@ -17,8 +17,8 @@
 //     reference/dereference on the chosen-cut lattice) after — each
 //     constrained by the required times of the previous cover so the
 //     mapped depth never regresses. Only logic reachable from the
-//     outputs/registers/ROM addresses is covered (dead gates map to no
-//     LUT), and a cut interior node may be duplicated into several LUTs
+//     outputs and registers is covered (dead gates map to no LUT), and a
+//     cut interior node may be duplicated into several LUTs
 //     when that is the cheaper cover.
 //
 // Cut enumeration is level-synchronous: nodes of one structural level have
@@ -50,7 +50,6 @@ struct MappedNetlist {
   /// Index into `luts` by root node; nodes absorbed into a LUT are absent.
   std::unordered_map<netlist::NodeId, std::size_t> lutOfRoot;
   std::size_t ffCount = 0;
-  std::size_t romBits = 0;
   unsigned depth = 0; // max LUT level
 
   bool isLutRoot(netlist::NodeId id) const {
@@ -86,12 +85,6 @@ struct AreaReport {
   std::size_t luts = 0;
   std::size_t ffs = 0;
   std::size_t slices = 0;
-  std::size_t romBits = 0;
-  /// LUT-ROM equivalent slices if the ROM were folded into fabric
-  /// (16 bits per LUT, 2 LUTs per slice); reported separately because the
-  /// paper's constant "24 slices" is the SP datapath with the program
-  /// memory kept in dedicated memory.
-  std::size_t romEquivalentSlices = 0;
 };
 
 AreaReport areaOf(const MappedNetlist& mapped);

@@ -52,20 +52,6 @@ TimingReport analyze(const techmap::MappedNetlist& mapped,
       case Op::Const1:
         arrival[id] = 0.0;
         break;
-      case Op::RomBit: {
-        double worst = 0.0;
-        NodeId worstId = netlist::kNoNode;
-        for (NodeId f : n.fanin) {
-          if (arrival[f] > worst) {
-            worst = arrival[f];
-            worstId = f;
-          }
-        }
-        arrival[id] = worst + params.romDelay + params.netDelay(fanout[id]);
-        pred[id] = worstId;
-        levels[id] = worstId == netlist::kNoNode ? 1 : levels[worstId] + 1;
-        break;
-      }
       case Op::Output:
         arrival[id] = arrival[n.fanin[0]] + params.outputDelay;
         pred[id] = n.fanin[0];

@@ -12,7 +12,6 @@ struct TechParams {
   double netDelayCap = 2.2;      // routing saturates (buffering)
   double clkToQ = 0.45;          // FF clock-to-output
   double setup = 0.40;           // FF setup
-  double romDelay = 1.60;        // asynchronous (LUT/“distributed”) ROM access
   double inputDelay = 0.0;       // external arrival at primary inputs
   double outputDelay = 0.0;      // external requirement at primary outputs
   double clockSkewMargin = 0.20; // global margin added to the period

@@ -87,7 +87,6 @@ void testRoundTrips() {
   checkCombRoundTrip(netlist::gen::muxTree(3, netlist::gen::MuxStyle::Tree));
   checkCombRoundTrip(
       netlist::gen::muxTree(3, netlist::gen::MuxStyle::SumOfProducts));
-  checkCombRoundTrip(netlist::gen::romReader(5, 6, /*seed=*/11));
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     checkCombRoundTrip(netlist::gen::randomDag(12, 300, 8, seed));
   }
@@ -163,9 +162,9 @@ bool isGateOp(netlist::Op op) {
 }
 
 /// Cut-cover invariants: bounded leaf counts, leaves are sources or other
-/// LUT roots, and every sink gate (output / register / ROM-address driver)
-/// is a root. Unlike the greedy tree cover, interior duplication is legal
-/// and dead gates are uncovered.
+/// LUT roots, and every sink gate (output / register driver) is a root.
+/// Unlike the greedy tree cover, interior duplication is legal and dead
+/// gates are uncovered.
 void checkCutCover(const Netlist& nl, const techmap::MappedNetlist& mapped) {
   for (const techmap::Lut& lut : mapped.luts) {
     CHECK(lut.leaves.size() <= mapped.k);
@@ -177,7 +176,7 @@ void checkCutCover(const Netlist& nl, const techmap::MappedNetlist& mapped) {
   for (netlist::NodeId id = 0; id < nl.nodeCount(); ++id) {
     const netlist::Node& n = nl.node(id);
     using netlist::Op;
-    if (n.op != Op::Output && n.op != Op::Dff && n.op != Op::RomBit) continue;
+    if (n.op != Op::Output && n.op != Op::Dff) continue;
     for (netlist::NodeId f : n.fanin) {
       if (isGateOp(nl.node(f).op)) CHECK(mapped.isLutRoot(f));
     }

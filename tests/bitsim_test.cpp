@@ -71,17 +71,6 @@ public:
         case Op::Output:
           values_[id] = values_[n.fanin[0]];
           break;
-        case Op::RomBit: {
-          std::uint64_t addr = 0;
-          for (std::size_t i = 0; i < n.fanin.size(); ++i) {
-            if (values_[n.fanin[i]] != 0) addr |= std::uint64_t{1} << i;
-          }
-          const Rom& rom = nl_->rom(n.romId);
-          const std::uint64_t word =
-              addr < rom.words.size() ? rom.words[addr] : 0;
-          values_[id] = ((word >> n.romBit) & 1u) != 0;
-          break;
-        }
       }
     }
   }
@@ -147,8 +136,6 @@ void testCombParity() {
   }
   checkCombParity(gen::muxTree(3, gen::MuxStyle::Tree), 11);
   checkCombParity(gen::muxTree(3, gen::MuxStyle::SumOfProducts), 12);
-  checkCombParity(gen::romReader(4, 8, 7), 13);
-  checkCombParity(gen::romReader(8, 4, 7), 14); // deep ROM: lane-serial path
 }
 
 void testSequentialParity() {
@@ -243,10 +230,6 @@ void testConeOfInfluence() {
       checkConeMatchesSource(nl, subsets[k], seed * 131 + k);
     }
   }
-
-  // A ROM inside a cone is rejected, as the Unroller rejects it.
-  const Netlist rom = gen::romReader(4, 8, 7);
-  CHECK_THROWS(extractCone(rom, rom.outputs()), std::invalid_argument);
 
   // The control/data separation the proof engines rely on: on a
   // two-pearl chain the handshake signals read no data input and fewer

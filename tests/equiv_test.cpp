@@ -61,18 +61,6 @@ void testInequivalentBysim() {
   CHECK(cexReplays(a, b, res));
 }
 
-void testRomEquivalence() {
-  const Netlist rom = gen::romReader(5, 8, /*seed=*/7);
-  const Netlist logic = gen::romReader(5, 8, 7, /*asLogic=*/true);
-  const EquivResult eq = checkCombEquivalence(rom, logic);
-  CHECK(eq.equivalent);
-
-  const Netlist bad = gen::romReader(5, 8, 7, false, /*corrupt=*/true);
-  const EquivResult neq = checkCombEquivalence(rom, bad);
-  CHECK(!neq.equivalent);
-  CHECK(cexReplays(rom, bad, neq));
-}
-
 void testSatCatchesNeedle() {
   // f = AND of 24 inputs vs. constant 0: the two differ on exactly one of
   // 2^24 assignments, which the 4096-pattern random sweep (deterministic
@@ -100,27 +88,6 @@ void testSatCatchesNeedle() {
     for (const auto& [name, value] : res.cex->inputs) CHECK(value);
   }
   CHECK(cexReplays(a, b, res));
-}
-
-void testRomUnreachableWords() {
-  // A ROM deeper than its wired address bits can select: the unreachable
-  // words must not leak into the SAT encoding (the simulators read them
-  // as 0).
-  Netlist a("rom_overdeep");
-  const NodeId a0 = a.addInput("addr_0");
-  const NodeId a1 = a.addInput("addr_1");
-  const std::vector<NodeId> addr{a0, a1};
-  const std::uint32_t rom =
-      a.addRom(1, {0, 0, 0, 0, /*unreachable:*/ 1, 0, 0, 0}, "r");
-  a.addOutput("data_0", a.mkRomBit(rom, 0, addr));
-
-  Netlist b("zero");
-  (void)b.addInput("addr_0");
-  (void)b.addInput("addr_1");
-  b.addOutput("data_0", b.constant(false));
-
-  const EquivResult res = checkCombEquivalence(a, b);
-  CHECK(res.equivalent);
 }
 
 void testWideInterfaces() {
@@ -388,8 +355,6 @@ void testDuplicatePortNamesThrow() {
 int main() {
   testEquivalentPairs();
   testInequivalentBysim();
-  testRomEquivalence();
-  testRomUnreachableWords();
   testWideInterfaces();
   testSatCatchesNeedle();
   testInterfaceAndSequentialThrows();

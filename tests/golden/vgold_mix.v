@@ -30,33 +30,15 @@ module vgold_mix (
   wire n12;
   wire n13;
   wire n14;
-  wire n15;
-  wire n16;
-  wire n17;
-  wire n18;
-  reg [3:0] tbl_r0;
 
   assign n7 = ~cnt_0;
   assign n8 = cnt_1 ^ cnt_0;
   assign n9 = cnt_1 & cnt_0;
-  assign n14 = a & da_ta;
-  assign n15 = n14 ^ n10;
-  assign n16 = ~n13;
-  assign n17 = case_2 ? n16 : n15;
-  assign n18 = n17 | n11;
-  always @* begin
-    case ({cnt_1, cnt_0})
-      2'd0: tbl_r0 = 4'ha;
-      2'd1: tbl_r0 = 4'h3;
-      2'd2: tbl_r0 = 4'h7;
-      2'd3: tbl_r0 = 4'hc;
-      default: tbl_r0 = 4'h0;
-    endcase
-  end
-  assign n10 = tbl_r0[0];
-  assign n11 = tbl_r0[1];
-  assign n12 = tbl_r0[2];
-  assign n13 = tbl_r0[3];
+  assign n10 = a & da_ta;
+  assign n11 = n10 ^ cnt_0;
+  assign n12 = ~cnt_1;
+  assign n13 = case_2 ? n12 : n11;
+  assign n14 = n13 | cnt_0;
   always @(posedge clk) begin
     if (rst) cnt_0 <= 1'b1;
     else if (en) cnt_0 <= n7;
@@ -65,7 +47,7 @@ module vgold_mix (
     if (rst) cnt_1 <= 1'b0;
     else if (en) cnt_1 <= n8;
   end
-  assign y = n18;
+  assign y = n14;
   assign q0 = cnt_0;
   assign k1 = 1'b1;
 endmodule

@@ -60,16 +60,6 @@ std::vector<bool> evalNetlist(const nlx::Netlist& nl,
       val[id] = val[n.fanin[0]] ? val[n.fanin[2]] : val[n.fanin[1]];
       break;
     case nlx::Op::Output: val[id] = val[n.fanin[0]]; break;
-    case nlx::Op::RomBit: {
-      const nlx::Rom& rom = nl.rom(n.romId);
-      std::uint64_t addr = 0;
-      for (std::size_t i = 0; i < n.fanin.size(); i++) {
-        addr |= std::uint64_t{val[n.fanin[i]] ? 1u : 0u} << i;
-      }
-      val[id] = addr < rom.words.size() &&
-                ((rom.words[addr] >> n.romBit) & 1u) != 0;
-      break;
-    }
     case nlx::Op::Dff: CHECK(false); break;
     }
   }
@@ -422,7 +412,6 @@ void testCnfVsExhaustiveEvaluation() {
   checkCnfMatchesNetlist(gen::adder(4)); // 8 inputs
   checkCnfMatchesNetlist(gen::muxTree(2, gen::MuxStyle::Tree));
   checkCnfMatchesNetlist(gen::muxTree(2, gen::MuxStyle::SumOfProducts));
-  checkCnfMatchesNetlist(gen::romReader(3, 4, 0x5eed));
   for (std::uint64_t seed = 1; seed <= 3; seed++) {
     checkCnfMatchesNetlist(gen::randomDag(8, 60, 4, seed));
   }

@@ -1,8 +1,10 @@
 #include "netlist/netlist_sim.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 #include "netlist/buses.hpp"
+#include "netlist/generate.hpp"
 #include "test_util.hpp"
 
 using namespace lis::netlist;
@@ -34,23 +36,6 @@ void testCounter() {
   CHECK_EQ(sim.busValue(regs), 0x2Au);
 }
 
-void testRom() {
-  Netlist nl("rom");
-  BusBuilder bb(nl);
-  Bus addr = bb.inputBus("addr", 2);
-  const std::uint32_t rom = nl.addRom(8, {0x11, 0x22, 0x33, 0x00}, "r");
-  Bus data = bb.romRead(rom, addr);
-  bb.outputBus("data", data);
-
-  NetlistSim sim(nl);
-  const std::uint64_t expect[] = {0x11, 0x22, 0x33, 0x00};
-  for (std::uint64_t a = 0; a < 4; ++a) {
-    sim.setInputBus(addr, a);
-    sim.settle();
-    CHECK_EQ(sim.busValue(data), expect[a]);
-  }
-}
-
 void testWideBusGuard() {
   Netlist nl("wide");
   BusBuilder bb(nl);
@@ -70,12 +55,96 @@ void testWideBusGuard() {
   CHECK_EQ(sim64.busValue(bus), 0x8000000000000001ull);
 }
 
-void testRomAddressGuard() {
-  Netlist nl("romguard");
-  BusBuilder bb(nl);
-  Bus wide = bb.inputBus("a", 65);
-  const std::uint32_t rom = nl.addRom(1, {1, 0}, "r");
-  CHECK_THROWS(nl.mkRomBit(rom, 0, wide), std::invalid_argument);
+/// True when `a` and `b` read the same ids in the same order.
+bool sameFanins(const Node& a, const Node& b) {
+  if (a.fanin.size() != b.fanin.size()) return false;
+  for (std::size_t i = 0; i < a.fanin.size(); ++i) {
+    if (a.fanin[i] != b.fanin[i]) return false;
+  }
+  return true;
+}
+
+void checkSameNodes(const Netlist& a, const Netlist& b) {
+  CHECK_EQ(a.nodeCount(), b.nodeCount());
+  if (a.nodeCount() != b.nodeCount()) return;
+  for (NodeId id = 0; id < a.nodeCount(); ++id) {
+    const Node& na = a.node(id);
+    const Node& nb = b.node(id);
+    CHECK(na.op == nb.op);
+    CHECK(sameFanins(na, nb));
+    CHECK(na.name == nb.name);
+    CHECK_EQ(na.resetValue, nb.resetValue);
+    CHECK_EQ(na.hasEnable, nb.hasEnable);
+  }
+  CHECK(a.inputs() == b.inputs());
+  CHECK(a.outputs() == b.outputs());
+  CHECK(a.dffs() == b.dffs());
+}
+
+/// Fanin arity per node kind, a DFF losing and regaining its enable, and
+/// fanins surviving a copy.
+void testFaninArity() {
+  Netlist nl("arity");
+  const NodeId a = nl.addInput("a");
+  const NodeId b = nl.addInput("b");
+  const NodeId s = nl.addInput("s");
+  const NodeId c0 = nl.constant(false);
+  const NodeId c1 = nl.constant(true);
+  const NodeId inv = nl.mkNot(a);
+  const NodeId conj = nl.mkAnd(a, b);
+  const NodeId disj = nl.mkOr(a, b);
+  const NodeId parity = nl.mkXor(a, b);
+  const NodeId sel = nl.mkMux(s, a, b);
+  const NodeId plain = nl.mkDff(conj, kNoNode, true, "plain");
+  const NodeId gated = nl.mkDff(disj, s, false, "gated");
+  const NodeId out = nl.addOutput("o", sel);
+
+  const auto arity = [&](NodeId id) { return nl.node(id).fanin.size(); };
+  for (NodeId id : {a, b, s, c0, c1}) CHECK_EQ(arity(id), 0u);
+  CHECK_EQ(arity(inv), 1u);
+  CHECK_EQ(arity(out), 1u);
+  for (NodeId id : {conj, disj, parity}) CHECK_EQ(arity(id), 2u);
+  CHECK_EQ(arity(sel), 3u);
+  CHECK_EQ(arity(plain), 1u);
+  CHECK_EQ(arity(gated), 2u);
+  const Node& mux = nl.node(sel);
+  CHECK(std::vector<NodeId>(mux.fanin.begin(), mux.fanin.end()) ==
+        (std::vector<NodeId>{s, a, b}));
+
+  // {d, en} -> {d}: the register loads every cycle; and back again.
+  nl.setDffInputs(gated, parity);
+  CHECK_EQ(arity(gated), 1u);
+  CHECK(!nl.node(gated).hasEnable);
+  CHECK_EQ(nl.node(gated).fanin[0], parity);
+  {
+    NetlistSim sim(nl);
+    sim.setInput(a, true);
+    sim.setInput(s, false);
+    sim.settle();
+    sim.clock();
+    CHECK(sim.value(gated)); // a ^ b = 1 latched with no enable
+  }
+  nl.setDffInputs(gated, disj, s);
+  CHECK_EQ(arity(gated), 2u);
+  CHECK(nl.node(gated).hasEnable);
+  CHECK_EQ(nl.node(gated).fanin[0], disj);
+  CHECK_EQ(nl.node(gated).fanin[1], s);
+  {
+    NetlistSim sim(nl);
+    sim.setInput(a, true);
+    sim.setInput(s, false);
+    sim.settle();
+    sim.clock();
+    CHECK(!sim.value(gated)); // enable low: the reset value holds
+  }
+
+  // Copies keep every fanin, node for node.
+  const Netlist copy = nl;
+  checkSameNodes(nl, copy);
+  const Netlist seq = gen::randomSeq(6, 200, 12, 4, /*seed=*/9);
+  Netlist assigned("other");
+  assigned = seq;
+  checkSameNodes(seq, assigned);
 }
 
 void testErrors() {
@@ -95,9 +164,8 @@ void testErrors() {
 
 int main() {
   testCounter();
-  testRom();
   testWideBusGuard();
-  testRomAddressGuard();
+  testFaninArity();
   testErrors();
   return testExit();
 }

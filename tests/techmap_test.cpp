@@ -206,12 +206,6 @@ void testStaReport() {
   CHECK_EQ(area.luts, mapped.luts.size());
   CHECK_EQ(area.slices,
            std::max((area.luts + 1) / 2, (area.ffs + 1) / 2));
-
-  // ROM netlists report their bits and a LUT-ROM slice equivalent.
-  Design rom(gen::romReader(6, 8, /*seed=*/3));
-  const auto& romArea = rom.area(4);
-  CHECK_EQ(romArea.romBits, 64u * 8u);
-  CHECK_EQ(romArea.romEquivalentSlices, ((64u * 8u + 15u) / 16u + 1u) / 2u);
 }
 
 } // namespace
